@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .core import (
     Edge,
     KGraph,
+    KGraphError,
     NotComposable,
     Path,
     Skeleton,
@@ -29,15 +30,15 @@ from .dimension import intertwiner_check
 from .intmat import Matrix, zeros
 
 
-class ShapeMismatch(Exception):
+class ShapeMismatch(KGraphError):
     pass
 
 
-class NotIntertwining(Exception):
+class NotIntertwining(KGraphError):
     pass
 
 
-class IncoherentPair(Exception):
+class IncoherentPair(KGraphError):
     pass
 
 
@@ -107,7 +108,7 @@ def polymorphism_from_matrix(g_lam: KGraph, g_om: KGraph, r: Matrix) -> Polymorp
 
 def coordinate_polymorphism(g: KGraph, i: int) -> Polymorphism:
     if not 1 <= i <= g.rank:
-        raise ValueError(f"color {i} out of range 1..{g.rank}")
+        raise KGraphError(f"color {i} out of range 1..{g.rank}")
     edges = tuple(PolyEdge(e.id, e.rng, e.src) for e in g.edges if e.color == i)
     return Polymorphism(tuple(g.vertices), tuple(g.vertices), edges)
 
@@ -158,21 +159,21 @@ def check_flip_family(g_lam: KGraph, g_om: KGraph, pair: BridgingPair) -> Polymo
     for i in range(1, g_lam.rank + 1):
         f = pair.flips.get(i)
         if f is None:
-            raise ValueError(f"no flip for color {i}")
+            raise KGraphError(f"no flip for color {i}")
         domain = _flip_domain(g_lam, poly, i)
         if set(f) != set(domain):
-            raise ValueError(f"color {i} flip domain mismatch")
+            raise KGraphError(f"color {i} flip domain mismatch")
         codomain = _flip_codomain(g_om, poly, i)
         values = list(f.values())
         if len(set(values)) != len(values) or set(values) != set(codomain):
-            raise ValueError(f"color {i} flip is not a bijection onto its codomain")
+            raise KGraphError(f"color {i} flip is not a bijection onto its codomain")
         for (lam_id, g_id), (g2_id, om_id) in f.items():
             lam, g = g_lam.by_id[lam_id], by_id[g_id]
             g2, om = by_id[g2_id], g_om.by_id[om_id]
             if g2.src != om.rng:
-                raise ValueError(f"image of {(lam_id, g_id)} is not composable")
+                raise KGraphError(f"image of {(lam_id, g_id)} is not composable")
             if lam.rng != g2.rng or g.src != om.src:
-                raise ValueError(f"flip of {(lam_id, g_id)} moves an endpoint")
+                raise KGraphError(f"flip of {(lam_id, g_id)} moves an endpoint")
     return poly
 
 
@@ -324,7 +325,7 @@ def extend_flip(
     poly = _coherent_or_raise(g_lam, g_om, pair)
     by_id = {e.id: e for e in poly.edges}
     if g_id not in by_id:
-        raise ValueError(f"unknown polymorphism edge {g_id!r}")
+        raise KGraphError(f"unknown polymorphism edge {g_id!r}")
     if path_source(g_lam, lam) != by_id[g_id].rng:
         raise NotComposable(f"s(lam) != r({g_id})")
     cur = g_id
@@ -346,7 +347,7 @@ def morph_apply(
     poly = _coherent_or_raise(g_lam, g_om, pair)
     by_id = {e.id: e for e in poly.edges}
     if g_id not in by_id:
-        raise ValueError(f"unknown polymorphism edge {g_id!r}")
+        raise KGraphError(f"unknown polymorphism edge {g_id!r}")
     if by_id[g_id].src != omega.rng:
         raise NotComposable(f"s({g_id}) != r(omega)")
     inverse = {i: {v: k for k, v in pair.flips[i].items()} for i in pair.flips}

@@ -1,8 +1,8 @@
 """Command-line front end: parse graphs, dispatch every operation, emit
 deterministic text or JSON.
 
-Exit codes: 0 success, 1 domain errors (validation failures, impossible
-moves, ...), 2 usage and input-syntax errors.
+Exit codes: 0 success, 1 domain and OS errors (validation failures,
+impossible moves, unreadable files, ...), 2 usage, parse and decode errors.
 
 Argument syntaxes:
   GRAPH      path to a graph file, or a catalog fixture id (a bare id or
@@ -21,39 +21,20 @@ import json
 import os
 import sys
 
-from .bridging import (
-    BridgingPair,
-    Exhausted,
-    IncoherentPair,
-    NotIntertwining,
-    ShapeMismatch,
-    bridging_search,
-    coherence_check,
-)
+from .bridging import BridgingPair, Exhausted, bridging_search, coherence_check
 from .constructions import (
     FIXTURE_NAMES,
-    EmptyWindow,
     UnknownFixture,
     fixture,
     monoid_hom,
     pullback,
     skew_product_window,
 )
-from .core import (
-    DegreeOutOfRange,
-    InvalidKGraph,
-    KGraph,
-    NotComposable,
-    unit_degree,
-    validate_kgraph,
-    vertex_matrix,
-)
+from .core import KGraph, KGraphError, unit_degree, validate_kgraph, vertex_matrix
 from .dimension import (
     DimElement,
-    DimensionMismatch,
     ExhaustedBounds,
     GeneratorMap,
-    RankMismatch,
     dge_add,
     dge_scale,
     generator_map,
@@ -68,54 +49,29 @@ from .dimension import (
     unit_element,
     zero_element,
 )
-from .homology import NotStrict, NotSurjective, h0, h0gr_presentation
+from .homology import h0, h0gr_presentation
 from .intmat import Matrix
 from .moves import (
-    IndivisibleVertex,
-    InvalidPartition,
-    NotASink,
     Partition,
     check_partition,
     enumerate_valid_partitions,
     insplit,
-    phi_insplit,
-    phi_sink_delete,
-    psi_insplit,
+    insplit_maps,
     sink_delete,
-    sink_delete_witnesses,
+    sink_delete_maps,
 )
 from .textform import (
     TextFormatError,
     dump_kgraph,
     load_kgraph,
     parse_kgraph_parts,
+    read_text,
     violations_report,
 )
 
 
-class CLIUsage(Exception):
+class CLIUsage(KGraphError):
     pass
-
-
-DOMAIN_ERRORS = (
-    InvalidKGraph,
-    NotComposable,
-    DegreeOutOfRange,
-    UnknownFixture,
-    EmptyWindow,
-    IndivisibleVertex,
-    InvalidPartition,
-    NotASink,
-    RankMismatch,
-    DimensionMismatch,
-    ShapeMismatch,
-    NotIntertwining,
-    IncoherentPair,
-    NotStrict,
-    NotSurjective,
-    FileNotFoundError,
-    ValueError,
-)
 
 
 # --------------------------------------------------------------- arg parsing
@@ -215,8 +171,7 @@ def map_arg(source: KGraph, target: KGraph, args, flag: str) -> GeneratorMap:
 
 def parse_flips(text: str) -> dict[int, dict[tuple[str, str], tuple[str, str]]]:
     if os.path.isfile(text):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(text)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -260,8 +215,7 @@ def cmd_validate(args) -> int:
     arg = args.graph
     if os.path.exists(arg) and not os.path.isdir(arg):
         # Report every violation for a file, not just the first.
-        with open(arg, encoding="utf-8") as fh:
-            skeleton, squares, strict = parse_kgraph_parts(fh.read())
+        skeleton, squares, strict = parse_kgraph_parts(read_text(arg))
         problems = violations_report(skeleton, squares, strict)
         if problems:
             for line in problems:
@@ -328,12 +282,10 @@ def _partition_for(g: KGraph, args) -> Partition:
 def cmd_insplit(args) -> int:
     g = resolve_graph(args.graph)
     if args.vertex not in g.vertex_index:
-        raise ValueError(f"unknown vertex {args.vertex!r}")
+        raise KGraphError(f"unknown vertex {args.vertex!r}")
     p = _partition_for(g, args)
-    split, parents = insplit(g, p)
     if args.sidecar:
-        phi = phi_insplit(g, p)
-        psi = psi_insplit(g, p, args.psi_color)
+        split, parents, phi, psi = insplit_maps(g, p, args.psi_color)
         sidecar = {
             "move": "insplit",
             "vertex": p.vertex,
@@ -347,6 +299,8 @@ def cmd_insplit(args) -> int:
         with open(args.sidecar, "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    else:
+        split, _ = insplit(g, p)
     print(dump_kgraph(split), end="")
     return 0
 
@@ -354,20 +308,21 @@ def cmd_insplit(args) -> int:
 def cmd_sinkdelete(args) -> int:
     g = resolve_graph(args.graph)
     if args.vertex not in g.vertex_index:
-        raise ValueError(f"unknown vertex {args.vertex!r}")
-    result = sink_delete(g, args.vertex)
+        raise KGraphError(f"unknown vertex {args.vertex!r}")
     if args.sidecar:
-        witnesses = sink_delete_witnesses(g, args.vertex)
+        result, phi, witnesses = sink_delete_maps(g, args.vertex)
         sidecar = {
             "move": "sinkdelete",
             "vertex": args.vertex,
             "deleted": sorted(set(g.vertices) - set(result.vertices)),
-            "phi": map_doc(result, phi_sink_delete(g, args.vertex)),
+            "phi": map_doc(result, phi),
             "witnesses": {u: element_str(result, a) for u, a in sorted(witnesses.items())},
         }
         with open(args.sidecar, "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    else:
+        result = sink_delete(g, args.vertex)
     print(dump_kgraph(result), end="")
     return 0
 
@@ -633,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TextFormatError, CLIUsage) as e:
         print(f"error: {_errmsg(e)}", file=sys.stderr)
         return 2
-    except DOMAIN_ERRORS as e:
+    except (KGraphError, OSError) as e:
         print(f"error: {_errmsg(e)}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ from .core import (
     Degree,
     Edge,
     KGraph,
+    KGraphError,
     Path,
     Shift,
     Skeleton,
@@ -28,11 +29,11 @@ from .core import (
 )
 
 
-class UnknownFixture(KeyError):
+class UnknownFixture(KGraphError, KeyError):
     pass
 
 
-class EmptyWindow(Exception):
+class EmptyWindow(KGraphError):
     pass
 
 
@@ -51,13 +52,13 @@ def monoid_hom(images: list[Degree] | tuple[Degree, ...], target_rank: int) -> M
     images = tuple(tuple(img) for img in images)
     for img in images:
         if len(img) != target_rank or any(c < 0 for c in img):
-            raise ValueError(f"image {img} is not a degree of rank {target_rank}")
+            raise KGraphError(f"image {img} is not a degree of rank {target_rank}")
     return MonoidHom(len(images), target_rank, images)
 
 
 def hom_apply(f: MonoidHom, n: Shift) -> Shift:
     if len(n) != f.source_rank:
-        raise ValueError(f"expected a length-{f.source_rank} tuple")
+        raise KGraphError(f"expected a length-{f.source_rank} tuple")
     out = [0] * f.target_rank
     for c, img in zip(n, f.images):
         for t in range(f.target_rank):
@@ -85,7 +86,7 @@ def grid(k: int, n: Degree) -> KGraph:
     Vertices with q_i = n_i have no color-i in-edges, so the result is
     validated non-strict."""
     if k < 1 or len(n) != k or any(c < 0 for c in n):
-        raise ValueError(f"need rank k >= 1 and a length-{k} degree over N")
+        raise KGraphError(f"need rank k >= 1 and a length-{k} degree over N")
     verts = list(product(*(range(c + 1) for c in n)))
     vertices = tuple(_tuple_id(q) for q in verts)
 
@@ -122,7 +123,7 @@ def grid(k: int, n: Degree) -> KGraph:
 def rose(n: int) -> KGraph:
     """The 1-graph with a single vertex u and loops c1..cn."""
     if n < 1:
-        raise ValueError("rose needs at least one loop")
+        raise KGraphError("rose needs at least one loop")
     edges = tuple(Edge(f"c{t}", 1, "u", "u") for t in range(1, n + 1))
     return validate_kgraph(Skeleton(1, ("u",), edges), {}, strict=True)
 
@@ -138,7 +139,7 @@ def pullback(g: KGraph, f: MonoidHom) -> KGraph:
     degree f(e_a) (a vertex loop when f(e_a) = 0); squares come from the
     unique factorization of the composite."""
     if f.target_rank != g.rank:
-        raise ValueError(f"hom targets rank {f.target_rank} but the graph has rank {g.rank}")
+        raise KGraphError(f"hom targets rank {f.target_rank} but the graph has rank {g.rank}")
     l = f.source_rank
 
     def eid(color: int, p: Path) -> str:
@@ -181,7 +182,7 @@ def skew_product_window(g: KGraph, lo: Shift, hi: Shift) -> KGraph:
     is validated non-strict."""
     k = g.rank
     if len(lo) != k or len(hi) != k:
-        raise ValueError(f"window bounds must be length-{k} tuples")
+        raise KGraphError(f"window bounds must be length-{k} tuples")
     if not all(a <= b for a, b in zip(lo, hi)):
         raise EmptyWindow(f"empty window {lo}..{hi}")
     positions = list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
@@ -231,6 +232,10 @@ FIXTURE_NAMES = (
     "ex7.1-Lambda2",
 )
 
+# largest N of the parametric ex4.7-n<N>: the graph has N squares and
+# N + 1 edges, so a name with a huge N would exhaust memory
+EX47_MAX_N = 100_000
+
 _fixture_cache: dict[str, KGraph] = {}
 
 
@@ -247,13 +252,16 @@ def fixture(name: str) -> KGraph:
     which leave no freedom once the labels are fixed.
 
     Besides the stored catalog, the parametric ids "ex4.7-n2", "ex4.7-n3",
-    ... name the rank-2 roses pullback(rose(n), (a, b) -> a).
+    ... name the rank-2 roses pullback(rose(n), (a, b) -> a), for n up
+    to EX47_MAX_N.
     """
-    m = re.fullmatch(r"ex4\.7-n(\d+)", name)
+    m = re.fullmatch(r"ex4\.7-n0*(\d+)", name)
+    # compare lengths first: int() refuses strings of over 4300 digits
+    if m and (len(m.group(1)) > len(str(EX47_MAX_N)) or int(m.group(1)) > EX47_MAX_N):
+        raise KGraphError(f"{name}: N is capped at {EX47_MAX_N}")
     if m and int(m.group(1)) >= 2:
-        n = int(m.group(1))
         if name not in _fixture_cache:
-            _fixture_cache[name] = pullback(rose(n), monoid_hom([(1,), (0,)], 1))
+            _fixture_cache[name] = pullback(rose(int(m.group(1))), monoid_hom([(1,), (0,)], 1))
         return _fixture_cache[name]
     if name not in FIXTURE_NAMES:
         raise UnknownFixture(name)

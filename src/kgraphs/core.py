@@ -22,6 +22,12 @@ Shift = tuple[int, ...]
 SquarePair = tuple[str, str]
 
 
+# ----------------------------------------------------------------- errors
+
+class KGraphError(ValueError):
+    """Base of every error the package raises on bad input."""
+
+
 # ---------------------------------------------------------------- degrees
 
 def zero_degree(k: int) -> Degree:
@@ -30,7 +36,7 @@ def zero_degree(k: int) -> Degree:
 
 def unit_degree(k: int, color: int) -> Degree:
     if not 1 <= color <= k:
-        raise ValueError(f"color {color} out of range 1..{k}")
+        raise KGraphError(f"color {color} out of range 1..{k}")
     return tuple(1 if i == color - 1 else 0 for i in range(k))
 
 
@@ -117,7 +123,7 @@ class SourceVertex:
 Violation = MissingSquare | NonBijectiveSquares | EndpointMismatch | CubeFailure | SourceVertex
 
 
-class InvalidKGraph(Exception):
+class InvalidKGraph(KGraphError):
     def __init__(self, violations: list[Violation]):
         self.violations = violations
         lines = ", ".join(str(v) for v in violations[:5])
@@ -125,11 +131,11 @@ class InvalidKGraph(Exception):
         super().__init__(f"{len(violations)} violation(s): {lines}{more}")
 
 
-class NotComposable(Exception):
+class NotComposable(KGraphError):
     pass
 
 
-class DegreeOutOfRange(Exception):
+class DegreeOutOfRange(KGraphError):
     pass
 
 
@@ -150,15 +156,17 @@ class KGraph:
         self.by_id = {e.id: e for e in skeleton.edges}
         self.vertex_index = {v: i for i, v in enumerate(skeleton.vertices)}
         k = skeleton.rank
+        ins = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
+        outs = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
+        for e in skeleton.edges:
+            ins[e.rng][e.color].append(e)
+            outs[e.src][e.color].append(e)
         self.in_edges: dict[str, dict[int, tuple[Edge, ...]]] = {
-            v: {i: () for i in range(1, k + 1)} for v in skeleton.vertices
+            v: {i: tuple(es) for i, es in by_color.items()} for v, by_color in ins.items()
         }
         self.out_edges: dict[str, dict[int, tuple[Edge, ...]]] = {
-            v: {i: () for i in range(1, k + 1)} for v in skeleton.vertices
+            v: {i: tuple(es) for i, es in by_color.items()} for v, by_color in outs.items()
         }
-        for e in skeleton.edges:
-            self.in_edges[e.rng][e.color] += (e,)
-            self.out_edges[e.src][e.color] += (e,)
         self._matrix_memo: dict[Degree, Matrix] = {}
 
     @property
@@ -193,32 +201,32 @@ class KGraph:
 
 def _structural_check(skeleton: Skeleton, squares: dict[SquarePair, SquarePair]) -> None:
     if skeleton.rank < 1:
-        raise ValueError("rank must be >= 1")
+        raise KGraphError("rank must be >= 1")
     if len(set(skeleton.vertices)) != len(skeleton.vertices):
-        raise ValueError("duplicate vertex ids")
+        raise KGraphError("duplicate vertex ids")
     seen = set()
     vset = set(skeleton.vertices)
     for e in skeleton.edges:
         if e.id in seen:
-            raise ValueError(f"duplicate edge id {e.id!r}")
+            raise KGraphError(f"duplicate edge id {e.id!r}")
         seen.add(e.id)
         if not 1 <= e.color <= skeleton.rank:
-            raise ValueError(f"edge {e.id!r} has color {e.color} outside 1..{skeleton.rank}")
+            raise KGraphError(f"edge {e.id!r} has color {e.color} outside 1..{skeleton.rank}")
         if e.src not in vset or e.rng not in vset:
-            raise ValueError(f"edge {e.id!r} references unknown vertex")
+            raise KGraphError(f"edge {e.id!r} references unknown vertex")
     if vset & seen:
-        raise ValueError("vertex and edge ids must be disjoint")
+        raise KGraphError("vertex and edge ids must be disjoint")
     for key, val in squares.items():
         for eid in (*key, *val):
             if eid not in seen:
-                raise ValueError(f"square references unknown edge id {eid!r}")
+                raise KGraphError(f"square references unknown edge id {eid!r}")
 
 
 def kgraph_violations(
     skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool = True
 ) -> list[Violation]:
     """Every violated constraint, in a deterministic order. Raises
-    ValueError only for structurally malformed input (bad ids/colors)."""
+    KGraphError only for structurally malformed input (bad ids/colors)."""
     _structural_check(skeleton, squares)
     by_id = {e.id: e for e in skeleton.edges}
     k = skeleton.rank
@@ -366,10 +374,10 @@ def make_path(g: KGraph, edge_ids: list[str] | tuple[str, ...]) -> Path:
     """Build a path from a composable edge word (any color order)."""
     ids = tuple(edge_ids)
     if not ids:
-        raise ValueError("make_path needs at least one edge; use vertex_path")
+        raise KGraphError("make_path needs at least one edge; use vertex_path")
     for eid in ids:
         if eid not in g.by_id:
-            raise ValueError(f"unknown edge id {eid!r}")
+            raise KGraphError(f"unknown edge id {eid!r}")
     for t in range(len(ids) - 1):
         if g.by_id[ids[t]].src != g.by_id[ids[t + 1]].rng:
             raise NotComposable(f"edges {ids[t]!r} and {ids[t + 1]!r} do not meet")
@@ -422,7 +430,7 @@ def paths_of_degree(g: KGraph, v: str, n: Degree) -> list[Path]:
     """All paths with range v and degree n, as normal-form words, in
     depth-first edge order."""
     if v not in g.vertex_index:
-        raise ValueError(f"unknown vertex {v!r}")
+        raise KGraphError(f"unknown vertex {v!r}")
     if len(n) != g.rank or not deg_leq(zero_degree(g.rank), n):
         raise DegreeOutOfRange(f"degree must be a length-{g.rank} tuple over N")
     results: list[Path] = []
@@ -464,11 +472,6 @@ def mce(g: KGraph, p: Path, q: Path) -> list[Path]:
 
 
 # --------------------------------------------------------------- matrices
-
-def one_step_matrix(g: KGraph, color: int) -> Matrix:
-    """A_{e_color}[u][w] = number of color edges with range u and source w."""
-    return vertex_matrix(g, unit_degree(g.rank, color))
-
 
 def vertex_matrix(g: KGraph, n: Degree) -> Matrix:
     """A_n[u][w] = |paths of degree n, range u, source w|, as the product

@@ -12,14 +12,13 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .core import Degree, KGraph, Shift, deg_sub, unit_degree, vertex_matrix, zero_degree
+from .core import Degree, KGraph, KGraphError, Shift, deg_sub, unit_degree, vertex_matrix, zero_degree
 from .intmat import (
     Matrix,
     is_nonneg_vec,
     is_zero_vec,
     mat_eq,
     mat_mul,
-    mat_pow,
     rank,
     vec_add,
     vec_mat,
@@ -28,11 +27,11 @@ from .intmat import (
 )
 
 
-class RankMismatch(Exception):
+class RankMismatch(KGraphError):
     pass
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(KGraphError):
     pass
 
 
@@ -70,7 +69,7 @@ def dim_element(x, n) -> DimElement:
 def unit_element(g: KGraph, v: str, n: Shift | None = None) -> DimElement:
     """The generator v(n), by default v(0)."""
     if v not in g.vertex_index:
-        raise ValueError(f"unknown vertex {v!r}")
+        raise KGraphError(f"unknown vertex {v!r}")
     x = tuple(1 if w == v else 0 for w in g.vertices)
     return DimElement(x, tuple(n) if n is not None else zero_degree(g.rank))
 
@@ -93,11 +92,6 @@ def _shift_join(m: Shift, n: Shift) -> Shift:
 def _push(g: KGraph, a: DimElement, p: Shift) -> list[int]:
     # the representative of a at level p >= a.n: x * A_{p - a.n}
     return vec_mat(list(a.x), vertex_matrix(g, deg_sub(p, a.n)))
-
-
-def total_matrix(g: KGraph) -> Matrix:
-    """P = product of all one-step matrices."""
-    return vertex_matrix(g, (1,) * g.rank)
 
 
 def dge_eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
@@ -128,10 +122,6 @@ def dge_scale(c: int, a: DimElement) -> DimElement:
     return DimElement(tuple(vec_scale(c, list(a.x))), a.n)
 
 
-def dge_neg(a: DimElement) -> DimElement:
-    return dge_scale(-1, a)
-
-
 def positivity(g: KGraph, a: DimElement, q_max: int) -> str:
     """'positive' | 'not_positive' | 'unknown', searched up to level q_max.
 
@@ -141,7 +131,7 @@ def positivity(g: KGraph, a: DimElement, q_max: int) -> str:
     """
     _check_element(g, a)
     if q_max < 0:
-        raise ValueError("q_max must be >= 0")
+        raise KGraphError("q_max must be >= 0")
     corner = tuple(max(q_max, c) for c in a.n)
     pushed = _push(g, a, corner)
     if is_nonneg_vec(pushed):
@@ -156,10 +146,10 @@ def positivity(g: KGraph, a: DimElement, q_max: int) -> str:
 def generator_map(source: KGraph, target: KGraph, images: dict[str, DimElement]) -> GeneratorMap:
     for v in source.vertices:
         if v not in images:
-            raise ValueError(f"no image for vertex {v!r}")
+            raise KGraphError(f"no image for vertex {v!r}")
         _check_element(target, images[v])
     if set(images) != set(source.vertices):
-        raise ValueError("images given for unknown vertices")
+        raise KGraphError("images given for unknown vertices")
     return GeneratorMap(source, target, dict(images))
 
 
@@ -170,7 +160,7 @@ def identity_generator_map(g: KGraph) -> GeneratorMap:
 def identity_map_between(source: KGraph, target: KGraph) -> GeneratorMap:
     """v(0) -> v(0) for graphs sharing vertex names (e.g. twisted pairs)."""
     if set(source.vertices) != set(target.vertices):
-        raise ValueError("graphs do not share vertex names")
+        raise KGraphError("graphs do not share vertex names")
     return GeneratorMap(source, target, {v: unit_element(target, v) for v in source.vertices})
 
 
@@ -203,9 +193,9 @@ def hom_check(m: GeneratorMap) -> bool:
 def iso_check(fwd: GeneratorMap, bwd: GeneratorMap) -> bool:
     """Both maps are homs and both composites fix every generator."""
     if fwd.source is not bwd.target and fwd.source != bwd.target:
-        raise ValueError("fwd.source and bwd.target differ")
+        raise KGraphError("fwd.source and bwd.target differ")
     if fwd.target is not bwd.source and fwd.target != bwd.source:
-        raise ValueError("fwd.target and bwd.source differ")
+        raise KGraphError("fwd.target and bwd.source differ")
     if not hom_check(fwd) or not hom_check(bwd):
         return False
     for v in fwd.source.vertices:
@@ -229,13 +219,18 @@ def pointed_check(fwd: GeneratorMap) -> bool:
 
 # -------------------------------------------------------------- intertwiners
 
+def _check_shape(g_left: KGraph, g_right: KGraph, r: Matrix) -> None:
+    # a row per left vertex, a column per right vertex
+    dl, dr = len(g_left.vertices), len(g_right.vertices)
+    if len(r) != dl or any(len(row) != dr for row in r):
+        raise DimensionMismatch(f"matrix must be {dl}x{dr}")
+
+
 def intertwiner_check(g_left: KGraph, g_right: KGraph, r: Matrix) -> bool:
     """Whether A_{e_i} * r == r * B_{e_i} for every color."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
-    dl, dr = len(g_left.vertices), len(g_right.vertices)
-    if len(r) != dl or any(len(row) != dr for row in r):
-        raise DimensionMismatch(f"matrix must be {dl}x{dr}")
+    _check_shape(g_left, g_right, r)
     for i in range(1, g_left.rank + 1):
         a = vertex_matrix(g_left, unit_degree(g_left.rank, i))
         b = vertex_matrix(g_right, unit_degree(g_right.rank, i))
@@ -252,6 +247,8 @@ def hom_from_matrix(r: Matrix, a: DimElement) -> DimElement:
 
 
 def generator_map_from_matrix(g_left: KGraph, g_right: KGraph, r: Matrix) -> GeneratorMap:
+    """v(0) -> [row v of r, 0]."""
+    _check_shape(g_left, g_right, r)
     images = {
         v: DimElement(tuple(r[i]), zero_degree(g_right.rank))
         for i, v in enumerate(g_left.vertices)
@@ -276,7 +273,7 @@ def sse_search(
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     if p_max < 0 or entry_max < 0:
-        raise ValueError("bounds must be >= 0")
+        raise KGraphError("bounds must be >= 0")
     k = g_left.rank
     dl, dr = len(g_left.vertices), len(g_right.vertices)
     a_steps = [vertex_matrix(g_left, unit_degree(k, i)) for i in range(1, k + 1)]

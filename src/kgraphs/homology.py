@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .constructions import MonoidHom, hom_surjective, pullback
-from .core import KGraph, unit_degree, vertex_matrix
+from .core import KGraph, KGraphError, unit_degree, vertex_matrix
 from .dimension import (
     DimElement,
     dge_add,
@@ -35,11 +35,11 @@ __all__ = [
 ]
 
 
-class NotStrict(Exception):
+class NotStrict(KGraphError):
     pass
 
 
-class NotSurjective(Exception):
+class NotSurjective(KGraphError):
     pass
 
 
@@ -67,9 +67,9 @@ def h0(g: KGraph) -> AbelianInvariants:
     computed as a Smith normal form cokernel of the stacked k.d x d
     relation matrix.
 
-    For k >= 2 this presentation is validated against the known closed
-    forms (roses and their rank-2 pullbacks give Z/(n-1)), not derived in
-    general; treat answers on exotic inputs accordingly.
+    This is H0(G_Lambda) = coker(1 - A_1^t, ..., 1 - A_k^t) for row-finite
+    k-graphs without sources (Farsi, Kumjian, Pask and Sims 2019, "Ample
+    groupoids: equivalence, homology, and Matui's HK conjecture").
     """
     _check_no_sources(g)
     d = len(g.vertices)

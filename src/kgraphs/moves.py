@@ -9,33 +9,36 @@ of pairing classes.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple
 
 from .core import (
     Edge,
     KGraph,
-    Path,
+    KGraphError,
     Skeleton,
-    mce,
     unit_degree,
     validate_kgraph,
     vertex_matrix,
-    zero_degree,
 )
-from .dimension import DimElement, GeneratorMap, generator_map, unit_element
+from .dimension import (
+    DimElement,
+    GeneratorMap,
+    generator_map,
+    generator_map_from_matrix,
+    unit_element,
+)
 from .intmat import Matrix, zeros
 
 
-class IndivisibleVertex(Exception):
+class IndivisibleVertex(KGraphError):
     pass
 
 
-class InvalidPartition(Exception):
+class InvalidPartition(KGraphError):
     pass
 
 
-class NotASink(Exception):
+class NotASink(KGraphError):
     pass
 
 
@@ -59,10 +62,13 @@ def _range_edges(g: KGraph, v: str) -> list[Edge]:
 
 def pairing_closure(g: KGraph, v: str) -> list[tuple[str, ...]]:
     """Classes of the transitive closure of: e ~ f iff the one-edge paths
-    at v admit a common extension (mce nonempty). Class order and member
-    order follow the skeleton."""
+    at v admit a common extension. Class order and member order follow
+    the skeleton.
+
+    For color(e) < color(f) a common extension is a path e.h = f.g2, so
+    e ~ f iff some square (e, h) -> (f, g2) is in the table."""
     if v not in g.vertex_index:
-        raise ValueError(f"unknown vertex {v!r}")
+        raise KGraphError(f"unknown vertex {v!r}")
     edges = _range_edges(g, v)
     parent = {e.id: e.id for e in edges}
 
@@ -72,13 +78,11 @@ def pairing_closure(g: KGraph, v: str) -> list[tuple[str, ...]]:
             x = parent[x]
         return x
 
-    for a, b in combinations(edges, 2):
-        if a.color == b.color:
-            continue
-        if mce(g, Path(v, (a.id,)), Path(v, (b.id,))):
-            ra, rb = find(a.id), find(b.id)
-            if ra != rb:
-                parent[rb] = ra
+    for e in edges:
+        for j in range(e.color + 1, g.rank + 1):
+            for h in g.in_edges[e.src][j]:
+                f = g.squares[(e.id, h.id)][0]
+                parent[find(f)] = find(e.id)
 
     classes: dict[str, list[str]] = {}
     order: list[str] = []
@@ -145,7 +149,7 @@ def insplit(g: KGraph, p: Partition) -> tuple[KGraph, ParentMap]:
     taken = set(g.vertices) | {e.id for e in g.edges}
     for fresh in (v1, v2):
         if fresh in taken:
-            raise ValueError(f"offspring id {fresh!r} collides with an existing id")
+            raise KGraphError(f"offspring id {fresh!r} collides with an existing id")
 
     vertices: list[str] = []
     vertex_parent: dict[str, str] = {}
@@ -170,7 +174,7 @@ def insplit(g: KGraph, p: Partition) -> tuple[KGraph, ParentMap]:
             for t in (1, 2):
                 fresh = f"{e.id}^{t}"
                 if fresh in taken:
-                    raise ValueError(f"offspring id {fresh!r} collides with an existing id")
+                    raise KGraphError(f"offspring id {fresh!r} collides with an existing id")
                 child = Edge(fresh, e.color, f"{v}^{t}", new_range(e))
                 edges.append(child)
                 edge_parent[fresh] = e.id
@@ -201,6 +205,29 @@ def insplit(g: KGraph, p: Partition) -> tuple[KGraph, ParentMap]:
     return split, ParentMap(vertex_parent, edge_parent)
 
 
+def _copy_rows(g: KGraph, p: Partition, j: int) -> dict[str, list[int]]:
+    # row of each copy v^t over g's vertices: the color-j edges on side t,
+    # counted by source; these are S's copy rows and psi's images
+    if not 1 <= j <= g.rank:
+        raise KGraphError(f"color {j} out of range 1..{g.rank}")
+    rows = {}
+    for t, side in ((1, p.side1), (2, p.side2)):
+        row = [0] * len(g.vertices)
+        for e in (g.by_id[eid] for eid in side):
+            if e.color == j:
+                row[g.vertex_index[e.src]] += 1
+        rows[f"{p.vertex}^{t}"] = row
+    return rows
+
+
+def _projection(g: KGraph, split: KGraph, parents: ParentMap) -> Matrix:
+    # R(u, w') = 1 iff w' projects to u
+    r = zeros(len(g.vertices), len(split.vertices))
+    for jj, w in enumerate(split.vertices):
+        r[g.vertex_index[parents.vertices[w]]][jj] = 1
+    return r
+
+
 def insplit_matrices(g: KGraph, p: Partition, j: int) -> tuple[Matrix, Matrix]:
     """(R, S) with R*S = A_{e_j}, S*R = B_{e_j}, A_{e_i}R = R B_{e_i} and
     B_{e_i}S = S A_{e_i} for every color i; A over g, B over the split graph.
@@ -208,26 +235,11 @@ def insplit_matrices(g: KGraph, p: Partition, j: int) -> tuple[Matrix, Matrix]:
     R(u, w') = 1 iff w' projects to u. S(v^i, w) counts the color-j edges
     on side i with source w; other rows of S copy A_{e_j}.
     """
-    if not 1 <= j <= g.rank:
-        raise ValueError(f"color {j} out of range 1..{g.rank}")
+    rows = _copy_rows(g, p, j)
     split, parents = insplit(g, p)
-    r = zeros(len(g.vertices), len(split.vertices))
-    for jj, w in enumerate(split.vertices):
-        r[g.vertex_index[parents.vertices[w]]][jj] = 1
-
-    sides = {1: p.side1, 2: p.side2}
     a_j = vertex_matrix(g, unit_degree(g.rank, j))
-    s = zeros(len(split.vertices), len(g.vertices))
-    for ii, w in enumerate(split.vertices):
-        if parents.vertices[w] == p.vertex:
-            t = int(w.rsplit("^", 1)[1])
-            for eid in sides[t]:
-                e = g.by_id[eid]
-                if e.color == j:
-                    s[ii][g.vertex_index[e.src]] += 1
-        else:
-            s[ii] = list(a_j[g.vertex_index[w]])
-    return r, s
+    s = [rows[w] if w in rows else list(a_j[g.vertex_index[w]]) for w in split.vertices]
+    return _projection(g, split, parents), s
 
 
 # --------------------------------------------------------------- sink moves
@@ -235,13 +247,13 @@ def insplit_matrices(g: KGraph, p: Partition, j: int) -> tuple[Matrix, Matrix]:
 def ei_sinks(g: KGraph, i: int) -> list[str]:
     """Vertices emitting no color-i edge."""
     if not 1 <= i <= g.rank:
-        raise ValueError(f"color {i} out of range 1..{g.rank}")
+        raise KGraphError(f"color {i} out of range 1..{g.rank}")
     return [v for v in g.vertices if not g.out_edges[v][i]]
 
 
 def sink_colors(g: KGraph, v: str) -> list[int]:
     if v not in g.vertex_index:
-        raise ValueError(f"unknown vertex {v!r}")
+        raise KGraphError(f"unknown vertex {v!r}")
     return [i for i in range(1, g.rank + 1) if not g.out_edges[v][i]]
 
 
@@ -268,7 +280,7 @@ def sink_delete(g: KGraph, v: str) -> KGraph:
     dead = _reachable_from(g, v)
     vertices = tuple(w for w in g.vertices if w not in dead)
     if not vertices:
-        raise ValueError("sink deletion removes every vertex")
+        raise KGraphError("sink deletion removes every vertex")
     edges = tuple(e for e in g.edges if e.src not in dead and e.rng not in dead)
     kept = {e.id for e in edges}
     squares = {
@@ -281,61 +293,63 @@ def sink_delete(g: KGraph, v: str) -> KGraph:
 
 # ----------------------------------------------------------- generator maps
 
+def insplit_maps(
+    g: KGraph, p: Partition, j: int
+) -> tuple[KGraph, ParentMap, GeneratorMap, GeneratorMap]:
+    """The in-split graph, its parent map, phi and psi at color j, from
+    one in-split.
+
+    phi: g -> split graph is the map of R, v(0) -> v^1(0) + v^2(0), fixing
+    other vertices. psi: split graph -> g is the inverse up to shift: each
+    copy v^i(0) maps to the sum of s(f)(e_j) over the color-j edges f on
+    side i, and every other vertex to itself.
+    """
+    rows = _copy_rows(g, p, j)
+    split, parents = insplit(g, p)
+    phi = generator_map_from_matrix(g, split, _projection(g, split, parents))
+    e_j = unit_degree(g.rank, j)
+    images = {w: DimElement(tuple(rows[w]), e_j) if w in rows else unit_element(g, w) for w in split.vertices}
+    return split, parents, phi, generator_map(split, g, images)
+
+
 def phi_insplit(g: KGraph, p: Partition) -> GeneratorMap:
     """g -> split graph: v(0) -> v^1(0) + v^2(0), fixing other vertices."""
-    split, parents = insplit(g, p)
-    images: dict[str, DimElement] = {}
-    for w in g.vertices:
-        x = tuple(1 if parents.vertices[u] == w else 0 for u in split.vertices)
-        images[w] = DimElement(x, zero_degree(g.rank))
-    return generator_map(g, split, images)
+    return insplit_maps(g, p, 1)[2]
 
 
 def psi_insplit(g: KGraph, p: Partition, j: int) -> GeneratorMap:
-    """split graph -> g, the inverse up to shift: each copy v^i(0) maps to
-    the sum of s(f)(e_j) over the color-j edges f on side i."""
-    if not 1 <= j <= g.rank:
-        raise ValueError(f"color {j} out of range 1..{g.rank}")
-    split, parents = insplit(g, p)
-    sides = {1: p.side1, 2: p.side2}
-    e_j = unit_degree(g.rank, j)
-    images: dict[str, DimElement] = {}
-    for w in split.vertices:
-        if parents.vertices[w] == p.vertex:
-            t = int(w.rsplit("^", 1)[1])
-            x = [0] * len(g.vertices)
-            for eid in sides[t]:
-                e = g.by_id[eid]
-                if e.color == j:
-                    x[g.vertex_index[e.src]] += 1
-            images[w] = DimElement(tuple(x), e_j)
-        else:
-            images[w] = unit_element(g, w)
-    return generator_map(split, g, images)
+    """split graph -> g, the inverse of phi_insplit up to shift by e_j."""
+    return insplit_maps(g, p, j)[3]
+
+
+def sink_delete_maps(g: KGraph, v: str) -> tuple[KGraph, GeneratorMap, dict[str, DimElement]]:
+    """The graph left by deleting the sink v, its map phi into g on
+    generators, w(0) -> w(0), and for each deleted vertex u an element of
+    the cut graph's dimension group mapping to u(0): the relation at the
+    sink color i rewrites u(0) as the sum of s(alpha)(e_i) over color-i
+    edges into u, and every such source survives."""
+    cut = sink_delete(g, v)
+    phi = generator_map(cut, g, {w: unit_element(g, w) for w in cut.vertices})
+    i = sink_colors(g, v)[0]
+    witnesses: dict[str, DimElement] = {}
+    for u in g.vertices:
+        if u in cut.vertex_index:
+            continue
+        x = [0] * len(cut.vertices)
+        for e in g.in_edges[u][i]:
+            if e.src not in cut.vertex_index:
+                raise KGraphError(f"source {e.src} of {e.id} was deleted; {v} is not an e_{i}-sink")
+            x[cut.vertex_index[e.src]] += 1
+        witnesses[u] = DimElement(tuple(x), unit_degree(g.rank, i))
+    return cut, phi, witnesses
 
 
 def phi_sink_delete(g: KGraph, v: str) -> GeneratorMap:
     """deleted graph -> g on generators, w(0) -> w(0)."""
-    cut = sink_delete(g, v)
-    return generator_map(cut, g, {w: unit_element(g, w) for w in cut.vertices})
+    return sink_delete_maps(g, v)[1]
 
 
 def sink_delete_witnesses(g: KGraph, v: str) -> dict[str, DimElement]:
     """For each deleted vertex u, an element of the cut graph's dimension
-    group mapping to u(0): the relation at the sink color i rewrites u(0)
-    as the sum of s(alpha)(e_i) over color-i edges into u, and every such
-    source survives."""
-    cut = sink_delete(g, v)
-    i = sink_colors(g, v)[0]
-    survivors = set(cut.vertices)
-    out: dict[str, DimElement] = {}
-    for u in g.vertices:
-        if u in survivors:
-            continue
-        x = [0] * len(cut.vertices)
-        for e in g.in_edges[u][i]:
-            if e.src not in survivors:
-                raise ValueError(f"source {e.src} of {e.id} was deleted; {v} is not an e_{i}-sink")
-            x[cut.vertex_index[e.src]] += 1
-        out[u] = DimElement(tuple(x), unit_degree(g.rank, i))
-    return out
+    group mapping to u(0); see sink_delete_maps."""
+    return sink_delete_maps(g, v)[2]

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import json
 
-from .core import Edge, KGraph, Skeleton, SquarePair, kgraph_violations, validate_kgraph
+from .core import Edge, KGraph, KGraphError, Skeleton, SquarePair, kgraph_violations, validate_kgraph
 
 
-class TextFormatError(Exception):
+class TextFormatError(KGraphError):
     pass
 
 
@@ -95,9 +95,17 @@ def parse_kgraph(text: str) -> KGraph:
     return validate_kgraph(skeleton, squares, strict)
 
 
-def load_kgraph(path: str) -> KGraph:
+def read_text(path: str) -> str:
+    """The contents of a UTF-8 file; other bytes are a TextFormatError."""
     with open(path, encoding="utf-8") as fh:
-        return parse_kgraph(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise TextFormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def load_kgraph(path: str) -> KGraph:
+    return parse_kgraph(read_text(path))
 
 
 def kgraph_to_doc(g: KGraph) -> dict:

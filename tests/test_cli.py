@@ -350,3 +350,132 @@ def test_emitted_graphs_reparse_identically(capsys):
         g = parse_kgraph(out)
         rebuilt = validate_kgraph(g.skeleton, g.squares, strict=g.strict)
         assert dump_kgraph(rebuilt) == out
+
+
+# ------------------------------------------------------------ golden sidecars
+
+INSPLIT_SIDECAR = """{
+  "move": "insplit",
+  "parent_edges": {
+    "e": "e",
+    "e'": "e'",
+    "f": "f",
+    "f1": "f1",
+    "f2": "f2",
+    "g": "g",
+    "h1^1": "h1",
+    "h1^2": "h1",
+    "h2^1": "h2",
+    "h2^2": "h2",
+    "h^1": "h",
+    "h^2": "h"
+  },
+  "parent_vertices": {
+    "u": "u",
+    "v^1": "v",
+    "v^2": "v",
+    "w": "w"
+  },
+  "phi": {
+    "u": "u:0,0:1",
+    "v": "v^1:0,0:1 + v^2:0,0:1",
+    "w": "w:0,0:1"
+  },
+  "psi": {
+    "u": "u:0,0:1",
+    "v^1": "v:1,0:1",
+    "v^2": "v:1,0:1",
+    "w": "w:0,0:1"
+  },
+  "side1": [
+    "f2",
+    "h1"
+  ],
+  "side2": [
+    "f1",
+    "h2"
+  ],
+  "vertex": "v"
+}
+"""
+
+SINKDELETE_SIDECAR = """{
+  "deleted": [
+    "v",
+    "w"
+  ],
+  "move": "sinkdelete",
+  "phi": {
+    "u": "u:0,0:1"
+  },
+  "vertex": "v",
+  "witnesses": {
+    "v": "u:0,1:2",
+    "w": "u:0,1:1"
+  }
+}
+"""
+
+
+def test_insplit_sidecar_golden_bytes(capsys, tmp_path):
+    sidecar = tmp_path / "maps.json"
+    code, out, _ = run(capsys, "insplit", "ex3.5-Lambda", "v", "--sidecar", str(sidecar))
+    assert code == 0 and out == dump_kgraph(fixture("ex3.5-LambdaI"))
+    assert sidecar.read_bytes() == INSPLIT_SIDECAR.encode("utf-8")
+    # the backward map at color 2 lands on u, one step up in color 2
+    code, _, _ = run(
+        capsys, "insplit", "ex3.5-Lambda", "v", "--sidecar", str(sidecar), "--psi-color", "2"
+    )
+    assert code == 0
+    assert json.loads(sidecar.read_text(encoding="utf-8"))["psi"] == {
+        "u": "u:0,0:1",
+        "v^1": "u:0,1:1",
+        "v^2": "u:0,1:1",
+        "w": "w:0,0:1",
+    }
+
+
+def test_sinkdelete_sidecar_golden_bytes(capsys, tmp_path):
+    sidecar = tmp_path / "maps.json"
+    code, out, _ = run(capsys, "sinkdelete", "ex3.5-Lambda", "v", "--sidecar", str(sidecar))
+    assert code == 0 and out == dump_kgraph(fixture("ex3.5-LambdaS"))
+    assert sidecar.read_bytes() == SINKDELETE_SIDECAR.encode("utf-8")
+
+
+# ------------------------------------------------------------ hostile inputs
+
+# {bad} is a graph file that is not UTF-8, {dir} a directory
+HOSTILE = {
+    "graph-not-utf8": ["h0", "{bad}"],
+    "validate-not-utf8": ["validate", "{bad}"],
+    "flips-not-utf8": ["bridge-search", "ex5.6-Lambda", "ex5.6-Omega", "--matrix", "1 1", "--flips", "{bad}"],
+    "insplit-sidecar-is-a-directory": ["insplit", "ex3.5-Lambda", "v", "--sidecar", "{dir}"],
+    "sinkdelete-sidecar-is-a-directory": ["sinkdelete", "ex3.5-Lambda", "v", "--sidecar", "{dir}"],
+    "short-matrix": ["tm-hom-check", "ex3.5-Lambda", "ex3.5-LambdaI", "--matrix", "1 0 0 0"],
+    "narrow-matrix": ["tm-hom-check", "ex3.5-Lambda", "ex3.5-LambdaI", "--matrix", "1 0; 0 1; 0 0"],
+    "huge-parametric-fixture": ["h0", "ex4.7-n100000000000"],
+}
+
+
+def hostile_argv(tmp_path, case):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"rank": 1, "vertices": ["\xe9"], "edges": [], "squares": []}')
+    return [arg.format(bad=bad, dir=tmp_path) for arg in HOSTILE[case]]
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_exits_cleanly(capsys, tmp_path, case):
+    code, _, err = run(capsys, *hostile_argv(tmp_path, case))
+    assert code in (1, 2)
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
+def test_decode_errors_are_parse_errors(capsys, tmp_path):
+    for case in ("graph-not-utf8", "validate-not-utf8", "flips-not-utf8"):
+        code, _, err = run(capsys, *hostile_argv(tmp_path, case))
+        assert code == 2 and "UTF-8" in err
+
+
+def test_oversized_parametric_fixture_is_a_domain_error(capsys):
+    code, _, err = run(capsys, "h0", "ex4.7-n100000000000")
+    assert code == 1 and "ex4.7-n" in err

@@ -303,3 +303,21 @@ def test_degree_helpers():
     assert deg_leq((0, 0), (1, 1)) and not deg_leq((2, 0), (1, 1))
     assert unit_degree(3, 2) == (0, 1, 0)
     assert zero_degree(2) == (0, 0)
+
+
+def test_every_typed_error_shares_one_base():
+    import kgraphs
+    from kgraphs.cli import CLIUsage
+    from kgraphs.constructions import UnknownFixture
+    from kgraphs.core import KGraphError
+
+    errors = [
+        obj for obj in vars(kgraphs).values() if isinstance(obj, type) and issubclass(obj, Exception)
+    ]
+    assert len(errors) >= 15
+    for err in errors + [CLIUsage]:
+        assert issubclass(err, KGraphError) and issubclass(err, ValueError), err
+    # fixture lookups keep failing as KeyError too
+    with pytest.raises(KeyError):
+        fixture("no-such-fixture")
+    assert issubclass(UnknownFixture, KeyError)

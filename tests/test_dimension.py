@@ -213,6 +213,13 @@ def test_matrix_maps_agree():
         hom_from_matrix(r, DimElement((1, 2), (0, 0)))
 
 
+def test_matrix_map_shape_is_checked():
+    lam, lam_i = fixture("ex3.5-Lambda"), fixture("ex3.5-LambdaI")
+    for r in ([[1, 0, 0, 0]], [[1, 0], [0, 1], [0, 0]], [[1, 0, 0, 0]] * 4):
+        with pytest.raises(DimensionMismatch):
+            generator_map_from_matrix(lam, lam_i, r)
+
+
 # ---------------------------------------------------------------- SSE search
 
 def test_sse_self_identity():

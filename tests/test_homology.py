@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from kgraphs.constructions import fixture, grid, monoid_hom, pullback, rose
-from kgraphs.core import Skeleton, unit_degree, validate_kgraph, vertex_matrix
+from kgraphs.core import Edge, Skeleton, unit_degree, validate_kgraph, vertex_matrix
 from kgraphs.homology import (
     AbelianInvariants,
     NotStrict,
@@ -11,6 +13,7 @@ from kgraphs.homology import (
     h0gr_presentation,
     rho_pullback_check,
 )
+from kgraphs.intmat import snf_diagonal
 
 COLLAPSE_FIRST = monoid_hom([(1,), (0,)], 1)
 
@@ -163,3 +166,66 @@ def test_h0gr_presentation_returns_the_one_step_matrices():
     mats, r = h0gr_presentation(g)
     assert mats == tuple(vertex_matrix(g, unit_degree(g.rank, i)) for i in (1, 2))
     assert r == 2
+
+
+# --------------------------------------------------- h0 of a product 2-graph
+
+def _one_graph(tag, a):
+    # vertices tag0.., one edge per unit of a[r][c], from vertex c to vertex r
+    vertices = tuple(f"{tag}{i}" for i in range(len(a)))
+    edges = tuple(
+        Edge(f"{tag}[{r},{c}]{t}", 1, vertices[c], vertices[r])
+        for r, row in enumerate(a)
+        for c, count in enumerate(row)
+        for t in range(count)
+    )
+    return vertices, edges
+
+
+def _product(a, b):
+    """The cartesian product of the 1-graphs of a and b: color 1 moves in
+    the first coordinate, color 2 in the second, and each pair of edges
+    commutes in exactly one square."""
+    vs1, e1 = _one_graph("x", a)
+    vs2, e2 = _one_graph("y", b)
+    vertices = tuple(f"{v}|{w}" for v in vs1 for w in vs2)
+    edges = [Edge(f"{e.id}|{w}", 1, f"{e.src}|{w}", f"{e.rng}|{w}") for e in e1 for w in vs2]
+    edges += [Edge(f"{v}|{f.id}", 2, f"{v}|{f.src}", f"{v}|{f.rng}") for v in vs1 for f in e2]
+    squares = {
+        (f"{e.id}|{f.rng}", f"{e.src}|{f.id}"): (f"{e.rng}|{f.id}", f"{e.id}|{f.src}")
+        for e in e1
+        for f in e2
+    }
+    return validate_kgraph(Skeleton(2, vertices, tuple(edges)), squares)
+
+
+def _cyclic_orders(a):
+    # coker(1 - a) as a list of cyclic orders, 0 for a copy of Z
+    n = len(a)
+    diag = snf_diagonal([[(r == c) - a[r][c] for c in range(n)] for r in range(n)])
+    return [t for t in diag if t != 1]
+
+
+def _invariants(orders):
+    n = len(orders)
+    diag = snf_diagonal([[orders[r] if r == c else 0 for c in range(n)] for r in range(n)]) if n else []
+    return AbelianInvariants(diag.count(0), tuple(t for t in diag if t > 1))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[3]], [[5]]),
+        ([[3]], [[4]]),
+        ([[0, 1], [1, 0]], [[3]]),
+        ([[2, 1], [1, 2]], [[0, 1], [1, 0]]),
+        ([[1, 2], [1, 0]], [[3, 0], [0, 3]]),
+        ([[1, 1], [1, 1]], [[5]]),
+    ],
+)
+def test_h0_of_product_is_tensor_of_factors(a, b):
+    # H0 = coker(1 - A_1^t, 1 - A_2^t) (Farsi-Kumjian-Pask-Sims 2019); on a
+    # product A_1 = a (x) 1 and A_2 = 1 (x) b, so by right exactness H0 is
+    # coker(1 - a^t) (x) coker(1 - b^t), and Z/s (x) Z/t = Z/gcd(s, t)
+    tensor = [math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)]
+    assert h0(_product(a, b)) == _invariants(tensor)

@@ -1,9 +1,16 @@
 """In-splitting and sink deletion against the frozen catalog graphs."""
 
-import pytest
+import random
+from itertools import combinations
 
-from kgraphs.constructions import fixture, grid, rose
-from kgraphs.core import validate_kgraph, vertex_matrix
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_bridging import random_2graph
+
+from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
+from kgraphs.core import Path, mce, validate_kgraph, vertex_matrix
+from kgraphs.dimension import generator_map_from_matrix, iso_check
 from kgraphs.intmat import mat_eq, mat_mul
 from kgraphs.moves import (
     IndivisibleVertex,
@@ -14,10 +21,16 @@ from kgraphs.moves import (
     ei_sinks,
     enumerate_valid_partitions,
     insplit,
+    insplit_maps,
     insplit_matrices,
     pairing_closure,
+    phi_insplit,
+    phi_sink_delete,
+    psi_insplit,
     sink_colors,
     sink_delete,
+    sink_delete_maps,
+    sink_delete_witnesses,
 )
 
 
@@ -175,3 +188,64 @@ def test_sink_delete_empty_result_is_an_error():
     )
     with pytest.raises(ValueError):
         sink_delete(g, "u")
+
+
+# ------------------------------------------------- pairing classes vs mce
+
+def mce_pairing_closure(g, v):
+    """The pairing classes at v by brute force: edges e, f with range v
+    are joined when the one-edge paths have a minimal common extension.
+    Class order and member order follow the skeleton."""
+    edges = [e for e in g.edges if e.rng == v]
+    parent = {e.id: e.id for e in edges}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in combinations(edges, 2):
+        if a.color != b.color and mce(g, Path(v, (a.id,)), Path(v, (b.id,))):
+            parent[find(b.id)] = find(a.id)
+    classes = {}
+    for e in edges:
+        classes.setdefault(find(e.id), []).append(e.id)
+    return [tuple(c) for c in classes.values()]
+
+
+def test_pairing_closure_matches_mce_on_fixtures():
+    graphs = [fixture(name) for name in FIXTURE_NAMES]
+    graphs += [fixture("ex4.7-n3"), rose(3), grid(2, (2, 2)), grid(3, (1, 1, 1))]
+    graphs.append(pullback(fixture("sec3-Sigma"), monoid_hom([(1, 0), (0, 1), (1, 1)], 2)))
+    for g in graphs:
+        for v in g.vertices:
+            assert pairing_closure(g, v) == mce_pairing_closure(g, v), (g, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pairing_closure_matches_mce_on_random_2graphs(data):
+    n = data.draw(st.integers(1, 3))
+    a1 = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+    c0, c1 = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    # a2 is a polynomial in a1, so the two matrices commute
+    a2 = [[c0 * (r == c) + c1 * a1[r][c] + (r == c) for c in range(n)] for r in range(n)]
+    g = random_2graph(random.Random(data.draw(st.integers(0, 2**32))), "p", a1, a2)
+    for v in g.vertices:
+        assert pairing_closure(g, v) == mce_pairing_closure(g, v)
+
+
+def test_move_maps_come_from_one_build():
+    g = fixture("ex3.5-Lambda")
+    (part,) = enumerate_valid_partitions(g, "v")
+    for j in (1, 2):
+        split, parents, phi, psi = insplit_maps(g, part, j)
+        assert (split, parents) == insplit(g, part)
+        r, _ = insplit_matrices(g, part, j)
+        assert phi == generator_map_from_matrix(g, split, r) == phi_insplit(g, part)
+        assert psi == psi_insplit(g, part, j)
+        assert iso_check(phi, psi)
+    cut, phi, witnesses = sink_delete_maps(g, "v")
+    assert cut == sink_delete(g, "v")
+    assert phi == phi_sink_delete(g, "v")
+    assert witnesses == sink_delete_witnesses(g, "v")
