@@ -3,6 +3,7 @@ skew-product windows, and the bundled fixture catalog."""
 
 from __future__ import annotations
 
+import math
 import re
 from importlib import resources
 from itertools import product
@@ -18,10 +19,12 @@ from .core import (
     Skeleton,
     SquarePair,
     compose,
-    deg_sub,
+    deg_add,
+    deg_total,
     path_degree,
     path_source,
     paths_of_degree,
+    push,
     segment,
     unit_degree,
     validate_kgraph,
@@ -130,16 +133,46 @@ def rose(n: int) -> KGraph:
 
 # ----------------------------------------------------------------- pullback
 
+# largest total degree of an image: a pullback edge is a g-path of its
+# image degree, enumerated one recursion level per unit of degree
+PULLBACK_MAX_DEGREE = 64
+# largest number of edges plus squares of a pullback: room for
+# ex4.7-n<EX47_MAX_N>, which has 2N + 1 of them
+PULLBACK_MAX_PATHS = 200_001
+
+
 def _path_label(p: Path) -> str:
     return p.rng if not p.edges else ".".join(p.edges)
+
+
+def _pullback_size(g: KGraph, f: MonoidHom) -> int:
+    # a color-a edge per g-path of degree f(e_a) and, for a < b, a square
+    # per g-path of degree f(e_a) + f(e_b); |paths of degree n| is the
+    # sum of the entries of 1 * A_n
+    ones = [1] * len(g.vertices)
+    degrees = list(f.images) + [
+        deg_add(f.images[a], f.images[b])
+        for a in range(f.source_rank)
+        for b in range(a + 1, f.source_rank)
+    ]
+    return sum(sum(push(g, ones, n)) for n in degrees)
 
 
 def pullback(g: KGraph, f: MonoidHom) -> KGraph:
     """The pullback along f: same vertices; a color-a edge is a g-path of
     degree f(e_a) (a vertex loop when f(e_a) = 0); squares come from the
-    unique factorization of the composite."""
+    unique factorization of the composite. Images of total degree over
+    PULLBACK_MAX_DEGREE and pullbacks of more than PULLBACK_MAX_PATHS
+    edges plus squares raise KGraphError before any path is built."""
     if f.target_rank != g.rank:
         raise KGraphError(f"hom targets rank {f.target_rank} but the graph has rank {g.rank}")
+    if any(deg_total(img) > PULLBACK_MAX_DEGREE for img in f.images):
+        raise KGraphError(f"image degrees are capped at total {PULLBACK_MAX_DEGREE}")
+    size = _pullback_size(g, f)
+    if size > PULLBACK_MAX_PATHS:
+        raise KGraphError(
+            f"pullback would have {size} edges and squares, over the cap of {PULLBACK_MAX_PATHS}"
+        )
     l = f.source_rank
 
     def eid(color: int, p: Path) -> str:
@@ -175,16 +208,27 @@ def pullback(g: KGraph, f: MonoidHom) -> KGraph:
 
 # -------------------------------------------------------- skew-product window
 
+# largest number of positions of a window; each holds a copy of every
+# vertex, edge and square
+SKEW_WINDOW_MAX_POSITIONS = 4096
+
+
 def skew_product_window(g: KGraph, lo: Shift, hi: Shift) -> KGraph:
     """The part of the degree-skew product over positions lo <= m <= hi:
     vertex (v, m); edge (e, m) from (s(e), m + d(e)) to (r(e), m) whenever
     both positions sit in the window. Windows have sources, so the result
-    is validated non-strict."""
+    is validated non-strict. A window of more than
+    SKEW_WINDOW_MAX_POSITIONS positions raises KGraphError."""
     k = g.rank
     if len(lo) != k or len(hi) != k:
         raise KGraphError(f"window bounds must be length-{k} tuples")
     if not all(a <= b for a, b in zip(lo, hi)):
         raise EmptyWindow(f"empty window {lo}..{hi}")
+    count = math.prod(b - a + 1 for a, b in zip(lo, hi))
+    if count > SKEW_WINDOW_MAX_POSITIONS:
+        raise KGraphError(
+            f"window has {count} positions, over the cap of {SKEW_WINDOW_MAX_POSITIONS}"
+        )
     positions = list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
     in_window = set(positions)
 

@@ -13,9 +13,9 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
-from .intmat import Matrix, identity, mat_mul
+from .intmat import Matrix, identity
 
 Degree = tuple[int, ...]
 Shift = tuple[int, ...]
@@ -144,8 +144,9 @@ class DegreeOutOfRange(KGraphError):
 class KGraph:
     """A validated k-graph: skeleton + total bijective square table.
 
-    Instances are treated as immutable; build them with validate_kgraph.
-    The vertex tuple order fixes matrix indexing everywhere.
+    Instances are immutable: build them with validate_kgraph; every
+    attribute is set once here and nothing is cached on them later. The
+    vertex tuple order fixes matrix indexing everywhere.
     """
 
     def __init__(self, skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool):
@@ -154,20 +155,24 @@ class KGraph:
         self.strict = strict
         self.squares_inv = {v: k for k, v in self.squares.items()}
         self.by_id = {e.id: e for e in skeleton.edges}
-        self.vertex_index = {v: i for i, v in enumerate(skeleton.vertices)}
+        self.vertex_index = index = {v: i for i, v in enumerate(skeleton.vertices)}
         k = skeleton.rank
         ins = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
         outs = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
+        steps: list[list[tuple[int, int]]] = [[] for _ in range(k)]
         for e in skeleton.edges:
             ins[e.rng][e.color].append(e)
             outs[e.src][e.color].append(e)
+            steps[e.color - 1].append((index[e.rng], index[e.src]))
         self.in_edges: dict[str, dict[int, tuple[Edge, ...]]] = {
             v: {i: tuple(es) for i, es in by_color.items()} for v, by_color in ins.items()
         }
         self.out_edges: dict[str, dict[int, tuple[Edge, ...]]] = {
             v: {i: tuple(es) for i, es in by_color.items()} for v, by_color in outs.items()
         }
-        self._matrix_memo: dict[Degree, Matrix] = {}
+        # step_pairs[i - 1]: (range index, source index) of each color-i
+        # edge, the one-step matrix A_{e_i} as an edge list
+        self.step_pairs: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, steps))
 
     @property
     def rank(self) -> int:
@@ -426,13 +431,17 @@ def segment(g: KGraph, p: Path, m: Degree, n: Degree) -> Path:
     return mid
 
 
+def _check_degree(g: KGraph, n: Degree) -> None:
+    if len(n) != g.rank or not deg_leq(zero_degree(g.rank), n):
+        raise DegreeOutOfRange(f"degree must be a length-{g.rank} tuple over N")
+
+
 def paths_of_degree(g: KGraph, v: str, n: Degree) -> list[Path]:
     """All paths with range v and degree n, as normal-form words, in
     depth-first edge order."""
     if v not in g.vertex_index:
         raise KGraphError(f"unknown vertex {v!r}")
-    if len(n) != g.rank or not deg_leq(zero_degree(g.rank), n):
-        raise DegreeOutOfRange(f"degree must be a length-{g.rank} tuple over N")
+    _check_degree(g, n)
     results: list[Path] = []
     word: list[str] = []
 
@@ -473,27 +482,35 @@ def mce(g: KGraph, p: Path, q: Path) -> list[Path]:
 
 # --------------------------------------------------------------- matrices
 
+def push(g: KGraph, x: Sequence[int], n: Degree) -> list[int]:
+    """The row vector x * A_n, pushed along the one-step edge lists one
+    unit of degree at a time (y[s(e)] += x[r(e)] for every edge e of the
+    step's color); a zero vector stays zero, so it stops early there."""
+    _check_degree(g, n)
+    if len(x) != len(g.vertices):
+        raise KGraphError(f"vector has {len(x)} entries for {len(g.vertices)} vertices")
+    y = list(x)
+    for pairs, times in zip(g.step_pairs, n):
+        for _ in range(times):
+            if not any(y):
+                return y
+            z = [0] * len(y)
+            for r, s in pairs:
+                z[s] += y[r]
+            y = z
+    return y
+
+
 def vertex_matrix(g: KGraph, n: Degree) -> Matrix:
-    """A_n[u][w] = |paths of degree n, range u, source w|, as the product
-    of one-step matrices (they commute on a valid k-graph)."""
-    if len(n) != g.rank or not deg_leq(zero_degree(g.rank), n):
-        raise DegreeOutOfRange(f"degree must be a length-{g.rank} tuple over N")
-    n = tuple(n)
-    memo = g._matrix_memo
-    if n in memo:
-        return memo[n]
+    """A_n[u][w] = |paths of degree n, range u, source w|, computed on each
+    call and never cached: a unit degree is read off its edge list, any
+    other degree pushes the rows of the identity (the one-step matrices
+    commute on a valid k-graph)."""
+    _check_degree(g, n)
     d = len(g.vertices)
-    if not any(n):
-        result = identity(d)
-    elif deg_total(n) == 1:
-        color = n.index(1) + 1
-        result = [[0] * d for _ in range(d)]
-        for e in g.edges:
-            if e.color == color:
-                result[g.vertex_index[e.rng]][g.vertex_index[e.src]] += 1
-    else:
-        color = next(i for i, c in enumerate(n) if c) + 1
-        one = unit_degree(g.rank, color)
-        result = mat_mul(vertex_matrix(g, one), vertex_matrix(g, deg_sub(n, one)))
-    memo[n] = result
-    return result
+    if deg_total(n) == 1:
+        a = [[0] * d for _ in range(d)]
+        for r, s in g.step_pairs[n.index(1)]:
+            a[r][s] += 1
+        return a
+    return [push(g, row, n) for row in identity(d)]

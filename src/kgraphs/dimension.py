@@ -1,10 +1,13 @@
 """The graded dimension group of a k-graph and its maps.
 
 An element is a class [x, n]: x an integer row vector over the vertices,
-n a Z^k shift. [x, n] = [y, m] iff x*A_{l-n} = y*A_{l-m} for some l >= n v m,
-which is decided by multiplying the difference at the join by P^d, where
-P is the product of all one-step matrices and d the vertex count (the
-kernel chain of P stabilizes within d steps).
+n a Z^k shift. [x, n] = [y, m] iff x*A_{l-n} = y*A_{l-m} for some l >= n v m.
+Both sides are pushed to the join n v m along the one-step edge lists
+(core.push), and their difference z is zero in the group iff z*P^d = 0,
+where P is the product of all one-step matrices and d the vertex count
+(the kernel chain of P stabilizes within d steps). That is decided by
+pushing z on by (d, ..., d), stopping as soon as it vanishes; no matrix
+power is formed.
 """
 
 from __future__ import annotations
@@ -12,7 +15,17 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .core import Degree, KGraph, KGraphError, Shift, deg_sub, unit_degree, vertex_matrix, zero_degree
+from .core import (
+    Degree,
+    KGraph,
+    KGraphError,
+    Shift,
+    deg_sub,
+    push,
+    unit_degree,
+    vertex_matrix,
+    zero_degree,
+)
 from .intmat import (
     Matrix,
     is_nonneg_vec,
@@ -91,7 +104,7 @@ def _shift_join(m: Shift, n: Shift) -> Shift:
 
 def _push(g: KGraph, a: DimElement, p: Shift) -> list[int]:
     # the representative of a at level p >= a.n: x * A_{p - a.n}
-    return vec_mat(list(a.x), vertex_matrix(g, deg_sub(p, a.n)))
+    return push(g, a.x, deg_sub(p, a.n))
 
 
 def dge_eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
@@ -102,7 +115,7 @@ def dge_eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
     if is_zero_vec(z):
         return True
     d = len(g.vertices)
-    return is_zero_vec(vec_mat(z, vertex_matrix(g, (d,) * g.rank)))
+    return is_zero_vec(push(g, z, (d,) * g.rank))
 
 
 def dge_add(g: KGraph, a: DimElement, b: DimElement) -> DimElement:
@@ -323,6 +336,7 @@ def sse_search(
 
 
 def rank_invariant(g: KGraph) -> int:
-    """Rank over Q of P^d, P the product of the one-step matrices."""
+    """Rank over Q of P^d, P the product of the one-step matrices; P^d is
+    built by pushing the identity rows (vertex_matrix), with no product."""
     d = len(g.vertices)
     return rank(vertex_matrix(g, (d,) * g.rank))

@@ -1,11 +1,12 @@
 import json
 
 import pytest
+from test_dimension import DEEP_SHIFTS, edge_push_eq
 
 from kgraphs.cli import main, parse_element
 from kgraphs.constructions import FIXTURE_NAMES, fixture
 from kgraphs.core import validate_kgraph
-from kgraphs.dimension import dge_eq
+from kgraphs.dimension import dge_eq, unit_element
 from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
 from kgraphs.textform import dump_kgraph, parse_kgraph
 
@@ -171,6 +172,16 @@ def test_tm_eq_cli(capsys):
     assert code == 0 and out.strip() == "not equal"
     code, out, _ = run(capsys, "tm-eq", "--json", "ex3.5-LambdaS", "u:0,0", "u:1,0:2")
     assert code == 0 and json.loads(out) == {"equal": True}
+
+
+@pytest.mark.parametrize("name, a, b, _", DEEP_SHIFTS)
+def test_tm_eq_deep_shifts(capsys, name, a, b, _):
+    terms = [f"{v}:{','.join(map(str, n))}" for v, n in (a, b)]
+    code, out, err = run(capsys, "tm-eq", name, *terms)
+    g = fixture(name)
+    want = edge_push_eq(g, unit_element(g, *a), unit_element(g, *b))
+    assert code == 0 and "Traceback" not in err
+    assert out.strip() == ("equal" if want else "not equal")
 
 
 def test_tm_eq_parse_and_domain_errors(capsys):
@@ -454,6 +465,9 @@ HOSTILE = {
     "short-matrix": ["tm-hom-check", "ex3.5-Lambda", "ex3.5-LambdaI", "--matrix", "1 0 0 0"],
     "narrow-matrix": ["tm-hom-check", "ex3.5-Lambda", "ex3.5-LambdaI", "--matrix", "1 0; 0 1; 0 0"],
     "huge-parametric-fixture": ["h0", "ex4.7-n100000000000"],
+    "huge-skew-window": ["skew-window", "ex3.5-Lambda", "--lo", "0,0", "--hi", "100000,100000"],
+    "huge-pullback": ["pullback", "ex4.7-n3", "--images", "11,0;0,1"],
+    "long-pullback-image": ["pullback", "ex3.5-LambdaS", "--images", "0,2000;0,1"],
 }
 
 

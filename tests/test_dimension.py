@@ -5,9 +5,13 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_bridging import random_2graph
+from test_homology import _product
 
 from kgraphs.constructions import fixture, rose
-from kgraphs.core import vertex_matrix
+from kgraphs.core import unit_degree, vertex_matrix
 from kgraphs.dimension import (
     DimElement,
     DimensionMismatch,
@@ -34,7 +38,7 @@ from kgraphs.dimension import (
     unit_element,
     zero_element,
 )
-from kgraphs.intmat import mat_eq, mat_mul, vec_mat
+from kgraphs.intmat import identity, mat_eq, mat_mul, mat_pow, vec_add, vec_mat, vec_scale
 from kgraphs.moves import (
     enumerate_valid_partitions,
     insplit,
@@ -46,6 +50,32 @@ from kgraphs.moves import (
 )
 
 
+# (id(graph), degree) -> (graph, A_degree); holding the graph keeps its id
+# from being reused while the entry lives. Emptied when full, since the
+# property tests below bring a new graph per example.
+_DENSE_POWERS = {}
+_DENSE_POWERS_MAX = 2000
+
+
+def dense_matrix(g, n):
+    """A_n as a dense product of powers of the one-step matrices, cached
+    per graph and degree."""
+    key = (id(g), tuple(n))
+    if key not in _DENSE_POWERS:
+        if len(_DENSE_POWERS) >= _DENSE_POWERS_MAX:
+            _DENSE_POWERS.clear()
+        a = identity(len(g.vertices))
+        for i, c in enumerate(n, 1):
+            a = mat_mul(a, mat_pow(vertex_matrix(g, unit_degree(g.rank, i)), c))
+        _DENSE_POWERS[key] = (g, a)
+    return _DENSE_POWERS[key][1]
+
+
+def dense_push(g, a, level):
+    # the representative of a at level >= a.n
+    return vec_mat(list(a.x), dense_matrix(g, tuple(l - c for l, c in zip(level, a.n))))
+
+
 def dge_eq_oracle(g, a, b):
     """Search all levels within 2*d of the join for a common representative;
     the kernel chain argument makes this range sufficient."""
@@ -53,11 +83,32 @@ def dge_eq_oracle(g, a, b):
     join = tuple(max(x, y) for x, y in zip(a.n, b.n))
     for off in product(range(2 * d + 1), repeat=g.rank):
         level = tuple(j + o for j, o in zip(join, off))
-        xa = vec_mat(list(a.x), vertex_matrix(g, tuple(l - c for l, c in zip(level, a.n))))
-        xb = vec_mat(list(b.x), vertex_matrix(g, tuple(l - c for l, c in zip(level, b.n))))
-        if xa == xb:
+        if dense_push(g, a, level) == dense_push(g, b, level):
             return True
     return False
+
+
+def edge_push(g, x, n):
+    """x * A_n, walking the edge list once per unit of degree."""
+    idx = g.vertex_index
+    y = list(x)
+    for color, times in enumerate(n, 1):
+        for _ in range(times):
+            z = [0] * len(y)
+            for e in g.edges:
+                if e.color == color:
+                    z[idx[e.src]] += y[idx[e.rng]]
+            y = z
+    return y
+
+
+def edge_push_eq(g, a, b):
+    # push both to the join, then the difference by (d, ..., d)
+    join = tuple(max(x, y) for x, y in zip(a.n, b.n))
+    xa = edge_push(g, a.x, tuple(j - c for j, c in zip(join, a.n)))
+    xb = edge_push(g, b.x, tuple(j - c for j, c in zip(join, b.n)))
+    z = [s - t for s, t in zip(xa, xb)]
+    return not any(edge_push(g, z, (len(g.vertices),) * g.rank))
 
 
 # ------------------------------------------------------------- dge_eq basics
@@ -266,3 +317,113 @@ def test_rank_is_move_invariant():
     split, _ = insplit(om, part)
     assert rank_invariant(om) == rank_invariant(split)
     assert rank_invariant(g) == rank_invariant(sink_delete(g, "w"))
+
+
+# ------------------------------------------------------------- deep shifts
+
+DEEP_SHIFTS = [
+    ("ex3.5-LambdaS", ("u", (0, 0)), ("u", (0, 5000)), True),
+    ("ex3.5-Lambda", ("u", (-3000, 0)), ("u", (0, 0)), False),
+]
+
+
+@pytest.mark.parametrize("name, a, b, equal", DEEP_SHIFTS)
+def test_deep_shifts_are_decided(name, a, b, equal):
+    g = fixture(name)
+    ea, eb = unit_element(g, *a), unit_element(g, *b)
+    assert dge_eq(g, ea, eb) == edge_push_eq(g, ea, eb) == equal
+
+
+def test_shallow_shifts_match_the_dense_oracle():
+    for name, a, b in (
+        ("ex3.5-Lambda", ("u", (-30, 0)), ("u", (0, 0))),
+        ("ex3.5-Lambda", ("v", (0, -30)), ("u", (0, 0))),
+        ("ex3.5-LambdaS", ("u", (0, 0)), ("u", (0, 30))),
+        ("sec3-Gamma", ("u", (-30, 0)), ("v", (0, 0))),
+    ):
+        g = fixture(name)
+        ea, eb = unit_element(g, *a), unit_element(g, *b)
+        assert dge_eq(g, ea, eb) == dge_eq_oracle(g, ea, eb)
+
+
+# ------------------------------------------- random graphs, dense references
+
+def _matrices(n, row_min):
+    # n x n, entries 0..2, each row summing to at least row_min
+    row = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(lambda r: sum(r) >= row_min)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+@st.composite
+def graphs(draw):
+    """A random 2-graph on 1-3 vertices (sources allowed) or a strict
+    product of two 1-graphs on 1-3 vertices each."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        a1 = draw(_matrices(n, 0))
+        c0, c1 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        # a2 is a polynomial in a1, so the two matrices commute
+        a2 = [[c0 * (r == c) + c1 * a1[r][c] + (r == c) for c in range(n)] for r in range(n)]
+        return random_2graph(random.Random(draw(st.integers(0, 2**32))), "p", a1, a2)
+    a = draw(_matrices(draw(st.integers(1, 3)), 1))
+    b = draw(_matrices(draw(st.integers(1, 3)), 1))
+    return _product(a, b)
+
+
+def _elements(g):
+    return st.builds(
+        DimElement,
+        st.tuples(*[st.integers(-3, 3)] * len(g.vertices)),
+        st.tuples(*[st.integers(-2, 3)] * g.rank),
+    )
+
+
+def _join(*shifts):
+    return tuple(max(cs) for cs in zip(*shifts))
+
+
+def positivity_reference(g, a, q_max):
+    pushed = dense_push(g, a, tuple(max(q_max, c) for c in a.n))
+    if min(pushed) >= 0:
+        return "positive"
+    if max(pushed) <= 0 and not dge_eq_oracle(g, a, zero_element(g, a.n)):
+        return "not_positive"
+    return "unknown"
+
+
+def apply_reference(m, a):
+    # v(n) -> shift(m(v), n), summed at the join of all the shifts used
+    terms = [(c, m.images[v]) for v, c in zip(m.source.vertices, a.x) if c]
+    level = _join(a.n, *(tuple(s + t for s, t in zip(img.n, a.n)) for _, img in terms))
+    x = [0] * len(m.target.vertices)
+    for c, img in terms:
+        shifted = DimElement(img.x, tuple(s + t for s, t in zip(img.n, a.n)))
+        x = vec_add(x, vec_scale(c, dense_push(m.target, shifted, level)))
+    return DimElement(tuple(x), level)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_graded_group_matches_dense_powers(data):
+    g = data.draw(graphs())
+    a, b = data.draw(_elements(g)), data.draw(_elements(g))
+    assert dge_eq(g, a, b) == dge_eq_oracle(g, a, b)
+    level = _join(a.n, b.n)
+    assert dge_add(g, a, b) == DimElement(
+        tuple(vec_add(dense_push(g, a, level), dense_push(g, b, level))), level
+    )
+    q_max = data.draw(st.integers(0, 3))
+    assert positivity(g, a, q_max) == positivity_reference(g, a, q_max)
+    m = generator_map(g, g, {v: data.draw(_elements(g)) for v in g.vertices})
+    assert apply_generator_map(m, a) == apply_reference(m, a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs())
+def test_rank_invariant_matches_sympy_snf(g):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    d = len(g.vertices)
+    snf = smith_normal_form(Matrix(dense_matrix(g, (d,) * g.rank)), domain=ZZ)
+    assert rank_invariant(g) == sum(1 for i in range(d) if snf[i, i] != 0)
