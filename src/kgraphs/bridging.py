@@ -2,10 +2,13 @@
 
 A flip family over a nonnegative matrix R assigns, per color i, a bijection
 (lambda, g) -> (g', omega) on composable pairs with r(lambda) = r(g') and
-s(g) = s(omega). Coherence: for every triple lambda_i lambda_j g (i < j),
-flipping j then i then swapping the omega pair agrees with swapping the
-lambda pair then flipping i then j. Coherent families extend to flips of
-arbitrary-degree paths, one edge at a time from the source end.
+s(g) = s(omega). Equivalently, per color i and vertices a of Lambda and b
+of Omega, f_i maps the block {(lambda, g) : r(lambda) = a, s(g) = b}
+bijectively onto {(g', omega) : r(g') = a, s(omega) = b}. Coherence: for
+every triple lambda_i lambda_j g (i < j), flipping j then i then swapping
+the omega pair agrees with swapping the lambda pair then flipping i then j.
+Coherent families extend to flips of arbitrary-degree paths, one edge at a
+time from the source end.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .core import (
     validate_kgraph,
     vertex_path,
 )
-from .dimension import intertwiner_check
+from .dimension import DimensionMismatch, intertwiner_check
 from .intmat import Matrix, zeros
 
 
@@ -91,11 +94,21 @@ def poly_matrix(p: Polymorphism) -> Matrix:
     return m
 
 
+# the sum of R's entries, one polymorphism edge each; checked before any
+# edge is built
+POLY_MAX_EDGES = 100_000
+
+
 def polymorphism_from_matrix(g_lam: KGraph, g_om: KGraph, r: Matrix) -> Polymorphism:
-    """Canonical edge set g<t>[v,w] with range v, source w, t = 1..R(v,w)."""
+    """Canonical edge set g<t>[v,w] with range v, source w, t = 1..R(v,w).
+    A matrix whose entries sum to more than POLY_MAX_EDGES raises
+    KGraphError."""
     dl, dr = len(g_lam.vertices), len(g_om.vertices)
     if len(r) != dl or any(len(row) != dr for row in r):
         raise ShapeMismatch(f"matrix must be {dl}x{dr}")
+    total = sum(max(count, 0) for row in r for count in row)
+    if total > POLY_MAX_EDGES:
+        raise KGraphError(f"matrix entries sum to {total}, over the cap of {POLY_MAX_EDGES}")
     edges = []
     for v, row in zip(g_lam.vertices, r):
         for w, count in zip(g_om.vertices, row):
@@ -132,48 +145,52 @@ def compose_poly(e: Polymorphism, f: Polymorphism) -> Polymorphism:
 
 # -------------------------------------------------------------- flip families
 
-def _flip_domain(g_lam: KGraph, poly: Polymorphism, i: int) -> list[tuple[str, str]]:
+def _flip_blocks(
+    g_lam: KGraph, g_om: KGraph, poly: Polymorphism
+) -> list[tuple[int, list[tuple[str, str]], list[tuple[str, str]]]]:
+    """(color, domain, codomain) of every block with a member, in color,
+    then g_lam vertex, then g_om vertex order; members keep edge order."""
+    dom: dict[tuple[int, str, str], list[tuple[str, str]]] = {}
+    cod: dict[tuple[int, str, str], list[tuple[str, str]]] = {}
+    for lam in g_lam.edges:
+        for g in poly.edges:
+            if g.rng == lam.src:
+                dom.setdefault((lam.color, lam.rng, g.src), []).append((lam.id, g.id))
+    for g in poly.edges:
+        for om in g_om.edges:
+            if om.rng == g.src:
+                cod.setdefault((om.color, g.rng, om.src), []).append((g.id, om.id))
     return [
-        (lam.id, g.id)
-        for lam in g_lam.edges
-        if lam.color == i
-        for g in poly.edges
-        if g.rng == lam.src
-    ]
-
-
-def _flip_codomain(g_om: KGraph, poly: Polymorphism, i: int) -> list[tuple[str, str]]:
-    return [
-        (g.id, om.id)
-        for g in poly.edges
-        for om in g_om.edges
-        if om.color == i and om.rng == g.src
+        (i, dom.get(key, []), cod.get(key, []))
+        for i in range(1, g_lam.rank + 1)
+        for a in g_lam.vertices
+        for b in g_om.vertices
+        if (key := (i, a, b)) in dom or key in cod
     ]
 
 
 def check_flip_family(g_lam: KGraph, g_om: KGraph, pair: BridgingPair) -> Polymorphism:
-    """Raise ValueError unless pair.flips is a total, bijective,
-    endpoint-preserving family over pair.r; returns the polymorphism."""
+    """Raise KGraphError unless the graphs have one rank k, pair.flips is
+    keyed by the colors 1..k and each f_i maps every color-i block over
+    pair.r bijectively onto its codomain and has no other key; returns
+    the polymorphism."""
+    k = g_lam.rank
+    if g_om.rank != k:
+        raise DimensionMismatch("graphs have different ranks")
     poly = polymorphism_from_matrix(g_lam, g_om, pair.r)
-    by_id = {e.id: e for e in poly.edges}
-    for i in range(1, g_lam.rank + 1):
-        f = pair.flips.get(i)
-        if f is None:
-            raise KGraphError(f"no flip for color {i}")
-        domain = _flip_domain(g_lam, poly, i)
-        if set(f) != set(domain):
-            raise KGraphError(f"color {i} flip domain mismatch")
-        codomain = _flip_codomain(g_om, poly, i)
-        values = list(f.values())
-        if len(set(values)) != len(values) or set(values) != set(codomain):
-            raise KGraphError(f"color {i} flip is not a bijection onto its codomain")
-        for (lam_id, g_id), (g2_id, om_id) in f.items():
-            lam, g = g_lam.by_id[lam_id], by_id[g_id]
-            g2, om = by_id[g2_id], g_om.by_id[om_id]
-            if g2.src != om.rng:
-                raise KGraphError(f"image of {(lam_id, g_id)} is not composable")
-            if lam.rng != g2.rng or g.src != om.src:
-                raise KGraphError(f"flip of {(lam_id, g_id)} moves an endpoint")
+    if set(pair.flips) != set(range(1, k + 1)):
+        raise KGraphError(f"flips are keyed by {list(pair.flips)}, not by the colors 1..{k}")
+    covered = dict.fromkeys(pair.flips, 0)
+    for i, dom, cod in _flip_blocks(g_lam, g_om, poly):
+        f = pair.flips[i]
+        if len(dom) != len(cod) or {f.get(key) for key in dom} != set(cod):
+            raise KGraphError(
+                f"color {i} flip does not map the block of {(dom or cod)[0]} onto its codomain"
+            )
+        covered[i] += len(dom)
+    for i, f in pair.flips.items():
+        if len(f) != covered[i]:
+            raise KGraphError(f"color {i} flip has keys outside its domain")
     return poly
 
 
@@ -221,15 +238,21 @@ def coherence_check(
 ) -> tuple[bool, CoherenceWitness | None]:
     """True iff both routes agree on every composable triple, for every
     color pair i < j; otherwise the first witness in iteration order."""
-    poly = check_flip_family(g_lam, g_om, pair)
+    witness = _first_witness(g_lam, g_om, pair, check_flip_family(g_lam, g_om, pair))
+    return witness is None, witness
+
+
+def _first_witness(
+    g_lam: KGraph, g_om: KGraph, pair: BridgingPair, poly: Polymorphism
+) -> CoherenceWitness | None:
+    # pair has passed check_flip_family, which built poly
     for i in range(1, g_lam.rank + 1):
         for j in range(i + 1, g_lam.rank + 1):
             for lam_i, lam_j, g in _iter_triples(g_lam, poly, i, j):
-                routes = _route_triple(g_lam, g_om, pair.flips, i, j, lam_i, lam_j, g)
-                top, bottom = routes
+                top, bottom = _route_triple(g_lam, g_om, pair.flips, i, j, lam_i, lam_j, g)
                 if top != bottom:
-                    return False, CoherenceWitness(i, j, lam_i, lam_j, g, top, bottom)
-    return True, None
+                    return CoherenceWitness(i, j, lam_i, lam_j, g, top, bottom)
+    return None
 
 
 # ------------------------------------------------------------ bridging search
@@ -242,28 +265,8 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
     if not intertwiner_check(g_lam, g_om, r):
         raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
     poly = polymorphism_from_matrix(g_lam, g_om, r)
-
-    blocks = []
-    for i in range(1, g_lam.rank + 1):
-        for a in g_lam.vertices:
-            for b in g_om.vertices:
-                dom = [
-                    (lam.id, g.id)
-                    for lam in g_lam.edges
-                    if lam.color == i and lam.rng == a
-                    for g in poly.edges
-                    if g.rng == lam.src and g.src == b
-                ]
-                cod = [
-                    (g.id, om.id)
-                    for g in poly.edges
-                    if g.rng == a
-                    for om in g_om.edges
-                    if om.color == i and om.rng == g.src and om.src == b
-                ]
-                assert len(dom) == len(cod)  # block sizes match by intertwining
-                if dom:
-                    blocks.append((i, dom, cod))
+    blocks = _flip_blocks(g_lam, g_om, poly)
+    assert all(len(dom) == len(cod) for _, dom, cod in blocks)  # by intertwining
 
     # completions represented by a prune at block t
     suffix = [1] * (len(blocks) + 1)
@@ -311,10 +314,11 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
 # ----------------------------------------------------- higher-degree flips
 
 def _coherent_or_raise(g_lam: KGraph, g_om: KGraph, pair: BridgingPair) -> Polymorphism:
-    ok, witness = coherence_check(g_lam, g_om, pair)
-    if not ok:
+    poly = check_flip_family(g_lam, g_om, pair)
+    witness = _first_witness(g_lam, g_om, pair, poly)
+    if witness is not None:
         raise IncoherentPair(f"routes disagree at {witness}")
-    return polymorphism_from_matrix(g_lam, g_om, pair.r)
+    return poly
 
 
 def extend_flip(

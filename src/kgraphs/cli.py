@@ -186,6 +186,10 @@ def parse_flips(text: str) -> dict[int, dict[tuple[str, str], tuple[str, str]]]:
             }
     except (TypeError, ValueError):
         raise CLIUsage("bad flips JSON: each entry must be [[lam, g], [g2, om]]")
+    for table in flips.values():
+        for key, value in table.items():
+            if not all(isinstance(e, str) for e in key + value):
+                raise CLIUsage("bad flips JSON: edge ids must be strings")
     return flips
 
 

@@ -21,6 +21,7 @@ from .core import (
     KGraphError,
     Shift,
     deg_sub,
+    deg_total,
     push,
     unit_degree,
     vertex_matrix,
@@ -102,9 +103,17 @@ def _shift_join(m: Shift, n: Shift) -> Shift:
     return tuple(max(a, b) for a, b in zip(m, n, strict=True))
 
 
+# the total degree of one representative push; the push takes a pass per
+# unit, and each pass costs more where the entries grow
+SHIFT_MAX_DEGREE = 100_000
+
+
 def _push(g: KGraph, a: DimElement, p: Shift) -> list[int]:
     # the representative of a at level p >= a.n: x * A_{p - a.n}
-    return push(g, a.x, deg_sub(p, a.n))
+    n = deg_sub(p, a.n)
+    if deg_total(n) > SHIFT_MAX_DEGREE:
+        raise KGraphError(f"shift of total degree {deg_total(n)} is over {SHIFT_MAX_DEGREE}")
+    return push(g, a.x, n)
 
 
 def dge_eq(g: KGraph, a: DimElement, b: DimElement) -> bool:

@@ -7,12 +7,14 @@ from itertools import product
 import pytest
 
 from kgraphs.bridging import (
+    POLY_MAX_EDGES,
     BridgingPair,
     CoherenceWitness,
     Exhausted,
     IncoherentPair,
     NotIntertwining,
     ShapeMismatch,
+    _flip_blocks,
     bridging_graph,
     bridging_search,
     check_flip_family,
@@ -29,6 +31,7 @@ from kgraphs.constructions import fixture, rose
 from kgraphs.core import (
     Edge,
     InvalidKGraph,
+    KGraphError,
     NotComposable,
     Path,
     Skeleton,
@@ -39,6 +42,7 @@ from kgraphs.core import (
     validate_kgraph,
     vertex_path,
 )
+from kgraphs.dimension import DimensionMismatch
 from kgraphs.intmat import mat_eq, mat_mul
 
 LAM56 = fixture("ex5.6-Lambda")
@@ -99,6 +103,16 @@ def test_polymorphism_from_matrix():
         polymorphism_from_matrix(LAM56, OM56, [[1, -1]])
 
 
+def test_polymorphism_is_capped_before_it_is_built():
+    half = POLY_MAX_EDGES // 2
+    poly = polymorphism_from_matrix(LAM56, OM56, [[half, POLY_MAX_EDGES - half]])
+    assert len(poly.edges) == POLY_MAX_EDGES
+    with pytest.raises(KGraphError, match="over the cap"):
+        polymorphism_from_matrix(LAM56, OM56, [[half, POLY_MAX_EDGES - half + 1]])
+    with pytest.raises(KGraphError, match="over the cap"):
+        polymorphism_from_matrix(LAM56, OM56, [[10**12, -(10**12)]])
+
+
 def test_compose_poly():
     e_r = polymorphism_from_matrix(LAM56, OM56, [[1, 1]])
     e_1 = coordinate_polymorphism(LAM56, 1)
@@ -131,6 +145,123 @@ def test_flip_family_validation():
         check_flip_family(LAM57, OM57, BridgingPair([[1, 1]], swapped))
     with pytest.raises(ValueError):
         check_flip_family(LAM57, OM57, BridgingPair([[1, 1]], {1: pair.flips[1]}))
+
+
+def test_flip_family_needs_one_rank_and_its_colors():
+    g = rose(2)
+    flips = {1: {("c1", "g1[u,u]"): ("g1[u,u]", "c1"), ("c2", "g1[u,u]"): ("g1[u,u]", "c2")}}
+    check_flip_family(g, g, BridgingPair([[1]], flips))
+    with pytest.raises(DimensionMismatch, match="different ranks"):
+        check_flip_family(g, fixture("ex4.7-n2"), BridgingPair([[1]], flips))
+    with pytest.raises(KGraphError, match="colors 1..1"):
+        check_flip_family(g, g, BridgingPair([[1]], {**flips, 2: {}}))
+    with pytest.raises(KGraphError, match="colors 1..2"):
+        check_flip_family(LAM57, OM57, BridgingPair([[1, 1]], {1: coherent_57_family().flips[1]}))
+
+
+def reference_accepts(g_lam, g_om, pair):
+    """The flip-family check one whole color at a time: f_i is defined on
+    exactly the composable color-i pairs, is a bijection onto the color-i
+    codomain, and every image is composable and keeps both endpoints."""
+    poly = polymorphism_from_matrix(g_lam, g_om, pair.r)
+    by_id = {e.id: e for e in poly.edges}
+    for i in range(1, g_lam.rank + 1):
+        f = pair.flips.get(i)
+        if f is None:
+            return False
+        domain = [
+            (lam.id, g.id)
+            for lam in g_lam.edges
+            if lam.color == i
+            for g in poly.edges
+            if g.rng == lam.src
+        ]
+        codomain = [
+            (g.id, om.id)
+            for g in poly.edges
+            for om in g_om.edges
+            if om.color == i and om.rng == g.src
+        ]
+        values = list(f.values())
+        if set(f) != set(domain) or len(set(values)) != len(values) or set(values) != set(codomain):
+            return False
+        for (lam_id, g_id), (g2_id, om_id) in f.items():
+            lam, g = g_lam.by_id[lam_id], by_id[g_id]
+            g2, om = by_id[g2_id], g_om.by_id[om_id]
+            if g2.src != om.rng or lam.rng != g2.rng or g.src != om.src:
+                return False
+    return True
+
+
+def corrupted_families(rng, g_lam, g_om, pair):
+    """Copies of pair with two images swapped across blocks, a key
+    dropped, a key added, and a value duplicated."""
+    blocks = _flip_blocks(g_lam, g_om, polymorphism_from_matrix(g_lam, g_om, pair.r))
+    keyed = [(i, dom) for i, dom, _ in blocks if dom]
+
+    def copy():
+        return {i: dict(f) for i, f in pair.flips.items()}
+
+    if len(keyed) >= 2:
+        (i, dom_i), (j, dom_j) = rng.sample(keyed, 2)
+        a, b = rng.choice(dom_i), rng.choice(dom_j)
+        swapped = copy()
+        swapped[i][a], swapped[j][b] = pair.flips[j][b], pair.flips[i][a]
+        yield swapped
+    i = rng.choice([i for i, f in pair.flips.items() if f])
+    key = rng.choice(sorted(pair.flips[i]))
+    dropped = copy()
+    del dropped[i][key]
+    yield dropped
+    added = copy()
+    added[i][("stray", key[1])] = pair.flips[i][key]
+    yield added
+    if len(pair.flips[i]) >= 2:
+        a, b = rng.sample(sorted(pair.flips[i]), 2)
+        duplicated = copy()
+        duplicated[i][a] = pair.flips[i][b]
+        yield duplicated
+
+
+def cycled_family(g_lam, g_om, r):
+    """Each block's domain sent round its codomain in order: onto but not
+    one-to-one where R does not intertwine and the domain is larger."""
+    flips = {i: {} for i in range(1, g_lam.rank + 1)}
+    for i, dom, cod in _flip_blocks(g_lam, g_om, polymorphism_from_matrix(g_lam, g_om, r)):
+        if cod:
+            flips[i].update((key, cod[t % len(cod)]) for t, key in enumerate(dom))
+    return flips
+
+
+def test_check_flip_family_agrees_with_the_reference():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(40):
+        a1 = [[rng.randint(0, 2) for _ in range(2)] for _ in range(2)]
+        shift = rng.randint(1, 2)
+        a2 = [[a1[r][c] + shift * (r == c) for c in range(2)] for r in range(2)]
+        g_lam = random_2graph(rng, "p", a1, a2)
+        g_om = random_2graph(rng, "q", a1, a2)
+        for r in ([[1, 0], [0, 1]], [[2, 0], [0, 2]], a1, [[2, 0], [1, 0]]):
+            pair = random_family(rng, g_lam, g_om, r)
+            families = [pair.flips]
+            if not mat_eq(mat_mul(a1, r), mat_mul(r, a1)):
+                families.append(cycled_family(g_lam, g_om, r))
+            else:
+                # over an intertwiner the blocks pair up, so any family is valid
+                assert reference_accepts(g_lam, g_om, pair)
+                if any(pair.flips.values()):
+                    families.extend(corrupted_families(rng, g_lam, g_om, pair))
+            for flips in families:
+                candidate = BridgingPair(r, flips)
+                try:
+                    check_flip_family(g_lam, g_om, candidate)
+                    got = True
+                except KGraphError:
+                    got = False
+                assert got == reference_accepts(g_lam, g_om, candidate)
+                outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------- coherence
@@ -184,6 +315,63 @@ def test_search_finds_the_57_family():
     assert isinstance(found, BridgingPair)
     assert found.flips == coherent_57_family().flips
     assert coherence_check(LAM57, OM57, found)[0]
+
+
+def test_search_exhausts_on_56_with_doubled_matrix():
+    assert bridging_search(LAM56, OM56, [[2, 2]]) == Exhausted(331776)
+
+
+# the first coherent families the search returns, in its assignment
+# order; pinned so that a faster search must return the same ones
+FIRST_57_DOUBLED = {
+    1: {
+        ("f1", "g1[u,w]"): ("g1[u,v]", "alpha1"),
+        ("f1", "g2[u,w]"): ("g1[u,v]", "alpha2"),
+        ("f2", "g1[u,w]"): ("g2[u,v]", "alpha1"),
+        ("f2", "g2[u,w]"): ("g2[u,v]", "alpha2"),
+        ("f1", "g1[u,v]"): ("g1[u,w]", "alpha3"),
+        ("f1", "g2[u,v]"): ("g1[u,w]", "alpha4"),
+        ("f2", "g1[u,v]"): ("g2[u,w]", "alpha3"),
+        ("f2", "g2[u,v]"): ("g2[u,w]", "alpha4"),
+    },
+    2: {
+        ("e", "g1[u,w]"): ("g1[u,w]", "gamma1"),
+        ("e", "g2[u,w]"): ("g2[u,w]", "gamma1"),
+        ("e", "g1[u,v]"): ("g1[u,v]", "gamma2"),
+        ("e", "g2[u,v]"): ("g2[u,v]", "gamma2"),
+    },
+}
+FIRST_35_INSPLIT = {
+    1: {
+        ("e", "g1[u,u]"): ("g1[u,u]", "e"),
+        ("e'", "g1[u,u]"): ("g1[u,u]", "e'"),
+        ("h1", "g1[v,v^1]"): ("g1[v,v^1]", "h1^1"),
+        ("h2", "g1[v,v^1]"): ("g1[v,v^2]", "h2^1"),
+        ("h1", "g1[v,v^2]"): ("g1[v,v^1]", "h1^2"),
+        ("h2", "g1[v,v^2]"): ("g1[v,v^2]", "h2^2"),
+        ("h", "g1[v,v^1]"): ("g1[w,w]", "h^1"),
+        ("h", "g1[v,v^2]"): ("g1[w,w]", "h^2"),
+    },
+    2: {
+        ("f", "g1[u,u]"): ("g1[u,u]", "f"),
+        ("f1", "g1[u,u]"): ("g1[v,v^2]", "f1"),
+        ("f2", "g1[u,u]"): ("g1[v,v^1]", "f2"),
+        ("g", "g1[u,u]"): ("g1[w,w]", "g"),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "lam, om, r, flips",
+    [
+        ("ex5.7-Lambda", "ex5.7-Omega", [[2, 2]], FIRST_57_DOUBLED),
+        ("ex3.5-Lambda", "ex3.5-LambdaI", [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], FIRST_35_INSPLIT),
+    ],
+)
+def test_search_first_family_is_pinned(lam, om, r, flips):
+    found = bridging_search(fixture(lam), fixture(om), r)
+    assert found == BridgingPair(r, flips)
+    assert [list(f) for f in found.flips.values()] == [list(f) for f in flips.values()]
 
 
 def test_search_requires_intertwiner():
@@ -336,28 +524,10 @@ def random_2graph(rng, tag, a1, a2):
 
 def random_family(rng, g_lam, g_om, r):
     poly = polymorphism_from_matrix(g_lam, g_om, r)
-    flips = {}
-    for i in range(1, g_lam.rank + 1):
-        f = {}
-        for a in g_lam.vertices:
-            for b in g_om.vertices:
-                dom = [
-                    (lam.id, g.id)
-                    for lam in g_lam.edges
-                    if lam.color == i and lam.rng == a
-                    for g in poly.edges
-                    if g.rng == lam.src and g.src == b
-                ]
-                cod = [
-                    (g.id, om.id)
-                    for g in poly.edges
-                    if g.rng == a
-                    for om in g_om.edges
-                    if om.color == i and om.rng == g.src and om.src == b
-                ]
-                rng.shuffle(cod)
-                f.update(zip(dom, cod))
-        flips[i] = f
+    flips = {i: {} for i in range(1, g_lam.rank + 1)}
+    for i, dom, cod in _flip_blocks(g_lam, g_om, poly):
+        rng.shuffle(cod)
+        flips[i].update(zip(dom, cod))
     return BridgingPair(r, flips)
 
 

@@ -4,7 +4,7 @@ import pytest
 from test_dimension import DEEP_SHIFTS, edge_push_eq
 
 from kgraphs.cli import main, parse_element
-from kgraphs.constructions import FIXTURE_NAMES, fixture
+from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
 from kgraphs.core import validate_kgraph
 from kgraphs.dimension import dge_eq, unit_element
 from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
@@ -320,6 +320,25 @@ def test_bridge_search_cli_incoherent_witness(capsys, tmp_path):
     assert "top ('g1[u,w]', 'e2', 'f1') != bottom ('g1[u,w]', 'e1', 'f2')" in out
 
 
+def test_bridge_search_cli_rank_and_color_errors(capsys, tmp_path):
+    rose2 = tmp_path / "rose2.json"
+    rose2.write_text(dump_kgraph(rose(2)), encoding="utf-8")
+    onto_n2 = {"1": [[["c1", "g1[u,u]"], ["g1[u,u]", "c1[c1]"]], [["c2", "g1[u,u]"], ["g1[u,u]", "c1[c2]"]]]}
+    for extra in ([], ["--flips", json.dumps(onto_n2)]):
+        code, _, err = run(capsys, "bridge-search", str(rose2), "ex4.7-n2", "--matrix", "1", *extra)
+        assert code == 1 and "different ranks" in err
+    stray = {"1": [[["c1", "g1[u,u]"], ["g1[u,u]", "c1"]], [["c2", "g1[u,u]"], ["g1[u,u]", "c2"]]]}
+    code, out, _ = run(
+        capsys, "bridge-search", str(rose2), str(rose2), "--matrix", "1", "--flips", json.dumps(stray)
+    )
+    assert code == 0 and out.strip() == "coherent"
+    code, _, err = run(
+        capsys, "bridge-search", str(rose2), str(rose2), "--matrix", "1",
+        "--flips", json.dumps({**stray, "2": []}),
+    )
+    assert code == 1 and "colors 1..1" in err
+
+
 def test_bridge_search_cli_errors(capsys):
     code, _, err = run(capsys, "bridge-search", "ex5.6-Lambda", "ex5.6-Omega", "--matrix", "2 1")
     assert code == 1  # not an intertwiner
@@ -455,7 +474,7 @@ def test_sinkdelete_sidecar_golden_bytes(capsys, tmp_path):
 
 # ------------------------------------------------------------ hostile inputs
 
-# {bad} is a graph file that is not UTF-8, {dir} a directory
+# {bad} is a graph file that is not UTF-8, {dir} a directory; {{}} is "{}"
 HOSTILE = {
     "graph-not-utf8": ["h0", "{bad}"],
     "validate-not-utf8": ["validate", "{bad}"],
@@ -468,6 +487,15 @@ HOSTILE = {
     "huge-skew-window": ["skew-window", "ex3.5-Lambda", "--lo", "0,0", "--hi", "100000,100000"],
     "huge-pullback": ["pullback", "ex4.7-n3", "--images", "11,0;0,1"],
     "long-pullback-image": ["pullback", "ex3.5-LambdaS", "--images", "0,2000;0,1"],
+    "flips-not-strings": [
+        "bridge-search", "ex5.7-Lambda", "ex5.7-Omega", "--matrix", "1 1",
+        "--flips", '{{"1": [[["f1", "g1[u,w]"], [["g1[u,v]"], "alpha1"]]], "2": []}}',
+    ],
+    "huge-polymorphism": [
+        "bridge-search", "ex5.6-Lambda", "ex5.6-Omega", "--matrix", "100000000 100000000", "--flips", "{{}}",
+    ],
+    "deep-shift-forward": ["tm-eq", "ex3.5-LambdaS", "u:0,0", "u:0,1000000000"],
+    "deep-shift-back": ["tm-eq", "ex3.5-Lambda", "u:-1000000000,0", "u:0,0"],
 }
 
 

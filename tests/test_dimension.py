@@ -11,8 +11,9 @@ from test_bridging import random_2graph
 from test_homology import _product
 
 from kgraphs.constructions import fixture, rose
-from kgraphs.core import unit_degree, vertex_matrix
+from kgraphs.core import KGraphError, unit_degree, vertex_matrix
 from kgraphs.dimension import (
+    SHIFT_MAX_DEGREE,
     DimElement,
     DimensionMismatch,
     ExhaustedBounds,
@@ -332,6 +333,16 @@ def test_deep_shifts_are_decided(name, a, b, equal):
     g = fixture(name)
     ea, eb = unit_element(g, *a), unit_element(g, *b)
     assert dge_eq(g, ea, eb) == edge_push_eq(g, ea, eb) == equal
+
+
+def test_shift_pushes_are_capped():
+    g = fixture("ex3.5-LambdaS")
+    base = unit_element(g, "u")
+    assert dge_eq(g, base, unit_element(g, "u", (0, SHIFT_MAX_DEGREE)))
+    with pytest.raises(KGraphError, match="over"):
+        dge_eq(g, base, unit_element(g, "u", (0, SHIFT_MAX_DEGREE + 1)))
+    with pytest.raises(KGraphError, match="over"):
+        dge_add(g, unit_element(g, "u", (-SHIFT_MAX_DEGREE - 1, 0)), base)
 
 
 def test_shallow_shifts_match_the_dense_oracle():
