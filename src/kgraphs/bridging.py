@@ -9,11 +9,17 @@ every triple lambda_i lambda_j g (i < j), flipping j then i then swapping
 the omega pair agrees with swapping the lambda pair then flipping i then j.
 Coherent families extend to flips of arbitrary-degree paths, one edge at a
 time from the source end.
+
+bridging_search assigns one flip key at a time, blocks in color order and
+keys in domain order, and after each assignment evaluates only the triples
+that key can complete (_watch_index). A triple that becomes decidable when
+key k is assigned reads k, and a decidable triple keeps its routes under
+every completion, so the search prunes exactly the families that a check
+of every triple after each whole block would prune.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from math import factorial
 from typing import NamedTuple
 
@@ -257,58 +263,104 @@ def _first_witness(
 
 # ------------------------------------------------------------ bridging search
 
+def _watch_index(
+    g_lam: KGraph,
+    poly: Polymorphism,
+    blocks: list[tuple[int, list[tuple[str, str]], list[tuple[str, str]]]],
+) -> dict[tuple[int, str, str], dict[tuple[int, int, str, str, str], None]]:
+    """Flip key (color, lambda id, poly id) -> the triples (i, j, lam_i,
+    lam_j, g) that assigning it can make decidable, as dict keys. Blocks come in color
+    order and i < j, so a triple's color-i lookups are all assigned before
+    its color-j ones, and the key that completes it is one of these two:
+    (j, lam_j, g), or (j, lam_j2, g1) with g1 in the codomain of the block
+    of (i, lam_i2, g), where lam_i lam_j = lam_j2 lam_i2."""
+    reach: dict[tuple[int, str, str], dict[str, None]] = {}
+    for color, dom, cod in blocks:
+        codomain = dict.fromkeys(g2 for g2, _ in cod)
+        for lam, g in dom:
+            reach[(color, lam, g)] = codomain
+    watch: dict[tuple[int, str, str], dict[tuple[int, int, str, str, str], None]] = {}
+    for i in range(1, g_lam.rank + 1):
+        for j in range(i + 1, g_lam.rank + 1):
+            for lam_i, lam_j, g in _iter_triples(g_lam, poly, i, j):
+                lam_j2, lam_i2 = g_lam.squares[(lam_i, lam_j)]
+                triple = (i, j, lam_i, lam_j, g)
+                watch.setdefault((j, lam_j, g), {})[triple] = None
+                for g1 in reach[(i, lam_i2, g)]:
+                    watch.setdefault((j, lam_j2, g1), {})[triple] = None
+    return watch
+
+
 def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Exhausted:
     """Backtracking over per-block bijections, colors ascending and blocks
-    in (range, source) order; prunes on any decidable triple disagreeing.
-    Returns the lexicographically first coherent family, or Exhausted with
-    the number of complete families the pruned search accounts for."""
+    in (range, source) order, one flip key at a time: within a block the
+    keys go in domain order and each takes the smallest unused codomain
+    index first, so every block runs through its bijections in the order
+    of itertools.permutations. After each assignment only the triples the
+    new key can complete are evaluated, and the value is rejected when one
+    of them disagrees. That prunes exactly the families a check of every
+    triple after each whole block would: a triple that becomes decidable
+    when key k is assigned reads k, and a decidable triple keeps its routes
+    under every completion. A value rejected at position p of an n-key
+    block stands for (n-p-1)! orders of the rest of the block times every
+    completion of the later blocks. Returns the lexicographically first
+    coherent family, or Exhausted with the number of complete families the
+    pruned search accounts for. The search is iterative, so its depth is
+    not bounded by the interpreter's recursion limit."""
     if not intertwiner_check(g_lam, g_om, r):
         raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
     poly = polymorphism_from_matrix(g_lam, g_om, r)
     blocks = _flip_blocks(g_lam, g_om, poly)
     assert all(len(dom) == len(cod) for _, dom, cod in blocks)  # by intertwining
+    watch = _watch_index(g_lam, poly, blocks)
 
     # completions represented by a prune at block t
     suffix = [1] * (len(blocks) + 1)
     for t in range(len(blocks) - 1, -1, -1):
         suffix[t] = suffix[t + 1] * factorial(len(blocks[t][2]))
 
-    triples = [
-        (i, j, trip)
-        for i in range(1, g_lam.rank + 1)
-        for j in range(i + 1, g_lam.rank + 1)
-        for trip in _iter_triples(g_lam, poly, i, j)
+    # one slot per flip key, in block order and then domain order, with
+    # the completions a rejected value stands for
+    slots = [
+        (t, key, factorial(len(dom) - p - 1) * suffix[t + 1])
+        for t, (_, dom, _) in enumerate(blocks)
+        for p, key in enumerate(dom)
     ]
     flips: FlipFamily = {i: {} for i in range(1, g_lam.rank + 1)}
+    used = [[False] * len(cod) for _, _, cod in blocks]
+    choice = [-1] * len(slots)  # codomain index held by each slot, -1 for none
     examined = 0
-
-    def consistent() -> bool:
-        for i, j, (lam_i, lam_j, g) in triples:
+    # slot s gives up its value and takes the next free one; with none
+    # left it is cleared and the search backs up to slot s - 1
+    s = 0
+    while 0 <= s < len(slots):
+        t, key, weight = slots[s]
+        color, _, cod = blocks[t]
+        f, taken = flips[color], used[t]
+        idx = choice[s]
+        if idx >= 0:
+            taken[idx] = False
+            del f[key]
+        idx += 1
+        while idx < len(cod) and taken[idx]:
+            idx += 1
+        if idx == len(cod):
+            choice[s] = -1
+            s -= 1
+            continue
+        choice[s] = idx
+        taken[idx] = True
+        f[key] = cod[idx]
+        for i, j, lam_i, lam_j, g in watch.get((color,) + key, ()):
             routes = _route_triple(g_lam, g_om, flips, i, j, lam_i, lam_j, g)
             if routes is not None and routes[0] != routes[1]:
-                return False
-        return True
-
-    def rec(t: int) -> BridgingPair | None:
-        nonlocal examined
-        if t == len(blocks):
-            return BridgingPair(r, {i: dict(f) for i, f in flips.items()})
-        color, dom, cod = blocks[t]
-        for perm in permutations(range(len(cod))):
-            for key, idx in zip(dom, perm):
-                flips[color][key] = cod[idx]
-            if consistent():
-                found = rec(t + 1)
-                if found is not None:
-                    return found
-            else:
-                examined += suffix[t + 1]
-            for key in dom:
-                del flips[color][key]
-        return None
-
-    found = rec(0)
-    return found if found is not None else Exhausted(examined)
+                examined += weight
+                break
+        else:
+            s += 1
+    if s < 0:
+        return Exhausted(examined)
+    return BridgingPair(r, {i: dict(f) for i, f in flips.items()})
 
 
 # ----------------------------------------------------- higher-degree flips

@@ -169,23 +169,38 @@ def map_arg(source: KGraph, target: KGraph, args, flag: str) -> GeneratorMap:
     return parse_generator_map(source, target, text)
 
 
+def _unique_keys(pairs: list) -> dict:
+    # a JSON object that repeats a key would silently keep only its last value
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise CLIUsage("bad flips JSON: an object repeats a key")
+    return doc
+
+
 def parse_flips(text: str) -> dict[int, dict[tuple[str, str], tuple[str, str]]]:
+    """The --flips table; a color or a [lam, g] given twice is a usage
+    error, not a silent overwrite."""
     if os.path.isfile(text):
         text = read_text(text)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise CLIUsage(f"bad flips JSON: {e}")
     if not isinstance(doc, dict):
         raise CLIUsage("bad flips JSON: expected an object keyed by color")
-    flips: dict[int, dict[tuple[str, str], tuple[str, str]]] = {}
     try:
-        for color, table in doc.items():
-            flips[int(color)] = {
-                (lam, g): (g2, om) for (lam, g), (g2, om) in table
-            }
+        tables = [
+            (int(color), [((lam, g), (g2, om)) for (lam, g), (g2, om) in table])
+            for color, table in doc.items()
+        ]
+        flips = {color: dict(entries) for color, entries in tables}
     except (TypeError, ValueError):
         raise CLIUsage("bad flips JSON: each entry must be [[lam, g], [g2, om]]")
+    if len(flips) != len(tables):
+        raise CLIUsage("bad flips JSON: some color is given twice")
+    for color, entries in tables:
+        if len(flips[color]) != len(entries):
+            raise CLIUsage(f"bad flips JSON: color {color} gives some [lam, g] twice")
     for table in flips.values():
         for key, value in table.items():
             if not all(isinstance(e, str) for e in key + value):

@@ -249,14 +249,23 @@ def _check_shape(g_left: KGraph, g_right: KGraph, r: Matrix) -> None:
 
 
 def intertwiner_check(g_left: KGraph, g_right: KGraph, r: Matrix) -> bool:
-    """Whether A_{e_i} * r == r * B_{e_i} for every color."""
+    """Whether A_{e_i} * r == r * B_{e_i} for every color, from the edge
+    lists: an edge of g_left with range v and source s adds row s of r to
+    row v of A r, and an edge of g_right with range w and source s adds
+    column w of r to column s of r B."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     _check_shape(g_left, g_right, r)
-    for i in range(1, g_left.rank + 1):
-        a = vertex_matrix(g_left, unit_degree(g_left.rank, i))
-        b = vertex_matrix(g_right, unit_degree(g_right.rank, i))
-        if not mat_eq(mat_mul(a, r), mat_mul(r, b)):
+    dl, dr = len(g_left.vertices), len(g_right.vertices)
+    for left, right in zip(g_left.step_pairs, g_right.step_pairs):
+        ar = [[0] * dr for _ in range(dl)]
+        for v, s in left:
+            ar[v] = [x + y for x, y in zip(ar[v], r[s])]
+        rb = [[0] * dr for _ in range(dl)]
+        for w, s in right:
+            for row, out in zip(r, rb):
+                out[s] += row[w]
+        if ar != rb:
             return False
     return True
 

@@ -2,9 +2,11 @@
 rank-(k+1) graph as an independent coherence oracle."""
 
 import random
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import pytest
+from test_homology import _product
 
 from kgraphs.bridging import (
     POLY_MAX_EDGES,
@@ -15,6 +17,8 @@ from kgraphs.bridging import (
     NotIntertwining,
     ShapeMismatch,
     _flip_blocks,
+    _iter_triples,
+    _route_triple,
     bridging_graph,
     bridging_search,
     check_flip_family,
@@ -42,7 +46,7 @@ from kgraphs.core import (
     validate_kgraph,
     vertex_path,
 )
-from kgraphs.dimension import DimensionMismatch
+from kgraphs.dimension import DimensionMismatch, intertwiner_check
 from kgraphs.intmat import mat_eq, mat_mul
 
 LAM56 = fixture("ex5.6-Lambda")
@@ -384,6 +388,127 @@ def test_search_k1_is_immediate():
     found = bridging_search(g, g, [[2]])
     assert isinstance(found, BridgingPair)
     assert coherence_check(g, g, found)[0]
+
+
+def reference_search(g_lam, g_om, r):
+    """The search one whole block at a time: every bijection of a block in
+    itertools.permutations order, then every triple re-evaluated. The
+    library's key-at-a-time search must return exactly this."""
+    if not intertwiner_check(g_lam, g_om, r):
+        raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
+    poly = polymorphism_from_matrix(g_lam, g_om, r)
+    blocks = _flip_blocks(g_lam, g_om, poly)
+    suffix = [1] * (len(blocks) + 1)
+    for t in range(len(blocks) - 1, -1, -1):
+        suffix[t] = suffix[t + 1] * factorial(len(blocks[t][2]))
+    triples = [
+        (i, j, trip)
+        for i in range(1, g_lam.rank + 1)
+        for j in range(i + 1, g_lam.rank + 1)
+        for trip in _iter_triples(g_lam, poly, i, j)
+    ]
+    flips = {i: {} for i in range(1, g_lam.rank + 1)}
+    examined = 0
+
+    def consistent():
+        for i, j, (lam_i, lam_j, g) in triples:
+            routes = _route_triple(g_lam, g_om, flips, i, j, lam_i, lam_j, g)
+            if routes is not None and routes[0] != routes[1]:
+                return False
+        return True
+
+    def rec(t):
+        nonlocal examined
+        if t == len(blocks):
+            return BridgingPair(r, {i: dict(f) for i, f in flips.items()})
+        color, dom, cod = blocks[t]
+        for perm in permutations(range(len(cod))):
+            for key, idx in zip(dom, perm):
+                flips[color][key] = cod[idx]
+            if consistent():
+                found = rec(t + 1)
+                if found is not None:
+                    return found
+            else:
+                examined += suffix[t + 1]
+            for key in dom:
+                del flips[color][key]
+        return None
+
+    found = rec(0)
+    return found if found is not None else Exhausted(examined)
+
+
+def assert_same_search(got, want):
+    # equal values, and for a family the same insertion order per color
+    assert type(got) is type(want) and got == want
+    if isinstance(want, BridgingPair):
+        assert [(i, list(f.items())) for i, f in got.flips.items()] == [
+            (i, list(f.items())) for i, f in want.flips.items()
+        ]
+
+
+@pytest.mark.parametrize(
+    "lam, om, r",
+    [
+        ("ex5.6-Lambda", "ex5.6-Omega", [[1, 1]]),
+        ("ex5.6-Lambda", "ex5.6-Omega", [[2, 2]]),
+        ("ex5.7-Lambda", "ex5.7-Omega", [[1, 1]]),
+        ("ex5.7-Lambda", "ex5.7-Omega", [[2, 2]]),
+        ("ex3.5-Lambda", "ex3.5-LambdaI", [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]),
+    ],
+)
+def test_search_matches_the_reference_on_the_catalog(lam, om, r):
+    g_lam, g_om = fixture(lam), fixture(om)
+    assert_same_search(bridging_search(g_lam, g_om, r), reference_search(g_lam, g_om, r))
+
+
+def commuting_matrices(rng, n, perms):
+    """a1 a sum of perms random permutation matrices and a2 = a1 + I."""
+    a1 = [[0] * n for _ in range(n)]
+    for _ in range(perms):
+        p = list(range(n))
+        rng.shuffle(p)
+        for row in range(n):
+            a1[row][p[row]] += 1
+    return a1, [[a1[row][c] + (row == c) for c in range(n)] for row in range(n)]
+
+
+def test_search_matches_the_reference_on_random_pairs():
+    rng = random.Random(20261018)
+    ident = [[int(i == j) for j in range(3)] for i in range(3)]
+    outcomes = set()
+    for perms, count in ((1, 12), (2, 12)):
+        for _ in range(count):
+            a1, a2 = commuting_matrices(rng, 3, perms)
+            g_lam = random_2graph(rng, "p", a1, a2)
+            g_om = random_2graph(rng, "q", a1, a2)
+            # I always; 2I and the non-identity intertwiners a1, a2 only
+            # over permutation matrices, where the blocks stay small
+            matrices = [ident]
+            if perms == 1:
+                matrices += [[[2 * x for x in row] for row in ident], a1, a2]
+            for r in matrices:
+                want = reference_search(g_lam, g_om, r)
+                assert_same_search(bridging_search(g_lam, g_om, r), want)
+                outcomes.add(type(want))
+    assert outcomes == {BridgingPair, Exhausted}
+
+
+def complete_product():
+    # the strict product of two complete 8-vertex 1-graphs: 64 vertices
+    # and, over R = I, 1024 flip blocks of one key each
+    ones = [[1] * 8 for _ in range(8)]
+    return _product(ones, ones)
+
+
+def test_search_needs_no_recursion():
+    g = complete_product()
+    ident = [[int(i == j) for j in range(64)] for i in range(64)]
+    assert len(_flip_blocks(g, g, polymorphism_from_matrix(g, g, ident))) == 1024
+    found = bridging_search(g, g, ident)
+    assert isinstance(found, BridgingPair)
+    assert bridging_graph(g, g, found).rank == 3
 
 
 # -------------------------------------------------------------- extend_flip

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from test_bridging import complete_product
 from test_dimension import DEEP_SHIFTS, edge_push_eq
 
+from kgraphs.bridging import BridgingPair, bridging_graph
 from kgraphs.cli import main, parse_element
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
 from kgraphs.core import validate_kgraph
@@ -337,6 +339,39 @@ def test_bridge_search_cli_rank_and_color_errors(capsys, tmp_path):
         "--flips", json.dumps({**stray, "2": []}),
     )
     assert code == 1 and "colors 1..1" in err
+
+
+def test_bridge_search_cli_rejects_repeated_flips(capsys):
+    code, out, _ = run(
+        capsys, "bridge-search", "--json", "ex5.7-Lambda", "ex5.7-Omega", "--matrix", "1 1"
+    )
+    flips = json.loads(out)["flips"]
+    bogus_first = {**flips, "1": [[["f1", "g1[u,v]"], ["BOGUS", "x"]], *flips["1"]]}
+    cases = {
+        json.dumps(bogus_first): "color 1 gives some [lam, g] twice",
+        json.dumps({**flips, "01": flips["1"]}): "some color is given twice",
+        json.dumps({**flips, "+2": flips["2"]}): "some color is given twice",
+        '{"1": [], ' + json.dumps(flips)[1:]: "an object repeats a key",
+    }
+    for text, message in cases.items():
+        code, out, err = run(
+            capsys, "bridge-search", "ex5.7-Lambda", "ex5.7-Omega", "--matrix", "1 1", "--flips", text
+        )
+        assert code == 2 and out == "" and message in err
+
+
+def test_bridge_search_cli_needs_no_recursion(capsys, tmp_path):
+    g = complete_product()
+    path = tmp_path / "product.json"
+    path.write_text(dump_kgraph(g), encoding="utf-8")
+    ident = [[int(i == j) for j in range(64)] for i in range(64)]
+    matrix = "; ".join(" ".join(map(str, row)) for row in ident)
+    code, out, err = run(capsys, "bridge-search", "--json", str(path), str(path), "--matrix", matrix)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["found"] is True
+    flips = {int(i): {tuple(k): tuple(v) for k, v in table} for i, table in doc["flips"].items()}
+    assert bridging_graph(g, g, BridgingPair(ident, flips)).rank == 3
 
 
 def test_bridge_search_cli_errors(capsys):

@@ -252,6 +252,50 @@ def test_intertwiner_examples():
     assert not intertwiner_check(lam, fixture("ex3.5-LambdaS"), [[1]])
 
 
+def edge_matrix(g, color):
+    # the one-step matrix A_{e_color}, counted off the edges
+    a = [[0] * len(g.vertices) for _ in g.vertices]
+    for e in g.edges:
+        if e.color == color:
+            a[g.vertex_index[e.rng]][g.vertex_index[e.src]] += 1
+    return a
+
+
+@st.composite
+def intertwiner_cases(draw):
+    """Two random 2-graphs and a matrix R: over one pair of commuting
+    matrices with R = I or R = a1 (both intertwine), or over two
+    independent pairs with a random small R (mostly not)."""
+    seed = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 3))
+    a1 = draw(_matrices(n, 0))
+    a2 = [[a1[r][c] + (r == c) for c in range(n)] for r in range(n)]
+    g_left = random_2graph(seed, "p", a1, a2)
+    kind = draw(st.sampled_from(["identity", "a1", "random"]))
+    if kind == "random":
+        m = draw(st.integers(1, 3))
+        b1, shift = draw(_matrices(m, 0)), draw(st.integers(0, 1))
+        b2 = [[b1[r][c] + shift * (r == c) for c in range(m)] for r in range(m)]
+        return g_left, random_2graph(seed, "q", b1, b2), draw(_rectangles(n, m))
+    g_right = random_2graph(seed, "q", a1, a2)
+    return g_left, g_right, identity(n) if kind == "identity" else a1
+
+
+def _rectangles(n, m):
+    return st.lists(st.lists(st.integers(0, 2), min_size=m, max_size=m), min_size=n, max_size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(intertwiner_cases())
+def test_intertwiner_check_matches_dense_products(case):
+    g_left, g_right, r = case
+    want = all(
+        mat_eq(mat_mul(edge_matrix(g_left, i), r), mat_mul(r, edge_matrix(g_right, i)))
+        for i in (1, 2)
+    )
+    assert intertwiner_check(g_left, g_right, r) == want
+
+
 def test_matrix_maps_agree():
     lam, om = fixture("ex5.6-Lambda"), fixture("ex5.6-Omega")
     r = [[1, 1]]
