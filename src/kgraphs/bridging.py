@@ -229,14 +229,28 @@ def _route_triple(
 
 
 def _iter_triples(g_lam: KGraph, poly: Polymorphism, i: int, j: int):
-    # order: lambda_i, then g, then lambda_j
+    """The composable triples (lam_i, lam_j, g): lambda_i in edge order,
+    then g in polymorphism order, then lambda_j in in-edge order. The
+    polymorphism edges are indexed by range once, and the (g, lambda_j)
+    list of a vertex is built when the first lambda_i with that source
+    comes, so the cost is linear in the triples up to a sort."""
+    by_range: dict[str, list[int]] = {}
+    for n, g in enumerate(poly.edges):
+        by_range.setdefault(g.rng, []).append(n)
+    # source of lambda_i -> (g id, ids of the lambda_j with s(lambda_j) = r(g))
+    after: dict[str, list[tuple[str, list[str]]]] = {}
     for lam_i in g_lam.edges:
         if lam_i.color != i:
             continue
-        for g in poly.edges:
+        if lam_i.src not in after:
+            lam_js: dict[str, list[str]] = {}
             for lam_j in g_lam.in_edges[lam_i.src][j]:
-                if lam_j.src == g.rng:
-                    yield lam_i.id, lam_j.id, g.id
+                lam_js.setdefault(lam_j.src, []).append(lam_j.id)
+            gs = sorted(n for v in lam_js for n in by_range.get(v, ()))
+            after[lam_i.src] = [(poly.edges[n].id, lam_js[poly.edges[n].rng]) for n in gs]
+        for g, lams in after[lam_i.src]:
+            for lam_j in lams:
+                yield lam_i.id, lam_j, g
 
 
 def coherence_check(

@@ -560,7 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--entry-max",
         type=int,
         default=1,
-        help="bound on R and S entries (default 1; the search space grows as (entry_max+1)^(2 d d'))",
+        help=(
+            "bound on R and S entries (default 1; equations prune R and S row by row, "
+            "but the worst case is still (entry_max+1)^(2 d d') candidate pairs)"
+        ),
     )
     p.set_defaults(func=cmd_sse_search)
 

@@ -31,11 +31,8 @@ from .intmat import (
     Matrix,
     is_nonneg_vec,
     is_zero_vec,
-    mat_eq,
-    mat_mul,
     rank,
     vec_add,
-    vec_mat,
     vec_scale,
     vec_sub,
 )
@@ -270,13 +267,6 @@ def intertwiner_check(g_left: KGraph, g_right: KGraph, r: Matrix) -> bool:
     return True
 
 
-def hom_from_matrix(r: Matrix, a: DimElement) -> DimElement:
-    """[x, n] -> [x*r, n]."""
-    if len(a.x) != len(r):
-        raise DimensionMismatch(f"vector has {len(a.x)} entries for {len(r)} rows")
-    return DimElement(tuple(vec_mat(list(a.x), r)), a.n)
-
-
 def generator_map_from_matrix(g_left: KGraph, g_right: KGraph, r: Matrix) -> GeneratorMap:
     """v(0) -> [row v of r, 0]."""
     _check_shape(g_left, g_right, r)
@@ -289,10 +279,98 @@ def generator_map_from_matrix(g_left: KGraph, g_right: KGraph, r: Matrix) -> Gen
 
 # ---------------------------------------------------------------- SSE search
 
-def _iter_matrices(rows: int, cols: int, entry_max: int):
-    # row-major lexicographic order
-    for flat in product(range(entry_max + 1), repeat=rows * cols):
-        yield [list(flat[r * cols : (r + 1) * cols]) for r in range(rows)]
+def _row_search(n: int, options, accept):
+    """Every n-row matrix whose row t is drawn from options(t) and passes
+    accept(rows, t), as a list of rows, in lexicographic order of the rows.
+    accept sees rows 0..t set, and a prefix it rejects is not extended.
+    The stack of row iterators is explicit, so there is no recursion."""
+    if n == 0:
+        yield []
+        return
+    rows: list = [None] * n
+    its: list = [iter(options(0))] + [None] * (n - 1)
+    t = 0
+    while t >= 0:
+        rows[t] = next(its[t], None)
+        if rows[t] is None:
+            t -= 1
+        elif accept(rows, t):
+            if t + 1 == n:
+                yield rows[:]
+            else:
+                t += 1
+                its[t] = iter(options(t))
+
+
+def _intertwining_rows(g_m: KGraph, g_n: KGraph):
+    """accept(rows, t) for a row search of X, a g_m-by-g_n matrix, under
+    A_{e_i} X = X B_{e_i} for every color i, A over g_m and B over g_n:
+    it checks the equation rows that row t of X completes. Row v of the
+    equation reads row v of X and the rows s with A_{e_i}(v, s) != 0, and
+    t is the last of them. Its left side adds row s of X for each color-i
+    edge of g_m from s into v; its right side is row v times B_{e_i}, read
+    off g_n's color-i edge list once per distinct row."""
+    zero = [0] * len(g_n.vertices)
+    watch: list[list] = [[] for _ in g_m.vertices]
+    for m_pairs, n_pairs in zip(g_m.step_pairs, g_n.step_pairs):
+        into: list[list[int]] = [[] for _ in g_m.vertices]
+        for v, s in m_pairs:
+            into[v].append(s)
+        times_b: dict[tuple[int, ...], list[int]] = {}
+        for v, srcs in enumerate(into):
+            watch[max([v, *srcs])].append((v, srcs, n_pairs, times_b))
+
+    def accept(rows: list, t: int) -> bool:
+        for v, srcs, n_pairs, times_b in watch[t]:
+            row = rows[v]
+            rhs = times_b.get(row)
+            if rhs is None:
+                rhs = times_b[row] = zero[:]
+                for x, c in n_pairs:
+                    rhs[c] += row[x]
+            lhs = list(map(sum, zip(*[rows[s] for s in srcs]))) if srcs else zero
+            if lhs != rhs:
+                return False
+        return True
+
+    return accept
+
+
+def _first_s(r: list, a_p: Matrix, b_p: Matrix, entry_max: int, s_accept) -> Matrix | None:
+    """The first S in row-major lexicographic order with S R = B_p,
+    R S = A_p and B_{e_i} S = S A_{e_i} for all i, or None."""
+    dl, dr = len(a_p), len(b_p)
+    # row v of R S reads the rows of S at the nonzero columns of row v of
+    # R, and is checked when the last of them is set
+    rs_eqs: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(dr)]
+    for v, row in enumerate(r):
+        terms = [(t, c) for t, c in enumerate(row) if c]
+        if terms:
+            rs_eqs[terms[-1][0]].append((v, terms))
+        elif any(a_p[v]):
+            return None
+    # row t of S R is (row t of S) R, so row t of S is drawn from the rows
+    # x with x R = row t of B_p
+    by_image: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for x in product(range(entry_max + 1), repeat=dl):
+        image = [0] * dr
+        for c, row in zip(x, r):
+            if c:
+                image = [a + c * b for a, b in zip(image, row)]
+        by_image.setdefault(tuple(image), []).append(x)
+    options = [by_image.get(tuple(row), []) for row in b_p]
+
+    def holds(rows: list, t: int) -> bool:
+        for v, terms in rs_eqs[t]:
+            acc = [0] * dl
+            for u, c in terms:
+                acc = [a + c * b for a, b in zip(acc, rows[u])]
+            if acc != a_p[v]:
+                return False
+        return s_accept(rows, t)
+
+    s = next(_row_search(dr, options.__getitem__, holds), None)
+    return None if s is None else [list(row) for row in s]
 
 
 def sse_search(
@@ -300,56 +378,50 @@ def sse_search(
 ) -> SSEWitness | ExhaustedBounds:
     """First (p, R, S) in lexicographic order with A_p = R*S, B_p = S*R,
     A_{e_i}R = R B_{e_i} and B_{e_i}S = S A_{e_i} for all i, all entries of
-    R and S in 0..entry_max and p <= p_max componentwise."""
+    R and S in 0..entry_max and p <= p_max componentwise.
+
+    p runs through (0..p_max)^k in lexicographic order; for each p, R and
+    then S run through their matrices in row-major lexicographic order, one
+    row at a time. Row v of A_{e_i}R - R B_{e_i} reads only row v and the
+    rows w with A_{e_i}(v, w) != 0, so it is checked as soon as the last of
+    them is set; so are row t of B_{e_i}S - S A_{e_i} and row v of
+    R S - A_p, which reads the rows of S at the nonzero columns of row v of
+    R. Row t of S R reads only row t of S, so each row of S is drawn from
+    the rows x with x R = row t of B_p. A prefix is rejected only when an
+    equation row it fully determines fails, and then no completion is a
+    witness: the search meets the surviving candidates in the order of a
+    full enumeration and returns the same first witness. The intertwining R
+    do not depend on p; they are enumerated once, lazily, and replayed for
+    every later p. The one-step matrices are read off KGraph.step_pairs and
+    no matrix product is formed. The equations prune rows, but the worst
+    case is still exponential in the sizes of R and S."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     if p_max < 0 or entry_max < 0:
         raise KGraphError("bounds must be >= 0")
-    k = g_left.rank
-    dl, dr = len(g_left.vertices), len(g_right.vertices)
-    a_steps = [vertex_matrix(g_left, unit_degree(k, i)) for i in range(1, k + 1)]
-    b_steps = [vertex_matrix(g_right, unit_degree(k, i)) for i in range(1, k + 1)]
+    dr = len(g_right.vertices)
+    s_accept = _intertwining_rows(g_right, g_left)
+    fresh = _row_search(
+        len(g_left.vertices),
+        lambda t: product(range(entry_max + 1), repeat=dr),
+        _intertwining_rows(g_left, g_right),
+    )
+    seen: list[list[tuple[int, ...]]] = []
 
-    def s_search(r: Matrix, a_p: Matrix, b_p: Matrix) -> Matrix | None:
-        rows: list[list[int]] = []
+    def intertwiners():
+        # the R met so far, then the rest of the enumeration
+        yield from seen
+        for r in fresh:
+            seen.append(r)
+            yield r
 
-        def rec() -> Matrix | None:
-            t = len(rows)
-            if t == dr:
-                s = rows
-                if not mat_eq(mat_mul(r, s), a_p):
-                    return None
-                for a, b in zip(a_steps, b_steps):
-                    if not mat_eq(mat_mul(b, s), mat_mul(s, a)):
-                        return None
-                return [row[:] for row in s]
-            for row in product(range(entry_max + 1), repeat=dl):
-                # row t of S*R must match row t of B_p
-                if vec_mat(list(row), r) != b_p[t]:
-                    continue
-                rows.append(list(row))
-                found = rec()
-                if found is not None:
-                    return found
-                rows.pop()
-            return None
-
-        return rec()
-
-    for p in product(range(p_max + 1), repeat=k):
+    for p in product(range(p_max + 1), repeat=g_left.rank):
         a_p = vertex_matrix(g_left, p)
         b_p = vertex_matrix(g_right, p)
-        for r in _iter_matrices(dl, dr, entry_max):
-            ok = True
-            for a, b in zip(a_steps, b_steps):
-                if not mat_eq(mat_mul(a, r), mat_mul(r, b)):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            s = s_search(r, a_p, b_p)
+        for r in intertwiners():
+            s = _first_s(r, a_p, b_p, entry_max, s_accept)
             if s is not None:
-                return SSEWitness(tuple(p), r, s)
+                return SSEWitness(tuple(p), [list(row) for row in r], s)
     return ExhaustedBounds(p_max, entry_max)
 
 

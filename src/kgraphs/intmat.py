@@ -46,18 +46,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_pow(a: Matrix, e: int) -> Matrix:
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("matrix power needs a square matrix")
-    if e < 0:
-        raise ValueError("negative matrix power")
-    result = identity(n)
-    for _ in range(e):
-        result = mat_mul(result, a)
-    return result
-
-
 def vec_mat(x: list[int], a: Matrix) -> list[int]:
     # Row vector times matrix.
     rows, cols = shape(a)
@@ -96,33 +84,6 @@ def transpose(a: Matrix) -> Matrix:
 
 def stack_rows(mats: list[Matrix]) -> Matrix:
     return [row[:] for m in mats for row in m]
-
-
-def det(a: Matrix) -> int:
-    # Bareiss fraction-free elimination; every division below is exact.
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    w = mat_copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if w[k][k] == 0:
-            for i in range(k + 1, n):
-                if w[i][k] != 0:
-                    w[k], w[i] = w[i], w[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) // prev
-            w[i][k] = 0
-        prev = w[k][k]
-    return sign * w[n - 1][n - 1]
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:

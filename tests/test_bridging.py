@@ -31,7 +31,7 @@ from kgraphs.bridging import (
     poly_matrix,
     polymorphism_from_matrix,
 )
-from kgraphs.constructions import fixture, rose
+from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
 from kgraphs.core import (
     Edge,
     InvalidKGraph,
@@ -390,6 +390,60 @@ def test_search_k1_is_immediate():
     assert coherence_check(g, g, found)[0]
 
 
+def reference_iter_triples(g_lam, poly, i, j):
+    """The composable triples by a scan of every polymorphism edge for each
+    color-i edge: lambda_i, then g, then lambda_j."""
+    for lam_i in g_lam.edges:
+        if lam_i.color != i:
+            continue
+        for g in poly.edges:
+            for lam_j in g_lam.in_edges[lam_i.src][j]:
+                if lam_j.src == g.rng:
+                    yield lam_i.id, lam_j.id, g.id
+
+
+def assert_same_triples(g_lam, poly):
+    for i in range(1, g_lam.rank + 1):
+        for j in range(i + 1, g_lam.rank + 1):
+            want = list(reference_iter_triples(g_lam, poly, i, j))
+            assert list(_iter_triples(g_lam, poly, i, j)) == want
+
+
+def test_iter_triples_matches_the_reference():
+    for name in FIXTURE_NAMES:
+        g = fixture(name)
+        assert_same_triples(g, identity_polymorphism(g.vertices))
+        for i in range(1, g.rank + 1):
+            assert_same_triples(g, coordinate_polymorphism(g, i))
+    for g_lam, g_om, r in (
+        (LAM56, OM56, [[2, 2]]),
+        (LAM57, OM57, [[1, 1]]),
+        (fixture("ex3.5-Lambda"), fixture("ex3.5-LambdaI"), [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]),
+    ):
+        assert_same_triples(g_lam, polymorphism_from_matrix(g_lam, g_om, r))
+    rng = random.Random(20261018)
+    for _ in range(20):
+        a1, a2 = commuting_matrices(rng, 3, 2)
+        g_lam = random_2graph(rng, "p", a1, a2)
+        g_om = random_2graph(rng, "q", a1, a2)
+        for r in ([[int(i == j) for j in range(3)] for i in range(3)], a1, a2):
+            poly = polymorphism_from_matrix(g_lam, g_om, r)
+            assert_same_triples(g_lam, poly)
+            # the same edges out of range order
+            shuffled = tuple(rng.sample(poly.edges, len(poly.edges)))
+            assert_same_triples(g_lam, poly._replace(edges=shuffled))
+
+
+def test_iter_triples_matches_the_reference_on_a_256_vertex_product():
+    # the strict product of two complete 16-vertex 1-graphs over R = I:
+    # 65536 triples, where the scan visits 256 polymorphism edges for each
+    # of the 4096 color-1 edges
+    ones = [[1] * 16 for _ in range(16)]
+    g = _product(ones, ones)
+    ident = [[int(i == j) for j in range(256)] for i in range(256)]
+    assert_same_triples(g, polymorphism_from_matrix(g, g, ident))
+
+
 def reference_search(g_lam, g_om, r):
     """The search one whole block at a time: every bijection of a block in
     itertools.permutations order, then every triple re-evaluated. The
@@ -405,7 +459,7 @@ def reference_search(g_lam, g_om, r):
         (i, j, trip)
         for i in range(1, g_lam.rank + 1)
         for j in range(i + 1, g_lam.rank + 1)
-        for trip in _iter_triples(g_lam, poly, i, j)
+        for trip in reference_iter_triples(g_lam, poly, i, j)
     ]
     flips = {i: {} for i in range(1, g_lam.rank + 1)}
     examined = 0

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_bridging import random_2graph
 from test_homology import _product
+from test_intmat import mat_pow
 
-from kgraphs.constructions import fixture, rose
+from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
 from kgraphs.core import KGraphError, unit_degree, vertex_matrix
 from kgraphs.dimension import (
     SHIFT_MAX_DEGREE,
@@ -28,7 +29,6 @@ from kgraphs.dimension import (
     generator_map,
     generator_map_from_matrix,
     hom_check,
-    hom_from_matrix,
     identity_generator_map,
     intertwiner_check,
     iso_check,
@@ -39,7 +39,7 @@ from kgraphs.dimension import (
     unit_element,
     zero_element,
 )
-from kgraphs.intmat import identity, mat_eq, mat_mul, mat_pow, vec_add, vec_mat, vec_scale
+from kgraphs.intmat import identity, mat_eq, mat_mul, vec_add, vec_mat, vec_scale
 from kgraphs.moves import (
     enumerate_valid_partitions,
     insplit,
@@ -296,6 +296,13 @@ def test_intertwiner_check_matches_dense_products(case):
     assert intertwiner_check(g_left, g_right, r) == want
 
 
+def hom_from_matrix(r, a):
+    """[x, n] -> [x*r, n]."""
+    if len(a.x) != len(r):
+        raise DimensionMismatch(f"vector has {len(a.x)} entries for {len(r)} rows")
+    return DimElement(tuple(vec_mat(list(a.x), r)), a.n)
+
+
 def test_matrix_maps_agree():
     lam, om = fixture("ex5.6-Lambda"), fixture("ex5.6-Omega")
     r = [[1, 1]]
@@ -317,6 +324,57 @@ def test_matrix_map_shape_is_checked():
 
 
 # ---------------------------------------------------------------- SSE search
+
+def reference_sse_search(g_left, g_right, p_max, entry_max):
+    """sse_search by full enumeration with dense products: every R in
+    row-major lexicographic order, an intertwining test of two products
+    per color, then S row by row among the rows x with x R = row t of B_p."""
+    if g_left.rank != g_right.rank:
+        raise DimensionMismatch("graphs have different ranks")
+    if p_max < 0 or entry_max < 0:
+        raise KGraphError("bounds must be >= 0")
+    k = g_left.rank
+    dl, dr = len(g_left.vertices), len(g_right.vertices)
+    a_steps = [vertex_matrix(g_left, unit_degree(k, i)) for i in range(1, k + 1)]
+    b_steps = [vertex_matrix(g_right, unit_degree(k, i)) for i in range(1, k + 1)]
+
+    def s_search(r, a_p, b_p):
+        rows = []
+
+        def rec():
+            t = len(rows)
+            if t == dr:
+                s = rows
+                if not mat_eq(mat_mul(r, s), a_p):
+                    return None
+                for a, b in zip(a_steps, b_steps):
+                    if not mat_eq(mat_mul(b, s), mat_mul(s, a)):
+                        return None
+                return [row[:] for row in s]
+            for row in product(range(entry_max + 1), repeat=dl):
+                # row t of S*R must match row t of B_p
+                if vec_mat(list(row), r) != b_p[t]:
+                    continue
+                rows.append(list(row))
+                found = rec()
+                if found is not None:
+                    return found
+                rows.pop()
+            return None
+
+        return rec()
+
+    for p in product(range(p_max + 1), repeat=k):
+        a_p = vertex_matrix(g_left, p)
+        b_p = vertex_matrix(g_right, p)
+        for flat in product(range(entry_max + 1), repeat=dl * dr):
+            r = [list(flat[t * dr : (t + 1) * dr]) for t in range(dl)]
+            if all(mat_eq(mat_mul(a, r), mat_mul(r, b)) for a, b in zip(a_steps, b_steps)):
+                s = s_search(r, a_p, b_p)
+                if s is not None:
+                    return SSEWitness(tuple(p), r, s)
+    return ExhaustedBounds(p_max, entry_max)
+
 
 def test_sse_self_identity():
     w = sse_search(rose(2), rose(2), 1, 2)
@@ -342,6 +400,48 @@ def test_sse_exhausts():
     assert sse_search(fixture("ex5.6-Lambda"), fixture("ex5.6-Omega"), 1, 2) == ExhaustedBounds(1, 2)
     with pytest.raises(DimensionMismatch):
         sse_search(rose(2), fixture("sec3-Lambda"), 1, 1)
+
+
+# the reference tries all (entry_max + 1)^(dl * dr) matrices R for each p;
+# ex3.5-LambdaI against itself, 2^16 of them, would take it 3 s
+SSE_REFERENCE_MAX_R = 2**12
+
+
+@pytest.mark.parametrize("bounds", [(1, 1), (2, 1)])
+def test_sse_search_matches_the_reference_on_the_catalog(bounds):
+    p_max, entry_max = bounds
+    outcomes = set()
+    for a, b in product(FIXTURE_NAMES, repeat=2):
+        g_left, g_right = fixture(a), fixture(b)
+        size = len(g_left.vertices) * len(g_right.vertices)
+        if g_left.rank != g_right.rank or (entry_max + 1) ** size > SSE_REFERENCE_MAX_R:
+            continue
+        want = reference_sse_search(g_left, g_right, p_max, entry_max)
+        assert sse_search(g_left, g_right, p_max, entry_max) == want, (a, b)
+        outcomes.add(type(want))
+    assert outcomes == {SSEWitness, ExhaustedBounds}
+
+
+def _commuting(rng, n):
+    # a1 with entries 0..2 and a2 = c0 I + c1 a1 + I, which commutes with it
+    a1 = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
+    c0, c1 = rng.randint(0, 1), rng.randint(0, 1)
+    return a1, [[c0 * (r == c) + c1 * a1[r][c] + (r == c) for c in range(n)] for r in range(n)]
+
+
+def test_sse_search_matches_the_reference_on_random_pairs():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for n, entry_max in [(3, 1)] * 30 + [(2, 2)] * 30:
+        a1, a2 = _commuting(rng, n)
+        g_left = random_2graph(rng, "p", a1, a2)
+        # the same matrices (new squares) or matrices of their own
+        mats = (a1, a2) if rng.random() < 0.5 else _commuting(rng, rng.randint(1, n))
+        g_right = random_2graph(rng, "q", *mats)
+        want = reference_sse_search(g_left, g_right, 1, entry_max)
+        assert sse_search(g_left, g_right, 1, entry_max) == want
+        outcomes.add(type(want))
+    assert outcomes == {SSEWitness, ExhaustedBounds}
 
 
 # ------------------------------------------------------------ rank invariant
@@ -410,16 +510,22 @@ def _matrices(n, row_min):
 
 
 @st.composite
+def random_2graphs(draw):
+    """A random 2-graph on 1-3 vertices, sources allowed."""
+    n = draw(st.integers(1, 3))
+    a1 = draw(_matrices(n, 0))
+    c0, c1 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    # a2 is a polynomial in a1, so the two matrices commute
+    a2 = [[c0 * (r == c) + c1 * a1[r][c] + (r == c) for c in range(n)] for r in range(n)]
+    return random_2graph(random.Random(draw(st.integers(0, 2**32))), "p", a1, a2)
+
+
+@st.composite
 def graphs(draw):
     """A random 2-graph on 1-3 vertices (sources allowed) or a strict
     product of two 1-graphs on 1-3 vertices each."""
     if draw(st.booleans()):
-        n = draw(st.integers(1, 3))
-        a1 = draw(_matrices(n, 0))
-        c0, c1 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
-        # a2 is a polynomial in a1, so the two matrices commute
-        a2 = [[c0 * (r == c) + c1 * a1[r][c] + (r == c) for c in range(n)] for r in range(n)]
-        return random_2graph(random.Random(draw(st.integers(0, 2**32))), "p", a1, a2)
+        return draw(random_2graphs())
     a = draw(_matrices(draw(st.integers(1, 3)), 1))
     b = draw(_matrices(draw(st.integers(1, 3)), 1))
     return _product(a, b)

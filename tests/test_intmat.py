@@ -15,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgraphs.intmat import (
-    det,
+    Matrix,
     identity,
     mat_add,
+    mat_copy,
     mat_eq,
     mat_mul,
-    mat_pow,
     mat_sub,
     rank,
+    shape,
     smith_normal_form,
     snf_diagonal,
     stack_rows,
@@ -30,6 +31,47 @@ from kgraphs.intmat import (
     vec_mat,
     zeros,
 )
+
+
+# Dense references for the tests; the package itself needs neither.
+
+def mat_pow(a: Matrix, e: int) -> Matrix:
+    n, m = shape(a)
+    if n != m:
+        raise ValueError("matrix power needs a square matrix")
+    if e < 0:
+        raise ValueError("negative matrix power")
+    result = identity(n)
+    for _ in range(e):
+        result = mat_mul(result, a)
+    return result
+
+
+def det(a: Matrix) -> int:
+    # Bareiss fraction-free elimination; every division below is exact.
+    n, m = shape(a)
+    if n != m:
+        raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    w = mat_copy(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if w[k][k] == 0:
+            for i in range(k + 1, n):
+                if w[i][k] != 0:
+                    w[k], w[i] = w[i], w[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) // prev
+            w[i][k] = 0
+        prev = w[k][k]
+    return sign * w[n - 1][n - 1]
 
 
 def minor_gcd(a, j):

@@ -7,10 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_bridging import random_2graph
+from test_dimension import _matrices, random_2graphs
+from test_homology import _product
 
 from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
-from kgraphs.core import Path, mce, validate_kgraph, vertex_matrix
-from kgraphs.dimension import generator_map_from_matrix, iso_check
+from kgraphs.core import KGraphError, Path, mce, validate_kgraph, vertex_matrix
+from kgraphs.dimension import (
+    SSEWitness,
+    generator_map,
+    generator_map_from_matrix,
+    iso_check,
+    rank_invariant,
+    sse_search,
+    unit_element,
+)
+from kgraphs.homology import h0
 from kgraphs.intmat import mat_eq, mat_mul
 from kgraphs.moves import (
     IndivisibleVertex,
@@ -249,3 +260,66 @@ def test_move_maps_come_from_one_build():
     assert cut == sink_delete(g, "v")
     assert phi == phi_sink_delete(g, "v")
     assert witnesses == sink_delete_witnesses(g, "v")
+
+
+# ------------------------------------------ the theorem on generated graphs
+
+@st.composite
+def theorem_graphs(draw):
+    """A random 2-graph on 1-3 vertices (sources and e_1-sinks allowed), or
+    the strict product of a 1-graph on 1-2 vertices with a 2-vertex 1-graph
+    whose second vertex is a sink, in either order."""
+    if draw(st.booleans()):
+        return draw(random_2graphs())
+    a = draw(_matrices(draw(st.integers(1, 2)), 1))
+    # column 1 is zero: vertex 1 emits nothing
+    b = [[draw(st.integers(1, 2)), 0], [draw(st.integers(1, 2)), 0]]
+    return _product(a, b) if draw(st.booleans()) else _product(b, a)
+
+
+def _invariants(g, with_h0):
+    # h0 is defined when every vertex receives every color; the moves keep
+    # that property, and sink deletion can gain it
+    return rank_invariant(g), h0(g) if with_h0 else None
+
+
+def _reachable(g, v):
+    # v and every vertex a path from v reaches
+    seen, todo = {v}, [v]
+    while todo:
+        w = todo.pop()
+        for e in g.edges:
+            if e.src == w and e.rng not in seen:
+                seen.add(e.rng)
+                todo.append(e.rng)
+    return seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(theorem_graphs())
+def test_moves_keep_the_graded_invariants_on_generated_graphs(g):
+    """In-splitting and sink deletion keep rank_invariant and h0, their
+    generator maps are mutually inverse, and an in-split is found again by
+    sse_search within the bounds of its own (R, S)."""
+    no_sources = all(g.in_edges[v][i] for v in g.vertices for i in range(1, g.rank + 1))
+    invariants = _invariants(g, no_sources)
+    for v in g.vertices:
+        parts = enumerate_valid_partitions(g, v) if len(pairing_closure(g, v)) >= 2 else []
+        for part in parts:
+            for j in range(1, g.rank + 1):
+                split, _, phi, psi = insplit_maps(g, part, j)
+                assert iso_check(phi, psi)
+            assert _invariants(split, no_sources) == invariants
+            r, s = insplit_matrices(g, part, 1)
+            bound = max(max(row) for row in r + s)
+            assert isinstance(sse_search(g, split, 1, bound), SSEWitness)
+        if not sink_colors(g, v):
+            continue
+        if _reachable(g, v) == set(g.vertices):
+            with pytest.raises(KGraphError):
+                sink_delete(g, v)
+            continue
+        cut, phi, witnesses = sink_delete_maps(g, v)
+        assert _invariants(cut, no_sources) == invariants
+        psi = generator_map(g, cut, {u: unit_element(cut, u) for u in cut.vertices} | witnesses)
+        assert iso_check(phi, psi)
