@@ -155,17 +155,23 @@ def _flip_blocks(
     g_lam: KGraph, g_om: KGraph, poly: Polymorphism
 ) -> list[tuple[int, list[tuple[str, str]], list[tuple[str, str]]]]:
     """(color, domain, codomain) of every block with a member, in color,
-    then g_lam vertex, then g_om vertex order; members keep edge order."""
+    then g_lam vertex, then g_om vertex order; members keep edge order.
+    The polymorphism edges and the g_om edges are each indexed by range
+    once, so the cost is linear in the pairs."""
+    poly_by_range: dict[str, list[PolyEdge]] = {}
+    for g in poly.edges:
+        poly_by_range.setdefault(g.rng, []).append(g)
+    om_by_range: dict[str, list[Edge]] = {}
+    for om in g_om.edges:
+        om_by_range.setdefault(om.rng, []).append(om)
     dom: dict[tuple[int, str, str], list[tuple[str, str]]] = {}
     cod: dict[tuple[int, str, str], list[tuple[str, str]]] = {}
     for lam in g_lam.edges:
-        for g in poly.edges:
-            if g.rng == lam.src:
-                dom.setdefault((lam.color, lam.rng, g.src), []).append((lam.id, g.id))
+        for g in poly_by_range.get(lam.src, ()):
+            dom.setdefault((lam.color, lam.rng, g.src), []).append((lam.id, g.id))
     for g in poly.edges:
-        for om in g_om.edges:
-            if om.rng == g.src:
-                cod.setdefault((om.color, g.rng, om.src), []).append((g.id, om.id))
+        for om in om_by_range.get(g.src, ()):
+            cod.setdefault((om.color, g.rng, om.src), []).append((g.id, om.id))
     return [
         (i, dom.get(key, []), cod.get(key, []))
         for i in range(1, g_lam.rank + 1)

@@ -20,46 +20,10 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .bridging import BridgingPair, Exhausted, bridging_search, coherence_check
-from .constructions import (
-    FIXTURE_NAMES,
-    UnknownFixture,
-    fixture,
-    monoid_hom,
-    pullback,
-    skew_product_window,
-)
 from .core import KGraph, KGraphError, unit_degree, validate_kgraph, vertex_matrix
-from .dimension import (
-    DimElement,
-    ExhaustedBounds,
-    GeneratorMap,
-    dge_add,
-    dge_scale,
-    generator_map,
-    generator_map_from_matrix,
-    identity_map_between,
-    dge_eq,
-    hom_check,
-    iso_check,
-    pointed_check,
-    rank_invariant,
-    sse_search,
-    unit_element,
-    zero_element,
-)
-from .homology import h0, h0gr_presentation
 from .intmat import Matrix
-from .moves import (
-    Partition,
-    check_partition,
-    enumerate_valid_partitions,
-    insplit,
-    insplit_maps,
-    sink_delete,
-    sink_delete_maps,
-)
 from .textform import (
     TextFormatError,
     dump_kgraph,
@@ -68,6 +32,13 @@ from .textform import (
     read_text,
     violations_report,
 )
+
+# Each command imports the modules it runs in its own body, so starting
+# `kgraph validate` or `kgraph info` loads no search, move or construction
+# code.
+if TYPE_CHECKING:
+    from .dimension import DimElement, GeneratorMap
+    from .moves import Partition
 
 
 class CLIUsage(KGraphError):
@@ -82,6 +53,8 @@ def resolve_graph(arg: str) -> KGraph:
     extra directory to search."""
     if os.path.exists(arg) and not os.path.isdir(arg):
         return load_kgraph(arg)
+    from .constructions import UnknownFixture, fixture
+
     base = os.path.basename(arg)
     if base.endswith(".json"):
         base = base[:-5]
@@ -118,6 +91,8 @@ def parse_shift(text: str) -> tuple[int, ...]:
 
 
 def parse_element(g: KGraph, text: str) -> DimElement:
+    from .dimension import dge_add, dge_scale, unit_element, zero_element
+
     text = text.strip()
     if text == "0":
         return zero_element(g)
@@ -149,6 +124,8 @@ def element_str(g: KGraph, a: DimElement) -> str:
 
 
 def parse_generator_map(source: KGraph, target: KGraph, text: str) -> GeneratorMap:
+    from .dimension import generator_map
+
     images: dict[str, DimElement] = {}
     for entry in text.split(";"):
         if "=" not in entry:
@@ -159,6 +136,8 @@ def parse_generator_map(source: KGraph, target: KGraph, text: str) -> GeneratorM
 
 
 def map_arg(source: KGraph, target: KGraph, args, flag: str) -> GeneratorMap:
+    from .dimension import generator_map_from_matrix, identity_map_between
+
     if getattr(args, "identity", False):
         return identity_map_between(source, target)
     if getattr(args, "matrix", None) is not None:
@@ -279,6 +258,8 @@ def cmd_info(args) -> int:
 
 
 def _partition_for(g: KGraph, args) -> Partition:
+    from .moves import Partition, check_partition, enumerate_valid_partitions
+
     if args.side1 is not None:
         side1 = tuple(sorted(args.side1.split(",")))
         all_in = [
@@ -299,6 +280,8 @@ def _partition_for(g: KGraph, args) -> Partition:
 
 
 def cmd_insplit(args) -> int:
+    from .moves import insplit, insplit_maps
+
     g = resolve_graph(args.graph)
     if args.vertex not in g.vertex_index:
         raise KGraphError(f"unknown vertex {args.vertex!r}")
@@ -325,6 +308,8 @@ def cmd_insplit(args) -> int:
 
 
 def cmd_sinkdelete(args) -> int:
+    from .moves import sink_delete, sink_delete_maps
+
     g = resolve_graph(args.graph)
     if args.vertex not in g.vertex_index:
         raise KGraphError(f"unknown vertex {args.vertex!r}")
@@ -347,6 +332,8 @@ def cmd_sinkdelete(args) -> int:
 
 
 def cmd_pullback(args) -> int:
+    from .constructions import monoid_hom, pullback
+
     g = resolve_graph(args.graph)
     images = [parse_shift(t) for t in args.images.split(";")]
     f = monoid_hom(images, g.rank)
@@ -355,12 +342,16 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_skew_window(args) -> int:
+    from .constructions import skew_product_window
+
     g = resolve_graph(args.graph)
     print(dump_kgraph(skew_product_window(g, parse_shift(args.lo), parse_shift(args.hi))), end="")
     return 0
 
 
 def cmd_tm_eq(args) -> int:
+    from .dimension import dge_eq
+
     g = resolve_graph(args.graph)
     a = parse_element(g, args.a)
     b = parse_element(g, args.b)
@@ -369,6 +360,8 @@ def cmd_tm_eq(args) -> int:
 
 
 def cmd_tm_hom_check(args) -> int:
+    from .dimension import hom_check, pointed_check
+
     source = resolve_graph(args.source)
     target = resolve_graph(args.target)
     m = map_arg(source, target, args, "map")
@@ -380,6 +373,8 @@ def cmd_tm_hom_check(args) -> int:
 
 
 def cmd_tm_iso_check(args) -> int:
+    from .dimension import identity_map_between, iso_check, pointed_check
+
     source = resolve_graph(args.source)
     target = resolve_graph(args.target)
     if args.identity:
@@ -398,6 +393,8 @@ def cmd_tm_iso_check(args) -> int:
 
 
 def cmd_sse_search(args) -> int:
+    from .dimension import ExhaustedBounds, sse_search
+
     left = resolve_graph(args.left)
     right = resolve_graph(args.right)
     found = sse_search(left, right, args.p_max, args.entry_max)
@@ -416,12 +413,16 @@ def cmd_sse_search(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from .dimension import rank_invariant
+
     g = resolve_graph(args.graph)
     r = rank_invariant(g)
     return emit(args, {"rank": r}, str(r))
 
 
 def cmd_h0(args) -> int:
+    from .homology import h0
+
     g = resolve_graph(args.graph)
     inv = h0(g)
     doc = {"rank": inv.rank, "torsion": list(inv.torsion)}
@@ -429,6 +430,8 @@ def cmd_h0(args) -> int:
 
 
 def cmd_h0gr(args) -> int:
+    from .homology import h0gr_presentation
+
     g = resolve_graph(args.graph)
     mats, r = h0gr_presentation(g)
     doc = {
@@ -441,6 +444,8 @@ def cmd_h0gr(args) -> int:
 
 
 def cmd_bridge_search(args) -> int:
+    from .bridging import BridgingPair, Exhausted, bridging_search, coherence_check
+
     g_lam = resolve_graph(args.lam)
     g_om = resolve_graph(args.om)
     r = parse_matrix(args.matrix)
@@ -478,6 +483,8 @@ def cmd_bridge_search(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from .constructions import FIXTURE_NAMES
+
     names = sorted(FIXTURE_NAMES)
     doc = {"fixtures": names, "parametric": "ex4.7-n<N> for N >= 2"}
     return emit(args, doc, "\n".join(names + ["ex4.7-n<N> (N >= 2, generated)"]))

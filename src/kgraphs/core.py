@@ -12,7 +12,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .intmat import Matrix, identity
@@ -70,8 +69,7 @@ class Edge(NamedTuple):
     rng: str
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(NamedTuple):
     rank: int
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -87,35 +85,30 @@ class Path(NamedTuple):
 
 # ------------------------------------------------------------- violations
 
-@dataclass(frozen=True)
-class MissingSquare:
+class MissingSquare(NamedTuple):
     g: str
     h: str
 
 
-@dataclass(frozen=True)
-class NonBijectiveSquares:
+class NonBijectiveSquares(NamedTuple):
     colors: tuple[int, int]
     detail: str
 
 
-@dataclass(frozen=True)
-class EndpointMismatch:
+class EndpointMismatch(NamedTuple):
     key: SquarePair
     value: SquarePair
     detail: str
 
 
-@dataclass(frozen=True)
-class CubeFailure:
+class CubeFailure(NamedTuple):
     colors: tuple[int, int, int]
     triple: tuple[str, str, str]
     route_a: tuple[str, str, str]
     route_b: tuple[str, str, str]
 
 
-@dataclass(frozen=True)
-class SourceVertex:
+class SourceVertex(NamedTuple):
     vertex: str
     color: int
 

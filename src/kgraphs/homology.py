@@ -8,9 +8,8 @@ dimension module.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .constructions import MonoidHom, hom_surjective, pullback
 from .core import KGraph, KGraphError, unit_degree, vertex_matrix
 from .dimension import (
     DimElement,
@@ -22,6 +21,9 @@ from .dimension import (
     zero_element,
 )
 from .intmat import Matrix, smith_normal_form, snf_diagonal, stack_rows
+
+if TYPE_CHECKING:
+    from .constructions import MonoidHom
 
 __all__ = [
     "AbelianInvariants",
@@ -88,6 +90,8 @@ def h0_pullback_compare(g: KGraph, f: MonoidHom) -> bool:
     """Whether the ungraded zeroth homology of the pullback along a
     surjective hom f matches that of g. Expected true always; the check
     recomputes both sides independently."""
+    from .constructions import hom_surjective, pullback
+
     if not hom_surjective(f):
         raise NotSurjective("pullback comparison needs a surjective hom")
     return h0(pullback(g, f)) == h0(g)
@@ -99,6 +103,8 @@ def rho_pullback_check(g: KGraph, f: MonoidHom) -> bool:
     pullback must land as a true identity in g's graded group.
     Surjectivity of f puts every target generator in the image, so a True
     return certifies a surjective group homomorphism."""
+    from .constructions import hom_surjective, pullback
+
     if not hom_surjective(f):
         raise NotSurjective("the collapsing map needs a surjective hom")
     pb = pullback(g, f)

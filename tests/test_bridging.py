@@ -444,6 +444,58 @@ def test_iter_triples_matches_the_reference_on_a_256_vertex_product():
     assert_same_triples(g, polymorphism_from_matrix(g, g, ident))
 
 
+def reference_flip_blocks(g_lam, g_om, poly):
+    """The flip blocks by a scan of every polymorphism edge for each edge
+    of g_lam, and of every edge of g_om for each polymorphism edge."""
+    dom, cod = {}, {}
+    for lam in g_lam.edges:
+        for g in poly.edges:
+            if g.rng == lam.src:
+                dom.setdefault((lam.color, lam.rng, g.src), []).append((lam.id, g.id))
+    for g in poly.edges:
+        for om in g_om.edges:
+            if om.rng == g.src:
+                cod.setdefault((om.color, g.rng, om.src), []).append((g.id, om.id))
+    return [
+        (i, dom.get(key, []), cod.get(key, []))
+        for i in range(1, g_lam.rank + 1)
+        for a in g_lam.vertices
+        for b in g_om.vertices
+        if (key := (i, a, b)) in dom or key in cod
+    ]
+
+
+def test_flip_blocks_match_the_reference():
+    def same(g_lam, g_om, poly):
+        assert _flip_blocks(g_lam, g_om, poly) == reference_flip_blocks(g_lam, g_om, poly)
+
+    pairs = [(fixture(a), fixture(b)) for a in FIXTURE_NAMES for b in FIXTURE_NAMES]
+    for g_lam, g_om in pairs:
+        if g_lam.rank == g_om.rank:
+            for r in (
+                [[1] * len(g_om.vertices) for _ in g_lam.vertices],
+                [[int(i == j) for j in range(len(g_om.vertices))] for i in range(len(g_lam.vertices))],
+            ):
+                same(g_lam, g_om, polymorphism_from_matrix(g_lam, g_om, r))
+    rng = random.Random(20261018)
+    for _ in range(20):
+        a1, a2 = commuting_matrices(rng, 3, 2)
+        g_lam = random_2graph(rng, "p", a1, a2)
+        g_om = random_2graph(rng, "q", a1, a2)
+        for r in ([[int(i == j) for j in range(3)] for i in range(3)], a1, a2):
+            poly = polymorphism_from_matrix(g_lam, g_om, r)
+            same(g_lam, g_om, poly)
+            # the same edges out of range order
+            same(g_lam, g_om, poly._replace(edges=tuple(rng.sample(poly.edges, len(poly.edges)))))
+
+
+def test_flip_blocks_match_the_reference_on_a_256_vertex_product():
+    ones = [[1] * 16 for _ in range(16)]
+    g = _product(ones, ones)
+    poly = polymorphism_from_matrix(g, g, [[int(i == j) for j in range(256)] for i in range(256)])
+    assert _flip_blocks(g, g, poly) == reference_flip_blocks(g, g, poly)
+
+
 def reference_search(g_lam, g_om, r):
     """The search one whole block at a time: every bijection of a block in
     itertools.permutations order, then every triple re-evaluated. The

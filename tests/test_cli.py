@@ -1,16 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from test_bridging import complete_product
 from test_dimension import DEEP_SHIFTS, edge_push_eq
 
+import kgraphs
 from kgraphs.bridging import BridgingPair, bridging_graph
 from kgraphs.cli import main, parse_element
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
-from kgraphs.core import validate_kgraph
+from kgraphs.core import InvalidKGraph, validate_kgraph
 from kgraphs.dimension import dge_eq, unit_element
 from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
-from kgraphs.textform import dump_kgraph, parse_kgraph
+from kgraphs.textform import dump_kgraph, parse_kgraph, parse_kgraph_parts, violations_report
 
 
 def run(capsys, *argv):
@@ -66,6 +70,106 @@ def test_validate_reports_every_violation(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(path))
     assert code == 1 and out == ""
     assert "MissingSquare" in err and "violation(s)" in err
+
+
+def _edge(eid, color, src, rng):
+    return {"id": eid, "color": color, "src": src, "rng": rng}
+
+
+def _square(left, right):
+    return {"left": list(left), "right": list(right)}
+
+
+def _graph_doc(rank, vertices, edges, squares):
+    return {"rank": rank, "vertices": vertices, "edges": edges, "squares": squares, "strict_no_sources": True}
+
+
+# two vertices with one loop of each color; OK_SQUARES makes it a 2-graph
+TWO_LOOPS = [_edge("b", 1, "u", "u"), _edge("r", 2, "u", "u"), _edge("b2", 1, "v", "v"), _edge("r2", 2, "v", "v")]
+OK_SQUARES = [_square(("b", "r"), ("r", "b")), _square(("b2", "r2"), ("r2", "b2"))]
+NO_PREIMAGE = "NonBijectiveSquares(colors=(1, 2), detail=\"descending pair ('r', 'b') has no preimage\")"
+
+# one invalid graph per violation kind and EndpointMismatch detail, with
+# its violations_report lines in order
+VIOLATION_CASES = {
+    "missing-square": (
+        _graph_doc(2, ["u", "v"], TWO_LOOPS, OK_SQUARES[1:]),
+        ["MissingSquare(g='b', h='r')", NO_PREIMAGE],
+    ),
+    "non-bijective": (
+        _graph_doc(
+            2, ["u"], [_edge("b1", 1, "u", "u"), _edge("b2", 1, "u", "u"), _edge("r", 2, "u", "u")],
+            [_square(("b1", "r"), ("r", "b1")), _square(("b2", "r"), ("r", "b1"))],
+        ),
+        [
+            "NonBijectiveSquares(colors=(1, 2), detail=\"value ('r', 'b1') assigned to both ('b1', 'r') and ('b2', 'r')\")",
+            "NonBijectiveSquares(colors=(1, 2), detail=\"descending pair ('r', 'b2') has no preimage\")",
+        ],
+    ),
+    "key-colors": (
+        _graph_doc(2, ["u", "v"], TWO_LOOPS, OK_SQUARES + [_square(("r", "b"), ("b", "r"))]),
+        ["EndpointMismatch(key=('r', 'b'), value=('b', 'r'), detail='key colors must ascend')"],
+    ),
+    "key-not-composable": (
+        _graph_doc(2, ["u", "v"], TWO_LOOPS, OK_SQUARES + [_square(("b", "r2"), ("r", "b"))]),
+        [
+            "EndpointMismatch(key=('b', 'r2'), value=('r', 'b'), detail='key pair not composable')",
+            "NonBijectiveSquares(colors=(1, 2), detail=\"value ('r', 'b') assigned to both ('b', 'r') and ('b', 'r2')\")",
+        ],
+    ),
+    "value-colors": (
+        _graph_doc(2, ["u", "v"], TWO_LOOPS, [_square(("b", "r"), ("b", "r")), OK_SQUARES[1]]),
+        ["EndpointMismatch(key=('b', 'r'), value=('b', 'r'), detail='value colors must be (j, i)')", NO_PREIMAGE],
+    ),
+    "value-not-composable": (
+        _graph_doc(2, ["u", "v"], TWO_LOOPS, [_square(("b", "r"), ("r", "b2")), OK_SQUARES[1]]),
+        ["EndpointMismatch(key=('b', 'r'), value=('r', 'b2'), detail='value pair not composable')", NO_PREIMAGE],
+    ),
+    "endpoints": (
+        _graph_doc(2, ["u", "v"], TWO_LOOPS, [_square(("b", "r"), ("r2", "b2")), OK_SQUARES[1]]),
+        [
+            "EndpointMismatch(key=('b', 'r'), value=('r2', 'b2'), detail='square endpoints not preserved')",
+            "NonBijectiveSquares(colors=(1, 2), detail=\"value ('r2', 'b2') assigned to both ('b', 'r') and ('b2', 'r2')\")",
+            NO_PREIMAGE,
+        ],
+    ),
+    # the color-3 squares at a and at b are two non-commuting
+    # transpositions of c1, c2, c3, so every cube fails
+    "cube": (
+        _graph_doc(
+            3, ["u"], [_edge("a", 1, "u", "u"), _edge("b", 2, "u", "u")] + [_edge(f"c{t}", 3, "u", "u") for t in (1, 2, 3)],
+            [
+                _square(("a", "b"), ("b", "a")),
+                _square(("a", "c1"), ("c2", "a")), _square(("a", "c2"), ("c1", "a")), _square(("a", "c3"), ("c3", "a")),
+                _square(("b", "c1"), ("c1", "b")), _square(("b", "c2"), ("c3", "b")), _square(("b", "c3"), ("c2", "b")),
+            ],
+        ),
+        [
+            "CubeFailure(colors=(1, 2, 3), triple=('a', 'b', 'c1'), route_a=('c3', 'b', 'a'), route_b=('c2', 'b', 'a'))",
+            "CubeFailure(colors=(1, 2, 3), triple=('a', 'b', 'c2'), route_a=('c1', 'b', 'a'), route_b=('c3', 'b', 'a'))",
+            "CubeFailure(colors=(1, 2, 3), triple=('a', 'b', 'c3'), route_a=('c2', 'b', 'a'), route_b=('c1', 'b', 'a'))",
+        ],
+    ),
+    "strict-source": (
+        _graph_doc(1, ["u", "v"], [_edge("e", 1, "u", "v")], []),
+        ["SourceVertex(vertex='u', color=1)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(VIOLATION_CASES))
+def test_validate_violation_text_is_pinned(capsys, tmp_path, case):
+    doc, lines = VIOLATION_CASES[case]
+    text = json.dumps(doc)
+    assert violations_report(*parse_kgraph_parts(text)) == lines
+    with pytest.raises(InvalidKGraph) as info:
+        parse_kgraph(text)
+    assert str(info.value) == f"{len(lines)} violation(s): " + ", ".join(lines)
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "".join(line + "\n" for line in lines) + f"invalid: {len(lines)} violation(s)\n"
 
 
 def test_validate_unknown_graph(capsys):
@@ -556,3 +660,64 @@ def test_decode_errors_are_parse_errors(capsys, tmp_path):
 def test_oversized_parametric_fixture_is_a_domain_error(capsys):
     code, _, err = run(capsys, "h0", "ex4.7-n100000000000")
     assert code == 1 and "ex4.7-n" in err
+
+
+
+# ------------------------------------------------------------ import discipline
+
+# Runs `python -m kgraphs.cli ARGS`, then prints the exit code and the
+# names of the loaded modules as its last line.
+_MODULES_AFTER_CLI = """
+import json, runpy, sys
+sys.argv = ["kgraph", *sys.argv[1:]]
+try:
+    runpy.run_module("kgraphs.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _python_last_line(code: str, *argv: str):
+    """The last stdout line of `python -c CODE ARGV`, as JSON, with this
+    test run's kgraphs on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kgraphs.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.stdout, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, constructions",
+    [
+        (["validate", "{file}"], False),
+        (["h0", "{file}"], False),
+        (["rank", "{file}"], False),
+        (["tm-eq", "{file}", "u:0,0", "u:0,7"], False),
+        (["info", "{file}"], False),
+        (["pullback", "{file}", "--images", "1,0;0,1"], True),
+        (["skew-window", "{file}", "--lo", "0,0", "--hi", "0,1"], True),
+        (["validate", "ex3.5-LambdaS"], True),
+    ],
+    ids=["validate", "h0", "rank", "tm-eq", "info", "pullback", "skew-window", "validate-fixture-id"],
+)
+def test_commands_load_only_the_modules_they_run(tmp_path, argv, constructions):
+    path = tmp_path / "g.json"
+    path.write_text(dump_kgraph(fixture("ex3.5-LambdaS")), encoding="utf-8")
+    code, modules = _python_last_line(_MODULES_AFTER_CLI, *(arg.format(file=path) for arg in argv))
+    assert code == 0
+    assert not {"kgraphs.bridging", "kgraphs.moves", "dataclasses"} & set(modules)
+    assert ("kgraphs.constructions" in modules) == constructions
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # then a submodule attribute imports that submodule, as it did when
+    # the package imported all of them
+    code = (
+        "import json, sys, kgraphs; loaded = sorted(m for m in sys.modules if 'kgraphs' in m); "
+        "print(json.dumps([loaded, kgraphs.moves.insplit.__module__]))"
+    )
+    assert _python_last_line(code) == [["kgraphs"], "kgraphs.moves"]

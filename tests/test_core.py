@@ -311,9 +311,8 @@ def test_every_typed_error_shares_one_base():
     from kgraphs.constructions import UnknownFixture
     from kgraphs.core import KGraphError
 
-    errors = [
-        obj for obj in vars(kgraphs).values() if isinstance(obj, type) and issubclass(obj, Exception)
-    ]
+    exported = [getattr(kgraphs, name) for name in kgraphs.__all__]
+    errors = [obj for obj in exported if isinstance(obj, type) and issubclass(obj, Exception)]
     assert len(errors) >= 15
     for err in errors + [CLIUsage]:
         assert issubclass(err, KGraphError) and issubclass(err, ValueError), err
@@ -321,3 +320,26 @@ def test_every_typed_error_shares_one_base():
     with pytest.raises(KeyError):
         fixture("no-such-fixture")
     assert issubclass(UnknownFixture, KeyError)
+
+
+def test_package_names_resolve_lazily_to_their_modules():
+    import importlib
+
+    import kgraphs
+
+    assert len(kgraphs.__all__) == len(set(kgraphs.__all__))
+    listed = dir(kgraphs)
+    for module, names in kgraphs._EXPORTS.items():
+        source = importlib.import_module(f"kgraphs.{module}")
+        for name in names:
+            obj = getattr(kgraphs, name)
+            assert obj is getattr(source, name), name
+            if callable(obj):
+                assert obj.__module__ == source.__name__, name
+            assert name in listed
+    from kgraphs import KGraph, dge_eq  # noqa: F401
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kgraphs.no_such_name
+    with pytest.raises(ImportError):
+        from kgraphs import no_such_name  # noqa: F401

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_bridging import random_2graph
 from test_homology import _product
-from test_intmat import mat_pow
 
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
 from kgraphs.core import KGraphError, unit_degree, vertex_matrix
@@ -59,17 +58,23 @@ _DENSE_POWERS_MAX = 2000
 
 
 def dense_matrix(g, n):
-    """A_n as a dense product of powers of the one-step matrices, cached
-    per graph and degree."""
-    key = (id(g), tuple(n))
-    if key not in _DENSE_POWERS:
-        if len(_DENSE_POWERS) >= _DENSE_POWERS_MAX:
-            _DENSE_POWERS.clear()
-        a = identity(len(g.vertices))
-        for i, c in enumerate(n, 1):
-            a = mat_mul(a, mat_pow(vertex_matrix(g, unit_degree(g.rank, i)), c))
-        _DENSE_POWERS[key] = (g, a)
-    return _DENSE_POWERS[key][1]
+    """A_n as a dense product of one-step matrices, cached per graph and
+    degree: A_n = A_{n - e_i} A_{e_i} for the last nonzero coordinate i,
+    one mat_mul per degree on the way down to a cached one."""
+    if len(_DENSE_POWERS) >= _DENSE_POWERS_MAX:
+        _DENSE_POWERS.clear()
+    n = tuple(n)
+    todo = []
+    while (id(g), n) not in _DENSE_POWERS and any(n):
+        i = max(t for t, c in enumerate(n) if c)
+        todo.append((n, i))
+        n = n[:i] + (n[i] - 1,) + n[i + 1 :]
+    a = _DENSE_POWERS[(id(g), n)][1] if any(n) else identity(len(g.vertices))
+    steps = [vertex_matrix(g, unit_degree(g.rank, i)) for i in range(1, g.rank + 1)] if todo else []
+    for m, i in reversed(todo):
+        a = mat_mul(a, steps[i])
+        _DENSE_POWERS[(id(g), m)] = (g, a)
+    return a
 
 
 def dense_push(g, a, level):
