@@ -55,6 +55,7 @@ _EXPORTS = {
         "Path",
         "Skeleton",
         "compose",
+        "factor",
         "make_path",
         "mce",
         "path_degree",
@@ -131,7 +132,6 @@ _EXPORTS = {
         "load_kgraph",
         "parse_kgraph",
         "parse_kgraph_parts",
-        "violations_report",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -22,16 +22,9 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .core import KGraph, KGraphError, unit_degree, validate_kgraph, vertex_matrix
+from .core import InvalidKGraph, KGraph, KGraphError, unit_degree, vertex_matrix
 from .intmat import Matrix
-from .textform import (
-    TextFormatError,
-    dump_kgraph,
-    load_kgraph,
-    parse_kgraph_parts,
-    read_text,
-    violations_report,
-)
+from .textform import TextFormatError, dump_kgraph, load_kgraph, read_text
 
 # Each command imports the modules it runs in its own body, so starting
 # `kgraph validate` or `kgraph info` loads no search, move or construction
@@ -210,19 +203,14 @@ def emit(args, doc: dict, text: str) -> int:
 # ----------------------------------------------------------------- commands
 
 def cmd_validate(args) -> int:
-    arg = args.graph
-    if os.path.exists(arg) and not os.path.isdir(arg):
-        # Report every violation for a file, not just the first.
-        skeleton, squares, strict = parse_kgraph_parts(read_text(arg))
-        problems = violations_report(skeleton, squares, strict)
-        if problems:
-            for line in problems:
-                print(line, file=sys.stderr)
-            print(f"invalid: {len(problems)} violation(s)", file=sys.stderr)
-            return 1
-        g = validate_kgraph(skeleton, squares, strict=strict)
-    else:
-        g = resolve_graph(arg)
+    try:
+        g = resolve_graph(args.graph)
+    except InvalidKGraph as exc:
+        # Report every violation, not just the first five.
+        for v in exc.violations:
+            print(v, file=sys.stderr)
+        print(f"invalid: {len(exc.violations)} violation(s)", file=sys.stderr)
+        return 1
     doc = {
         "valid": True,
         "rank": g.rank,

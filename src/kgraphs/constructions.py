@@ -21,14 +21,12 @@ from .core import (
     compose,
     deg_add,
     deg_total,
-    path_degree,
+    factor,
     path_source,
     paths_of_degree,
     push,
-    segment,
     unit_degree,
     validate_kgraph,
-    zero_degree,
 )
 
 
@@ -199,9 +197,7 @@ def pullback(g: KGraph, f: MonoidHom) -> KGraph:
                     continue
                 lam = path_of[e1.id]
                 for e2id, mu in by_rng.get((b, e1.src), ()):
-                    tau = compose(g, lam, mu)
-                    mu2 = segment(g, tau, zero_degree(g.rank), deg_b)
-                    lam2 = segment(g, tau, deg_b, path_degree(g, tau))
+                    mu2, lam2 = factor(g, compose(g, lam, mu), deg_b)
                     squares[(e1.id, e2id)] = (eid(b, mu2), eid(a, lam2))
     return validate_kgraph(Skeleton(l, g.vertices, tuple(edges)), squares, strict=g.strict)
 

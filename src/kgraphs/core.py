@@ -135,28 +135,48 @@ class DegreeOutOfRange(KGraphError):
 # ----------------------------------------------------------------- KGraph
 
 class KGraph:
-    """A validated k-graph: skeleton + total bijective square table.
+    """A k-graph: skeleton + square table, with its incidence indexed.
 
-    Instances are immutable: build them with validate_kgraph; every
-    attribute is set once here and nothing is cached on them later. The
-    vertex tuple order fixes matrix indexing everywhere.
+    The constructor rejects structurally malformed input (bad ids, colors
+    or endpoints) with KGraphError and indexes incidence, but does not
+    check the k-graph axioms: build graphs with validate_kgraph, which
+    does. Instances are immutable: every attribute is set once here and
+    nothing is cached on them later. The vertex tuple order fixes matrix
+    indexing everywhere.
     """
 
     def __init__(self, skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool):
-        self.skeleton = skeleton
-        self.squares = dict(squares)
-        self.strict = strict
-        self.squares_inv = {v: k for k, v in self.squares.items()}
-        self.by_id = {e.id: e for e in skeleton.edges}
-        self.vertex_index = index = {v: i for i, v in enumerate(skeleton.vertices)}
         k = skeleton.rank
+        if k < 1:
+            raise KGraphError("rank must be >= 1")
+        self.vertex_index = index = {v: i for i, v in enumerate(skeleton.vertices)}
+        if len(index) != len(skeleton.vertices):
+            raise KGraphError("duplicate vertex ids")
+        self.by_id = by_id = {}
         ins = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
         outs = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
         steps: list[list[tuple[int, int]]] = [[] for _ in range(k)]
         for e in skeleton.edges:
+            if e.id in by_id:
+                raise KGraphError(f"duplicate edge id {e.id!r}")
+            by_id[e.id] = e
+            if not 1 <= e.color <= k:
+                raise KGraphError(f"edge {e.id!r} has color {e.color} outside 1..{k}")
+            if e.src not in index or e.rng not in index:
+                raise KGraphError(f"edge {e.id!r} references unknown vertex")
             ins[e.rng][e.color].append(e)
             outs[e.src][e.color].append(e)
             steps[e.color - 1].append((index[e.rng], index[e.src]))
+        if not index.keys().isdisjoint(by_id):
+            raise KGraphError("vertex and edge ids must be disjoint")
+        for key, val in squares.items():
+            for eid in (*key, *val):
+                if eid not in by_id:
+                    raise KGraphError(f"square references unknown edge id {eid!r}")
+        self.skeleton = skeleton
+        self.squares = dict(squares)
+        self.strict = strict
+        self.squares_inv = {val: key for key, val in self.squares.items()}
         self.in_edges: dict[str, dict[int, tuple[Edge, ...]]] = {
             v: {i: tuple(es) for i, es in by_color.items()} for v, by_color in ins.items()
         }
@@ -197,107 +217,69 @@ class KGraph:
 
 # ------------------------------------------------------------- validation
 
-def _structural_check(skeleton: Skeleton, squares: dict[SquarePair, SquarePair]) -> None:
-    if skeleton.rank < 1:
-        raise KGraphError("rank must be >= 1")
-    if len(set(skeleton.vertices)) != len(skeleton.vertices):
-        raise KGraphError("duplicate vertex ids")
-    seen = set()
-    vset = set(skeleton.vertices)
-    for e in skeleton.edges:
-        if e.id in seen:
-            raise KGraphError(f"duplicate edge id {e.id!r}")
-        seen.add(e.id)
-        if not 1 <= e.color <= skeleton.rank:
-            raise KGraphError(f"edge {e.id!r} has color {e.color} outside 1..{skeleton.rank}")
-        if e.src not in vset or e.rng not in vset:
-            raise KGraphError(f"edge {e.id!r} references unknown vertex")
-    if vset & seen:
-        raise KGraphError("vertex and edge ids must be disjoint")
-    for key, val in squares.items():
-        for eid in (*key, *val):
-            if eid not in seen:
-                raise KGraphError(f"square references unknown edge id {eid!r}")
-
-
-def kgraph_violations(
-    skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool = True
-) -> list[Violation]:
-    """Every violated constraint, in a deterministic order. Raises
-    KGraphError only for structurally malformed input (bad ids/colors)."""
-    _structural_check(skeleton, squares)
-    by_id = {e.id: e for e in skeleton.edges}
-    k = skeleton.rank
+def _violations(g: KGraph) -> list[Violation]:
+    # every violated axiom, in a deterministic order, read off g's index
+    by_id, in_edges, squares, k = g.by_id, g.in_edges, g.squares, g.rank
     violations: list[Violation] = []
 
-    in_by = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
-    for e in skeleton.edges:
-        in_by[e.rng][e.color].append(e)
-
     # totality: one entry per composable color-ascending pair
-    for g in skeleton.edges:
-        for h_color in range(g.color + 1, k + 1):
-            for h in in_by[g.src][h_color]:
-                if (g.id, h.id) not in squares:
-                    violations.append(MissingSquare(g.id, h.id))
+    for e in g.edges:
+        for h_color in range(e.color + 1, k + 1):
+            for h in in_edges[e.src][h_color]:
+                if (e.id, h.id) not in squares:
+                    violations.append(MissingSquare(e.id, h.id))
 
-    # key/value well-formedness and endpoint preservation
-    for (gid, hid), (h2id, g2id) in squares.items():
-        g, h, h2, g2 = by_id[gid], by_id[hid], by_id[h2id], by_id[g2id]
-        if not g.color < h.color:
-            violations.append(EndpointMismatch((gid, hid), (h2id, g2id), "key colors must ascend"))
+    # key/value well-formedness and endpoint preservation; the entries are
+    # grouped by key color pair for the bijectivity check below
+    by_colors: dict[tuple[int, int], list[tuple[SquarePair, SquarePair]]] = {}
+    for key, val in squares.items():
+        (gid, hid), (h2id, g2id) = key, val
+        e, h, h2, e2 = by_id[gid], by_id[hid], by_id[h2id], by_id[g2id]
+        by_colors.setdefault((e.color, h.color), []).append((key, val))
+        if not e.color < h.color:
+            detail = "key colors must ascend"
+        elif e.src != h.rng:
+            detail = "key pair not composable"
+        elif h2.color != h.color or e2.color != e.color:
+            detail = "value colors must be (j, i)"
+        elif h2.src != e2.rng:
+            detail = "value pair not composable"
+        elif h2.rng != e.rng or e2.src != h.src:
+            detail = "square endpoints not preserved"
+        else:
             continue
-        if g.src != h.rng:
-            violations.append(EndpointMismatch((gid, hid), (h2id, g2id), "key pair not composable"))
-            continue
-        if (h2.color, g2.color) != (h.color, g.color):
-            violations.append(
-                EndpointMismatch((gid, hid), (h2id, g2id), "value colors must be (j, i)")
-            )
-            continue
-        if h2.src != g2.rng:
-            violations.append(
-                EndpointMismatch((gid, hid), (h2id, g2id), "value pair not composable")
-            )
-            continue
-        if h2.rng != g.rng or g2.src != h.src:
-            violations.append(
-                EndpointMismatch((gid, hid), (h2id, g2id), "square endpoints not preserved")
-            )
+        violations.append(EndpointMismatch((gid, hid), (h2id, g2id), detail))
 
     # bijectivity per color pair (i, j): images must exactly cover the
     # composable descending pairs
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             images: dict[SquarePair, SquarePair] = {}
-            for (gid, hid), val in squares.items():
-                g, h = by_id[gid], by_id[hid]
-                if (g.color, h.color) != (i, j):
-                    continue
+            for key, val in by_colors.get((i, j), ()):
                 if val in images:
                     violations.append(
-                        NonBijectiveSquares((i, j), f"value {val} assigned to both {images[val]} and {(gid, hid)}")
+                        NonBijectiveSquares((i, j), f"value {val} assigned to both {images[val]} and {key}")
                     )
                 else:
-                    images[val] = (gid, hid)
-            for h2 in skeleton.edges:
+                    images[val] = key
+            for h2 in g.edges:
                 if h2.color != j:
                     continue
-                for g2 in in_by[h2.src][i]:
-                    if (h2.id, g2.id) not in images:
+                for e2 in in_edges[h2.src][i]:
+                    if (h2.id, e2.id) not in images:
                         violations.append(
-                            NonBijectiveSquares((i, j), f"descending pair {(h2.id, g2.id)} has no preimage")
+                            NonBijectiveSquares((i, j), f"descending pair {(h2.id, e2.id)} has no preimage")
                         )
 
     # cube: both rewriting routes from [a, b, c] to descending must agree
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             for l in range(j + 1, k + 1):
-                for a in skeleton.edges:
+                for a in g.edges:
                     if a.color != i:
                         continue
-                    for b in in_by[a.src][j]:
-                        for c in in_by[b.src][l]:
+                    for b in in_edges[a.src][j]:
+                        for c in in_edges[b.src][l]:
                             try:
                                 b1, a1 = squares[(a.id, b.id)]
                                 c1, a2 = squares[(a1, c.id)]
@@ -314,22 +296,31 @@ def kgraph_violations(
                                     CubeFailure((i, j, l), (a.id, b.id, c.id), route_a, route_b)
                                 )
 
-    if strict:
-        for v in skeleton.vertices:
+    if g.strict:
+        for v in g.vertices:
             for i in range(1, k + 1):
-                if not in_by[v][i]:
+                if not in_edges[v][i]:
                     violations.append(SourceVertex(v, i))
 
     return violations
 
 
+def kgraph_violations(
+    skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool = True
+) -> list[Violation]:
+    """Every violated constraint, in a deterministic order. Raises
+    KGraphError only for structurally malformed input (bad ids/colors)."""
+    return _violations(KGraph(skeleton, squares, strict))
+
+
 def validate_kgraph(
     skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool = True
 ) -> KGraph:
-    violations = kgraph_violations(skeleton, squares, strict)
+    g = KGraph(skeleton, squares, strict)
+    violations = _violations(g)
     if violations:
         raise InvalidKGraph(violations)
-    return KGraph(skeleton, squares, strict)
+    return g
 
 
 # ------------------------------------------------------------------ paths
@@ -400,8 +391,9 @@ def _peel_front(g: KGraph, word: list[str], color: int) -> str:
     return word.pop(0)
 
 
-def _prefix_factor(g: KGraph, p: Path, m: Degree) -> tuple[Path, Path]:
-    # unique factorization p = alpha . beta with degree(alpha) = m
+def factor(g: KGraph, p: Path, m: Degree) -> tuple[Path, Path]:
+    """The unique factorization p = alpha . beta with degree(alpha) = m,
+    for 0 <= m <= degree(p) (not checked here; segment checks it)."""
     word = list(p.edges)
     alpha: list[str] = []
     for color in range(1, g.rank + 1):
@@ -419,8 +411,8 @@ def segment(g: KGraph, p: Path, m: Degree, n: Degree) -> Path:
         raise DegreeOutOfRange(f"degree tuples must have length {k}")
     if not (deg_leq(zero_degree(k), m) and deg_leq(m, n) and deg_leq(n, d)):
         raise DegreeOutOfRange(f"need 0 <= {m} <= {n} <= {d}")
-    _, rest = _prefix_factor(g, p, m)
-    mid, _ = _prefix_factor(g, rest, deg_sub(n, m))
+    _, rest = factor(g, p, m)
+    mid, _ = factor(g, rest, deg_sub(n, m))
     return mid
 
 

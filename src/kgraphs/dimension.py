@@ -20,6 +20,7 @@ from .core import (
     KGraph,
     KGraphError,
     Shift,
+    deg_join,
     deg_sub,
     deg_total,
     push,
@@ -96,10 +97,6 @@ def _check_element(g: KGraph, a: DimElement) -> None:
         raise RankMismatch(f"shift has {len(a.n)} coordinates for rank {g.rank}")
 
 
-def _shift_join(m: Shift, n: Shift) -> Shift:
-    return tuple(max(a, b) for a, b in zip(m, n, strict=True))
-
-
 # the total degree of one representative push; the push takes a pass per
 # unit, and each pass costs more where the entries grow
 SHIFT_MAX_DEGREE = 100_000
@@ -116,7 +113,7 @@ def _push(g: KGraph, a: DimElement, p: Shift) -> list[int]:
 def dge_eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
     _check_element(g, a)
     _check_element(g, b)
-    p = _shift_join(a.n, b.n)
+    p = deg_join(a.n, b.n)
     z = vec_sub(_push(g, a, p), _push(g, b, p))
     if is_zero_vec(z):
         return True
@@ -127,7 +124,7 @@ def dge_eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
 def dge_add(g: KGraph, a: DimElement, b: DimElement) -> DimElement:
     _check_element(g, a)
     _check_element(g, b)
-    p = _shift_join(a.n, b.n)
+    p = deg_join(a.n, b.n)
     return DimElement(tuple(vec_add(_push(g, a, p), _push(g, b, p))), p)
 
 
@@ -247,22 +244,27 @@ def _check_shape(g_left: KGraph, g_right: KGraph, r: Matrix) -> None:
 
 def intertwiner_check(g_left: KGraph, g_right: KGraph, r: Matrix) -> bool:
     """Whether A_{e_i} * r == r * B_{e_i} for every color, from the edge
-    lists: an edge of g_left with range v and source s adds row s of r to
-    row v of A r, and an edge of g_right with range w and source s adds
-    column w of r to column s of r B."""
+    lists and the nonzero entries of r: an edge of g_left with range v and
+    source s adds row s of r to row v of A r, and an edge of g_right with
+    range w and source s adds column w of r to column s of r B."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     _check_shape(g_left, g_right, r)
-    dl, dr = len(g_left.vertices), len(g_right.vertices)
+    rows = [[(c, x) for c, x in enumerate(row) if x] for row in r]
+    cols: list[list[tuple[int, int]]] = [[] for _ in g_right.vertices]
+    for t, row in enumerate(rows):
+        for c, x in row:
+            cols[c].append((t, x))
     for left, right in zip(g_left.step_pairs, g_right.step_pairs):
-        ar = [[0] * dr for _ in range(dl)]
+        diff = [[0] * len(cols) for _ in rows]  # A r - r B
         for v, s in left:
-            ar[v] = [x + y for x, y in zip(ar[v], r[s])]
-        rb = [[0] * dr for _ in range(dl)]
+            out = diff[v]
+            for c, x in rows[s]:
+                out[c] += x
         for w, s in right:
-            for row, out in zip(r, rb):
-                out[s] += row[w]
-        if ar != rb:
+            for t, x in cols[w]:
+                diff[t][s] -= x
+        if any(map(any, diff)):
             return False
     return True
 

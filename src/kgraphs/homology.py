@@ -20,7 +20,7 @@ from .dimension import (
     unit_element,
     zero_element,
 )
-from .intmat import Matrix, smith_normal_form, snf_diagonal, stack_rows
+from .intmat import Matrix, snf_diagonal, stack_rows
 
 if TYPE_CHECKING:
     from .constructions import MonoidHom
@@ -33,7 +33,6 @@ __all__ = [
     "h0_pullback_compare",
     "h0gr_presentation",
     "rho_pullback_check",
-    "smith_normal_form",
 ]
 
 

@@ -7,26 +7,35 @@ from __future__ import annotations
 
 import json
 
-from .core import Edge, KGraph, KGraphError, Skeleton, SquarePair, kgraph_violations, validate_kgraph
+from .core import Edge, KGraph, KGraphError, Skeleton, SquarePair, validate_kgraph
 
 
 class TextFormatError(KGraphError):
     pass
 
 
-_TOP_FIELDS = {"rank", "vertices", "edges", "squares", "strict_no_sources"}
-_EDGE_FIELDS = {"id", "color", "src", "rng"}
-_SQUARE_FIELDS = {"left", "right"}
+_TOP_FIELDS = ("rank", "vertices", "edges", "squares", "strict_no_sources")
+_EDGE_FIELDS = ("id", "color", "src", "rng")
+_SQUARE_FIELDS = ("left", "right")
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise TextFormatError(msg)
+def _record(rec: object, kind: str, fields: tuple[str, ...]) -> None:
+    """Check that an edge or square record is an object with exactly
+    `fields`. Messages are formatted only on failure; a missing field is
+    named in schema order, so the text does not depend on the hash seed."""
+    if not isinstance(rec, dict):
+        raise TextFormatError(f"each {kind} must be an object")
+    if rec.keys() == set(fields):
+        return
+    unknown = sorted(set(rec).difference(fields))
+    if unknown:
+        raise TextFormatError(f"unknown field(s) {unknown} in {kind} {rec}")
+    missing = next(f for f in fields if f not in rec)
+    raise TextFormatError(f"{kind} missing field {missing!r}: {rec}")
 
 
-def _check_fields(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
-    _require(not unknown, f"unknown field(s) {sorted(unknown)} in {where}")
+def _is_pair(side: object) -> bool:
+    return isinstance(side, list) and len(side) == 2 and isinstance(side[0], str) and isinstance(side[1], str)
 
 
 def parse_kgraph_parts(text: str) -> tuple[Skeleton, dict[SquarePair, SquarePair], bool]:
@@ -36,56 +45,52 @@ def parse_kgraph_parts(text: str) -> tuple[Skeleton, dict[SquarePair, SquarePair
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TextFormatError(f"not valid JSON: {exc}") from None
-    _require(isinstance(doc, dict), "top level must be an object")
-    _check_fields(doc, _TOP_FIELDS, "top level")
+    if not isinstance(doc, dict):
+        raise TextFormatError("top level must be an object")
+    unknown = sorted(set(doc).difference(_TOP_FIELDS))
+    if unknown:
+        raise TextFormatError(f"unknown field(s) {unknown} in top level")
     for field in ("rank", "vertices", "edges", "squares"):
-        _require(field in doc, f"missing field {field!r}")
+        if field not in doc:
+            raise TextFormatError(f"missing field {field!r}")
 
     rank = doc["rank"]
-    _require(isinstance(rank, int) and not isinstance(rank, bool), "rank must be an int")
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise TextFormatError("rank must be an int")
 
     vertices = doc["vertices"]
-    _require(
-        isinstance(vertices, list) and all(isinstance(v, str) for v in vertices),
-        "vertices must be a list of strings",
-    )
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise TextFormatError("vertices must be a list of strings")
 
-    _require(isinstance(doc["edges"], list), "edges must be a list")
+    if not isinstance(doc["edges"], list):
+        raise TextFormatError("edges must be a list")
     edges = []
     for rec in doc["edges"]:
-        _require(isinstance(rec, dict), "each edge must be an object")
-        _check_fields(rec, _EDGE_FIELDS, f"edge {rec}")
-        for field in _EDGE_FIELDS:
-            _require(field in rec, f"edge missing field {field!r}: {rec}")
-        _require(
-            isinstance(rec["id"], str) and isinstance(rec["src"], str) and isinstance(rec["rng"], str),
-            f"edge id/src/rng must be strings: {rec}",
-        )
-        _require(
-            isinstance(rec["color"], int) and not isinstance(rec["color"], bool),
-            f"edge color must be an int: {rec}",
-        )
-        edges.append(Edge(rec["id"], rec["color"], rec["src"], rec["rng"]))
+        _record(rec, "edge", _EDGE_FIELDS)
+        eid, color, src, rng = rec["id"], rec["color"], rec["src"], rec["rng"]
+        if not (isinstance(eid, str) and isinstance(src, str) and isinstance(rng, str)):
+            raise TextFormatError(f"edge id/src/rng must be strings: {rec}")
+        if not isinstance(color, int) or isinstance(color, bool):
+            raise TextFormatError(f"edge color must be an int: {rec}")
+        edges.append(Edge(eid, color, src, rng))
 
-    _require(isinstance(doc["squares"], list), "squares must be a list")
+    if not isinstance(doc["squares"], list):
+        raise TextFormatError("squares must be a list")
     squares: dict[SquarePair, SquarePair] = {}
     for rec in doc["squares"]:
-        _require(isinstance(rec, dict), "each square must be an object")
-        _check_fields(rec, _SQUARE_FIELDS, f"square {rec}")
-        for field in _SQUARE_FIELDS:
-            _require(field in rec, f"square missing field {field!r}: {rec}")
+        _record(rec, "square", _SQUARE_FIELDS)
         left, right = rec["left"], rec["right"]
-        for side, name in ((left, "left"), (right, "right")):
-            _require(
-                isinstance(side, list) and len(side) == 2 and all(isinstance(x, str) for x in side),
-                f"square {name} must be a pair of edge ids: {rec}",
-            )
+        if not (_is_pair(left) and _is_pair(right)):
+            name = "right" if _is_pair(left) else "left"
+            raise TextFormatError(f"square {name} must be a pair of edge ids: {rec}")
         key = (left[0], left[1])
-        _require(key not in squares, f"duplicate square for left pair {key}")
+        if key in squares:
+            raise TextFormatError(f"duplicate square for left pair {key}")
         squares[key] = (right[0], right[1])
 
     strict = doc.get("strict_no_sources", True)
-    _require(isinstance(strict, bool), "strict_no_sources must be a boolean")
+    if not isinstance(strict, bool):
+        raise TextFormatError("strict_no_sources must be a boolean")
 
     return Skeleton(rank, tuple(vertices), tuple(edges)), squares, strict
 
@@ -122,7 +127,3 @@ def kgraph_to_doc(g: KGraph) -> dict:
 
 def dump_kgraph(g: KGraph) -> str:
     return json.dumps(kgraph_to_doc(g), indent=2) + "\n"
-
-
-def violations_report(skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool) -> list[str]:
-    return [str(v) for v in kgraph_violations(skeleton, squares, strict)]

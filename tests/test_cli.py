@@ -11,10 +11,10 @@ import kgraphs
 from kgraphs.bridging import BridgingPair, bridging_graph
 from kgraphs.cli import main, parse_element
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
-from kgraphs.core import InvalidKGraph, validate_kgraph
+from kgraphs.core import InvalidKGraph, kgraph_violations, validate_kgraph
 from kgraphs.dimension import dge_eq, unit_element
 from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
-from kgraphs.textform import dump_kgraph, parse_kgraph, parse_kgraph_parts, violations_report
+from kgraphs.textform import dump_kgraph, parse_kgraph, parse_kgraph_parts
 
 
 def run(capsys, *argv):
@@ -90,7 +90,7 @@ OK_SQUARES = [_square(("b", "r"), ("r", "b")), _square(("b2", "r2"), ("r2", "b2"
 NO_PREIMAGE = "NonBijectiveSquares(colors=(1, 2), detail=\"descending pair ('r', 'b') has no preimage\")"
 
 # one invalid graph per violation kind and EndpointMismatch detail, with
-# its violations_report lines in order
+# its violation lines in order
 VIOLATION_CASES = {
     "missing-square": (
         _graph_doc(2, ["u", "v"], TWO_LOOPS, OK_SQUARES[1:]),
@@ -154,6 +154,29 @@ VIOLATION_CASES = {
         _graph_doc(1, ["u", "v"], [_edge("e", 1, "u", "v")], []),
         ["SourceVertex(vertex='u', color=1)"],
     ),
+    # non-bijective in the color pairs (1, 2) and (1, 3), with their
+    # entries interleaved in the table: each pair reports in table order
+    "non-bijective-two-pairs": (
+        _graph_doc(
+            3, ["u"], [_edge(e, c, "u", "u") for e, c in (("a1", 1), ("a2", 1), ("b", 2), ("c1", 3), ("c2", 3))],
+            [
+                _square(("a1", "c1"), ("c1", "a1")), _square(("a1", "b"), ("b", "a1")),
+                _square(("a2", "c1"), ("c1", "a1")), _square(("b", "c1"), ("c1", "b")),
+                _square(("a2", "b"), ("b", "a1")), _square(("a1", "c2"), ("c2", "a2")),
+                _square(("b", "c2"), ("c2", "b")), _square(("a2", "c2"), ("c2", "a2")),
+            ],
+        ),
+        [
+            "NonBijectiveSquares(colors=(1, 2), detail=\"value ('b', 'a1') assigned to both ('a1', 'b') and ('a2', 'b')\")",
+            "NonBijectiveSquares(colors=(1, 2), detail=\"descending pair ('b', 'a2') has no preimage\")",
+            "NonBijectiveSquares(colors=(1, 3), detail=\"value ('c1', 'a1') assigned to both ('a1', 'c1') and ('a2', 'c1')\")",
+            "NonBijectiveSquares(colors=(1, 3), detail=\"value ('c2', 'a2') assigned to both ('a1', 'c2') and ('a2', 'c2')\")",
+            "NonBijectiveSquares(colors=(1, 3), detail=\"descending pair ('c1', 'a2') has no preimage\")",
+            "NonBijectiveSquares(colors=(1, 3), detail=\"descending pair ('c2', 'a1') has no preimage\")",
+            "CubeFailure(colors=(1, 2, 3), triple=('a1', 'b', 'c2'), route_a=('c2', 'b', 'a2'), route_b=('c2', 'b', 'a1'))",
+            "CubeFailure(colors=(1, 2, 3), triple=('a2', 'b', 'c2'), route_a=('c2', 'b', 'a2'), route_b=('c2', 'b', 'a1'))",
+        ],
+    ),
 }
 
 
@@ -161,13 +184,23 @@ VIOLATION_CASES = {
 def test_validate_violation_text_is_pinned(capsys, tmp_path, case):
     doc, lines = VIOLATION_CASES[case]
     text = json.dumps(doc)
-    assert violations_report(*parse_kgraph_parts(text)) == lines
+    assert [str(v) for v in kgraph_violations(*parse_kgraph_parts(text))] == lines
     with pytest.raises(InvalidKGraph) as info:
         parse_kgraph(text)
-    assert str(info.value) == f"{len(lines)} violation(s): " + ", ".join(lines)
+    shown = ", ".join(lines[:5]) + (f" (+{len(lines) - 5} more)" if len(lines) > 5 else "")
+    assert str(info.value) == f"{len(lines)} violation(s): {shown}"
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "".join(line + "\n" for line in lines) + f"invalid: {len(lines)} violation(s)\n"
+
+
+def test_validate_reports_every_violation_of_a_fixtures_dir_graph(capsys, tmp_path, monkeypatch):
+    doc, lines = VIOLATION_CASES["non-bijective-two-pairs"]
+    (tmp_path / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("KGRAPH_FIXTURES", str(tmp_path))
+    code, out, err = run(capsys, "validate", "bad")
     assert (code, out) == (1, "")
     assert err == "".join(line + "\n" for line in lines) + f"invalid: {len(lines)} violation(s)\n"
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from test_dimension import graphs
 
 from kgraphs.constructions import (
+    FIXTURE_NAMES,
     EmptyWindow,
     UnknownFixture,
     fixture,
@@ -16,8 +19,20 @@ from kgraphs.constructions import (
     rose,
     skew_product_window,
 )
-from kgraphs.core import paths_of_degree, vertex_matrix
+from kgraphs.core import (
+    Edge,
+    Skeleton,
+    compose,
+    path_degree,
+    path_source,
+    paths_of_degree,
+    segment,
+    validate_kgraph,
+    vertex_matrix,
+    zero_degree,
+)
 from kgraphs.intmat import mat_eq
+from kgraphs.textform import dump_kgraph
 
 
 def test_grid_counts():
@@ -102,6 +117,51 @@ def test_pullback_along_identity_keeps_matrices():
     assert mat_eq(vertex_matrix(pb, (1, 0)), vertex_matrix(g, (1, 0)))
     assert mat_eq(vertex_matrix(pb, (0, 1)), vertex_matrix(g, (0, 1)))
     assert len(pb.edges) == len(g.edges)
+
+
+def two_segment_pullback(g, f):
+    """Reference pullback: each square's value read off the composite by
+    two segment calls, one per side."""
+
+    def eid(color, p):
+        return f"c{color}[{'.'.join(p.edges) if p.edges else p.rng}]"
+
+    edges, path_of = [], {}
+    for a in range(1, f.source_rank + 1):
+        for v in g.vertices:
+            for p in paths_of_degree(g, v, f.images[a - 1]):
+                edges.append(Edge(eid(a, p), a, path_source(g, p), p.rng))
+                path_of[edges[-1].id] = p
+    squares = {}
+    for e1 in edges:
+        for e2 in edges:
+            if e1.color < e2.color and e1.src == e2.rng:
+                tau = compose(g, path_of[e1.id], path_of[e2.id])
+                deg_b = f.images[e2.color - 1]
+                mu2 = segment(g, tau, zero_degree(g.rank), deg_b)
+                lam2 = segment(g, tau, deg_b, path_degree(g, tau))
+                squares[(e1.id, e2.id)] = (eid(e2.color, mu2), eid(e1.color, lam2))
+    return validate_kgraph(Skeleton(f.source_rank, g.vertices, tuple(edges)), squares, strict=g.strict)
+
+
+PULLBACK_IMAGES = ([(1, 0), (0, 1), (1, 1)], [(2, 1), (0, 1)], [(0, 0), (1, 1)], [(1, 1), (1, 0), (0, 2)])
+
+
+def assert_pullbacks_match_reference(g):
+    for images in PULLBACK_IMAGES:
+        f = monoid_hom(images, 2)
+        assert dump_kgraph(pullback(g, f)) == dump_kgraph(two_segment_pullback(g, f))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_pullback_matches_two_segment_reference_on_fixtures(name):
+    assert_pullbacks_match_reference(fixture(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs())
+def test_pullback_matches_two_segment_reference_on_random_graphs(g):
+    assert_pullbacks_match_reference(g)
 
 
 def test_pullback_rank_mismatch():

@@ -15,12 +15,16 @@ from kgraphs.constructions import fixture, grid, rose
 from kgraphs.core import (
     CubeFailure,
     DegreeOutOfRange,
+    Edge,
     EndpointMismatch,
     InvalidKGraph,
+    KGraph,
+    KGraphError,
     MissingSquare,
     NonBijectiveSquares,
     NotComposable,
     Path,
+    Skeleton,
     SourceVertex,
     compose,
     deg_join,
@@ -289,6 +293,22 @@ def test_validator_source_vertex_under_strict():
     assert ("(0,0)", 1) not in sources
     with pytest.raises(InvalidKGraph):
         validate_kgraph(g.skeleton, g.squares, strict=True)
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        (Edge("e", 1, "u", "x"), "edge 'e' references unknown vertex"),
+        (Edge("e", 1, "x", "u"), "edge 'e' references unknown vertex"),
+        (Edge("e", 3, "u", "u"), "edge 'e' has color 3 outside 1..2"),
+        (Edge("e", 0, "u", "u"), "edge 'e' has color 0 outside 1..2"),
+    ],
+    ids=["unknown-range", "unknown-source", "color-too-big", "color-zero"],
+)
+def test_kgraph_rejects_malformed_edges(edge, message):
+    with pytest.raises(KGraphError) as info:
+        KGraph(Skeleton(2, ("u",), (edge,)), {}, True)
+    assert str(info.value) == message
 
 
 def test_one_color_graphs_need_no_squares():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -81,3 +84,99 @@ def test_square_sides_must_be_pairs():
     doc = dict(MINIMAL, squares=[{"left": ["a"], "right": ["a", "a"]}])
     with pytest.raises(TextFormatError):
         parse_kgraph_parts(json.dumps(doc))
+
+
+EDGE = MINIMAL["edges"][0]
+SQUARE = {"left": ["a", "a"], "right": ["a", "a"]}
+
+# every parse error, one document each, with its message exactly
+PARSE_ERRORS = {
+    "not-json": ("not json", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "top-not-object": ([1, 2], "top level must be an object"),
+    "top-unknown": (dict(MINIMAL, zeta=1, comment="hi"), "unknown field(s) ['comment', 'zeta'] in top level"),
+    "top-missing": ({"rank": 1, "vertices": ["u"], "squares": []}, "missing field 'edges'"),
+    "rank-type": (dict(MINIMAL, rank="two"), "rank must be an int"),
+    "rank-bool": (dict(MINIMAL, rank=True), "rank must be an int"),
+    "vertices-type": (dict(MINIMAL, vertices=["u", 3]), "vertices must be a list of strings"),
+    "edges-type": (dict(MINIMAL, edges={}), "edges must be a list"),
+    "edge-not-object": (dict(MINIMAL, edges=[["a"]]), "each edge must be an object"),
+    "edge-unknown": (
+        dict(MINIMAL, edges=[dict(EDGE, weight=3)]),
+        "unknown field(s) ['weight'] in edge {'id': 'a', 'color': 1, 'src': 'u', 'rng': 'u', 'weight': 3}",
+    ),
+    "edge-unknown-before-missing": (
+        dict(MINIMAL, edges=[{"id": "a", "weight": 3}]),
+        "unknown field(s) ['weight'] in edge {'id': 'a', 'weight': 3}",
+    ),
+    "edge-missing": (
+        dict(MINIMAL, edges=[{"id": "a", "color": 1, "src": "u"}]),
+        "edge missing field 'rng': {'id': 'a', 'color': 1, 'src': 'u'}",
+    ),
+    "edge-id-type": (
+        dict(MINIMAL, edges=[dict(EDGE, id=1, color="1")]),
+        "edge id/src/rng must be strings: {'id': 1, 'color': '1', 'src': 'u', 'rng': 'u'}",
+    ),
+    "edge-color-type": (
+        dict(MINIMAL, edges=[dict(EDGE, color="1")]),
+        "edge color must be an int: {'id': 'a', 'color': '1', 'src': 'u', 'rng': 'u'}",
+    ),
+    "edge-color-bool": (
+        dict(MINIMAL, edges=[dict(EDGE, color=True)]),
+        "edge color must be an int: {'id': 'a', 'color': True, 'src': 'u', 'rng': 'u'}",
+    ),
+    "squares-type": (dict(MINIMAL, squares="none"), "squares must be a list"),
+    "square-not-object": (dict(MINIMAL, squares=[1]), "each square must be an object"),
+    "square-unknown": (
+        dict(MINIMAL, squares=[dict(SQUARE, x=1)]),
+        "unknown field(s) ['x'] in square {'left': ['a', 'a'], 'right': ['a', 'a'], 'x': 1}",
+    ),
+    "square-missing": (
+        dict(MINIMAL, squares=[{"left": ["a", "a"]}]),
+        "square missing field 'right': {'left': ['a', 'a']}",
+    ),
+    "square-left": (
+        dict(MINIMAL, squares=[dict(SQUARE, left=["a"])]),
+        "square left must be a pair of edge ids: {'left': ['a'], 'right': ['a', 'a']}",
+    ),
+    "square-right": (
+        dict(MINIMAL, squares=[dict(SQUARE, right=["a", 2])]),
+        "square right must be a pair of edge ids: {'left': ['a', 'a'], 'right': ['a', 2]}",
+    ),
+    "square-duplicate": (dict(MINIMAL, squares=[SQUARE, SQUARE]), "duplicate square for left pair ('a', 'a')"),
+    "strict-type": (dict(MINIMAL, strict_no_sources=1), "strict_no_sources must be a boolean"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_ERRORS))
+def test_parse_error_text_is_pinned(case):
+    doc, message = PARSE_ERRORS[case]
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    with pytest.raises(TextFormatError) as info:
+        parse_kgraph_parts(text)
+    assert str(info.value) == message
+
+
+# records missing several fields: the first missing in schema order is named
+MISSING_SCRIPT = """
+import json
+from kgraphs.textform import TextFormatError, parse_kgraph_parts
+doc = {"rank": 1, "vertices": ["u"], "edges": [], "squares": []}
+for key, rec in (("edges", {"src": "u", "rng": "u"}), ("squares", {})):
+    try:
+        parse_kgraph_parts(json.dumps(dict(doc, **{key: [rec]})))
+    except TextFormatError as exc:
+        print(exc)
+"""
+
+
+def test_missing_field_message_does_not_depend_on_hash_seed():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", MISSING_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {"edge missing field 'id': {'src': 'u', 'rng': 'u'}\nsquare missing field 'left': {}\n"}
