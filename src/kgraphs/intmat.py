@@ -1,10 +1,14 @@
-"""Exact integer matrix arithmetic and Smith normal form.
+"""Exact integer matrix arithmetic, Smith normal form and the cokernel
+of a sparse integer matrix.
 
 Matrices are lists of rows of Python ints, so every operation is
 arbitrary precision. Nothing here knows about graphs.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
+from itertools import count
 
 Matrix = list[list[int]]
 
@@ -80,10 +84,6 @@ def is_nonneg_vec(x: list[int]) -> bool:
 
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
-
-
-def stack_rows(mats: list[Matrix]) -> Matrix:
-    return [row[:] for m in mats for row in m]
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -179,3 +179,105 @@ def snf_diagonal(a: Matrix) -> list[int]:
 def rank(a: Matrix) -> int:
     # Exact rank: the number of nonzero Smith diagonal entries.
     return sum(1 for x in snf_diagonal(a) if x != 0)
+
+
+def cokernel_invariants(rows: list[dict[int, int]], cols: int) -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion) of Z^cols modulo the span of `rows`, each a
+    sparse row {column: entry}; the torsion coefficients are > 1 and each
+    divides the next.
+
+    While some entry is +-1, its column is cleared from the other rows by
+    unimodular row operations, and then that row and column are dropped:
+    the row expresses the column's generator in the others, so the
+    cokernel is unchanged (Havas, Holt and Rees 1993, "Recognizing badly
+    presented Z-modules"). The pivot is the unit entry of least fill, the
+    smallest (row nonzeros - 1) * (column nonzeros - 1) (Markowitz 1957).
+    Each row has at most one live heap entry, keyed by the cost of its
+    best unit entry when it was last changed; a popped row whose cost has
+    risen since is pushed back. What is left has no unit entry: its rows
+    are cut down to a basis of their span, whose Smith diagonal gives the
+    rest.
+    """
+    live: dict[int, dict[int, int]] = {}  # row id -> {column: nonzero entry}
+    where: dict[int, set[int]] = {}  # column -> ids of the rows that use it
+    for i, row in enumerate(rows):
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            live[i] = row
+            for c in row:
+                where.setdefault(c, set()).add(i)
+    heap: list[tuple[int, int, int]] = []  # (cost, stamp, row id)
+    stamp: dict[int, int] = {}  # row id -> stamp of its live heap entry
+    stamps = count()
+
+    def best(i: int) -> tuple[int, int] | None:
+        # (cost, column) of the row's cheapest unit entry
+        row = live[i]
+        n = len(row) - 1
+        units = [(n * (len(where[c]) - 1), c) for c, v in row.items() if v == 1 or v == -1]
+        return min(units) if units else None
+
+    def offer(i: int) -> None:
+        found = best(i)
+        if found is not None:
+            stamp[i] = next(stamps)
+            heappush(heap, (found[0], stamp[i], i))
+
+    for i in live:
+        offer(i)
+    pivots = 0
+    while heap:
+        cost, s, i = heappop(heap)
+        if stamp.get(i) != s or i not in live:
+            continue
+        found = best(i)
+        if found is None:
+            continue
+        if found[0] > cost:
+            offer(i)
+            continue
+        j = found[1]
+        row = live.pop(i)
+        p = row.pop(j)
+        for c in row:
+            where[c].discard(i)
+        for t in where.pop(j) - {i}:
+            other = live[t]
+            # other -= q * (row + p e_j), which clears column j as p * p == 1
+            q = other.pop(j) * p
+            for c, v in row.items():
+                w = other.get(c, 0) - q * v
+                if w:
+                    if c not in other:
+                        where[c].add(t)
+                    other[c] = w
+                else:
+                    del other[c]
+                    where[c].discard(t)
+            if other:
+                offer(t)
+            else:
+                del live[t]
+        pivots += 1
+    used = sorted({c for row in live.values() for c in row})
+    basis = _row_basis([[row.get(c, 0) for c in used] for row in live.values()], len(used))
+    diag = snf_diagonal(basis) if basis else []
+    return cols - pivots - len(basis), tuple(t for t in diag if t > 1)
+
+
+def _row_basis(rows: Matrix, width: int) -> Matrix:
+    """A basis of the span of `rows` (so at most `width` rows), in echelon
+    form: for each column in turn, Euclid's algorithm by row operations
+    leaves one row nonzero there, which is set aside."""
+    basis: Matrix = []
+    for c in range(width):
+        pool = [r for r in rows if r[c]]
+        rows = [r for r in rows if not r[c]]
+        while len(pool) > 1:
+            # reduce every row mod the one of least |entry| in column c
+            p = min(pool, key=lambda r: abs(r[c]))
+            reduced = [r if r is p else [x - r[c] // p[c] * y for x, y in zip(r, p)] for r in pool]
+            pool = [r for r in reduced if r[c]]
+            rows += [r for r in reduced if not r[c]]
+        basis += pool
+    return basis

@@ -1,11 +1,15 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 from test_bridging import complete_product
 from test_dimension import DEEP_SHIFTS, edge_push_eq
+from test_homology import _cycle_plus_permutation, _cyclic_orders, _invariants, _product
 
 import kgraphs
 from kgraphs.bridging import BridgingPair, bridging_graph
@@ -401,6 +405,21 @@ def test_h0_cli_rejects_sources(capsys, tmp_path):
     assert code == 1 and "receives no color" in err
 
 
+def test_h0_cli_on_a_576_vertex_product(capsys, tmp_path):
+    # 1152 relations on 576 generators: the dense Smith normal form of
+    # them took ~28 s
+    rng = random.Random(1)
+    a, b = _cycle_plus_permutation(rng, 24), _cycle_plus_permutation(rng, 24)
+    path = tmp_path / "product.json"
+    path.write_text(dump_kgraph(_product(a, b)), encoding="utf-8")
+    want = _invariants([math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)])
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "h0", str(path))
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and out.strip() == f"rank {want.rank}, torsion {list(want.torsion)}"
+    assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5.0s"
+
+
 def test_h0gr_cli(capsys):
     code, out, _ = run(capsys, "h0gr", "ex3.5-LambdaS")
     assert code == 0 and out == "A_e1: 2\nA_e2: 1\nrank 1\n"
@@ -724,26 +743,27 @@ def _python_last_line(code: str, *argv: str):
 
 
 @pytest.mark.parametrize(
-    "argv, constructions",
+    "argv, constructions, dimension",
     [
-        (["validate", "{file}"], False),
-        (["h0", "{file}"], False),
-        (["rank", "{file}"], False),
-        (["tm-eq", "{file}", "u:0,0", "u:0,7"], False),
-        (["info", "{file}"], False),
-        (["pullback", "{file}", "--images", "1,0;0,1"], True),
-        (["skew-window", "{file}", "--lo", "0,0", "--hi", "0,1"], True),
-        (["validate", "ex3.5-LambdaS"], True),
+        (["validate", "{file}"], False, False),
+        (["h0", "{file}"], False, False),
+        (["rank", "{file}"], False, True),
+        (["tm-eq", "{file}", "u:0,0", "u:0,7"], False, True),
+        (["info", "{file}"], False, False),
+        (["pullback", "{file}", "--images", "1,0;0,1"], True, False),
+        (["skew-window", "{file}", "--lo", "0,0", "--hi", "0,1"], True, False),
+        (["validate", "ex3.5-LambdaS"], True, False),
     ],
     ids=["validate", "h0", "rank", "tm-eq", "info", "pullback", "skew-window", "validate-fixture-id"],
 )
-def test_commands_load_only_the_modules_they_run(tmp_path, argv, constructions):
+def test_commands_load_only_the_modules_they_run(tmp_path, argv, constructions, dimension):
     path = tmp_path / "g.json"
     path.write_text(dump_kgraph(fixture("ex3.5-LambdaS")), encoding="utf-8")
     code, modules = _python_last_line(_MODULES_AFTER_CLI, *(arg.format(file=path) for arg in argv))
     assert code == 0
     assert not {"kgraphs.bridging", "kgraphs.moves", "dataclasses"} & set(modules)
     assert ("kgraphs.constructions" in modules) == constructions
+    assert ("kgraphs.dimension" in modules) == dimension
 
 
 def test_importing_the_package_loads_none_of_its_modules():

@@ -1,8 +1,12 @@
 import math
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgraphs.constructions import fixture, grid, monoid_hom, pullback, rose
+from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
 from kgraphs.core import Edge, Skeleton, unit_degree, validate_kgraph, vertex_matrix
 from kgraphs.homology import (
     AbelianInvariants,
@@ -229,3 +233,105 @@ def test_h0_of_product_is_tensor_of_factors(a, b):
     # coker(1 - a^t) (x) coker(1 - b^t), and Z/s (x) Z/t = Z/gcd(s, t)
     tensor = [math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)]
     assert h0(_product(a, b)) == _invariants(tensor)
+
+
+def _cycle_plus_permutation(rng, n):
+    # every vertex receives and emits two edges: t+1 -> t and p(t) -> t
+    p = list(range(n))
+    rng.shuffle(p)
+    return [[(c == (r + 1) % n) + (c == p[r]) for c in range(n)] for r in range(n)]
+
+
+def test_h0_of_a_256_vertex_product_is_tensor_of_factors():
+    rng = random.Random(11)
+    a, b = _cycle_plus_permutation(rng, 16), _cycle_plus_permutation(rng, 16)
+    g = _product(a, b)
+    t0 = time.perf_counter()
+    got = h0(g)
+    elapsed = time.perf_counter() - t0
+    tensor = [math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)]
+    assert got == _invariants(tensor)
+    # the dense Smith normal form of the 512 x 256 relations took ~2 s
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+# ------------------------------------------- sparse h0 against the dense path
+
+def reference_h0(g):
+    """h0 as a Smith normal form of the stacked k.d x d relation matrix,
+    rows 1 - A_{e_i} built from the dense vertex matrices."""
+    d = len(g.vertices)
+    rows = []
+    for i in range(1, g.rank + 1):
+        a = vertex_matrix(g, unit_degree(g.rank, i))
+        rows += [[(r == c) - a[r][c] for c in range(d)] for r in range(d)]
+    diag = snf_diagonal(rows)
+    return AbelianInvariants(d - sum(1 for t in diag if t != 0), tuple(t for t in diag if t > 1))
+
+
+def _has_sources(g):
+    return any(not g.in_edges[v][i] for v in g.vertices for i in range(1, g.rank + 1))
+
+
+def _agrees_with_reference(g):
+    if _has_sources(g):
+        with pytest.raises(NotStrict):
+            h0(g)
+    else:
+        assert h0(g) == reference_h0(g)
+
+
+def _square(n, entries, row_min=0):
+    # n x n, each row summing to at least row_min
+    row = st.lists(entries, min_size=n, max_size=n).filter(lambda r: sum(r) >= row_min)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+@st.composite
+def commuting_2graphs(draw):
+    """A random 2-graph on 1-3 vertices whose color-2 matrix is
+    c0 + c1 a + c2 a^2 for its color-1 matrix a; sources allowed."""
+    from test_bridging import random_2graph
+
+    n = draw(st.integers(1, 3))
+    a = draw(_square(n, st.integers(0, 2)))
+    c0, c1, c2 = draw(st.tuples(*[st.integers(0, 1)] * 3))
+    a2 = [[sum(a[r][t] * a[t][c] for t in range(n)) for c in range(n)] for r in range(n)]
+    b = [[c0 * (r == c) + c1 * a[r][c] + c2 * a2[r][c] for c in range(n)] for r in range(n)]
+    return random_2graph(random.Random(draw(st.integers(0, 2**32))), "p", a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(commuting_2graphs())
+def test_h0_matches_the_dense_reference_on_random_2graphs(g):
+    _agrees_with_reference(g)
+
+
+_STRICT_SQUARES = st.integers(1, 4).flatmap(lambda n: _square(n, st.integers(0, 3), row_min=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_STRICT_SQUARES, _STRICT_SQUARES)
+def test_h0_matches_the_dense_reference_on_products(a, b):
+    g = _product(a, b)
+    tensor = [math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)]
+    assert h0(g) == reference_h0(g) == _invariants(tensor)
+
+
+def test_h0_matches_the_dense_reference_on_every_fixture():
+    for name in FIXTURE_NAMES:
+        _agrees_with_reference(fixture(name))
+
+
+def test_h0_matches_the_dense_reference_on_roses_and_pullbacks():
+    # rose(1): every relation is zero, so H0 is Z; rose(2): trivial;
+    # rose(n): cyclic torsion Z/(n-1)
+    for n in range(1, 8):
+        for g in (rose(n), pullback(rose(n), COLLAPSE_FIRST)):
+            assert h0(g) == reference_h0(g)
+    assert reference_h0(rose(1)) == AbelianInvariants(1, ())
+    assert reference_h0(rose(2)) == AbelianInvariants(0, ())
+    f = monoid_hom([(1, 0), (0, 1), (1, 1)], 2)
+    for name in ("ex3.5-Lambda", "ex5.6-Omega", "ex5.7-Omega", "sec3-Sigma"):
+        g = pullback(fixture(name), f)
+        assert h0(g) == reference_h0(g)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from kgraphs.intmat import (
     Matrix,
+    cokernel_invariants,
     identity,
     mat_add,
     mat_copy,
@@ -26,7 +27,6 @@ from kgraphs.intmat import (
     shape,
     smith_normal_form,
     snf_diagonal,
-    stack_rows,
     transpose,
     vec_mat,
     zeros,
@@ -161,6 +161,57 @@ def test_rank_examples():
     assert rank([[2, 0, 0], [4, 0, 0], [2, 0, 0]]) == 1
 
 
+def dense_cokernel(rows: Matrix, cols: int) -> tuple[int, tuple[int, ...]]:
+    diag = snf_diagonal(rows) if rows else []
+    return cols - sum(1 for t in diag if t != 0), tuple(t for t in diag if t > 1)
+
+
+def _sparse(rows: Matrix) -> list[dict[int, int]]:
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def test_cokernel_examples():
+    assert cokernel_invariants([], 3) == (3, ())
+    assert cokernel_invariants([{}, {0: 0}], 1) == (1, ())
+    assert cokernel_invariants([{0: 1, 1: -1}], 2) == (1, ())
+    assert cokernel_invariants([{0: 2}, {1: 3}], 2) == (0, (6,))
+    assert cokernel_invariants([{0: 2, 1: 4}, {0: 6, 1: 8}], 3) == (1, (2, 4))
+    # no unit entry anywhere: everything goes to the Smith normal form
+    assert cokernel_invariants([{0: 4, 1: 6}, {0: 6, 1: 4}, {0: 2, 1: 2}], 2) == (0, (2, 2))
+    # unit pivots whose elimination leaves a non-unit remainder
+    rows = [[1, 2, 0], [3, 4, 2], [0, 2, 6]]
+    assert cokernel_invariants(_sparse(rows), 3) == dense_cokernel(rows, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda cols: st.tuples(
+            st.just(cols),
+            st.lists(
+                st.lists(st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3, 4)),
+                         min_size=cols, max_size=cols),
+                max_size=9,
+            ),
+        )
+    )
+)
+def test_cokernel_matches_the_dense_snf(case):
+    cols, rows = case
+    assert cokernel_invariants(_sparse(rows), cols) == dense_cokernel(rows, cols)
+
+
+def test_cokernel_matches_the_dense_snf_on_larger_sparse_matrices():
+    rng = random.Random(5)
+    for _ in range(30):
+        cols = rng.randint(5, 30)
+        rows = [[0] * cols for _ in range(rng.randint(1, 2 * cols))]
+        for row in rows:
+            for c in rng.sample(range(cols), rng.randint(1, 4)):
+                row[c] = rng.choice((1, -1, 1, -1, 2, -2, 3))
+        assert cokernel_invariants(_sparse(rows), cols) == dense_cokernel(rows, cols)
+
+
 def test_snf_invariant_under_permutation():
     rng = random.Random(7)
     for _ in range(20):
@@ -192,7 +243,6 @@ def test_arithmetic_basics():
     assert mat_pow(a, 0) == identity(2)
     assert transpose([[1, 2, 3]]) == [[1], [2], [3]]
     assert vec_mat([1, 1], a) == [4, 6]
-    assert stack_rows([a, b]) == [[1, 2], [3, 4], [0, 1], [1, 0]]
 
 
 def test_det_examples():
