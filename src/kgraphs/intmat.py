@@ -7,9 +7,6 @@ arbitrary precision. Nothing here knows about graphs.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from itertools import count
-
 Matrix = list[list[int]]
 
 
@@ -191,12 +188,10 @@ def cokernel_invariants(rows: list[dict[int, int]], cols: int) -> tuple[int, tup
     the row expresses the column's generator in the others, so the
     cokernel is unchanged (Havas, Holt and Rees 1993, "Recognizing badly
     presented Z-modules"). The pivot is the unit entry of least fill, the
-    smallest (row nonzeros - 1) * (column nonzeros - 1) (Markowitz 1957).
-    Each row has at most one live heap entry, keyed by the cost of its
-    best unit entry when it was last changed; a popped row whose cost has
-    risen since is pushed back. What is left has no unit entry: its rows
-    are cut down to a basis of their span, whose Smith diagonal gives the
-    rest.
+    smallest (row nonzeros - 1) * (column nonzeros - 1) (Markowitz 1957),
+    found by scanning the live rows. What is left has no unit entry: its
+    rows are cut down to a basis of their span, whose Smith diagonal gives
+    the rest.
     """
     live: dict[int, dict[int, int]] = {}  # row id -> {column: nonzero entry}
     where: dict[int, set[int]] = {}  # column -> ids of the rows that use it
@@ -206,37 +201,17 @@ def cokernel_invariants(rows: list[dict[int, int]], cols: int) -> tuple[int, tup
             live[i] = row
             for c in row:
                 where.setdefault(c, set()).add(i)
-    heap: list[tuple[int, int, int]] = []  # (cost, stamp, row id)
-    stamp: dict[int, int] = {}  # row id -> stamp of its live heap entry
-    stamps = count()
 
-    def best(i: int) -> tuple[int, int] | None:
-        # (cost, column) of the row's cheapest unit entry
+    def best(i: int) -> tuple[int, int, int] | None:
+        # (cost, column, row id) of the row's cheapest unit entry
         row = live[i]
         n = len(row) - 1
-        units = [(n * (len(where[c]) - 1), c) for c, v in row.items() if v == 1 or v == -1]
+        units = [(n * (len(where[c]) - 1), c, i) for c, v in row.items() if v == 1 or v == -1]
         return min(units) if units else None
 
-    def offer(i: int) -> None:
-        found = best(i)
-        if found is not None:
-            stamp[i] = next(stamps)
-            heappush(heap, (found[0], stamp[i], i))
-
-    for i in live:
-        offer(i)
     pivots = 0
-    while heap:
-        cost, s, i = heappop(heap)
-        if stamp.get(i) != s or i not in live:
-            continue
-        found = best(i)
-        if found is None:
-            continue
-        if found[0] > cost:
-            offer(i)
-            continue
-        j = found[1]
+    while found := min(filter(None, map(best, live)), default=None):
+        _, j, i = found
         row = live.pop(i)
         p = row.pop(j)
         for c in row:
@@ -254,9 +229,7 @@ def cokernel_invariants(rows: list[dict[int, int]], cols: int) -> tuple[int, tup
                 else:
                     del other[c]
                     where[c].discard(t)
-            if other:
-                offer(t)
-            else:
+            if not other:
                 del live[t]
         pivots += 1
     used = sorted({c for row in live.values() for c in row})

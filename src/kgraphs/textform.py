@@ -6,7 +6,6 @@ rejected at every level so typos fail loudly.
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 
 from .core import Edge, KGraph, KGraphError, Skeleton, SquarePair, validate_kgraph
 
@@ -126,43 +125,5 @@ def kgraph_to_doc(g: KGraph) -> dict:
     }
 
 
-_EDGE = '    {\n      "id": %s,\n      "color": %s,\n      "src": %s,\n      "rng": %s\n    }'
-_SQUARE = (
-    '    {\n      "left": [\n        %s,\n        %s\n      ],\n'
-    '      "right": [\n        %s,\n        %s\n      ]\n    }'
-)
-
-
-def _items(lines: list[str]) -> str:
-    return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
-
-
-def _int(x: object) -> str:
-    if type(x) is not int:
-        raise TypeError(x)
-    return int.__repr__(x)
-
-
 def dump_kgraph(g: KGraph) -> str:
-    """json.dumps(kgraph_to_doc(g), indent=2) + "\n", byte for byte. Each
-    record is filled into a fixed layout with strings escaped by json's C
-    encoder, which is faster than its pure-Python indenting encoder. An id
-    that is not a str, or a color that is not an int (validation lets both
-    through), goes the json.dumps way."""
-    enc = encode_basestring_ascii
-    try:
-        vertices = [f"    {enc(v)}" for v in g.vertices]
-        edges = [_EDGE % (enc(e.id), _int(e.color), enc(e.src), enc(e.rng)) for e in g.edges]
-        squares = [
-            _SQUARE % (enc(a), enc(b), enc(c), enc(d))
-            for (a, b), (c, d) in sorted(g.squares.items())
-        ]
-        head = f'{{\n  "rank": {_int(g.rank)},\n  "vertices": '
-    except TypeError:
-        return json.dumps(kgraph_to_doc(g), indent=2) + "\n"
-    return (
-        f"{head}{_items(vertices)},\n"
-        f'  "edges": {_items(edges)},\n'
-        f'  "squares": {_items(squares)},\n'
-        f'  "strict_no_sources": {json.dumps(g.strict)}\n}}\n'
-    )
+    return json.dumps(kgraph_to_doc(g), indent=2) + "\n"

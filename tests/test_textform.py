@@ -8,18 +8,8 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from kgraphs.constructions import (
-    FIXTURE_NAMES,
-    fixture,
-    grid,
-    monoid_hom,
-    pullback,
-    skew_product_window,
-)
-from kgraphs.core import Edge, KGraph, Skeleton, validate_kgraph
+from kgraphs.constructions import FIXTURE_NAMES, fixture, grid
 from kgraphs.textform import (
     TextFormatError,
     dump_kgraph,
@@ -47,78 +37,6 @@ def test_round_trip_non_strict_graph():
     assert not g.strict
     g2 = parse_kgraph(dump_kgraph(g))
     assert g2 == g and not g2.strict
-
-
-def json_dump(g):
-    # the writer's contract: json's own indented text, byte for byte
-    return json.dumps(kgraph_to_doc(g), indent=2) + "\n"
-
-
-def test_dump_is_json_dumps_on_every_fixture():
-    for name in FIXTURE_NAMES:
-        g = fixture(name)
-        assert dump_kgraph(g) == json_dump(g), name
-    assert dump_kgraph(grid(2, (1, 1))) == json_dump(grid(2, (1, 1)))
-
-
-def test_dump_is_json_dumps_on_pullback_and_window_outputs():
-    for name in ("ex3.5-Lambda", "ex5.6-Omega", "sec3-Sigma"):
-        g = fixture(name)
-        for pb in (
-            pullback(g, monoid_hom([(1, 0), (0, 1), (1, 1)], 2)),
-            skew_product_window(g, (0, 0), (1, 1)),
-        ):
-            assert dump_kgraph(pb) == json_dump(pb)
-
-
-def test_dump_of_a_graph_without_edges():
-    g = validate_kgraph(Skeleton(1, (), ()), {}, strict=False)
-    assert dump_kgraph(g) == json_dump(g)
-    g = validate_kgraph(Skeleton(2, ("u",), ()), {}, strict=False)
-    assert dump_kgraph(g) == json_dump(g)
-
-
-# ids that json must escape: quotes, backslashes, control characters,
-# non-ASCII and astral characters (written as surrogate pairs)
-_ID_CHARS = st.one_of(st.sampled_from('"\\\n\t\x00\x7f/é☃😀ab'), st.characters())
-
-
-@st.composite
-def relabelled_fixtures(draw):
-    g = fixture(draw(st.sampled_from(FIXTURE_NAMES)))
-    old = [*g.vertices, *(e.id for e in g.edges)]
-    names = draw(st.lists(st.text(_ID_CHARS, min_size=1, max_size=5), min_size=len(old),
-                          max_size=len(old), unique=True))
-    new = dict(zip(old, names))
-    skeleton = Skeleton(
-        g.rank,
-        tuple(new[v] for v in g.vertices),
-        tuple(Edge(new[e.id], e.color, new[e.src], new[e.rng]) for e in g.edges),
-    )
-    squares = {(new[a], new[b]): (new[c], new[d]) for (a, b), (c, d) in g.squares.items()}
-    return validate_kgraph(skeleton, squares, strict=g.strict)
-
-
-@settings(max_examples=60, deadline=None)
-@given(relabelled_fixtures())
-def test_dump_is_json_dumps_on_ids_that_need_escaping(g):
-    text = dump_kgraph(g)
-    assert text == json_dump(g)
-    assert parse_kgraph(text) == g
-
-
-def test_dump_falls_back_on_values_json_writes_differently():
-    # a bool color passes the constructor; json writes it as true
-    g = fixture("ex3.5-LambdaS")
-    sk = g.skeleton
-    odd = KGraph(Skeleton(sk.rank, sk.vertices, (sk.edges[0]._replace(color=True), *sk.edges[1:])),
-                 g.squares, g.strict)
-    assert dump_kgraph(odd) == json_dump(odd)
-    assert '"color": true' in dump_kgraph(odd)
-    # and validation accepts ids that are not strings
-    ints = validate_kgraph(Skeleton(1, (1,), (Edge(2, 1, 1, 1),)), {}, strict=True)
-    assert dump_kgraph(ints) == json_dump(ints)
-    assert '"id": 2' in dump_kgraph(ints)
 
 
 def test_strict_defaults_to_true():
