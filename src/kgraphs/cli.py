@@ -23,7 +23,6 @@ import sys
 from typing import TYPE_CHECKING
 
 from .core import InvalidKGraph, KGraph, KGraphError, unit_degree, vertex_matrix
-from .intmat import Matrix
 from .textform import TextFormatError, dump_kgraph, load_kgraph, read_text
 
 # Each command imports the modules it runs in its own body, so starting
@@ -31,6 +30,7 @@ from .textform import TextFormatError, dump_kgraph, load_kgraph, read_text
 # code.
 if TYPE_CHECKING:
     from .dimension import DimElement, GeneratorMap
+    from .intmat import Matrix
     from .moves import Partition
 
 

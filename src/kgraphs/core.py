@@ -12,9 +12,11 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .intmat import Matrix, identity
+if TYPE_CHECKING:
+    from .intmat import Matrix
 
 Degree = tuple[int, ...]
 Shift = tuple[int, ...]
@@ -140,9 +142,10 @@ class KGraph:
     The constructor rejects structurally malformed input (bad ids, colors
     or endpoints) with KGraphError and indexes incidence, but does not
     check the k-graph axioms: build graphs with validate_kgraph, which
-    does. Instances are immutable: every attribute is set once here and
-    nothing is cached on them later. The vertex tuple order fixes matrix
-    indexing everywhere.
+    does. Instances are immutable: every attribute is set once here,
+    except the one derived attribute `stable_index`, computed on first use
+    and then kept. The vertex tuple order fixes matrix indexing
+    everywhere.
     """
 
     def __init__(self, skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool):
@@ -170,6 +173,9 @@ class KGraph:
         if not index.keys().isdisjoint(by_id):
             raise KGraphError("vertex and edge ids must be disjoint")
         for key, val in squares.items():
+            for side in (key, val):
+                if not isinstance(side, tuple) or len(side) != 2:
+                    raise KGraphError(f"square side {side!r} is not a pair of edge ids")
             for eid in (*key, *val):
                 if eid not in by_id:
                     raise KGraphError(f"square references unknown edge id {eid!r}")
@@ -198,6 +204,23 @@ class KGraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         return self.skeleton.edges
+
+    @cached_property
+    def stable_index(self) -> int:
+        """m0, the first j with rank P^j = rank P^{j+1}, P the product of
+        the one-step matrices. From there on the kernel of P^j stays the
+        same (Fitting's lemma), so 0 <= m0 <= d for d vertices, and
+        x * P^d = 0 iff x * P^m0 = 0. Computed on first use by pushing a
+        basis of the row space of P^j one P-step (push) and cutting the
+        result down to a basis (intmat.primitive_echelon) until the rank
+        holds."""
+        from .intmat import identity, primitive_echelon
+
+        rows, step = identity(len(self.vertices)), (1,) * self.rank
+        m0 = 0
+        while len(pushed := primitive_echelon(push(self, row, step) for row in rows)) < len(rows):
+            rows, m0 = pushed, m0 + 1
+        return m0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KGraph):
@@ -498,4 +521,4 @@ def vertex_matrix(g: KGraph, n: Degree) -> Matrix:
         for r, s in g.step_pairs[n.index(1)]:
             a[r][s] += 1
         return a
-    return [push(g, row, n) for row in identity(d)]
+    return [push(g, [int(i == j) for j in range(d)], n) for i in range(d)]

@@ -4,10 +4,11 @@ An element is a class [x, n]: x an integer row vector over the vertices,
 n a Z^k shift. [x, n] = [y, m] iff x*A_{l-n} = y*A_{l-m} for some l >= n v m.
 Both sides are pushed to the join n v m along the one-step edge lists
 (core.push), and their difference z is zero in the group iff z*P^d = 0,
-where P is the product of all one-step matrices and d the vertex count
-(the kernel chain of P stabilizes within d steps). That is decided by
-pushing z on by (d, ..., d), stopping as soon as it vanishes; no matrix
-power is formed.
+where P is the product of all one-step matrices and d the vertex count.
+The kernel of P^j stops growing at j = m0 <= d, the graph's
+KGraph.stable_index (computed once per graph, on the first nonzero z), so
+that is decided by pushing z on by (m0, ..., m0); when m0 = 0 a nonzero z
+is never zero. No matrix power is formed.
 """
 
 from __future__ import annotations
@@ -111,14 +112,15 @@ def _push(g: KGraph, a: DimElement, p: Shift) -> list[int]:
 
 
 def dge_eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
+    """Whether a and b are one class: their difference z at the join of
+    their shifts dies under P^m0, m0 = g.stable_index (so under P^d)."""
     _check_element(g, a)
     _check_element(g, b)
     p = deg_join(a.n, b.n)
     z = vec_sub(_push(g, a, p), _push(g, b, p))
     if is_zero_vec(z):
         return True
-    d = len(g.vertices)
-    return is_zero_vec(push(g, z, (d,) * g.rank))
+    return is_zero_vec(push(g, z, (g.stable_index,) * g.rank))
 
 
 def dge_add(g: KGraph, a: DimElement, b: DimElement) -> DimElement:

@@ -7,6 +7,9 @@ arbitrary precision. Nothing here knows about graphs.
 
 from __future__ import annotations
 
+from math import gcd
+from typing import Iterable
+
 Matrix = list[list[int]]
 
 
@@ -176,6 +179,51 @@ def snf_diagonal(a: Matrix) -> list[int]:
 def rank(a: Matrix) -> int:
     # Exact rank: the number of nonzero Smith diagonal entries.
     return sum(1 for x in snf_diagonal(a) if x != 0)
+
+
+def primitive_echelon(rows: Iterable[list[int]]) -> Matrix:
+    """A basis of the span of `rows` over Q in echelon form, each row
+    primitive: its entries have gcd 1 and its leading entry is positive.
+
+    Fraction-free: while a row's leading column is the leading column of a
+    basis row b, the row becomes p * row - x * b, where p and x are b's and
+    the row's leading entries divided by their gcd, which clears that
+    column. A row that is left nonzero is divided by the gcd of its
+    entries and joins the basis. Rows are held sparse, as {column: nonzero
+    entry}, and taken sparsest first, which keeps the fill-in down.
+    """
+    width = 0
+    sparse = []
+    for dense in rows:
+        width = len(dense)
+        sparse.append({c: s for c, s in enumerate(dense) if s})
+    basis: dict[int, dict[int, int]] = {}  # leading column -> row
+    for row in sorted(sparse, key=len):
+        while row and (lead := min(row)) in basis:
+            b = basis[lead]
+            p, x = b[lead], row[lead]
+            g = gcd(p, x)
+            p, x = p // g, x // g
+            if p != 1:
+                row = {c: p * s for c, s in row.items()}
+            for c, t in b.items():
+                s = row.get(c, 0) - x * t
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
+        if row:
+            g = gcd(*row.values())
+            if row[min(row)] < 0:
+                g = -g
+            basis[min(row)] = {c: s // g for c, s in row.items()}
+    dense_basis = []
+    for lead in sorted(basis):
+        row = [0] * width
+        for c, s in basis[lead].items():
+            row[c] = s
+        dense_basis.append(row)
+    return dense_basis
 
 
 def cokernel_invariants(rows: list[dict[int, int]], cols: int) -> tuple[int, tuple[int, ...]]:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 from test_bridging import complete_product
-from test_dimension import DEEP_SHIFTS, edge_push_eq
+from test_dimension import DEEP_SHIFTS, reference_dge_eq
 from test_homology import _cycle_plus_permutation, _cyclic_orders, _invariants, _product
 
 import kgraphs
@@ -322,7 +322,7 @@ def test_tm_eq_deep_shifts(capsys, name, a, b, _):
     terms = [f"{v}:{','.join(map(str, n))}" for v, n in (a, b)]
     code, out, err = run(capsys, "tm-eq", name, *terms)
     g = fixture(name)
-    want = edge_push_eq(g, unit_element(g, *a), unit_element(g, *b))
+    want = reference_dge_eq(g, unit_element(g, *a), unit_element(g, *b))
     assert code == 0 and "Traceback" not in err
     assert out.strip() == ("equal" if want else "not equal")
 
@@ -743,20 +743,20 @@ def _python_last_line(code: str, *argv: str):
 
 
 @pytest.mark.parametrize(
-    "argv, constructions, dimension",
+    "argv, constructions, dimension, intmat",
     [
-        (["validate", "{file}"], False, False),
-        (["h0", "{file}"], False, False),
-        (["rank", "{file}"], False, True),
-        (["tm-eq", "{file}", "u:0,0", "u:0,7"], False, True),
-        (["info", "{file}"], False, False),
-        (["pullback", "{file}", "--images", "1,0;0,1"], True, False),
-        (["skew-window", "{file}", "--lo", "0,0", "--hi", "0,1"], True, False),
-        (["validate", "ex3.5-LambdaS"], True, False),
+        (["validate", "{file}"], False, False, False),
+        (["h0", "{file}"], False, False, True),
+        (["rank", "{file}"], False, True, True),
+        (["tm-eq", "{file}", "u:0,0", "u:0,7"], False, True, True),
+        (["info", "{file}"], False, False, False),
+        (["pullback", "{file}", "--images", "1,0;0,1"], True, False, False),
+        (["skew-window", "{file}", "--lo", "0,0", "--hi", "0,1"], True, False, False),
+        (["validate", "ex3.5-LambdaS"], True, False, False),
     ],
     ids=["validate", "h0", "rank", "tm-eq", "info", "pullback", "skew-window", "validate-fixture-id"],
 )
-def test_commands_load_only_the_modules_they_run(tmp_path, argv, constructions, dimension):
+def test_commands_load_only_the_modules_they_run(tmp_path, argv, constructions, dimension, intmat):
     path = tmp_path / "g.json"
     path.write_text(dump_kgraph(fixture("ex3.5-LambdaS")), encoding="utf-8")
     code, modules = _python_last_line(_MODULES_AFTER_CLI, *(arg.format(file=path) for arg in argv))
@@ -764,6 +764,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, constructions, 
     assert not {"kgraphs.bridging", "kgraphs.moves", "dataclasses"} & set(modules)
     assert ("kgraphs.constructions" in modules) == constructions
     assert ("kgraphs.dimension" in modules) == dimension
+    assert ("kgraphs.intmat" in modules) == intmat
 
 
 def test_importing_the_package_loads_none_of_its_modules():

@@ -311,6 +311,20 @@ def test_kgraph_rejects_malformed_edges(edge, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("side", ["key", "value"])
+def test_square_sides_must_be_pairs(side):
+    # a longer side is rejected before the validator unpacks it as a pair
+    g = fixture("ex3.5-LambdaS")
+    squares = dict(g.squares)
+    if side == "key":
+        squares[("e", "f", "e'")] = squares.pop(("e", "f"))
+    else:
+        squares[("e", "f")] += ("e",)
+    for build in (KGraph, validate_kgraph):
+        with pytest.raises(KGraphError, match="is not a pair of edge ids"):
+            build(g.skeleton, squares, True)
+
+
 def test_one_color_graphs_need_no_squares():
     g = rose(3)
     assert g.rank == 1 and len(g.edges) == 3
