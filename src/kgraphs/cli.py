@@ -267,6 +267,12 @@ def _partition_for(g: KGraph, args) -> Partition:
     return options[args.partition]
 
 
+def _write_sidecar(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_insplit(args) -> int:
     from .moves import insplit, insplit_maps
 
@@ -276,7 +282,7 @@ def cmd_insplit(args) -> int:
     p = _partition_for(g, args)
     if args.sidecar:
         split, parents, phi, psi = insplit_maps(g, p, args.psi_color)
-        sidecar = {
+        _write_sidecar(args.sidecar, {
             "move": "insplit",
             "vertex": p.vertex,
             "side1": list(p.side1),
@@ -285,10 +291,7 @@ def cmd_insplit(args) -> int:
             "parent_edges": dict(sorted(parents.edges.items())),
             "phi": map_doc(split, phi),
             "psi": map_doc(g, psi),
-        }
-        with open(args.sidecar, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     else:
         split, _ = insplit(g, p)
     print(dump_kgraph(split), end="")
@@ -303,16 +306,13 @@ def cmd_sinkdelete(args) -> int:
         raise KGraphError(f"unknown vertex {args.vertex!r}")
     if args.sidecar:
         result, phi, witnesses = sink_delete_maps(g, args.vertex)
-        sidecar = {
+        _write_sidecar(args.sidecar, {
             "move": "sinkdelete",
             "vertex": args.vertex,
             "deleted": sorted(set(g.vertices) - set(result.vertices)),
             "phi": map_doc(result, phi),
             "witnesses": {u: element_str(result, a) for u, a in sorted(witnesses.items())},
-        }
-        with open(args.sidecar, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     else:
         result = sink_delete(g, args.vertex)
     print(dump_kgraph(result), end="")

@@ -172,7 +172,7 @@ def generator_map(source: KGraph, target: KGraph, images: dict[str, DimElement])
 
 
 def identity_generator_map(g: KGraph) -> GeneratorMap:
-    return GeneratorMap(g, g, {v: unit_element(g, v) for v in g.vertices})
+    return identity_map_between(g, g)
 
 
 def identity_map_between(source: KGraph, target: KGraph) -> GeneratorMap:
@@ -244,31 +244,67 @@ def _check_shape(g_left: KGraph, g_right: KGraph, r: Matrix) -> None:
         raise DimensionMismatch(f"matrix must be {dl}x{dr}")
 
 
+def _intertwining_rows(g_m: KGraph, g_n: KGraph):
+    """accept(rows, t) for a row search of X, a g_m-by-g_n matrix, under
+    A_{e_i} X = X B_{e_i} for every color i, A over g_m and B over g_n:
+    it checks the equation rows that row t of X completes. Row v of the
+    equation reads row v of X and the rows s with A_{e_i}(v, s) != 0, and
+    t is the last of them. Its left side adds row s of X for each color-i
+    edge of g_m from s into v; its right side, row v times B_{e_i}, adds
+    each entry of row v, at column w, at the source of every color-i edge
+    of g_n into w. Only nonzero entries are read, listed once per distinct
+    row, and row v times B_{e_i} is kept per distinct row too. Calling
+    accept for every t checks the whole equation (intertwiner_check)."""
+    zero = [0] * len(g_n.vertices)
+    watch: list[list] = [[] for _ in g_m.vertices]
+    for m_pairs, n_pairs in zip(g_m.step_pairs, g_n.step_pairs):
+        into: list[list[int]] = [[] for _ in g_m.vertices]
+        for v, s in m_pairs:
+            into[v].append(s)
+        n_into: list[list[int]] = [[] for _ in g_n.vertices]
+        for w, s in n_pairs:
+            n_into[w].append(s)
+        times_b: dict[tuple[int, ...], list[int]] = {}
+        for v, srcs in enumerate(into):
+            watch[max([v, *srcs])].append((v, srcs, n_into, times_b))
+
+    nonzero: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+
+    def entries(row: tuple[int, ...]) -> list[tuple[int, int]]:
+        # the (column, entry) pairs of row's nonzero entries
+        found = nonzero.get(row)
+        if found is None:
+            found = nonzero[row] = [(c, x) for c, x in enumerate(row) if x]
+        return found
+
+    def accept(rows: list, t: int) -> bool:
+        for v, srcs, n_into, times_b in watch[t]:
+            rhs = times_b.get(rows[v])
+            if rhs is None:
+                rhs = times_b[rows[v]] = zero[:]
+                for w, x in entries(rows[v]):
+                    for s in n_into[w]:
+                        rhs[s] += x
+            lhs = zero[:]
+            for s in srcs:
+                for c, x in entries(rows[s]):
+                    lhs[c] += x
+            if lhs != rhs:
+                return False
+        return True
+
+    return accept
+
+
 def intertwiner_check(g_left: KGraph, g_right: KGraph, r: Matrix) -> bool:
-    """Whether A_{e_i} * r == r * B_{e_i} for every color, from the edge
-    lists and the nonzero entries of r: an edge of g_left with range v and
-    source s adds row s of r to row v of A r, and an edge of g_right with
-    range w and source s adds column w of r to column s of r B."""
+    """Whether A_{e_i} * r == r * B_{e_i} for every color: one full pass of
+    the row kernel of sse_search (_intertwining_rows) over the rows of r."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     _check_shape(g_left, g_right, r)
-    rows = [[(c, x) for c, x in enumerate(row) if x] for row in r]
-    cols: list[list[tuple[int, int]]] = [[] for _ in g_right.vertices]
-    for t, row in enumerate(rows):
-        for c, x in row:
-            cols[c].append((t, x))
-    for left, right in zip(g_left.step_pairs, g_right.step_pairs):
-        diff = [[0] * len(cols) for _ in rows]  # A r - r B
-        for v, s in left:
-            out = diff[v]
-            for c, x in rows[s]:
-                out[c] += x
-        for w, s in right:
-            for t, x in cols[w]:
-                diff[t][s] -= x
-        if any(map(any, diff)):
-            return False
-    return True
+    accept = _intertwining_rows(g_left, g_right)
+    rows = list(map(tuple, r))
+    return all(accept(rows, t) for t in range(len(rows)))
 
 
 def generator_map_from_matrix(g_left: KGraph, g_right: KGraph, r: Matrix) -> GeneratorMap:
@@ -304,40 +340,6 @@ def _row_search(n: int, options, accept):
             else:
                 t += 1
                 its[t] = iter(options(t))
-
-
-def _intertwining_rows(g_m: KGraph, g_n: KGraph):
-    """accept(rows, t) for a row search of X, a g_m-by-g_n matrix, under
-    A_{e_i} X = X B_{e_i} for every color i, A over g_m and B over g_n:
-    it checks the equation rows that row t of X completes. Row v of the
-    equation reads row v of X and the rows s with A_{e_i}(v, s) != 0, and
-    t is the last of them. Its left side adds row s of X for each color-i
-    edge of g_m from s into v; its right side is row v times B_{e_i}, read
-    off g_n's color-i edge list once per distinct row."""
-    zero = [0] * len(g_n.vertices)
-    watch: list[list] = [[] for _ in g_m.vertices]
-    for m_pairs, n_pairs in zip(g_m.step_pairs, g_n.step_pairs):
-        into: list[list[int]] = [[] for _ in g_m.vertices]
-        for v, s in m_pairs:
-            into[v].append(s)
-        times_b: dict[tuple[int, ...], list[int]] = {}
-        for v, srcs in enumerate(into):
-            watch[max([v, *srcs])].append((v, srcs, n_pairs, times_b))
-
-    def accept(rows: list, t: int) -> bool:
-        for v, srcs, n_pairs, times_b in watch[t]:
-            row = rows[v]
-            rhs = times_b.get(row)
-            if rhs is None:
-                rhs = times_b[row] = zero[:]
-                for x, c in n_pairs:
-                    rhs[c] += row[x]
-            lhs = list(map(sum, zip(*[rows[s] for s in srcs]))) if srcs else zero
-            if lhs != rhs:
-                return False
-        return True
-
-    return accept
 
 
 def _first_s(r: list, a_p: Matrix, b_p: Matrix, entry_max: int, s_accept) -> Matrix | None:

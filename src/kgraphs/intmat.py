@@ -1,5 +1,5 @@
-"""Exact integer matrix arithmetic, Smith normal form and the cokernel
-of a sparse integer matrix.
+"""Exact integer vectors, the Smith normal form, primitive echelon bases
+of row spaces and the cokernel of a sparse integer matrix.
 
 Matrices are lists of rows of Python ints, so every operation is
 arbitrary precision. Nothing here knows about graphs.
@@ -19,43 +19,6 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_copy(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
-def shape(a: Matrix) -> tuple[int, int]:
-    return len(a), len(a[0]) if a else 0
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b, strict=True)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b, strict=True)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows_a, cols_a = shape(a)
-    rows_b, cols_b = shape(b)
-    if cols_a != rows_b:
-        raise ValueError(f"cannot multiply {rows_a}x{cols_a} by {rows_b}x{cols_b}")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def vec_mat(x: list[int], a: Matrix) -> list[int]:
-    # Row vector times matrix.
-    rows, cols = shape(a)
-    if len(x) != rows:
-        raise ValueError(f"vector length {len(x)} vs {rows} rows")
-    return [sum(x[i] * a[i][j] for i in range(rows)) for j in range(cols)]
 
 
 def vec_add(x: list[int], y: list[int]) -> list[int]:
@@ -82,10 +45,6 @@ def is_nonneg_vec(x: list[int]) -> bool:
     return all(a >= 0 for a in x)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Return (d, u, v) with u*a*v == d, u and v unimodular, d diagonal
     and nonnegative with each diagonal entry dividing the next.
@@ -94,8 +53,8 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     submatrix; every row operation is mirrored on u and every column
     operation on v.
     """
-    rows, cols = shape(a)
-    d = mat_copy(a)
+    rows, cols = len(a), len(a[0]) if a else 0
+    d = [row[:] for row in a]
     u = identity(rows)
     v = identity(cols)
 
@@ -171,9 +130,8 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def snf_diagonal(a: Matrix) -> list[int]:
-    rows, cols = shape(a)
     d, _, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(rows, cols))]
+    return [row[i] for i, row in enumerate(d) if i < len(row)]
 
 
 def rank(a: Matrix) -> int:
@@ -237,9 +195,8 @@ def cokernel_invariants(rows: list[dict[int, int]], cols: int) -> tuple[int, tup
     cokernel is unchanged (Havas, Holt and Rees 1993, "Recognizing badly
     presented Z-modules"). The pivot is the unit entry of least fill, the
     smallest (row nonzeros - 1) * (column nonzeros - 1) (Markowitz 1957),
-    found by scanning the live rows. What is left has no unit entry: its
-    rows are cut down to a basis of their span, whose Smith diagonal gives
-    the rest.
+    found by scanning the live rows. What is left has no unit entry, and
+    its Smith diagonal gives the rest.
     """
     live: dict[int, dict[int, int]] = {}  # row id -> {column: nonzero entry}
     where: dict[int, set[int]] = {}  # column -> ids of the rows that use it
@@ -281,24 +238,5 @@ def cokernel_invariants(rows: list[dict[int, int]], cols: int) -> tuple[int, tup
                 del live[t]
         pivots += 1
     used = sorted({c for row in live.values() for c in row})
-    basis = _row_basis([[row.get(c, 0) for c in used] for row in live.values()], len(used))
-    diag = snf_diagonal(basis) if basis else []
-    return cols - pivots - len(basis), tuple(t for t in diag if t > 1)
-
-
-def _row_basis(rows: Matrix, width: int) -> Matrix:
-    """A basis of the span of `rows` (so at most `width` rows), in echelon
-    form: for each column in turn, Euclid's algorithm by row operations
-    leaves one row nonzero there, which is set aside."""
-    basis: Matrix = []
-    for c in range(width):
-        pool = [r for r in rows if r[c]]
-        rows = [r for r in rows if not r[c]]
-        while len(pool) > 1:
-            # reduce every row mod the one of least |entry| in column c
-            p = min(pool, key=lambda r: abs(r[c]))
-            reduced = [r if r is p else [x - r[c] // p[c] * y for x, y in zip(r, p)] for r in pool]
-            pool = [r for r in reduced if r[c]]
-            rows += [r for r in reduced if not r[c]]
-        basis += pool
-    return basis
+    diag = snf_diagonal([[row.get(c, 0) for c in used] for row in live.values()])
+    return cols - pivots - sum(1 for t in diag if t), tuple(t for t in diag if t > 1)

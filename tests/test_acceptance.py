@@ -14,6 +14,7 @@ from test_bridging import (
     random_family,
 )
 from test_dimension import dge_eq_oracle
+from test_intmat import mat_mul
 
 from kgraphs.bridging import (
     BridgingPair,
@@ -45,7 +46,6 @@ from kgraphs.dimension import (
     unit_element,
 )
 from kgraphs.homology import AbelianInvariants, h0, h0_pullback_compare, rho_pullback_check
-from kgraphs.intmat import mat_eq, mat_mul
 from kgraphs.moves import (
     enumerate_valid_partitions,
     insplit,
@@ -113,11 +113,11 @@ def test_criterion_04_insplit_pipeline():
         b = {i: vertex_matrix(split, (1, 0) if i == 1 else (0, 1)) for i in (1, 2)}
         for j in (1, 2):
             r, s = insplit_matrices(g, parts[0], j)
-            assert mat_eq(mat_mul(r, s), a[j])
-            assert mat_eq(mat_mul(s, r), b[j])
+            assert mat_mul(r, s) == a[j]
+            assert mat_mul(s, r) == b[j]
             for i in (1, 2):
-                assert mat_eq(mat_mul(a[i], r), mat_mul(r, b[i]))
-                assert mat_eq(mat_mul(b[i], s), mat_mul(s, a[i]))
+                assert mat_mul(a[i], r) == mat_mul(r, b[i])
+                assert mat_mul(b[i], s) == mat_mul(s, a[i])
 
 
 def test_criterion_05_sink_deletion():
@@ -200,7 +200,7 @@ def test_criterion_09_confluence_and_matrix_properties():
             for n in degrees:
                 for m in degrees:
                     total = (n[0] + m[0], n[1] + m[1])
-                    assert mat_eq(mat_mul(mats[n], mats[m]), vertex_matrix(g, total))
+                    assert mat_mul(mats[n], mats[m]) == vertex_matrix(g, total)
             for n in degrees:
                 counts = [
                     [
@@ -213,7 +213,7 @@ def test_criterion_09_confluence_and_matrix_properties():
                     ]
                     for v in g.vertices
                 ]
-                assert mat_eq(counts, mats[n])
+                assert counts == mats[n]
 
 
 def test_criterion_10_coherence_oracle_cross_check():

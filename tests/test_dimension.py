@@ -9,8 +9,9 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_bridging import random_2graph
+from test_bridging import complete_product, random_2graph
 from test_homology import _cycle_plus_permutation, _product
+from test_intmat import mat_mul
 
 import kgraphs.dimension as dimension
 from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, rose
@@ -41,7 +42,7 @@ from kgraphs.dimension import (
     unit_element,
     zero_element,
 )
-from kgraphs.intmat import identity, mat_eq, mat_mul, vec_add, vec_mat, vec_scale
+from kgraphs.intmat import identity, vec_add, vec_scale
 from kgraphs.moves import (
     enumerate_valid_partitions,
     insplit,
@@ -80,9 +81,14 @@ def dense_matrix(g, n):
     return a
 
 
+def vec_mat(x, a):
+    # row vector times matrix, by the dense product
+    return mat_mul([list(x)], a)[0]
+
+
 def dense_push(g, a, level):
     # the representative of a at level >= a.n
-    return vec_mat(list(a.x), dense_matrix(g, tuple(l - c for l, c in zip(level, a.n))))
+    return vec_mat(a.x, dense_matrix(g, tuple(l - c for l, c in zip(level, a.n))))
 
 
 def dge_eq_oracle(g, a, b):
@@ -168,7 +174,7 @@ def test_eq_is_a_congruence():
         n = tuple(rng.randint(0, 2) for _ in range(2))
         m = tuple(rng.randint(0, 2) for _ in range(2))
         a = DimElement(x, n)
-        b = DimElement(tuple(vec_mat(list(x), vertex_matrix(g, m))), tuple(u + v for u, v in zip(n, m)))
+        b = DimElement(tuple(vec_mat(x, vertex_matrix(g, m))), tuple(u + v for u, v in zip(n, m)))
         assert dge_eq(g, a, b)  # pushing is the identity on classes
         c = DimElement(tuple(rng.randint(-3, 3) for _ in range(2)), (rng.randint(0, 2), 0))
         assert dge_eq(g, dge_add(g, a, c), dge_add(g, b, c))
@@ -295,22 +301,36 @@ def _rectangles(n, m):
     return st.lists(st.lists(st.integers(0, 2), min_size=m, max_size=m), min_size=n, max_size=n)
 
 
+def dense_intertwines(g_left, g_right, r):
+    # A_{e_i} r == r B_{e_i} for every color, by dense products
+    return all(
+        mat_mul(edge_matrix(g_left, i), r) == mat_mul(r, edge_matrix(g_right, i))
+        for i in range(1, g_left.rank + 1)
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(intertwiner_cases())
 def test_intertwiner_check_matches_dense_products(case):
     g_left, g_right, r = case
-    want = all(
-        mat_eq(mat_mul(edge_matrix(g_left, i), r), mat_mul(r, edge_matrix(g_right, i)))
-        for i in (1, 2)
-    )
-    assert intertwiner_check(g_left, g_right, r) == want
+    assert intertwiner_check(g_left, g_right, r) == dense_intertwines(g_left, g_right, r)
+
+
+def test_intertwiner_check_on_a_64_vertex_product():
+    g = complete_product()
+    ident = identity(64)
+    moved = [row[:] for row in ident]
+    moved[5][5], moved[5][6] = 0, 1  # one entry of R = I moved
+    for r, want in ((ident, True), (moved, False)):
+        assert dense_intertwines(g, g, r) is want
+        assert intertwiner_check(g, g, r) is want
 
 
 def hom_from_matrix(r, a):
     """[x, n] -> [x*r, n]."""
     if len(a.x) != len(r):
         raise DimensionMismatch(f"vector has {len(a.x)} entries for {len(r)} rows")
-    return DimElement(tuple(vec_mat(list(a.x), r)), a.n)
+    return DimElement(tuple(vec_mat(a.x, r)), a.n)
 
 
 def test_matrix_maps_agree():
@@ -355,15 +375,15 @@ def reference_sse_search(g_left, g_right, p_max, entry_max):
             t = len(rows)
             if t == dr:
                 s = rows
-                if not mat_eq(mat_mul(r, s), a_p):
+                if mat_mul(r, s) != a_p:
                     return None
                 for a, b in zip(a_steps, b_steps):
-                    if not mat_eq(mat_mul(b, s), mat_mul(s, a)):
+                    if mat_mul(b, s) != mat_mul(s, a):
                         return None
                 return [row[:] for row in s]
             for row in product(range(entry_max + 1), repeat=dl):
                 # row t of S*R must match row t of B_p
-                if vec_mat(list(row), r) != b_p[t]:
+                if vec_mat(row, r) != b_p[t]:
                     continue
                 rows.append(list(row))
                 found = rec()
@@ -379,7 +399,7 @@ def reference_sse_search(g_left, g_right, p_max, entry_max):
         b_p = vertex_matrix(g_right, p)
         for flat in product(range(entry_max + 1), repeat=dl * dr):
             r = [list(flat[t * dr : (t + 1) * dr]) for t in range(dl)]
-            if all(mat_eq(mat_mul(a, r), mat_mul(r, b)) for a, b in zip(a_steps, b_steps)):
+            if all(mat_mul(a, r) == mat_mul(r, b) for a, b in zip(a_steps, b_steps)):
                 s = s_search(r, a_p, b_p)
                 if s is not None:
                     return SSEWitness(tuple(p), r, s)
@@ -400,8 +420,8 @@ def test_sse_finds_insplit_witness():
     assert w.p == (0, 1)
     a_p = vertex_matrix(lam, w.p)
     b_p = vertex_matrix(lam_i, w.p)
-    assert mat_eq(mat_mul(w.r, w.s), a_p)
-    assert mat_eq(mat_mul(w.s, w.r), b_p)
+    assert mat_mul(w.r, w.s) == a_p
+    assert mat_mul(w.s, w.r) == b_p
     assert intertwiner_check(lam, lam_i, w.r)
 
 

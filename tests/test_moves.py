@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from test_bridging import random_2graph
 from test_dimension import _matrices, random_2graphs
 from test_homology import _product
+from test_intmat import mat_mul
 
 from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
 from kgraphs.core import KGraphError, Path, mce, validate_kgraph, vertex_matrix
@@ -22,7 +23,6 @@ from kgraphs.dimension import (
     unit_element,
 )
 from kgraphs.homology import h0
-from kgraphs.intmat import mat_eq, mat_mul
 from kgraphs.moves import (
     IndivisibleVertex,
     InvalidPartition,
@@ -128,13 +128,13 @@ def test_insplit_matrix_identities():
             r, s = insplit_matrices(g, part, j)
             a_j = vertex_matrix(g, tuple(1 if i == j else 0 for i in range(1, g.rank + 1)))
             b_j = vertex_matrix(split, tuple(1 if i == j else 0 for i in range(1, g.rank + 1)))
-            assert mat_eq(mat_mul(r, s), a_j)
-            assert mat_eq(mat_mul(s, r), b_j)
+            assert mat_mul(r, s) == a_j
+            assert mat_mul(s, r) == b_j
             for i in range(1, g.rank + 1):
                 a_i = vertex_matrix(g, tuple(1 if t == i else 0 for t in range(1, g.rank + 1)))
                 b_i = vertex_matrix(split, tuple(1 if t == i else 0 for t in range(1, g.rank + 1)))
-                assert mat_eq(mat_mul(a_i, r), mat_mul(r, b_i))
-                assert mat_eq(mat_mul(b_i, s), mat_mul(s, a_i))
+                assert mat_mul(a_i, r) == mat_mul(r, b_i)
+                assert mat_mul(b_i, s) == mat_mul(s, a_i)
 
 
 def test_insplit_pinned_matrices():
