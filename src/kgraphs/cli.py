@@ -123,8 +123,10 @@ def parse_generator_map(source: KGraph, target: KGraph, text: str) -> GeneratorM
     for entry in text.split(";"):
         if "=" not in entry:
             raise CLIUsage(f"bad map entry {entry.strip()!r}: want generator=element")
-        gen, elt = entry.split("=", 1)
-        images[gen.strip()] = parse_element(target, elt)
+        gen, elt = (part.strip() for part in entry.split("=", 1))
+        if gen in images:
+            raise CLIUsage(f"bad map: generator {gen!r} is given twice")
+        images[gen] = parse_element(target, elt)
     return generator_map(source, target, images)
 
 
@@ -224,9 +226,7 @@ def cmd_validate(args) -> int:
 
 def cmd_info(args) -> int:
     g = resolve_graph(args.graph)
-    counts = {i: 0 for i in range(1, g.rank + 1)}
-    for e in g.skeleton.edges:
-        counts[e.color] += 1
+    counts = {i: sum(map(len, by_range)) for i, by_range in enumerate(g.in_sources, 1)}
     mats = {i: vertex_matrix(g, unit_degree(g.rank, i)) for i in counts}
     doc = {
         "rank": g.rank,

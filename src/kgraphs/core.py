@@ -139,9 +139,13 @@ class DegreeOutOfRange(KGraphError):
 class KGraph:
     """A k-graph: skeleton + square table, with its incidence indexed.
 
-    The constructor rejects structurally malformed input (bad ids, colors
-    or endpoints) with KGraphError and indexes incidence, but does not
-    check the k-graph axioms: build graphs with validate_kgraph, which
+    in_edges and out_edges group the edges by vertex and color;
+    in_sources, the one integer incidence index, holds the source indices
+    of the color-i edges into each vertex index and is what push,
+    vertex_matrix, homology.h0 and the intertwining kernel of dimension
+    read. The constructor rejects structurally malformed input (bad ids,
+    colors or endpoints) with KGraphError and indexes incidence, but does
+    not check the k-graph axioms: build graphs with validate_kgraph, which
     does. Instances are immutable: every attribute is set once here,
     except the one derived attribute `stable_index`, computed on first use
     and then kept. The vertex tuple order fixes matrix indexing
@@ -158,7 +162,6 @@ class KGraph:
         self.by_id = by_id = {}
         ins = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
         outs = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
-        steps: list[list[tuple[int, int]]] = [[] for _ in range(k)]
         for e in skeleton.edges:
             if e.id in by_id:
                 raise KGraphError(f"duplicate edge id {e.id!r}")
@@ -169,7 +172,6 @@ class KGraph:
                 raise KGraphError(f"edge {e.id!r} references unknown vertex")
             ins[e.rng][e.color].append(e)
             outs[e.src][e.color].append(e)
-            steps[e.color - 1].append((index[e.rng], index[e.src]))
         if not index.keys().isdisjoint(by_id):
             raise KGraphError("vertex and edge ids must be disjoint")
         for key, val in squares.items():
@@ -189,9 +191,12 @@ class KGraph:
         self.out_edges: dict[str, dict[int, tuple[Edge, ...]]] = {
             v: {i: tuple(es) for i, es in by_color.items()} for v, by_color in outs.items()
         }
-        # step_pairs[i - 1]: (range index, source index) of each color-i
-        # edge, the one-step matrix A_{e_i} as an edge list
-        self.step_pairs: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, steps))
+        # in_sources[i - 1][v]: the source index of each color-i edge into
+        # vertex index v, in edge order; row v of A_{e_i} as an index list
+        self.in_sources: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
+            tuple(tuple(index[e.src] for e in ins[v][i]) for v in skeleton.vertices)
+            for i in range(1, k + 1)
+        )
 
     @property
     def rank(self) -> int:
@@ -491,34 +496,31 @@ def mce(g: KGraph, p: Path, q: Path) -> list[Path]:
 # --------------------------------------------------------------- matrices
 
 def push(g: KGraph, x: Sequence[int], n: Degree) -> list[int]:
-    """The row vector x * A_n, pushed along the one-step edge lists one
-    unit of degree at a time (y[s(e)] += x[r(e)] for every edge e of the
-    step's color); a zero vector stays zero, so it stops early there."""
+    """The row vector x * A_n, pushed one unit of degree at a time along
+    the in-edge index (y[s(e)] += x[r(e)] for every edge e of the step's
+    color, read per range and skipped where x[r(e)] is zero); a zero
+    vector stays zero, so it stops early there."""
     _check_degree(g, n)
     if len(x) != len(g.vertices):
         raise KGraphError(f"vector has {len(x)} entries for {len(g.vertices)} vertices")
     y = list(x)
-    for pairs, times in zip(g.step_pairs, n):
+    for by_range, times in zip(g.in_sources, n):
         for _ in range(times):
             if not any(y):
                 return y
             z = [0] * len(y)
-            for r, s in pairs:
-                z[s] += y[r]
+            for c, srcs in zip(y, by_range):
+                if c:
+                    for s in srcs:
+                        z[s] += c
             y = z
     return y
 
 
 def vertex_matrix(g: KGraph, n: Degree) -> Matrix:
     """A_n[u][w] = |paths of degree n, range u, source w|, computed on each
-    call and never cached: a unit degree is read off its edge list, any
-    other degree pushes the rows of the identity (the one-step matrices
-    commute on a valid k-graph)."""
+    call and never cached: row u is the push of the identity row e_u (the
+    one-step matrices commute on a valid k-graph)."""
     _check_degree(g, n)
     d = len(g.vertices)
-    if deg_total(n) == 1:
-        a = [[0] * d for _ in range(d)]
-        for r, s in g.step_pairs[n.index(1)]:
-            a[r][s] += 1
-        return a
     return [push(g, [int(i == j) for j in range(d)], n) for i in range(d)]

@@ -2,10 +2,10 @@
 
 An element is a class [x, n]: x an integer row vector over the vertices,
 n a Z^k shift. [x, n] = [y, m] iff x*A_{l-n} = y*A_{l-m} for some l >= n v m.
-Both sides are pushed to the join n v m along the one-step edge lists
-(core.push), and their difference z is zero in the group iff z*P^d = 0,
-where P is the product of all one-step matrices and d the vertex count.
-The kernel of P^j stops growing at j = m0 <= d, the graph's
+Both sides are pushed to the join n v m along the in-edge index
+KGraph.in_sources (core.push), and their difference z is zero in the group
+iff z*P^d = 0, where P is the product of all one-step matrices and d the
+vertex count. The kernel of P^j stops growing at j = m0 <= d, the graph's
 KGraph.stable_index (computed once per graph, on the first nonzero z), so
 that is decided by pushing z on by (m0, ..., m0); when m0 = 0 a nonzero z
 is never zero. No matrix power is formed.
@@ -252,21 +252,16 @@ def _intertwining_rows(g_m: KGraph, g_n: KGraph):
     t is the last of them. Its left side adds row s of X for each color-i
     edge of g_m from s into v; its right side, row v times B_{e_i}, adds
     each entry of row v, at column w, at the source of every color-i edge
-    of g_n into w. Only nonzero entries are read, listed once per distinct
-    row, and row v times B_{e_i} is kept per distinct row too. Calling
-    accept for every t checks the whole equation (intertwiner_check)."""
+    of g_n into w. Both source lists are read off the graphs' in_sources.
+    Only nonzero entries are read, listed once per distinct row, and row v
+    times B_{e_i} is kept per distinct row too. Calling accept for every t
+    checks the whole equation (intertwiner_check)."""
     zero = [0] * len(g_n.vertices)
     watch: list[list] = [[] for _ in g_m.vertices]
-    for m_pairs, n_pairs in zip(g_m.step_pairs, g_n.step_pairs):
-        into: list[list[int]] = [[] for _ in g_m.vertices]
-        for v, s in m_pairs:
-            into[v].append(s)
-        n_into: list[list[int]] = [[] for _ in g_n.vertices]
-        for w, s in n_pairs:
-            n_into[w].append(s)
+    for m_srcs, n_srcs in zip(g_m.in_sources, g_n.in_sources):
         times_b: dict[tuple[int, ...], list[int]] = {}
-        for v, srcs in enumerate(into):
-            watch[max([v, *srcs])].append((v, srcs, n_into, times_b))
+        for v, srcs in enumerate(m_srcs):
+            watch[max((v, *srcs))].append((v, srcs, n_srcs, times_b))
 
     nonzero: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
@@ -278,12 +273,12 @@ def _intertwining_rows(g_m: KGraph, g_n: KGraph):
         return found
 
     def accept(rows: list, t: int) -> bool:
-        for v, srcs, n_into, times_b in watch[t]:
+        for v, srcs, n_srcs, times_b in watch[t]:
             rhs = times_b.get(rows[v])
             if rhs is None:
                 rhs = times_b[rows[v]] = zero[:]
                 for w, x in entries(rows[v]):
-                    for s in n_into[w]:
+                    for s in n_srcs[w]:
                         rhs[s] += x
             lhs = zero[:]
             for s in srcs:
@@ -398,7 +393,7 @@ def sse_search(
     witness: the search meets the surviving candidates in the order of a
     full enumeration and returns the same first witness. The intertwining R
     do not depend on p; they are enumerated once, lazily, and replayed for
-    every later p. The one-step matrices are read off KGraph.step_pairs and
+    every later p. The one-step matrices are read off KGraph.in_sources and
     no matrix product is formed. The equations prune rows, but the worst
     case is still exponential in the sizes of R and S."""
     if g_left.rank != g_right.rank:

@@ -61,7 +61,7 @@ def h0(g: KGraph) -> AbelianInvariants:
     This is H0(G_Lambda) = coker(1 - A_1^t, ..., 1 - A_k^t) for row-finite
     k-graphs without sources (Farsi, Kumjian, Pask and Sims 2019, "Ample
     groupoids: equivalence, homology, and Matui's HK conjecture"). The k.d
-    relations are built as sparse rows straight from the edge lists, and
+    relations are built as sparse rows straight from KGraph.in_sources, and
     intmat.cokernel_invariants eliminates their +-1 pivots, least fill
     first, before a Smith normal form of what is left (Havas, Holt and
     Rees 1993, "Recognizing badly presented Z-modules").
@@ -69,12 +69,13 @@ def h0(g: KGraph) -> AbelianInvariants:
     _check_no_sources(g)
     d = len(g.vertices)
     rows: list[dict[int, int]] = []
-    for pairs in g.step_pairs:
-        # row v: eps_v minus the sources of v's color-i edges
-        block = [{v: 1} for v in range(d)]
-        for r, s in pairs:
-            block[r][s] = block[r].get(s, 0) - 1
-        rows += block
+    for by_range in g.in_sources:
+        for v, srcs in enumerate(by_range):
+            # row (i, v): eps_v minus the sources of v's color-i edges
+            row = {v: 1}
+            for s in srcs:
+                row[s] = row.get(s, 0) - 1
+            rows.append(row)
     return AbelianInvariants(*cokernel_invariants(rows, d))
 
 

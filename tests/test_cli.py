@@ -348,6 +348,19 @@ def test_tm_hom_check_cli(capsys):
     assert code == 2 and "required" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tm-hom-check", "ex3.5-Lambda", "ex3.5-Lambda", "--map", "u=u:0,0;v=v:0,0;w=w:0,0;u=v:0,0"),
+        ("tm-iso-check", "sec3-Lambda", "sec3-Lambda", "--fwd", "u=u:0,0; u = u:0,0", "--bwd", "u=u:0,0"),
+        ("tm-iso-check", "sec3-Lambda", "sec3-Lambda", "--fwd", "u=u:0,0", "--bwd", "u=u:0,0;u=u:1,0"),
+    ],
+)
+def test_a_generator_given_twice_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "generator 'u' is given twice" in err
+
+
 def test_tm_hom_check_matrix_form(capsys):
     code, out, _ = run(
         capsys, "tm-hom-check", "ex5.6-Lambda", "ex5.6-Omega", "--matrix", "1 1"

@@ -377,3 +377,27 @@ def test_package_names_resolve_lazily_to_their_modules():
         kgraphs.no_such_name
     with pytest.raises(ImportError):
         from kgraphs import no_such_name  # noqa: F401
+
+
+def test_the_in_edge_index_is_the_one_integer_incidence_list():
+    # KGraph.in_sources is the one integer incidence index: no module reads
+    # a flat (range, source) edge list `step_pairs`, and the intertwining
+    # kernel reads the index instead of regrouping edges on every call
+    import ast
+    from pathlib import Path as FilePath
+
+    import kgraphs
+
+    kernel_reads = set()
+    for path in FilePath(kgraphs.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        attrs = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        assert "step_pairs" not in attrs, path.name
+        if path.name == "dimension.py":
+            (kernel,) = [
+                node
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_intertwining_rows"
+            ]
+            kernel_reads = {node.attr for node in ast.walk(kernel) if isinstance(node, ast.Attribute)}
+    assert "in_sources" in kernel_reads

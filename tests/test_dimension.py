@@ -15,7 +15,7 @@ from test_intmat import mat_mul
 
 import kgraphs.dimension as dimension
 from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, rose
-from kgraphs.core import KGraphError, unit_degree, vertex_matrix
+from kgraphs.core import KGraphError, push, unit_degree, vertex_matrix
 from kgraphs.dimension import (
     SHIFT_MAX_DEGREE,
     DimElement,
@@ -74,10 +74,21 @@ def dense_matrix(g, n):
         todo.append((n, i))
         n = n[:i] + (n[i] - 1,) + n[i + 1 :]
     a = _DENSE_POWERS[(id(g), n)][1] if any(n) else identity(len(g.vertices))
-    steps = [vertex_matrix(g, unit_degree(g.rank, i)) for i in range(1, g.rank + 1)] if todo else []
+    steps = [edge_matrix(g, i) for i in range(1, g.rank + 1)] if todo else []
     for m, i in reversed(todo):
         a = mat_mul(a, steps[i])
         _DENSE_POWERS[(id(g), m)] = (g, a)
+    return a
+
+
+def edge_matrix(g, color):
+    """A_{e_color}, counted edge by edge from g.edges: entry (r(e), s(e))
+    gains one for every color-`color` edge e."""
+    idx = g.vertex_index
+    a = [[0] * len(g.vertices) for _ in g.vertices]
+    for e in g.edges:
+        if e.color == color:
+            a[idx[e.rng]][idx[e.src]] += 1
     return a
 
 
@@ -675,6 +686,25 @@ def test_a_nilpotent_chain_is_pushed_to_its_full_index():
     assert dge_eq(g, top, zero) and reference_dge_eq(g, top, zero)
     assert edge_push(g, top.x, (2, 2)) == [0, 0, 1]
     assert positivity(g, dge_scale(-1, top), 0) == "unknown"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_in_sources_push_and_vertex_matrix_match_the_edge_list(data):
+    """KGraph.in_sources against in_edges, push against edge_push on
+    vectors with zero entries, and each one-step vertex_matrix against the
+    edge counts, on graphs with and without sources (the nilpotent chain's
+    last vertex receives no color-1 edge)."""
+    g = data.draw(st.one_of(graphs(), st.just(_nilpotent_chain())))
+    d, idx = len(g.vertices), g.vertex_index
+    for i in range(1, g.rank + 1):
+        by_range = tuple(tuple(idx[e.src] for e in g.in_edges[v][i]) for v in g.vertices)
+        assert g.in_sources[i - 1] == by_range
+        assert vertex_matrix(g, unit_degree(g.rank, i)) == edge_matrix(g, i)
+    x = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    x[data.draw(st.integers(0, d - 1))] = 0
+    n = data.draw(st.tuples(*[st.integers(0, 3)] * g.rank))
+    assert push(g, x, n) == edge_push(g, x, n)
 
 
 @settings(max_examples=60, deadline=None)
