@@ -35,7 +35,7 @@ from .core import (
     validate_kgraph,
     vertex_path,
 )
-from .dimension import DimensionMismatch, intertwiner_check
+from .dimension import DimensionMismatch
 from .intmat import Matrix, zeros
 
 
@@ -156,22 +156,20 @@ def _flip_blocks(
 ) -> list[tuple[int, list[tuple[str, str]], list[tuple[str, str]]]]:
     """(color, domain, codomain) of every block with a member, in color,
     then g_lam vertex, then g_om vertex order; members keep edge order.
-    The polymorphism edges and the g_om edges are each indexed by range
-    once, so the cost is linear in the pairs."""
+    The polymorphism edges are indexed by range once and the g_om edges
+    are read from g_om.in_edges, so the cost is linear in the pairs."""
     poly_by_range: dict[str, list[PolyEdge]] = {}
     for g in poly.edges:
         poly_by_range.setdefault(g.rng, []).append(g)
-    om_by_range: dict[str, list[Edge]] = {}
-    for om in g_om.edges:
-        om_by_range.setdefault(om.rng, []).append(om)
     dom: dict[tuple[int, str, str], list[tuple[str, str]]] = {}
     cod: dict[tuple[int, str, str], list[tuple[str, str]]] = {}
     for lam in g_lam.edges:
         for g in poly_by_range.get(lam.src, ()):
             dom.setdefault((lam.color, lam.rng, g.src), []).append((lam.id, g.id))
     for g in poly.edges:
-        for om in om_by_range.get(g.src, ()):
-            cod.setdefault((om.color, g.rng, om.src), []).append((g.id, om.id))
+        for i, oms in g_om.in_edges[g.src].items():
+            for om in oms:
+                cod.setdefault((i, g.rng, om.src), []).append((g.id, om.id))
     return [
         (i, dom.get(key, []), cod.get(key, []))
         for i in range(1, g_lam.rank + 1)
@@ -325,13 +323,17 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
     block stands for (n-p-1)! orders of the rest of the block times every
     completion of the later blocks. Returns the lexicographically first
     coherent family, or Exhausted with the number of complete families the
-    pruned search accounts for. The search is iterative, so its depth is
-    not bounded by the interpreter's recursion limit."""
-    if not intertwiner_check(g_lam, g_om, r):
-        raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
+    pruned search accounts for. R intertwines exactly when every block
+    has as many keys as values; NotIntertwining is raised otherwise. The
+    search is iterative, so its depth is not bounded by the interpreter's
+    recursion limit."""
+    if g_lam.rank != g_om.rank:
+        raise DimensionMismatch("graphs have different ranks")
     poly = polymorphism_from_matrix(g_lam, g_om, r)
     blocks = _flip_blocks(g_lam, g_om, poly)
-    assert all(len(dom) == len(cod) for _, dom, cod in blocks)  # by intertwining
+    # block (i, a, b) has (A_{e_i} R)(a, b) keys and (R B_{e_i})(a, b) values
+    if any(len(dom) != len(cod) for _, dom, cod in blocks):
+        raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
     watch = _watch_index(g_lam, poly, blocks)
 
     # completions represented by a prune at block t

@@ -158,7 +158,10 @@ def parse_flips(text: str) -> dict[int, dict[tuple[str, str], tuple[str, str]]]:
         text = read_text(text)
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as e:
+    except CLIUsage:
+        raise
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, an integer over the digit limit, or nesting too deep
         raise CLIUsage(f"bad flips JSON: {e}")
     if not isinstance(doc, dict):
         raise CLIUsage("bad flips JSON: expected an object keyed by color")

@@ -136,6 +136,11 @@ class DegreeOutOfRange(KGraphError):
 
 # ----------------------------------------------------------------- KGraph
 
+# Validation reads every color triple; no catalog or generated graph has a
+# rank above 4, and bridging_graph adds one.
+KGRAPH_MAX_RANK = 32
+
+
 class KGraph:
     """A k-graph: skeleton + square table, with its incidence indexed.
 
@@ -143,19 +148,19 @@ class KGraph:
     in_sources, the one integer incidence index, holds the source indices
     of the color-i edges into each vertex index and is what push,
     vertex_matrix, homology.h0 and the intertwining kernel of dimension
-    read. The constructor rejects structurally malformed input (bad ids,
-    colors or endpoints) with KGraphError and indexes incidence, but does
-    not check the k-graph axioms: build graphs with validate_kgraph, which
-    does. Instances are immutable: every attribute is set once here,
-    except the one derived attribute `stable_index`, computed on first use
-    and then kept. The vertex tuple order fixes matrix indexing
-    everywhere.
+    read. The constructor rejects structurally malformed input (a rank
+    outside 1..KGRAPH_MAX_RANK, bad ids, colors or endpoints) with
+    KGraphError and indexes incidence, but does not check the k-graph
+    axioms: build graphs with validate_kgraph, which does. Instances are
+    immutable: every attribute is set once here, except the one derived
+    attribute `stable_index`, computed on first use and then kept. The
+    vertex tuple order fixes matrix indexing everywhere.
     """
 
     def __init__(self, skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool):
         k = skeleton.rank
-        if k < 1:
-            raise KGraphError("rank must be >= 1")
+        if not 1 <= k <= KGRAPH_MAX_RANK:
+            raise KGraphError(f"rank must be in 1..{KGRAPH_MAX_RANK}")
         self.vertex_index = index = {v: i for i, v in enumerate(skeleton.vertices)}
         if len(index) != len(skeleton.vertices):
             raise KGraphError("duplicate vertex ids")
@@ -249,6 +254,9 @@ def _violations(g: KGraph) -> list[Violation]:
     # every violated axiom, in a deterministic order, read off g's index
     by_id, in_edges, squares, k = g.by_id, g.in_edges, g.squares, g.rank
     violations: list[Violation] = []
+    of_color: dict[int, list[Edge]] = {i: [] for i in range(1, k + 1)}
+    for e in g.edges:
+        of_color[e.color].append(e)
 
     # totality: one entry per composable color-ascending pair
     for e in g.edges:
@@ -290,9 +298,7 @@ def _violations(g: KGraph) -> list[Violation]:
                     )
                 else:
                     images[val] = key
-            for h2 in g.edges:
-                if h2.color != j:
-                    continue
+            for h2 in of_color[j]:
                 for e2 in in_edges[h2.src][i]:
                     if (h2.id, e2.id) not in images:
                         violations.append(
@@ -303,9 +309,7 @@ def _violations(g: KGraph) -> list[Violation]:
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             for l in range(j + 1, k + 1):
-                for a in g.edges:
-                    if a.color != i:
-                        continue
+                for a in of_color[i]:
                     for b in in_edges[a.src][j]:
                         for c in in_edges[b.src][l]:
                             try:
@@ -445,7 +449,7 @@ def segment(g: KGraph, p: Path, m: Degree, n: Degree) -> Path:
 
 
 def _check_degree(g: KGraph, n: Degree) -> None:
-    if len(n) != g.rank or not deg_leq(zero_degree(g.rank), n):
+    if len(n) != g.rank or min(n) < 0:
         raise DegreeOutOfRange(f"degree must be a length-{g.rank} tuple over N")
 
 

@@ -2,7 +2,10 @@
 of row spaces and the cokernel of a sparse integer matrix.
 
 Matrices are lists of rows of Python ints, so every operation is
-arbitrary precision. Nothing here knows about graphs.
+arbitrary precision. The Smith normal form runs one elimination on the
+matrix bordered with identities, so its transforms come out of the same
+row and column operations as its diagonal. Nothing here knows about
+graphs.
 """
 
 from __future__ import annotations
@@ -50,38 +53,22 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     and nonnegative with each diagonal entry dividing the next.
 
     Pivots are chosen as the smallest nonzero |entry| of the remaining
-    submatrix; every row operation is mirrored on u and every column
-    operation on v.
+    submatrix. The elimination runs once, on a bordered with identities,
+    [[a, I_rows], [I_cols]]: the pivot, remainder and divisibility tests
+    read only the top-left rows x cols block, but every row operation acts
+    on the whole row and every column operation on the whole column, so
+    the right border ends up as u and the bottom border as v.
     """
     rows, cols = len(a), len(a[0]) if a else 0
-    d = [row[:] for row in a]
-    u = identity(rows)
-    v = identity(cols)
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def row_add(i: int, j: int) -> None:
-        d[i] = [x + y for x, y in zip(d[i], d[j])]
-        u[i] = [x + y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i: int, j: int, q: int) -> None:
-        # col_i -= q * col_j
-        for r in range(rows):
-            d[r][i] -= q * d[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
+    m = [row + e for row, e in zip(a, identity(rows))] + identity(cols)
     for t in range(min(rows, cols)):
         while True:
-            # Smallest nonzero |entry| of d[t:, t:] becomes the pivot.
+            # Smallest nonzero |entry| of m[t:rows, t:cols] becomes the pivot.
             pivot = None
             best = None
             for i in range(t, rows):
                 for j in range(t, cols):
-                    val = abs(d[i][j])
+                    val = abs(m[i][j])
                     if val != 0 and (best is None or val < best):
                         best = val
                         pivot = (i, j)
@@ -89,24 +76,25 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 break
             pi, pj = pivot
             if pi != t:
-                d[t], d[pi] = d[pi], d[t]
-                u[t], u[pi] = u[pi], u[t]
+                m[t], m[pi] = m[pi], m[t]
             if pj != t:
-                for r in range(rows):
-                    d[r][t], d[r][pj] = d[r][pj], d[r][t]
-                for r in range(cols):
-                    v[r][t], v[r][pj] = v[r][pj], v[r][t]
-            p = d[t][t]
+                for row in m:
+                    row[t], row[pj] = row[pj], row[t]
+            top = m[t]
+            p = top[t]
             dirty = False
             for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    row_sub(i, t, d[i][t] // p)
-                    if d[i][t] != 0:
+                if m[i][t] != 0:
+                    q = m[i][t] // p
+                    m[i] = [x - q * y for x, y in zip(m[i], top)]
+                    if m[i][t] != 0:
                         dirty = True  # remainder smaller than |p| survives
             for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    col_sub(j, t, d[t][j] // p)
-                    if d[t][j] != 0:
+                if top[j] != 0:
+                    q = top[j] // p
+                    for row in m:
+                        row[j] -= q * row[t]
+                    if top[j] != 0:
                         dirty = True
             if dirty:
                 continue
@@ -115,18 +103,17 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             bad = None
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):
-                    if d[i][j] % p != 0:
+                    if m[i][j] % p != 0:
                         bad = i
                         break
                 if bad is not None:
                     break
             if bad is None:
                 break
-            row_add(t, bad)
-        if t < min(rows, cols) and d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-    return d, u, v
+            m[t] = [x + y for x, y in zip(top, m[bad])]
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+    return [row[:cols] for row in m[:rows]], [row[cols:] for row in m[:rows]], m[rows:]
 
 
 def snf_diagonal(a: Matrix) -> list[int]:

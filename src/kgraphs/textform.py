@@ -43,7 +43,8 @@ def parse_kgraph_parts(text: str) -> tuple[Skeleton, dict[SquarePair, SquarePair
     whether to collect diagnostics or to raise)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer over the digit limit, or nesting too deep
         raise TextFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise TextFormatError("top level must be an object")

@@ -383,6 +383,27 @@ def test_search_requires_intertwiner():
         bridging_search(LAM56, OM56, [[1, 0]])
 
 
+def test_search_rejects_exactly_the_non_intertwiners():
+    # the search tests intertwining by its block sizes; intertwiner_check,
+    # the row kernel of dimension, is the oracle
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(2, 3)
+        a1, a2 = commuting_matrices(rng, n, rng.randint(1, 2))
+        g_lam, g_om = random_2graph(rng, "p", a1, a2), random_2graph(rng, "q", a1, a2)
+        r = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
+        want = intertwiner_check(g_lam, g_om, r)
+        try:
+            bridging_search(g_lam, g_om, r)
+            got = True
+        except NotIntertwining:
+            got = False
+        assert got == want, (a1, r)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 def test_search_k1_is_immediate():
     g = rose(2)
     found = bridging_search(g, g, [[2]])

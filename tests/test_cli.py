@@ -700,13 +700,28 @@ HOSTILE = {
     ],
     "deep-shift-forward": ["tm-eq", "ex3.5-LambdaS", "u:0,0", "u:0,1000000000"],
     "deep-shift-back": ["tm-eq", "ex3.5-Lambda", "u:-1000000000,0", "u:0,0"],
+    "graph-long-integer": ["validate", "{long}"],
+    "graph-deep-nesting": ["validate", "{deep}"],
+    "flips-long-integer": ["bridge-search", "ex5.6-Lambda", "ex5.6-Omega", "--matrix", "1 1", "--flips", "{long}"],
+    "flips-deep-nesting": ["bridge-search", "ex5.6-Lambda", "ex5.6-Omega", "--matrix", "1 1", "--flips", "{deep}"],
+    "graph-huge-rank": ["validate", "{rank}"],
+}
+
+HOSTILE_FILES = {
+    "bad": b'{"rank": 1, "vertices": ["\xe9"], "edges": [], "squares": []}',
+    # over the interpreter's 4300-digit limit for int(str)
+    "long": b'{"rank": ' + b"7" * 5000 + b', "vertices": [], "edges": [], "squares": []}',
+    "deep": b"[" * 200_000,
+    "rank": b'{"rank": 1600, "vertices": ["u"], "edges": [], "squares": [], "strict_no_sources": false}',
 }
 
 
 def hostile_argv(tmp_path, case):
-    bad = tmp_path / "latin1.json"
-    bad.write_bytes(b'{"rank": 1, "vertices": ["\xe9"], "edges": [], "squares": []}')
-    return [arg.format(bad=bad, dir=tmp_path) for arg in HOSTILE[case]]
+    paths = {}
+    for name, data in HOSTILE_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(data)
+    return [arg.format(dir=tmp_path, **paths) for arg in HOSTILE[case]]
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
@@ -720,6 +735,19 @@ def test_decode_errors_are_parse_errors(capsys, tmp_path):
     for case in ("graph-not-utf8", "validate-not-utf8", "flips-not-utf8"):
         code, _, err = run(capsys, *hostile_argv(tmp_path, case))
         assert code == 2 and "UTF-8" in err
+
+
+def test_oversized_json_is_a_parse_error_and_a_huge_rank_is_fast(capsys, tmp_path):
+    for case in ("graph-long-integer", "graph-deep-nesting"):
+        code, _, err = run(capsys, *hostile_argv(tmp_path, case))
+        assert code == 2 and err.startswith("error: not valid JSON: "), err
+    for case in ("flips-long-integer", "flips-deep-nesting"):
+        code, _, err = run(capsys, *hostile_argv(tmp_path, case))
+        assert code == 2 and err.startswith("error: bad flips JSON: "), err
+    start = time.perf_counter()
+    code, _, err = run(capsys, *hostile_argv(tmp_path, "graph-huge-rank"))
+    assert code == 1 and "rank must be in 1..32" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_oversized_parametric_fixture_is_a_domain_error(capsys):

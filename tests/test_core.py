@@ -19,6 +19,7 @@ from kgraphs.core import (
     Edge,
     EndpointMismatch,
     InvalidKGraph,
+    KGRAPH_MAX_RANK,
     KGraph,
     KGraphError,
     MissingSquare,
@@ -309,6 +310,17 @@ def test_kgraph_rejects_malformed_edges(edge, message):
     with pytest.raises(KGraphError) as info:
         KGraph(Skeleton(2, ("u",), (edge,)), {}, True)
     assert str(info.value) == message
+
+
+def test_rank_is_capped():
+    # validation reads every color triple, so the rank is bounded
+    loop = (Edge("e", 1, "u", "u"),)
+    g = validate_kgraph(Skeleton(KGRAPH_MAX_RANK, ("u",), loop), {}, False)
+    assert g.rank == KGRAPH_MAX_RANK
+    for k in (0, KGRAPH_MAX_RANK + 1):
+        with pytest.raises(KGraphError) as info:
+            KGraph(Skeleton(k, ("u",), loop), {}, False)
+        assert str(info.value) == f"rank must be in 1..{KGRAPH_MAX_RANK}"
 
 
 @pytest.mark.parametrize("side", ["key", "value"])

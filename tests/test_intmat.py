@@ -144,6 +144,20 @@ def test_snf_known_example():
     assert diag == [2, 4]
 
 
+def test_snf_degenerate_shapes():
+    # the identity borders still come back as u and v when a has no rows
+    # or no columns
+    assert smith_normal_form([]) == ([], [], [])
+    assert smith_normal_form([[], []]) == ([[], []], [[1, 0], [0, 1]], [])
+    rng = random.Random(20261019)
+    for n in range(1, 7):
+        row = [rng.randint(-9, 9) for _ in range(n)]
+        assert_snf_contract([row])
+        assert_snf_contract([[x] for x in row])
+    # pinned: the pivot order fixes the transforms, not only the diagonal
+    assert smith_normal_form([[0, -4, 6]]) == ([[2, 0, 0]], [[-1]], [[0, 1, 0], [2, 0, -3], [1, 0, -2]])
+
+
 def test_snf_identity_and_zero():
     assert snf_diagonal(identity(3)) == [1, 1, 1]
     assert snf_diagonal(zeros(2, 3)) == [0, 0]
