@@ -20,10 +20,13 @@ of every triple after each whole block would prune.
 
 from __future__ import annotations
 
+import json
+import os
 from math import factorial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
+    CLIUsage,
     Edge,
     KGraph,
     KGraphError,
@@ -31,12 +34,15 @@ from .core import (
     Path,
     Skeleton,
     make_path,
+    matrix_str,
     path_source,
     validate_kgraph,
     vertex_path,
 )
 from .dimension import DimensionMismatch
-from .intmat import Matrix, zeros
+
+if TYPE_CHECKING:
+    from .intmat import Matrix
 
 
 class ShapeMismatch(KGraphError):
@@ -92,7 +98,7 @@ class CoherenceWitness(NamedTuple):
 # ------------------------------------------------------------- polymorphisms
 
 def poly_matrix(p: Polymorphism) -> Matrix:
-    m = zeros(len(p.rng_vertices), len(p.src_vertices))
+    m = [[0] * len(p.src_vertices) for _ in p.rng_vertices]
     ri = {v: i for i, v in enumerate(p.rng_vertices)}
     si = {v: i for i, v in enumerate(p.src_vertices)}
     for e in p.edges:
@@ -463,3 +469,92 @@ def bridging_graph(g_lam: KGraph, g_om: KGraph, pair: BridgingPair) -> KGraph:
         for (lam_id, g_id), (g2_id, om_id) in f.items():
             squares[(f"L.{lam_id}", f"R.{g_id}")] = (f"R.{g2_id}", f"O.{om_id}")
     return validate_kgraph(Skeleton(k + 1, vertices, edges), squares, strict=False)
+
+
+# ------------------------------------------------------- command-line text
+
+def _unique_keys(pairs: list) -> dict:
+    # a JSON object that repeats a key would silently keep only its last value
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise CLIUsage("bad flips JSON: an object repeats a key")
+    return doc
+
+
+def parse_flips(text: str) -> FlipFamily:
+    """The --flips table, JSON {color: [[[lam, g], [g2, om]], ...]} inline
+    or in a file; a color or a [lam, g] given twice is a usage error, not
+    a silent overwrite."""
+    if os.path.isfile(text):
+        from .textform import read_text
+
+        text = read_text(text)
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except CLIUsage:
+        raise
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, an integer over the digit limit, or nesting too deep
+        raise CLIUsage(f"bad flips JSON: {e}")
+    if not isinstance(doc, dict):
+        raise CLIUsage("bad flips JSON: expected an object keyed by color")
+    try:
+        tables = [
+            (int(color), [((lam, g), (g2, om)) for (lam, g), (g2, om) in table])
+            for color, table in doc.items()
+        ]
+        flips = {color: dict(entries) for color, entries in tables}
+    except (TypeError, ValueError):
+        raise CLIUsage("bad flips JSON: each entry must be [[lam, g], [g2, om]]")
+    if len(flips) != len(tables):
+        raise CLIUsage("bad flips JSON: some color is given twice")
+    for color, entries in tables:
+        if len(flips[color]) != len(entries):
+            raise CLIUsage(f"bad flips JSON: color {color} gives some [lam, g] twice")
+    for table in flips.values():
+        for key, value in table.items():
+            if not all(isinstance(e, str) for e in key + value):
+                raise CLIUsage("bad flips JSON: edge ids must be strings")
+    return flips
+
+
+def flips_doc(flips: FlipFamily) -> dict:
+    return {
+        str(i): [[list(dom), list(cod)] for dom, cod in sorted(table.items())]
+        for i, table in sorted(flips.items())
+    }
+
+
+def bridge_search_doc(g_lam: KGraph, g_om: KGraph, r: Matrix, flips: str | None) -> tuple[dict, str]:
+    """What `kgraph bridge-search` reports, as a JSON document and as text:
+    the coherence check of the flip table `flips` (parse_flips syntax) over
+    r, or without one the first family bridging_search finds."""
+    if flips is not None:
+        ok, witness = coherence_check(g_lam, g_om, BridgingPair(r, parse_flips(flips)))
+        if ok:
+            return {"coherent": True}, "coherent"
+        doc = {
+            "coherent": False,
+            "witness": {
+                "colors": [witness.i, witness.j],
+                "lam_i": witness.lam_i,
+                "lam_j": witness.lam_j,
+                "g": witness.g,
+                "top": list(witness.top),
+                "bottom": list(witness.bottom),
+            },
+        }
+        text = (
+            f"incoherent at (i={witness.i}, j={witness.j}, lam_i={witness.lam_i}, "
+            f"lam_j={witness.lam_j}, g={witness.g}): "
+            f"top {witness.top} != bottom {witness.bottom}"
+        )
+        return doc, text
+    found = bridging_search(g_lam, g_om, r)
+    if isinstance(found, Exhausted):
+        return {"found": False, "examined": found.count}, f"exhausted {found.count}"
+    lines = ["R: " + matrix_str(r)]
+    for i, table in sorted(found.flips.items()):
+        for (lam, g), (g2, om) in sorted(table.items()):
+            lines.append(f"f{i}: ({lam}, {g}) -> ({g2}, {om})")
+    return {"found": True, "matrix": r, "flips": flips_doc(found.flips)}, "\n".join(lines)

@@ -20,25 +20,26 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
 
-from .core import InvalidKGraph, KGraph, KGraphError, unit_degree, vertex_matrix
-from .textform import TextFormatError, dump_kgraph, load_kgraph, read_text
+from .core import (
+    CLIUsage,
+    InvalidKGraph,
+    KGraph,
+    KGraphError,
+    matrix_str,
+    parse_matrix,
+    parse_shift,
+    unit_degree,
+    vertex_matrix,
+)
+from .textform import TextFormatError, dump_kgraph, load_kgraph
 
-# Each command imports the modules it runs in its own body, so starting
-# `kgraph validate` or `kgraph info` loads no search, move or construction
-# code.
-if TYPE_CHECKING:
-    from .dimension import DimElement, GeneratorMap
-    from .intmat import Matrix
-    from .moves import Partition
+# Each command imports the modules it runs in its own body, and the syntax
+# of elements, maps, partitions and flip tables lives in the module that
+# reads it, so `kgraph validate` or `kgraph info` loads and compiles no
+# search, move or construction code. main builds the subparser of the
+# command it runs and no other.
 
-
-class CLIUsage(KGraphError):
-    pass
-
-
-# --------------------------------------------------------------- arg parsing
 
 def resolve_graph(arg: str) -> KGraph:
     """A graph argument is a file path, a catalog id, or a path-shaped
@@ -64,145 +65,15 @@ def resolve_graph(arg: str) -> KGraph:
     raise UnknownFixture(f"no such file or fixture: {arg}")
 
 
-def parse_matrix(text: str) -> Matrix:
-    try:
-        rows = [[int(x) for x in row.split()] for row in text.split(";")]
-    except ValueError:
-        raise CLIUsage(f"bad matrix {text!r}: entries must be integers")
-    if not rows or any(not r for r in rows):
-        raise CLIUsage(f"bad matrix {text!r}: empty row")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise CLIUsage(f"bad matrix {text!r}: ragged rows")
-    return rows
-
-
-def parse_shift(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise CLIUsage(f"bad tuple {text!r}: comma-separated integers expected")
-
-
-def parse_element(g: KGraph, text: str) -> DimElement:
-    from .dimension import dge_add, dge_scale, unit_element, zero_element
-
-    text = text.strip()
-    if text == "0":
-        return zero_element(g)
-    acc = zero_element(g)
-    for term in text.split("+"):
-        parts = term.strip().split(":")
-        if len(parts) == 2:
-            v, shift, coeff = parts[0], parts[1], "1"
-        elif len(parts) == 3:
-            v, shift, coeff = parts
-        else:
-            raise CLIUsage(f"bad element term {term.strip()!r}: want vertex:shift[:coeff]")
-        if v not in g.vertex_index:
-            raise CLIUsage(f"unknown vertex {v!r} in element")
-        try:
-            c = int(coeff)
-        except ValueError:
-            raise CLIUsage(f"bad coefficient {coeff!r}")
-        acc = dge_add(g, acc, dge_scale(c, unit_element(g, v, parse_shift(shift))))
-    return acc
-
-
-def element_str(g: KGraph, a: DimElement) -> str:
-    shift = ",".join(map(str, a.n))
-    terms = [
-        f"{v}:{shift}:{c}" for v, c in zip(g.vertices, a.x) if c != 0
-    ]
-    return " + ".join(terms) if terms else "0"
-
-
-def parse_generator_map(source: KGraph, target: KGraph, text: str) -> GeneratorMap:
-    from .dimension import generator_map
-
-    images: dict[str, DimElement] = {}
-    for entry in text.split(";"):
-        if "=" not in entry:
-            raise CLIUsage(f"bad map entry {entry.strip()!r}: want generator=element")
-        gen, elt = (part.strip() for part in entry.split("=", 1))
-        if gen in images:
-            raise CLIUsage(f"bad map: generator {gen!r} is given twice")
-        images[gen] = parse_element(target, elt)
-    return generator_map(source, target, images)
-
-
-def map_arg(source: KGraph, target: KGraph, args, flag: str) -> GeneratorMap:
-    from .dimension import generator_map_from_matrix, identity_map_between
-
-    if getattr(args, "identity", False):
-        return identity_map_between(source, target)
-    if getattr(args, "matrix", None) is not None:
-        return generator_map_from_matrix(source, target, parse_matrix(args.matrix))
-    text = getattr(args, flag, None)
-    if text is None:
-        raise CLIUsage(f"one of --identity, --matrix, --{flag} is required")
-    return parse_generator_map(source, target, text)
-
-
-def _unique_keys(pairs: list) -> dict:
-    # a JSON object that repeats a key would silently keep only its last value
-    doc = dict(pairs)
-    if len(doc) != len(pairs):
-        raise CLIUsage("bad flips JSON: an object repeats a key")
-    return doc
-
-
-def parse_flips(text: str) -> dict[int, dict[tuple[str, str], tuple[str, str]]]:
-    """The --flips table; a color or a [lam, g] given twice is a usage
-    error, not a silent overwrite."""
-    if os.path.isfile(text):
-        text = read_text(text)
-    try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except CLIUsage:
-        raise
-    except (ValueError, RecursionError) as e:
-        # JSONDecodeError, an integer over the digit limit, or nesting too deep
-        raise CLIUsage(f"bad flips JSON: {e}")
-    if not isinstance(doc, dict):
-        raise CLIUsage("bad flips JSON: expected an object keyed by color")
-    try:
-        tables = [
-            (int(color), [((lam, g), (g2, om)) for (lam, g), (g2, om) in table])
-            for color, table in doc.items()
-        ]
-        flips = {color: dict(entries) for color, entries in tables}
-    except (TypeError, ValueError):
-        raise CLIUsage("bad flips JSON: each entry must be [[lam, g], [g2, om]]")
-    if len(flips) != len(tables):
-        raise CLIUsage("bad flips JSON: some color is given twice")
-    for color, entries in tables:
-        if len(flips[color]) != len(entries):
-            raise CLIUsage(f"bad flips JSON: color {color} gives some [lam, g] twice")
-    for table in flips.values():
-        for key, value in table.items():
-            if not all(isinstance(e, str) for e in key + value):
-                raise CLIUsage("bad flips JSON: edge ids must be strings")
-    return flips
-
-
-def flips_doc(flips: dict[int, dict[tuple[str, str], tuple[str, str]]]) -> dict:
-    return {
-        str(i): [[list(dom), list(cod)] for dom, cod in sorted(table.items())]
-        for i, table in sorted(flips.items())
-    }
-
-
-def matrix_str(m: Matrix) -> str:
-    return "; ".join(" ".join(map(str, row)) for row in m)
-
-
-def map_doc(target: KGraph, m: GeneratorMap) -> dict[str, str]:
-    return {gen: element_str(target, img) for gen, img in sorted(m.images.items())}
-
-
 def emit(args, doc: dict, text: str) -> int:
     print(json.dumps(doc, indent=2, sort_keys=True) if args.json else text)
     return 0
+
+
+def _write_sidecar(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ----------------------------------------------------------------- commands
@@ -248,53 +119,14 @@ def cmd_info(args) -> int:
     return emit(args, doc, "\n".join(lines))
 
 
-def _partition_for(g: KGraph, args) -> Partition:
-    from .moves import Partition, check_partition, enumerate_valid_partitions
-
-    if args.side1 is not None:
-        side1 = tuple(sorted(args.side1.split(",")))
-        all_in = [
-            e.id
-            for i in range(1, g.rank + 1)
-            for e in g.in_edges[args.vertex][i]
-        ]
-        side2 = tuple(sorted(set(all_in) - set(side1)))
-        p = Partition(args.vertex, side1, side2)
-        check_partition(g, p)
-        return p
-    options = enumerate_valid_partitions(g, args.vertex)
-    if not 0 <= args.partition < len(options):
-        raise CLIUsage(
-            f"--partition {args.partition} out of range: vertex has {len(options)} valid partition(s)"
-        )
-    return options[args.partition]
-
-
-def _write_sidecar(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_insplit(args) -> int:
-    from .moves import insplit, insplit_maps
+    from .moves import choose_partition, insplit, insplit_sidecar
 
     g = resolve_graph(args.graph)
-    if args.vertex not in g.vertex_index:
-        raise KGraphError(f"unknown vertex {args.vertex!r}")
-    p = _partition_for(g, args)
+    p = choose_partition(g, args.vertex, args.side1, args.partition)
     if args.sidecar:
-        split, parents, phi, psi = insplit_maps(g, p, args.psi_color)
-        _write_sidecar(args.sidecar, {
-            "move": "insplit",
-            "vertex": p.vertex,
-            "side1": list(p.side1),
-            "side2": list(p.side2),
-            "parent_vertices": dict(sorted(parents.vertices.items())),
-            "parent_edges": dict(sorted(parents.edges.items())),
-            "phi": map_doc(split, phi),
-            "psi": map_doc(g, psi),
-        })
+        split, doc = insplit_sidecar(g, p, args.psi_color)
+        _write_sidecar(args.sidecar, doc)
     else:
         split, _ = insplit(g, p)
     print(dump_kgraph(split), end="")
@@ -302,20 +134,14 @@ def cmd_insplit(args) -> int:
 
 
 def cmd_sinkdelete(args) -> int:
-    from .moves import sink_delete, sink_delete_maps
+    from .moves import sink_delete, sink_delete_sidecar
 
     g = resolve_graph(args.graph)
     if args.vertex not in g.vertex_index:
         raise KGraphError(f"unknown vertex {args.vertex!r}")
     if args.sidecar:
-        result, phi, witnesses = sink_delete_maps(g, args.vertex)
-        _write_sidecar(args.sidecar, {
-            "move": "sinkdelete",
-            "vertex": args.vertex,
-            "deleted": sorted(set(g.vertices) - set(result.vertices)),
-            "phi": map_doc(result, phi),
-            "witnesses": {u: element_str(result, a) for u, a in sorted(witnesses.items())},
-        })
+        result, doc = sink_delete_sidecar(g, args.vertex)
+        _write_sidecar(args.sidecar, doc)
     else:
         result = sink_delete(g, args.vertex)
     print(dump_kgraph(result), end="")
@@ -341,7 +167,7 @@ def cmd_skew_window(args) -> int:
 
 
 def cmd_tm_eq(args) -> int:
-    from .dimension import dge_eq
+    from .dimension import dge_eq, parse_element
 
     g = resolve_graph(args.graph)
     a = parse_element(g, args.a)
@@ -351,11 +177,24 @@ def cmd_tm_eq(args) -> int:
 
 
 def cmd_tm_hom_check(args) -> int:
-    from .dimension import hom_check, pointed_check
+    from .dimension import (
+        generator_map_from_matrix,
+        hom_check,
+        identity_map_between,
+        parse_generator_map,
+        pointed_check,
+    )
 
     source = resolve_graph(args.source)
     target = resolve_graph(args.target)
-    m = map_arg(source, target, args, "map")
+    if args.identity:
+        m = identity_map_between(source, target)
+    elif args.matrix is not None:
+        m = generator_map_from_matrix(source, target, parse_matrix(args.matrix))
+    elif args.map is None:
+        raise CLIUsage("one of --identity, --matrix, --map is required")
+    else:
+        m = parse_generator_map(source, target, args.map)
     ok = hom_check(m)
     pointed = pointed_check(m) if ok else False
     doc = {"hom": ok, "pointed": pointed}
@@ -364,7 +203,7 @@ def cmd_tm_hom_check(args) -> int:
 
 
 def cmd_tm_iso_check(args) -> int:
-    from .dimension import identity_map_between, iso_check, pointed_check
+    from .dimension import identity_map_between, iso_check, parse_generator_map, pointed_check
 
     source = resolve_graph(args.source)
     target = resolve_graph(args.target)
@@ -384,23 +223,11 @@ def cmd_tm_iso_check(args) -> int:
 
 
 def cmd_sse_search(args) -> int:
-    from .dimension import ExhaustedBounds, sse_search
+    from .dimension import sse_search, sse_search_doc
 
     left = resolve_graph(args.left)
     right = resolve_graph(args.right)
-    found = sse_search(left, right, args.p_max, args.entry_max)
-    if isinstance(found, ExhaustedBounds):
-        doc = {"found": False, "p_max": found.p_max, "entry_max": found.entry_max}
-        return emit(args, doc, f"exhausted (p_max={found.p_max}, entry_max={found.entry_max})")
-    doc = {"found": True, "p": list(found.p), "r": found.r, "s": found.s}
-    text = "\n".join(
-        [
-            "p: " + ",".join(map(str, found.p)),
-            "R: " + matrix_str(found.r),
-            "S: " + matrix_str(found.s),
-        ]
-    )
-    return emit(args, doc, text)
+    return emit(args, *sse_search_doc(sse_search(left, right, args.p_max, args.entry_max)))
 
 
 def cmd_rank(args) -> int:
@@ -435,42 +262,11 @@ def cmd_h0gr(args) -> int:
 
 
 def cmd_bridge_search(args) -> int:
-    from .bridging import BridgingPair, Exhausted, bridging_search, coherence_check
+    from .bridging import bridge_search_doc
 
     g_lam = resolve_graph(args.lam)
     g_om = resolve_graph(args.om)
-    r = parse_matrix(args.matrix)
-    if args.flips is not None:
-        pair = BridgingPair(r, parse_flips(args.flips))
-        ok, witness = coherence_check(g_lam, g_om, pair)
-        if ok:
-            return emit(args, {"coherent": True}, "coherent")
-        doc = {
-            "coherent": False,
-            "witness": {
-                "colors": [witness.i, witness.j],
-                "lam_i": witness.lam_i,
-                "lam_j": witness.lam_j,
-                "g": witness.g,
-                "top": list(witness.top),
-                "bottom": list(witness.bottom),
-            },
-        }
-        text = (
-            f"incoherent at (i={witness.i}, j={witness.j}, lam_i={witness.lam_i}, "
-            f"lam_j={witness.lam_j}, g={witness.g}): "
-            f"top {witness.top} != bottom {witness.bottom}"
-        )
-        return emit(args, doc, text)
-    found = bridging_search(g_lam, g_om, r)
-    if isinstance(found, Exhausted):
-        return emit(args, {"found": False, "examined": found.count}, f"exhausted {found.count}")
-    doc = {"found": True, "matrix": r, "flips": flips_doc(found.flips)}
-    lines = ["R: " + matrix_str(r)]
-    for i, table in sorted(found.flips.items()):
-        for (lam, g), (g2, om) in sorted(table.items()):
-            lines.append(f"f{i}: ({lam}, {g}) -> ({g2}, {om})")
-    return emit(args, doc, "\n".join(lines))
+    return emit(args, *bridge_search_doc(g_lam, g_om, parse_matrix(args.matrix), args.flips))
 
 
 def cmd_fixtures(args) -> int:
@@ -483,110 +279,91 @@ def cmd_fixtures(args) -> int:
 
 # ----------------------------------------------------------------- dispatch
 
-def build_parser() -> argparse.ArgumentParser:
+GRAPH = ("graph", {})
+
+# name -> (handler, help, arguments); an argument is (name or flag,
+# add_argument keywords), added after --json in this order
+COMMANDS = {
+    "validate": (cmd_validate, "check the k-graph axioms", [GRAPH]),
+    "info": (cmd_info, "summary and vertex matrices", [GRAPH]),
+    "insplit": (cmd_insplit, "in-split at a vertex", [
+        GRAPH,
+        ("vertex", {}),
+        ("--partition", {"type": int, "default": 0, "help": "index into the valid partitions (default 0)"}),
+        ("--side1", {"help": "explicit side-1 edge ids, comma-separated"}),
+        ("--sidecar", {"help": "write the generator maps and parent maps to this JSON file"}),
+        ("--psi-color", {"type": int, "default": 1, "help": "color used by the backward map (default 1)"}),
+    ]),
+    "sinkdelete": (cmd_sinkdelete, "delete a sink and what it reaches", [
+        GRAPH,
+        ("vertex", {}),
+        ("--sidecar", {"help": "write the generator map and witnesses to this JSON file"}),
+    ]),
+    "pullback": (cmd_pullback, "pull back along a monoid hom", [
+        GRAPH,
+        ("--images", {"required": True, "help": "';'-separated degree tuples, one per source color"}),
+    ]),
+    "skew-window": (cmd_skew_window, "window of the degree-skew product", [
+        GRAPH, ("--lo", {"required": True}), ("--hi", {"required": True}),
+    ]),
+    "tm-eq": (cmd_tm_eq, "decide equality in the graded group", [GRAPH, ("a", {}), ("b", {})]),
+    "tm-hom-check": (cmd_tm_hom_check, "check a generator map is a hom", [
+        ("source", {}),
+        ("target", {}),
+        ("--map", {"help": "generator=element assignments, ';'-separated"}),
+        ("--matrix", {"help": "integer matrix inducing the map"}),
+        ("--identity", {"action": "store_true", "help": "identity on shared vertex names"}),
+    ]),
+    "tm-iso-check": (cmd_tm_iso_check, "check a mutually inverse pair", [
+        ("source", {}),
+        ("target", {}),
+        ("--fwd", {"help": "forward map, generator=element ';'-separated"}),
+        ("--bwd", {"help": "backward map"}),
+        ("--identity", {"action": "store_true"}),
+    ]),
+    "sse-search": (cmd_sse_search, "search for a one-step strong shift equivalence", [
+        ("left", {}),
+        ("right", {}),
+        ("--p-max", {"type": int, "default": 1, "help": "componentwise bound on the degree p (default 1)"}),
+        ("--entry-max", {"type": int, "default": 1, "help": (
+            "bound on R and S entries (default 1; equations prune R and S row by row, "
+            "but the worst case is still (entry_max+1)^(2 d d') candidate pairs)"
+        )}),
+    ]),
+    "rank": (cmd_rank, "rank of P^d, P the product of the one-step matrices and d the vertex count", [GRAPH]),
+    "h0": (cmd_h0, "ungraded zeroth homology invariants", [GRAPH]),
+    "h0gr": (cmd_h0gr, "graded zeroth homology presentation data", [GRAPH]),
+    "bridge-search": (cmd_bridge_search, "search for a coherent flip family", [
+        ("lam", {}),
+        ("om", {}),
+        ("--matrix", {"required": True, "help": "the candidate bridging matrix R"}),
+        ("--flips", {"help": "check this flip family instead of searching"}),
+    ]),
+    "fixtures": (cmd_fixtures, "list the bundled catalog", []),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The kgraph parser; with `only`, it holds that one subparser, and its
+    own usage still lists every command, so its help, usage and error text
+    for that command are the full parser's."""
     parser = argparse.ArgumentParser(
         prog="kgraph",
         description="Compute with finite higher-rank graphs.",
         epilog=__doc__.split("\n\nArgument syntaxes:\n")[1],
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-    p = sub.add_parser("validate", parents=[common], help="check the k-graph axioms")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("info", parents=[common], help="summary and vertex matrices")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("insplit", parents=[common], help="in-split at a vertex")
-    p.add_argument("graph")
-    p.add_argument("vertex")
-    p.add_argument("--partition", type=int, default=0, help="index into the valid partitions (default 0)")
-    p.add_argument("--side1", help="explicit side-1 edge ids, comma-separated")
-    p.add_argument("--sidecar", help="write the generator maps and parent maps to this JSON file")
-    p.add_argument("--psi-color", type=int, default=1, help="color used by the backward map (default 1)")
-    p.set_defaults(func=cmd_insplit)
-
-    p = sub.add_parser("sinkdelete", parents=[common], help="delete a sink and what it reaches")
-    p.add_argument("graph")
-    p.add_argument("vertex")
-    p.add_argument("--sidecar", help="write the generator map and witnesses to this JSON file")
-    p.set_defaults(func=cmd_sinkdelete)
-
-    p = sub.add_parser("pullback", parents=[common], help="pull back along a monoid hom")
-    p.add_argument("graph")
-    p.add_argument("--images", required=True, help="';'-separated degree tuples, one per source color")
-    p.set_defaults(func=cmd_pullback)
-
-    p = sub.add_parser("skew-window", parents=[common], help="window of the degree-skew product")
-    p.add_argument("graph")
-    p.add_argument("--lo", required=True)
-    p.add_argument("--hi", required=True)
-    p.set_defaults(func=cmd_skew_window)
-
-    p = sub.add_parser("tm-eq", parents=[common], help="decide equality in the graded group")
-    p.add_argument("graph")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_tm_eq)
-
-    p = sub.add_parser("tm-hom-check", parents=[common], help="check a generator map is a hom")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--map", help="generator=element assignments, ';'-separated")
-    p.add_argument("--matrix", help="integer matrix inducing the map")
-    p.add_argument("--identity", action="store_true", help="identity on shared vertex names")
-    p.set_defaults(func=cmd_tm_hom_check)
-
-    p = sub.add_parser("tm-iso-check", parents=[common], help="check a mutually inverse pair")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--fwd", help="forward map, generator=element ';'-separated")
-    p.add_argument("--bwd", help="backward map")
-    p.add_argument("--identity", action="store_true")
-    p.set_defaults(func=cmd_tm_iso_check)
-
-    p = sub.add_parser("sse-search", parents=[common], help="search for a one-step strong shift equivalence")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--p-max", type=int, default=1, help="componentwise bound on the degree p (default 1)")
-    p.add_argument(
-        "--entry-max",
-        type=int,
-        default=1,
-        help=(
-            "bound on R and S entries (default 1; equations prune R and S row by row, "
-            "but the worst case is still (entry_max+1)^(2 d d') candidate pairs)"
-        ),
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=None if only is None else "{" + ",".join(COMMANDS) + "}"
     )
-    p.set_defaults(func=cmd_sse_search)
-
-    p = sub.add_parser("rank", parents=[common], help="rank of the total one-step matrix")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("h0", parents=[common], help="ungraded zeroth homology invariants")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_h0)
-
-    p = sub.add_parser("h0gr", parents=[common], help="graded zeroth homology presentation data")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_h0gr)
-
-    p = sub.add_parser("bridge-search", parents=[common], help="search for a coherent flip family")
-    p.add_argument("lam")
-    p.add_argument("om")
-    p.add_argument("--matrix", required=True, help="the candidate bridging matrix R")
-    p.add_argument("--flips", help="check this flip family instead of searching")
-    p.set_defaults(func=cmd_bridge_search)
-
-    p = sub.add_parser("fixtures", parents=[common], help="list the bundled catalog")
-    p.set_defaults(func=cmd_fixtures)
-
+    for name, (func, help, arguments) in COMMANDS.items():
+        if only is not None and name != only:
+            continue
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -598,7 +375,9 @@ def _errmsg(e: BaseException) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -29,6 +29,11 @@ class KGraphError(ValueError):
     """Base of every error the package raises on bad input."""
 
 
+class CLIUsage(KGraphError):
+    """Malformed argument text: a shift, matrix, element, map or flip
+    table as the command line spells it (the CLI exits 2)."""
+
+
 # ---------------------------------------------------------------- degrees
 
 def zero_degree(k: int) -> Degree:
@@ -60,6 +65,14 @@ def deg_leq(m: Degree, n: Degree) -> bool:
 
 def deg_total(n: Degree) -> int:
     return sum(n)
+
+
+def parse_shift(text: str) -> Shift:
+    """A degree or shift written as comma-separated integers: "1,0"."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise CLIUsage(f"bad tuple {text!r}: comma-separated integers expected")
 
 
 # ------------------------------------------------------------------ types
@@ -149,28 +162,42 @@ class KGraph:
     of the color-i edges into each vertex index and is what push,
     vertex_matrix, homology.h0 and the intertwining kernel of dimension
     read. The constructor rejects structurally malformed input (a rank
-    outside 1..KGRAPH_MAX_RANK, bad ids, colors or endpoints) with
-    KGraphError and indexes incidence, but does not check the k-graph
-    axioms: build graphs with validate_kgraph, which does. Instances are
-    immutable: every attribute is set once here, except the one derived
-    attribute `stable_index`, computed on first use and then kept. The
-    vertex tuple order fixes matrix indexing everywhere.
+    that is not an int in 1..KGRAPH_MAX_RANK, ids that are not strings,
+    colors that are not ints in range, unknown endpoints, a strict flag
+    that is not a bool) with KGraphError, so whatever it accepts dumps to a
+    document that textform.parse_kgraph reads back. It indexes incidence
+    but does not check the k-graph axioms: build graphs with
+    validate_kgraph, which does. Instances are immutable: every attribute
+    is set once here, except the one derived attribute `stable_index`,
+    computed on first use and then kept. The vertex tuple order fixes
+    matrix indexing everywhere.
     """
 
     def __init__(self, skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool):
         k = skeleton.rank
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise KGraphError(f"rank {k!r} is not an int")
         if not 1 <= k <= KGRAPH_MAX_RANK:
             raise KGraphError(f"rank must be in 1..{KGRAPH_MAX_RANK}")
+        if not isinstance(strict, bool):
+            raise KGraphError(f"strict must be a bool, not {strict!r}")
         self.vertex_index = index = {v: i for i, v in enumerate(skeleton.vertices)}
         if len(index) != len(skeleton.vertices):
             raise KGraphError("duplicate vertex ids")
+        for v in index:
+            if not isinstance(v, str):
+                raise KGraphError(f"vertex id {v!r} is not a string")
         self.by_id = by_id = {}
         ins = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
         outs = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
         for e in skeleton.edges:
+            if not isinstance(e.id, str):
+                raise KGraphError(f"edge id {e.id!r} is not a string")
             if e.id in by_id:
                 raise KGraphError(f"duplicate edge id {e.id!r}")
             by_id[e.id] = e
+            if not isinstance(e.color, int) or isinstance(e.color, bool):
+                raise KGraphError(f"edge {e.id!r} has color {e.color!r}, not an int")
             if not 1 <= e.color <= k:
                 raise KGraphError(f"edge {e.id!r} has color {e.color} outside 1..{k}")
             if e.src not in index or e.rng not in index:
@@ -528,3 +555,22 @@ def vertex_matrix(g: KGraph, n: Degree) -> Matrix:
     _check_degree(g, n)
     d = len(g.vertices)
     return [push(g, [int(i == j) for j in range(d)], n) for i in range(d)]
+
+
+def parse_matrix(text: str) -> Matrix:
+    """An integer matrix written as rows separated by ';' and entries by
+    whitespace: "1 0; 0 1"."""
+    try:
+        rows = [[int(x) for x in row.split()] for row in text.split(";")]
+    except ValueError:
+        raise CLIUsage(f"bad matrix {text!r}: entries must be integers")
+    if not rows or any(not r for r in rows):
+        raise CLIUsage(f"bad matrix {text!r}: empty row")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise CLIUsage(f"bad matrix {text!r}: ragged rows")
+    return rows
+
+
+def matrix_str(m: Matrix) -> str:
+    """m in the syntax parse_matrix reads."""
+    return "; ".join(" ".join(map(str, row)) for row in m)

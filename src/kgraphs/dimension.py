@@ -14,9 +14,10 @@ is never zero. No matrix power is formed.
 from __future__ import annotations
 
 from itertools import product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
+    CLIUsage,
     Degree,
     KGraph,
     KGraphError,
@@ -24,20 +25,16 @@ from .core import (
     deg_join,
     deg_sub,
     deg_total,
+    matrix_str,
+    parse_shift,
     push,
     unit_degree,
     vertex_matrix,
     zero_degree,
 )
-from .intmat import (
-    Matrix,
-    is_nonneg_vec,
-    is_zero_vec,
-    rank,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
+
+if TYPE_CHECKING:
+    from .intmat import Matrix
 
 
 class RankMismatch(KGraphError):
@@ -117,17 +114,17 @@ def dge_eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
     _check_element(g, a)
     _check_element(g, b)
     p = deg_join(a.n, b.n)
-    z = vec_sub(_push(g, a, p), _push(g, b, p))
-    if is_zero_vec(z):
+    z = [s - t for s, t in zip(_push(g, a, p), _push(g, b, p))]
+    if not any(z):
         return True
-    return is_zero_vec(push(g, z, (g.stable_index,) * g.rank))
+    return not any(push(g, z, (g.stable_index,) * g.rank))
 
 
 def dge_add(g: KGraph, a: DimElement, b: DimElement) -> DimElement:
     _check_element(g, a)
     _check_element(g, b)
     p = deg_join(a.n, b.n)
-    return DimElement(tuple(vec_add(_push(g, a, p), _push(g, b, p))), p)
+    return DimElement(tuple(s + t for s, t in zip(_push(g, a, p), _push(g, b, p))), p)
 
 
 def dge_shift(a: DimElement, m: Shift) -> DimElement:
@@ -137,7 +134,7 @@ def dge_shift(a: DimElement, m: Shift) -> DimElement:
 
 
 def dge_scale(c: int, a: DimElement) -> DimElement:
-    return DimElement(tuple(vec_scale(c, list(a.x))), a.n)
+    return DimElement(tuple(c * s for s in a.x), a.n)
 
 
 def positivity(g: KGraph, a: DimElement, q_max: int) -> str:
@@ -152,9 +149,9 @@ def positivity(g: KGraph, a: DimElement, q_max: int) -> str:
         raise KGraphError("q_max must be >= 0")
     corner = tuple(max(q_max, c) for c in a.n)
     pushed = _push(g, a, corner)
-    if is_nonneg_vec(pushed):
+    if min(pushed, default=0) >= 0:
         return "positive"
-    if is_nonneg_vec(vec_scale(-1, pushed)) and not dge_eq(g, a, zero_element(g, a.n)):
+    if max(pushed, default=0) <= 0 and not dge_eq(g, a, zero_element(g, a.n)):
         return "not_positive"
     return "unknown"
 
@@ -429,5 +426,72 @@ def sse_search(
 def rank_invariant(g: KGraph) -> int:
     """Rank over Q of P^d, P the product of the one-step matrices; P^d is
     built by pushing the identity rows (vertex_matrix), with no product."""
+    from .intmat import rank
+
     d = len(g.vertices)
     return rank(vertex_matrix(g, (d,) * g.rank))
+
+
+# ------------------------------------------------------- command-line text
+
+def parse_element(g: KGraph, text: str) -> DimElement:
+    """An element written as '+'-separated terms "vertex:shift[:coeff]",
+    or "0"."""
+    text = text.strip()
+    if text == "0":
+        return zero_element(g)
+    acc = zero_element(g)
+    for term in text.split("+"):
+        parts = term.strip().split(":")
+        if len(parts) == 2:
+            v, shift, coeff = parts[0], parts[1], "1"
+        elif len(parts) == 3:
+            v, shift, coeff = parts
+        else:
+            raise CLIUsage(f"bad element term {term.strip()!r}: want vertex:shift[:coeff]")
+        if v not in g.vertex_index:
+            raise CLIUsage(f"unknown vertex {v!r} in element")
+        try:
+            c = int(coeff)
+        except ValueError:
+            raise CLIUsage(f"bad coefficient {coeff!r}")
+        acc = dge_add(g, acc, dge_scale(c, unit_element(g, v, parse_shift(shift))))
+    return acc
+
+
+def element_str(g: KGraph, a: DimElement) -> str:
+    """a in the syntax parse_element reads."""
+    shift = ",".join(map(str, a.n))
+    terms = [f"{v}:{shift}:{c}" for v, c in zip(g.vertices, a.x) if c != 0]
+    return " + ".join(terms) if terms else "0"
+
+
+def parse_generator_map(source: KGraph, target: KGraph, text: str) -> GeneratorMap:
+    """A map written as ';'-separated assignments "generator=element"."""
+    images: dict[str, DimElement] = {}
+    for entry in text.split(";"):
+        if "=" not in entry:
+            raise CLIUsage(f"bad map entry {entry.strip()!r}: want generator=element")
+        gen, elt = (part.strip() for part in entry.split("=", 1))
+        if gen in images:
+            raise CLIUsage(f"bad map: generator {gen!r} is given twice")
+        images[gen] = parse_element(target, elt)
+    return generator_map(source, target, images)
+
+
+def map_doc(m: GeneratorMap) -> dict[str, str]:
+    """The images of m by generator, in element syntax."""
+    return {gen: element_str(m.target, img) for gen, img in sorted(m.images.items())}
+
+
+def sse_search_doc(found: SSEWitness | ExhaustedBounds) -> tuple[dict, str]:
+    """What `kgraph sse-search` reports of an sse_search result, as a JSON
+    document and as text."""
+    if isinstance(found, ExhaustedBounds):
+        doc = {"found": False, "p_max": found.p_max, "entry_max": found.entry_max}
+        return doc, f"exhausted (p_max={found.p_max}, entry_max={found.entry_max})"
+    doc = {"found": True, "p": list(found.p), "r": found.r, "s": found.s}
+    text = "\n".join(
+        ["p: " + ",".join(map(str, found.p)), "R: " + matrix_str(found.r), "S: " + matrix_str(found.s)]
+    )
+    return doc, text

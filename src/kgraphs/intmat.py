@@ -1,5 +1,5 @@
-"""Exact integer vectors, the Smith normal form, primitive echelon bases
-of row spaces and the cokernel of a sparse integer matrix.
+"""Exact integer matrices: the Smith normal form, primitive echelon
+bases of row spaces and the cokernel of a sparse integer matrix.
 
 Matrices are lists of rows of Python ints, so every operation is
 arbitrary precision. The Smith normal form runs one elimination on the
@@ -16,36 +16,8 @@ from typing import Iterable
 Matrix = list[list[int]]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def vec_add(x: list[int], y: list[int]) -> list[int]:
-    if len(x) != len(y):
-        raise ValueError("vector length mismatch")
-    return [a + b for a, b in zip(x, y)]
-
-
-def vec_sub(x: list[int], y: list[int]) -> list[int]:
-    if len(x) != len(y):
-        raise ValueError("vector length mismatch")
-    return [a - b for a, b in zip(x, y)]
-
-
-def vec_scale(c: int, x: list[int]) -> list[int]:
-    return [c * a for a in x]
-
-
-def is_zero_vec(x: list[int]) -> bool:
-    return all(a == 0 for a in x)
-
-
-def is_nonneg_vec(x: list[int]) -> bool:
-    return all(a >= 0 for a in x)
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:

@@ -9,9 +9,10 @@ of pairing classes.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
+    CLIUsage,
     Edge,
     KGraph,
     KGraphError,
@@ -23,11 +24,15 @@ from .core import (
 from .dimension import (
     DimElement,
     GeneratorMap,
+    element_str,
     generator_map,
     generator_map_from_matrix,
+    map_doc,
     unit_element,
 )
-from .intmat import Matrix, zeros
+
+if TYPE_CHECKING:
+    from .intmat import Matrix
 
 
 class IndivisibleVertex(KGraphError):
@@ -222,7 +227,7 @@ def _copy_rows(g: KGraph, p: Partition, j: int) -> dict[str, list[int]]:
 
 def _projection(g: KGraph, split: KGraph, parents: ParentMap) -> Matrix:
     # R(u, w') = 1 iff w' projects to u
-    r = zeros(len(g.vertices), len(split.vertices))
+    r = [[0] * len(split.vertices) for _ in g.vertices]
     for jj, w in enumerate(split.vertices):
         r[g.vertex_index[parents.vertices[w]]][jj] = 1
     return r
@@ -353,3 +358,54 @@ def sink_delete_witnesses(g: KGraph, v: str) -> dict[str, DimElement]:
     """For each deleted vertex u, an element of the cut graph's dimension
     group mapping to u(0); see sink_delete_maps."""
     return sink_delete_maps(g, v)[2]
+
+
+# ------------------------------------------------------- command-line text
+
+def choose_partition(g: KGraph, v: str, side1: str | None, index: int) -> Partition:
+    """The partition at v that `kgraph insplit` names: side 1 as
+    comma-separated edge ids (side 2 is the rest of v's in-edges), or else
+    entry `index` of enumerate_valid_partitions."""
+    if v not in g.vertex_index:
+        raise KGraphError(f"unknown vertex {v!r}")
+    if side1 is not None:
+        ones = tuple(sorted(side1.split(",")))
+        all_in = [e.id for i in range(1, g.rank + 1) for e in g.in_edges[v][i]]
+        p = Partition(v, ones, tuple(sorted(set(all_in) - set(ones))))
+        check_partition(g, p)
+        return p
+    options = enumerate_valid_partitions(g, v)
+    if not 0 <= index < len(options):
+        raise CLIUsage(f"--partition {index} out of range: vertex has {len(options)} valid partition(s)")
+    return options[index]
+
+
+def insplit_sidecar(g: KGraph, p: Partition, j: int) -> tuple[KGraph, dict]:
+    """The in-split graph and the sidecar document `kgraph insplit
+    --sidecar` writes: the partition, the parent maps, and phi and psi at
+    color j in element syntax."""
+    split, parents, phi, psi = insplit_maps(g, p, j)
+    return split, {
+        "move": "insplit",
+        "vertex": p.vertex,
+        "side1": list(p.side1),
+        "side2": list(p.side2),
+        "parent_vertices": dict(sorted(parents.vertices.items())),
+        "parent_edges": dict(sorted(parents.edges.items())),
+        "phi": map_doc(phi),
+        "psi": map_doc(psi),
+    }
+
+
+def sink_delete_sidecar(g: KGraph, v: str) -> tuple[KGraph, dict]:
+    """The graph left by deleting the sink v and the sidecar document
+    `kgraph sinkdelete --sidecar` writes: the deleted vertices, phi, and
+    the witnesses in the cut graph, in element syntax."""
+    cut, phi, witnesses = sink_delete_maps(g, v)
+    return cut, {
+        "move": "sinkdelete",
+        "vertex": v,
+        "deleted": sorted(set(g.vertices) - set(cut.vertices)),
+        "phi": map_doc(phi),
+        "witnesses": {u: element_str(cut, a) for u, a in sorted(witnesses.items())},
+    }

@@ -312,6 +312,59 @@ def test_kgraph_rejects_malformed_edges(edge, message):
     assert str(info.value) == message
 
 
+# Values the text format cannot hold: each built and dumped, then failed
+# to parse, so the graph could not round-trip. The document beside each
+# is what dump_kgraph would have written.
+UNWRITABLE = {
+    "edge-id-int": (
+        Skeleton(1, ("a",), (Edge(7, 1, "a", "a"),)), True, "edge id 7 is not a string",
+        {"edges": [{"id": 7, "color": 1, "src": "a", "rng": "a"}]},
+    ),
+    "color-bool": (
+        Skeleton(1, ("a",), (Edge("e", True, "a", "a"),)), True, "edge 'e' has color True, not an int",
+        {"edges": [{"id": "e", "color": True, "src": "a", "rng": "a"}]},
+    ),
+    "color-float": (
+        Skeleton(1, ("a",), (Edge("e", 1.0, "a", "a"),)), True, "edge 'e' has color 1.0, not an int",
+        {"edges": [{"id": "e", "color": 1.0, "src": "a", "rng": "a"}]},
+    ),
+    "vertex-int": (
+        Skeleton(1, ("a", 3), (Edge("e", 1, "a", "a"),)), False, "vertex id 3 is not a string",
+        {"vertices": ["a", 3], "strict_no_sources": False},
+    ),
+    "rank-bool": (
+        Skeleton(True, ("a",), (Edge("e", 1, "a", "a"),)), True, "rank True is not an int",
+        {"rank": True},
+    ),
+    "strict-int": (
+        Skeleton(1, ("a",), (Edge("e", 1, "a", "a"),)), 1, "strict must be a bool, not 1",
+        {"strict_no_sources": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_kgraph_rejects_what_the_text_format_cannot_hold(case):
+    import json
+
+    from kgraphs.textform import TextFormatError, parse_kgraph
+
+    skeleton, strict, message, changes = UNWRITABLE[case]
+    with pytest.raises(KGraphError) as info:
+        KGraph(skeleton, {}, strict)
+    assert str(info.value) == message
+    # and the parser rejects the same value, so the two agree
+    doc = {
+        "rank": 1,
+        "vertices": ["a"],
+        "edges": [{"id": "e", "color": 1, "src": "a", "rng": "a"}],
+        "squares": [],
+        "strict_no_sources": True,
+    }
+    with pytest.raises(TextFormatError):
+        parse_kgraph(json.dumps(dict(doc, **changes)))
+
+
 def test_rank_is_capped():
     # validation reads every color triple, so the rank is bounded
     loop = (Edge("e", 1, "u", "u"),)

@@ -42,7 +42,7 @@ from kgraphs.dimension import (
     unit_element,
     zero_element,
 )
-from kgraphs.intmat import identity, vec_add, vec_scale
+from kgraphs.intmat import identity
 from kgraphs.moves import (
     enumerate_valid_partitions,
     insplit,
@@ -52,6 +52,15 @@ from kgraphs.moves import (
     sink_delete,
     sink_delete_witnesses,
 )
+
+
+def vec_add(x, y):
+    assert len(x) == len(y)
+    return [a + b for a, b in zip(x, y)]
+
+
+def vec_scale(c, x):
+    return [c * a for a in x]
 
 
 # (id(graph), degree) -> (graph, A_degree); holding the graph keeps its id

@@ -8,15 +8,30 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgraphs.constructions import FIXTURE_NAMES, fixture, grid
+from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, skew_product_window
+from kgraphs.core import Edge, Skeleton, validate_kgraph
+from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
 from kgraphs.textform import (
     TextFormatError,
     dump_kgraph,
-    kgraph_to_doc,
     parse_kgraph,
     parse_kgraph_parts,
 )
+
+def kgraph_to_doc(g):
+    """The document dump_kgraph writes, as a dict: the reference the
+    writer is checked against through json.dumps(doc, indent=2)."""
+    return {
+        "rank": g.rank,
+        "vertices": list(g.vertices),
+        "edges": [{"id": e.id, "color": e.color, "src": e.src, "rng": e.rng} for e in g.edges],
+        "squares": [{"left": list(key), "right": list(val)} for key, val in sorted(g.squares.items())],
+        "strict_no_sources": g.strict,
+    }
+
 
 MINIMAL = {
     "rank": 1,
@@ -180,3 +195,69 @@ def test_missing_field_message_does_not_depend_on_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert outputs == {"edge missing field 'id': {'src': 'u', 'rng': 'u'}\nsquare missing field 'left': {}\n"}
+
+
+# ------------------------------------------------------------------ writer
+
+def reference_dump(g) -> str:
+    return json.dumps(kgraph_to_doc(g), indent=2) + "\n"
+
+
+def _writer_graphs():
+    graphs = {name: fixture(name) for name in sorted(FIXTURE_NAMES) + ["ex4.7-n3"]}
+    lam = fixture("ex3.5-Lambda")
+    graphs["insplit"] = insplit(lam, enumerate_valid_partitions(lam, "v")[0])[0]
+    graphs["sinkdelete"] = sink_delete(lam, "v")
+    graphs["pullback"] = pullback(lam, monoid_hom([(1, 0), (0, 1), (1, 1)], 2))
+    graphs["skew-window"] = skew_product_window(lam, (0, 0), (1, 1))
+    return graphs
+
+
+WRITER_GRAPHS = _writer_graphs()
+
+
+@pytest.mark.parametrize("name", list(WRITER_GRAPHS))
+def test_writer_matches_json_dumps(name):
+    g = WRITER_GRAPHS[name]
+    text = dump_kgraph(g)
+    assert text == reference_dump(g)
+    assert parse_kgraph(text) == g
+
+
+# ids with quotes, backslashes, control and non-ASCII characters, including
+# ones outside the basic plane, which the ASCII encoder writes as pairs
+IDS = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\n\t\x00\x7fé€\u2028😀'), st.characters()),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_writer_matches_json_dumps_on_relabelled_graphs(data):
+    # a fixture with every vertex and edge renamed keeps its squares; a
+    # generated rank-1 graph has none
+    if data.draw(st.booleans()):
+        g = fixture(data.draw(st.sampled_from(sorted(FIXTURE_NAMES))))
+        names = data.draw(st.lists(IDS, min_size=len(g.vertices) + len(g.edges),
+                                   max_size=len(g.vertices) + len(g.edges), unique=True))
+        rename = dict(zip(g.vertices + tuple(e.id for e in g.edges), names))
+        skeleton = Skeleton(
+            g.rank,
+            tuple(rename[v] for v in g.vertices),
+            tuple(Edge(rename[e.id], e.color, rename[e.src], rename[e.rng]) for e in g.edges),
+        )
+        squares = {
+            (rename[a], rename[b]): (rename[c], rename[d]) for (a, b), (c, d) in g.squares.items()
+        }
+        g = validate_kgraph(skeleton, squares, g.strict)
+    else:
+        vertices = data.draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+        edge_ids = data.draw(st.lists(IDS.filter(lambda i: i not in vertices), max_size=6, unique=True))
+        ends = st.sampled_from(vertices)
+        edges = tuple(Edge(i, 1, data.draw(ends), data.draw(ends)) for i in edge_ids)
+        g = validate_kgraph(Skeleton(1, tuple(vertices), edges), {}, strict=False)
+    text = dump_kgraph(g)
+    assert text == reference_dump(g)
+    assert parse_kgraph(text) == g
