@@ -52,20 +52,10 @@ _EXPORTS = {
         "KGraph",
         "KGraphError",
         "NotComposable",
-        "Path",
         "Skeleton",
-        "compose",
-        "factor",
-        "make_path",
-        "mce",
-        "path_degree",
-        "path_source",
-        "paths_of_degree",
-        "segment",
         "unit_degree",
         "validate_kgraph",
         "vertex_matrix",
-        "vertex_path",
         "zero_degree",
     ),
     "dimension": (
@@ -125,6 +115,18 @@ _EXPORTS = {
         "sink_delete",
         "sink_delete_maps",
         "sink_delete_witnesses",
+    ),
+    "paths": (
+        "Path",
+        "compose",
+        "factor",
+        "make_path",
+        "mce",
+        "path_degree",
+        "path_source",
+        "paths_of_degree",
+        "segment",
+        "vertex_path",
     ),
     "textform": (
         "TextFormatError",

@@ -31,15 +31,12 @@ from .core import (
     KGraph,
     KGraphError,
     NotComposable,
-    Path,
     Skeleton,
-    make_path,
     matrix_str,
-    path_source,
     validate_kgraph,
-    vertex_path,
 )
 from .dimension import DimensionMismatch
+from .paths import Path, make_path, path_source, vertex_path
 
 if TYPE_CHECKING:
     from .intmat import Matrix

@@ -14,20 +14,16 @@ from .core import (
     Edge,
     KGraph,
     KGraphError,
-    Path,
     Shift,
     Skeleton,
     SquarePair,
-    compose,
     deg_add,
     deg_total,
-    factor,
-    path_source,
-    paths_of_degree,
     push,
     unit_degree,
     validate_kgraph,
 )
+from .paths import Path, compose, factor, path_source, paths_of_degree
 
 
 class UnknownFixture(KGraphError, KeyError):

@@ -24,15 +24,8 @@ from kgraphs.bridging import (
     coherence_check,
 )
 from kgraphs.constructions import FIXTURE_NAMES, fixture, monoid_hom, pullback, rose
-from kgraphs.core import (
-    InvalidKGraph,
-    compose,
-    path_source,
-    paths_of_degree,
-    segment,
-    vertex_matrix,
-    zero_degree,
-)
+from kgraphs.core import InvalidKGraph, vertex_matrix, zero_degree
+from kgraphs.paths import compose, path_source, paths_of_degree, segment
 from kgraphs.dimension import (
     DimElement,
     apply_generator_map,

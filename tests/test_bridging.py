@@ -33,20 +33,8 @@ from kgraphs.bridging import (
     polymorphism_from_matrix,
 )
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
-from kgraphs.core import (
-    Edge,
-    InvalidKGraph,
-    KGraphError,
-    NotComposable,
-    Path,
-    Skeleton,
-    compose,
-    make_path,
-    paths_of_degree,
-    segment,
-    validate_kgraph,
-    vertex_path,
-)
+from kgraphs.core import Edge, InvalidKGraph, KGraphError, NotComposable, Skeleton, validate_kgraph
+from kgraphs.paths import Path, compose, make_path, paths_of_degree, segment, vertex_path
 from kgraphs.dimension import DimensionMismatch, intertwiner_check
 
 LAM56 = fixture("ex5.6-Lambda")

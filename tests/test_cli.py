@@ -920,9 +920,9 @@ _CLI_BASE = {"kgraphs", "kgraphs.core", "kgraphs.textform"}
         (["tm-eq", "{g}", "u:0,0", "u:0,7"], {"dimension"}),
         (["tm-eq", "{g}", "u:0,0", "u:0,0:2"], {"dimension", "intmat"}),
         (["info", "{g}"], set()),
-        (["pullback", "{g}", "--images", "1,0;0,1"], {"constructions"}),
-        (["skew-window", "{g}", "--lo", "0,0", "--hi", "0,1"], {"constructions"}),
-        (["validate", "ex3.5-LambdaS"], {"constructions"}),
+        (["pullback", "{g}", "--images", "1,0;0,1"], {"constructions", "paths"}),
+        (["skew-window", "{g}", "--lo", "0,0", "--hi", "0,1"], {"constructions", "paths"}),
+        (["validate", "ex3.5-LambdaS"], {"constructions", "paths"}),
         (["insplit", "{lam}", "v", "--sidecar", "{sidecar}"], {"moves", "dimension"}),
         (["sinkdelete", "{lam}", "v", "--sidecar", "{sidecar}"], {"moves", "dimension"}),
         (["tm-iso-check", "{lam}", "{split}", "--fwd", "{phi}", "--bwd", "{psi}"], {"dimension"}),

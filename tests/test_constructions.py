@@ -19,18 +19,8 @@ from kgraphs.constructions import (
     rose,
     skew_product_window,
 )
-from kgraphs.core import (
-    Edge,
-    Skeleton,
-    compose,
-    path_degree,
-    path_source,
-    paths_of_degree,
-    segment,
-    validate_kgraph,
-    vertex_matrix,
-    zero_degree,
-)
+from kgraphs.core import Edge, Skeleton, validate_kgraph, vertex_matrix, zero_degree
+from kgraphs.paths import compose, path_degree, path_source, paths_of_degree, segment
 from kgraphs.textform import dump_kgraph
 
 

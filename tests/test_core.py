@@ -25,14 +25,20 @@ from kgraphs.core import (
     MissingSquare,
     NonBijectiveSquares,
     NotComposable,
-    Path,
     Skeleton,
     SourceVertex,
-    compose,
     deg_join,
     deg_leq,
     deg_sub,
     kgraph_violations,
+    unit_degree,
+    validate_kgraph,
+    vertex_matrix,
+    zero_degree,
+)
+from kgraphs.paths import (
+    Path,
+    compose,
     make_path,
     mce,
     normalize_word,
@@ -40,11 +46,7 @@ from kgraphs.core import (
     path_source,
     paths_of_degree,
     segment,
-    unit_degree,
-    validate_kgraph,
-    vertex_matrix,
     vertex_path,
-    zero_degree,
 )
 
 

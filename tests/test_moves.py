@@ -12,7 +12,8 @@ from test_homology import _product
 from test_intmat import mat_mul
 
 from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
-from kgraphs.core import KGraphError, Path, mce, validate_kgraph, vertex_matrix
+from kgraphs.core import KGraphError, validate_kgraph, vertex_matrix
+from kgraphs.paths import Path, mce
 from kgraphs.dimension import (
     SSEWitness,
     generator_map,
