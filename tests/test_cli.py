@@ -830,7 +830,7 @@ ROBUST_SEEDS = {
     "h0gr": ["h0gr", "sec3-Lambda"],
     "fixtures": ["fixtures"],
 }
-_MUTATION_CHARS = "0123456789,;:=+- ^uvwxe-_.{}[]\"\\\n"
+_MUTATION_CHARS = "0123456789,;:=+- ^uvwxe_.{}[]\"\\\n"
 
 
 @st.composite
