@@ -47,6 +47,7 @@ _EXPORTS = {
     ),
     "core": (
         "DegreeOutOfRange",
+        "DimensionMismatch",
         "Edge",
         "InvalidKGraph",
         "KGraph",
@@ -60,7 +61,6 @@ _EXPORTS = {
     ),
     "dimension": (
         "DimElement",
-        "DimensionMismatch",
         "ExhaustedBounds",
         "GeneratorMap",
         "RankMismatch",

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
     CLIUsage,
+    DimensionMismatch,
     Edge,
     KGraph,
     KGraphError,
@@ -35,7 +36,6 @@ from .core import (
     matrix_str,
     validate_kgraph,
 )
-from .dimension import DimensionMismatch
 from .paths import Path, make_path, path_source, vertex_path
 
 if TYPE_CHECKING:

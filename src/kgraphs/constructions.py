@@ -23,7 +23,7 @@ from .core import (
     unit_degree,
     validate_kgraph,
 )
-from .paths import Path, compose, factor, path_source, paths_of_degree
+from .paths import Path, normalize_word, path_source, paths_of_degree
 
 
 class UnknownFixture(KGraphError, KeyError):
@@ -152,6 +152,26 @@ def _pullback_size(g: KGraph, f: MonoidHom) -> int:
     return sum(sum(push(g, ones, n)) for n in degrees)
 
 
+def _swap_past(g: KGraph, lam: Path, mu: Path, m: Degree) -> tuple[Path, Path]:
+    """(mu2, lam2) with lam . mu = mu2 . lam2 and degree(mu2) = m, both
+    in normal form: m's edges are pulled to the front of the word lam + mu
+    color by color, each by square swaps past the edges before it, and
+    the rest is sorted. A path has one normal form, so this is
+    factor(g, compose(g, lam, mu), m) without sorting the whole word."""
+    by_id, word, front = g.by_id, list(lam.edges + mu.edges), []
+    colors = [by_id[e].color for e in word]
+    for color, times in enumerate(m, 1):
+        for _ in range(times):
+            for t in range(colors.index(color), 0, -1):
+                table = g.squares if colors[t - 1] < color else g.squares_inv
+                word[t - 1], word[t] = table[word[t - 1], word[t]]
+                colors[t - 1], colors[t] = color, colors[t - 1]
+            front.append(word.pop(0))
+            colors.pop(0)
+    rest = Path(by_id[front[-1]].src if front else lam.rng, normalize_word(g, tuple(word)))
+    return Path(lam.rng, tuple(front)), rest
+
+
 def pullback(g: KGraph, f: MonoidHom) -> KGraph:
     """The pullback along f: same vertices; a color-a edge is a g-path of
     degree f(e_a) (a vertex loop when f(e_a) = 0); squares come from the
@@ -193,7 +213,7 @@ def pullback(g: KGraph, f: MonoidHom) -> KGraph:
                     continue
                 lam = path_of[e1.id]
                 for e2id, mu in by_rng.get((b, e1.src), ()):
-                    mu2, lam2 = factor(g, compose(g, lam, mu), deg_b)
+                    mu2, lam2 = _swap_past(g, lam, mu, deg_b)
                     squares[(e1.id, e2id)] = (eid(b, mu2), eid(a, lam2))
     return validate_kgraph(Skeleton(l, g.vertices, tuple(edges)), squares, strict=g.strict)
 

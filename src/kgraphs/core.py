@@ -139,6 +139,11 @@ class DegreeOutOfRange(KGraphError):
     pass
 
 
+class DimensionMismatch(KGraphError):
+    """Two graphs of different ranks, or a matrix of the wrong shape for
+    them."""
+
+
 # ----------------------------------------------------------------- KGraph
 
 # Validation reads every color triple; no catalog or generated graph has a

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .core import (
     CLIUsage,
     Degree,
+    DimensionMismatch,
     KGraph,
     KGraphError,
     Shift,
@@ -38,10 +39,6 @@ if TYPE_CHECKING:
 
 
 class RankMismatch(KGraphError):
-    pass
-
-
-class DimensionMismatch(KGraphError):
     pass
 
 
@@ -357,6 +354,8 @@ def _first_s(r: list, a_p: Matrix, b_p: Matrix, entry_max: int, s_accept) -> Mat
                 image = [a + c * b for a, b in zip(image, row)]
         by_image.setdefault(tuple(image), []).append(x)
     options = [by_image.get(tuple(row), []) for row in b_p]
+    if not all(options):
+        return None
 
     def holds(rows: list, t: int) -> bool:
         for v, terms in rs_eqs[t]:
@@ -369,6 +368,31 @@ def _first_s(r: list, a_p: Matrix, b_p: Matrix, entry_max: int, s_accept) -> Mat
 
     s = next(_row_search(dr, options.__getitem__, holds), None)
     return None if s is None else [list(row) for row in s]
+
+
+def _degrees(graphs: tuple, caps: tuple, p_max: int):
+    """(p, A_p, B_p) for p in (0..p_max)^k in lexicographic order, each
+    matrix pushed one step from the one before it in its coordinate j. A p
+    whose matrix has an entry over its cap is skipped; if that graph has no
+    sources, A_{p+q} = A_p A_q, A_q with no zero row, has as large an entry,
+    so the rest of coordinate j is skipped too."""
+    no_sources = [all(map(all, g.in_sources)) for g in graphs]
+
+    def walk(p: tuple, mats: list):
+        j, k = len(p), graphs[0].rank
+        unit = unit_degree(k, j + 1)
+        for q in range(p_max + 1):
+            if q:
+                mats = [[push(g, y, unit) for y in m] for m, g in zip(mats, graphs)]
+            over = [max(map(max, m), default=0) > cap for m, cap in zip(mats, caps)]
+            if any(o and n for o, n in zip(over, no_sources)):
+                return
+            if j + 1 < k:
+                yield from walk((*p, q), mats)
+            elif not any(over):
+                yield (*p, q), *mats
+
+    yield from walk((), [vertex_matrix(g, zero_degree(g.rank)) for g in graphs])
 
 
 def sse_search(
@@ -385,24 +409,35 @@ def sse_search(
     them is set; so are row t of B_{e_i}S - S A_{e_i} and row v of
     R S - A_p, which reads the rows of S at the nonzero columns of row v of
     R. Row t of S R reads only row t of S, so each row of S is drawn from
-    the rows x with x R = row t of B_p. A prefix is rejected only when an
-    equation row it fully determines fails, and then no completion is a
+    the rows x with x R = row t of B_p, and an R that leaves some row of
+    B_p with no such x is dropped at that p. A prefix is rejected only when
+    an equation row it fully determines fails, and then no completion is a
     witness: the search meets the surviving candidates in the order of a
     full enumeration and returns the same first witness. The intertwining R
     do not depend on p; they are enumerated once, lazily, and replayed for
-    every later p. The one-step matrices are read off KGraph.in_sources and
-    no matrix product is formed. The equations prune rows, but the worst
-    case is still exponential in the sizes of R and S."""
+    every later p. Rules that hold at every p skip only what no witness
+    can use, so the result is unchanged: when every vertex of g_left
+    receives an edge of every color no A_p has a zero row, so neither has
+    R; when every vertex of g_right emits one no B_p has a zero column, so
+    neither has R. An entry of R S is at most d' * entry_max^2 and one of
+    S R at most d * entry_max^2 (d, d' the vertex counts), so _degrees
+    skips the p whose A_p or B_p has a larger one. No matrix product is
+    formed. The search stays exponential in entry_max and d * d', and
+    tries all (p_max + 1)^k degrees where the entries do not grow."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     if p_max < 0 or entry_max < 0:
         raise KGraphError("bounds must be >= 0")
-    dr = len(g_right.vertices)
+    dl, dr = len(g_left.vertices), len(g_right.vertices)
+    # whether R may have a zero row, a zero column (see above)
+    zero_rows = not all(map(all, g_left.in_sources))
+    zero_cols = any(len(set().union(*srcs)) < dr for srcs in g_right.in_sources)
+    r_rows = [x for x in product(range(entry_max + 1), repeat=dr) if zero_rows or any(x)]
     s_accept = _intertwining_rows(g_right, g_left)
-    fresh = _row_search(
-        len(g_left.vertices),
-        lambda t: product(range(entry_max + 1), repeat=dr),
-        _intertwining_rows(g_left, g_right),
+    fresh = (
+        r
+        for r in _row_search(dl, lambda t: r_rows, _intertwining_rows(g_left, g_right))
+        if zero_cols or all(map(any, zip(*r)))
     )
     seen: list[list[tuple[int, ...]]] = []
 
@@ -413,13 +448,12 @@ def sse_search(
             seen.append(r)
             yield r
 
-    for p in product(range(p_max + 1), repeat=g_left.rank):
-        a_p = vertex_matrix(g_left, p)
-        b_p = vertex_matrix(g_right, p)
+    caps = (dr * entry_max**2, dl * entry_max**2)
+    for p, a_p, b_p in _degrees((g_left, g_right), caps, p_max):
         for r in intertwiners():
             s = _first_s(r, a_p, b_p, entry_max, s_accept)
             if s is not None:
-                return SSEWitness(tuple(p), [list(row) for row in r], s)
+                return SSEWitness(p, [list(row) for row in r], s)
     return ExhaustedBounds(p_max, entry_max)
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -392,6 +394,17 @@ def test_sse_search_cli(capsys):
     assert code == 0 and out.strip() == "exhausted (p_max=1, entry_max=1)"
     code, _, err = run(capsys, "sse-search", "ex3.5-LambdaS", "ex4.7-n3", "--p-max", "-1")
     assert code == 1
+
+
+def test_sse_search_stops_at_degrees_whose_entries_are_too_large(capsys):
+    # A_p = [2^p1] for ex5.7-Lambda, which has no sources, is over its cap
+    # 2 * 1^2 from p1 = 2 on, so only p1 <= 1 is walked: 2 * 100001
+    # degrees, about 2.5 s on a shared 2-vCPU VM; every one of the 10^10
+    # degrees was built from the identity before
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "sse-search", "ex5.7-Lambda", "ex5.7-Omega", "--p-max", "100000")
+    assert (code, out) == (0, "exhausted (p_max=100000, entry_max=1)\n")
+    assert time.perf_counter() - start < 20
 
 
 def test_rank_cli(capsys):
@@ -877,6 +890,86 @@ def test_mutated_command_lines_exit_cleanly(name, tmp_path_factory):
     check()
 
 
+# Every subcommand that reads a graph file, with {f} the file and {v} a
+# vertex of the fixture it was mutated from; the two searches are left out
+# for the reason given above ROBUST_SEEDS.
+DOCUMENT_COMMANDS = [
+    ["validate", "{f}"],
+    ["info", "{f}"],
+    ["insplit", "{f}", "{v}", "--sidecar", "{sidecar}"],
+    ["sinkdelete", "{f}", "{v}", "--sidecar", "{sidecar}"],
+    ["pullback", "{f}", "--images", "1,0;0,1;1,1"],
+    ["skew-window", "{f}", "--lo", "0,0", "--hi", "1,0"],
+    ["tm-eq", "{f}", "{v}:0,0", "{v}:1,0"],
+    ["tm-hom-check", "{f}", "{f}", "--identity"],
+    ["tm-iso-check", "{f}", "{f}", "--identity"],
+    ["rank", "{f}"],
+    ["h0", "{f}"],
+    ["h0gr", "{f}"],
+]
+_SWAPPED = [None, True, 0, -1, 2**40, 1.5, "", "u", "e1", [], ["u"], {}, {"id": "u"}]
+
+
+def _locations(doc, out):
+    # every (container, key or index) in doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        out.append((doc, key))
+        _locations(value, out)
+    return out
+
+
+@st.composite
+def _mutated_document(draw):
+    """A fixture document with 1-3 mutations: a value swapped for one of
+    another type, a key dropped, a list grown by a copy of one of its
+    items, or shrunk by one."""
+    name = draw(st.sampled_from(sorted(FIXTURE_NAMES)))
+    doc = json.loads(resources.files("kgraphs").joinpath(f"fixtures/{name}.json").read_text("utf-8"))
+    vertex = doc["vertices"][0]
+    for _ in range(draw(st.integers(1, 3))):
+        where = _locations(doc, [(None, None)])
+        parent, key = draw(st.sampled_from(where))
+        value = doc if parent is None else parent[key]
+        kind = draw(st.sampled_from(["swap", "drop", "grow", "shrink"]))
+        if kind == "swap" and parent is not None:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_SWAPPED)))
+        elif kind == "drop" and isinstance(value, dict) and value:
+            del value[draw(st.sampled_from(sorted(value)))]
+        elif kind == "grow" and isinstance(value, list) and value:
+            value.insert(draw(st.integers(0, len(value))), copy.deepcopy(draw(st.sampled_from(value))))
+        elif kind == "shrink" and isinstance(value, list) and value:
+            del value[draw(st.integers(0, len(value) - 1))]
+    return doc, vertex
+
+
+def test_mutated_fixture_documents_exit_cleanly(tmp_path):
+    import contextlib
+    import io
+
+    path, sidecar = tmp_path / "mutated.json", str(tmp_path / "sidecar.json")
+
+    @settings(max_examples=250, deadline=None)
+    @given(_mutated_document())
+    def check(case):
+        doc, vertex = case
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in DOCUMENT_COMMANDS:
+            argv = [arg.format(f=path, v=vertex, sidecar=sidecar) for arg in command]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code:
+                lines = err.getvalue().splitlines()
+                # validate lists each violation, then an `invalid: ` line
+                if argv[0] == "validate" and lines[-1].startswith("invalid: "):
+                    continue
+                assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+
+    check()
+
+
 # ------------------------------------------------------------ import discipline
 
 # Runs `python -m kgraphs.cli ARGS`, then prints the exit code and the
@@ -926,10 +1019,13 @@ _CLI_BASE = {"kgraphs", "kgraphs.core", "kgraphs.textform"}
         (["insplit", "{lam}", "v", "--sidecar", "{sidecar}"], {"moves", "dimension"}),
         (["sinkdelete", "{lam}", "v", "--sidecar", "{sidecar}"], {"moves", "dimension"}),
         (["tm-iso-check", "{lam}", "{split}", "--fwd", "{phi}", "--bwd", "{psi}"], {"dimension"}),
+        (["bridge-search", "{g}", "{g}", "--matrix", "1"], {"bridging", "paths"}),
+        (["sse-search", "{lam}", "{split}"], {"dimension"}),
     ],
     ids=[
         "validate", "h0", "rank", "tm-eq", "tm-eq-apart", "info", "pullback", "skew-window",
         "validate-fixture-id", "insplit-sidecar", "sinkdelete-sidecar", "tm-iso-check",
+        "bridge-search", "sse-search",
     ],
 )
 def test_commands_load_only_the_modules_they_run(tmp_path, argv, extra):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from test_dimension import graphs
 
 from kgraphs.constructions import (
     FIXTURE_NAMES,
+    _swap_past,
     EmptyWindow,
     UnknownFixture,
     fixture,
@@ -20,7 +23,7 @@ from kgraphs.constructions import (
     skew_product_window,
 )
 from kgraphs.core import Edge, Skeleton, validate_kgraph, vertex_matrix, zero_degree
-from kgraphs.paths import compose, path_degree, path_source, paths_of_degree, segment
+from kgraphs.paths import compose, factor, path_degree, path_source, paths_of_degree, segment
 from kgraphs.textform import dump_kgraph
 
 
@@ -151,6 +154,43 @@ def test_pullback_matches_two_segment_reference_on_fixtures(name):
 @given(graphs())
 def test_pullback_matches_two_segment_reference_on_random_graphs(g):
     assert_pullbacks_match_reference(g)
+
+
+@pytest.mark.parametrize("name", ["ex4.7-n2", "ex4.7-n3", "ex4.7-n4"])
+def test_pullback_matches_two_segment_reference_on_generated_fixtures(name):
+    assert_pullbacks_match_reference(fixture(name))
+
+
+def assert_swaps_match_compose_factor(g, degrees):
+    """_swap_past against the route pullback took before: compose the two
+    words, normalize the whole composite, then factor it."""
+    for deg_a, deg_b in product(degrees, repeat=2):
+        for v in g.vertices:
+            for lam in paths_of_degree(g, v, deg_a):
+                for mu in paths_of_degree(g, path_source(g, lam), deg_b):
+                    assert _swap_past(g, lam, mu, deg_b) == factor(g, compose(g, lam, mu), deg_b)
+
+
+SWAP_DEGREES = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "ex4.7-n3"])
+def test_swaps_match_compose_factor_on_fixtures(name):
+    assert_swaps_match_compose_factor(fixture(name), SWAP_DEGREES)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs())
+def test_swaps_match_compose_factor_on_random_graphs(g):
+    assert_swaps_match_compose_factor(g, SWAP_DEGREES[:4])
+
+
+def test_swaps_match_compose_factor_on_a_rank_3_pullback():
+    # three colors, so a word can hold colors both above and below the
+    # one pulled to the front, and the cube condition is not vacuous
+    g = pullback(fixture("ex3.5-Lambda"), monoid_hom([(1, 0), (0, 1), (1, 1)], 2))
+    degrees = [(1, 0, 0), (0, 1, 1), (1, 0, 1), (0, 0, 1), (1, 1, 1)]
+    assert_swaps_match_compose_factor(g, degrees)
 
 
 def test_pullback_rank_mismatch():

@@ -7,7 +7,7 @@ from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_bridging import complete_product, random_2graph
 from test_homology import _cycle_plus_permutation, _product
@@ -15,7 +15,7 @@ from test_intmat import mat_mul
 
 import kgraphs.dimension as dimension
 from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, rose
-from kgraphs.core import KGraphError, push, unit_degree, vertex_matrix
+from kgraphs.core import KGraphError, Skeleton, push, unit_degree, validate_kgraph, vertex_matrix
 from kgraphs.dimension import (
     SHIFT_MAX_DEGREE,
     DimElement,
@@ -492,6 +492,106 @@ def test_sse_search_matches_the_reference_on_random_pairs():
         assert sse_search(g_left, g_right, 1, entry_max) == want
         outcomes.add(type(want))
     assert outcomes == {SSEWitness, ExhaustedBounds}
+
+
+def _no_sources(g):
+    # every vertex receives an edge of every color
+    return all(map(all, g.in_sources))
+
+
+def _emits_everywhere(g):
+    # every vertex emits an edge of every color
+    return all(set().union(*by_range) == set(range(len(g.vertices))) for by_range in g.in_sources)
+
+
+def _sink_2graph(rng, a1):
+    # both colors share a1, so a vertex with no color-1 out-edge is a sink
+    return random_2graph(rng, "q", a1, a1)
+
+
+@st.composite
+def sse_cases(draw):
+    """(g_left, g_right, p_max, entry_max): random 2-graphs with sources
+    allowed (random_2graphs) or with sinks, p_max up to 3 and entry_max up
+    to 2, small enough for reference_sse_search's full enumeration."""
+    entry_max = draw(st.integers(0, 2))
+    pair = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            pair.append(draw(random_2graphs()))
+        else:
+            a1 = draw(_matrices(draw(st.integers(1, 3)), 0))
+            pair.append(_sink_2graph(random.Random(draw(st.integers(0, 2**32))), a1))
+    size = len(pair[0].vertices) * len(pair[1].vertices)
+    p_max = draw(st.integers(0, 3 if size <= 6 else 1))
+    assume((entry_max + 1) ** size <= 2**9 if entry_max < 2 else size <= 4)
+    return (*pair, p_max, entry_max)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sse_cases())
+def test_sse_search_matches_the_reference_on_hypothesis_pairs(case):
+    assert sse_search(*case) == reference_sse_search(*case)
+
+
+# graphs for which each skip rule of sse_search holds and fails: strict
+# (no sources, every vertex emits), with a source (v0 receives no color-1
+# edge), with a sink (v1 emits nothing), and a permutation graph whose
+# entries never grow, so that no degree is over the entry cap
+SSE_RULE_GRAPHS = {
+    "strict": ([[1, 1], [1, 0]], [[2, 1], [1, 1]]),
+    "source": ([[0, 0], [1, 1]], [[1, 0], [1, 2]]),
+    "sink": ([[1, 0], [1, 0]], None),
+    "permutation": ([[0, 1], [1, 0]], [[1, 0], [0, 1]]),
+}
+
+
+def test_sse_search_matches_the_reference_with_each_rule_on_and_off():
+    rng = random.Random(20261019)
+    graphs = {}
+    for name, (a1, a2) in SSE_RULE_GRAPHS.items():
+        graphs[name] = _sink_2graph(rng, a1) if a2 is None else random_2graph(rng, "p", a1, a2)
+    assert {_no_sources(g) for g in graphs.values()} == {True, False}
+    assert {_emits_everywhere(g) for g in graphs.values()} == {True, False}
+    over_cap = set()
+    for (a, g_left), (b, g_right) in product(graphs.items(), repeat=2):
+        for entry_max in (1, 2):
+            case = (g_left, g_right, 3, entry_max)
+            assert sse_search(*case) == reference_sse_search(*case), (a, b, entry_max)
+            cap = len(g_right.vertices) * entry_max**2
+            over_cap.add(max(map(max, vertex_matrix(g_left, (3, 3)))) > cap)
+    assert over_cap == {True, False}
+
+
+@pytest.mark.parametrize("entry_max", [1, 2])
+def test_sse_search_finds_witnesses_at_the_entry_caps(entry_max):
+    # A_p = [[2 e^2]] against B_p = e^2 J, J the all-ones 2 x 2 matrix: the
+    # one witness has every entry e, so R S and S R reach their caps
+    # d' e^2 and d e^2 exactly
+    rng = random.Random(entry_max)
+    m = entry_max**2
+    g_left = random_2graph(rng, "p", [[2 * m]], [[1]])
+    g_right = random_2graph(rng, "q", [[m, m], [m, m]], [[1, 0], [0, 1]])
+    for p_max in (1, 3):
+        want = SSEWitness((1, 0), [[entry_max] * 2], [[entry_max]] * 2)
+        assert sse_search(g_left, g_right, p_max, entry_max) == want
+        assert reference_sse_search(g_left, g_right, p_max, entry_max) == want
+
+
+def test_sse_search_on_graphs_without_vertices():
+    # the 0 x d and d x 0 matrices of a 0-vertex graph: R S = A_p and
+    # S R = B_p hold exactly when the other side's matrix is zero, which a
+    # vertex without edges reaches at p = (0, 1) and sec3-Lambda never does
+    empty = validate_kgraph(Skeleton(2, (), ()), {})
+    bare = validate_kgraph(Skeleton(2, ("u",), ()), {}, strict=False)
+    lam = fixture("sec3-Lambda")
+    for p_max, entry_max in product(range(3), repeat=2):
+        assert sse_search(empty, empty, p_max, entry_max) == SSEWitness((0, 0), [], [])
+        exhausted = ExhaustedBounds(p_max, entry_max)
+        assert sse_search(empty, lam, p_max, entry_max) == exhausted
+        assert sse_search(lam, empty, p_max, entry_max) == exhausted
+        want = [SSEWitness((0, 1), [], [[]]), SSEWitness((0, 1), [[]], [])] if p_max else [exhausted] * 2
+        assert [sse_search(empty, bare, p_max, entry_max), sse_search(bare, empty, p_max, entry_max)] == want
 
 
 # ------------------------------------------------------------ rank invariant
