@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from math import factorial
+from math import factorial, prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
@@ -322,14 +322,13 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
     of them disagrees. That prunes exactly the families a check of every
     triple after each whole block would: a triple that becomes decidable
     when key k is assigned reads k, and a decidable triple keeps its routes
-    under every completion. A value rejected at position p of an n-key
-    block stands for (n-p-1)! orders of the rest of the block times every
-    completion of the later blocks. Returns the lexicographically first
-    coherent family, or Exhausted with the number of complete families the
-    pruned search accounts for. R intertwines exactly when every block
-    has as many keys as values; NotIntertwining is raised otherwise. The
-    search is iterative, so its depth is not bounded by the interpreter's
-    recursion limit."""
+    under every completion. Returns the lexicographically first coherent
+    family, or Exhausted with the number of complete families: every
+    family extends exactly one rejected prefix, so an exhausted search has
+    ruled out all of them, the product of factorial(block size) over the
+    blocks. R intertwines exactly when every block has as many keys as
+    values; NotIntertwining is raised otherwise. The search is iterative,
+    so its depth is not bounded by the interpreter's recursion limit."""
     if g_lam.rank != g_om.rank:
         raise DimensionMismatch("graphs have different ranks")
     poly = polymorphism_from_matrix(g_lam, g_om, r)
@@ -338,28 +337,16 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
     if any(len(dom) != len(cod) for _, dom, cod in blocks):
         raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
     watch = _watch_index(g_lam, poly, blocks)
-
-    # completions represented by a prune at block t
-    suffix = [1] * (len(blocks) + 1)
-    for t in range(len(blocks) - 1, -1, -1):
-        suffix[t] = suffix[t + 1] * factorial(len(blocks[t][2]))
-
-    # one slot per flip key, in block order and then domain order, with
-    # the completions a rejected value stands for
-    slots = [
-        (t, key, factorial(len(dom) - p - 1) * suffix[t + 1])
-        for t, (_, dom, _) in enumerate(blocks)
-        for p, key in enumerate(dom)
-    ]
+    # one slot per flip key, in block order and then domain order
+    slots = [(t, key) for t, (_, dom, _) in enumerate(blocks) for key in dom]
     flips: FlipFamily = {i: {} for i in range(1, g_lam.rank + 1)}
     used = [[False] * len(cod) for _, _, cod in blocks]
     choice = [-1] * len(slots)  # codomain index held by each slot, -1 for none
-    examined = 0
     # slot s gives up its value and takes the next free one; with none
     # left it is cleared and the search backs up to slot s - 1
     s = 0
     while 0 <= s < len(slots):
-        t, key, weight = slots[s]
+        t, key = slots[s]
         color, _, cod = blocks[t]
         f, taken = flips[color], used[t]
         idx = choice[s]
@@ -379,12 +366,11 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
         for i, j, lam_i, lam_j, g in watch.get((color,) + key, ()):
             routes = _route_triple(g_lam, g_om, flips, i, j, lam_i, lam_j, g)
             if routes is not None and routes[0] != routes[1]:
-                examined += weight
                 break
         else:
             s += 1
     if s < 0:
-        return Exhausted(examined)
+        return Exhausted(prod(factorial(len(cod)) for _, _, cod in blocks))
     return BridgingPair(r, {i: dict(f) for i, f in flips.items()})
 
 

@@ -331,31 +331,43 @@ def _row_search(n: int, options, accept):
                 its[t] = iter(options(t))
 
 
-def _first_s(r: list, a_p: Matrix, b_p: Matrix, entry_max: int, s_accept) -> Matrix | None:
-    """The first S in row-major lexicographic order with S R = B_p,
-    R S = A_p and B_{e_i} S = S A_{e_i} for all i, or None."""
-    dl, dr = len(a_p), len(b_p)
-    # row v of R S reads the rows of S at the nonzero columns of row v of
-    # R, and is checked when the last of them is set
+def _s_tables(r: list, dr: int, entry_max: int) -> tuple:
+    """What _first_s reads of R, built once per R: the rows of R that are
+    zero, the equation rows of R S grouped by the row of S that completes
+    them (row v reads the rows of S at the nonzero columns of row v of R,
+    and is checked when the last of them is set), and every row x with
+    entries in 0..entry_max keyed by x R."""
+    zero_rows: list[int] = []
     rs_eqs: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(dr)]
     for v, row in enumerate(r):
         terms = [(t, c) for t, c in enumerate(row) if c]
         if terms:
             rs_eqs[terms[-1][0]].append((v, terms))
-        elif any(a_p[v]):
-            return None
-    # row t of S R is (row t of S) R, so row t of S is drawn from the rows
-    # x with x R = row t of B_p
+        else:
+            zero_rows.append(v)
     by_image: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for x in product(range(entry_max + 1), repeat=dl):
+    for x in product(range(entry_max + 1), repeat=len(r)):
         image = [0] * dr
         for c, row in zip(x, r):
             if c:
                 image = [a + c * b for a, b in zip(image, row)]
         by_image.setdefault(tuple(image), []).append(x)
+    return zero_rows, rs_eqs, by_image
+
+
+def _first_s(tables: tuple, a_p: Matrix, b_p: Matrix, s_accept) -> Matrix | None:
+    """The first S in row-major lexicographic order with S R = B_p,
+    R S = A_p and B_{e_i} S = S A_{e_i} for all i, or None; tables are
+    R's _s_tables."""
+    zero_rows, rs_eqs, by_image = tables
+    if any(any(a_p[v]) for v in zero_rows):
+        return None
+    # row t of S R is (row t of S) R, so row t of S is drawn from the rows
+    # x with x R = row t of B_p
     options = [by_image.get(tuple(row), []) for row in b_p]
     if not all(options):
         return None
+    dl = len(a_p)
 
     def holds(rows: list, t: int) -> bool:
         for v, terms in rs_eqs[t]:
@@ -366,22 +378,23 @@ def _first_s(r: list, a_p: Matrix, b_p: Matrix, entry_max: int, s_accept) -> Mat
                 return False
         return s_accept(rows, t)
 
-    s = next(_row_search(dr, options.__getitem__, holds), None)
+    s = next(_row_search(len(b_p), options.__getitem__, holds), None)
     return None if s is None else [list(row) for row in s]
 
 
-def _degrees(graphs: tuple, caps: tuple, p_max: int):
-    """(p, A_p, B_p) for p in (0..p_max)^k in lexicographic order, each
-    matrix pushed one step from the one before it in its coordinate j. A p
-    whose matrix has an entry over its cap is skipped; if that graph has no
-    sources, A_{p+q} = A_p A_q, A_q with no zero row, has as large an entry,
-    so the rest of coordinate j is skipped too."""
+def _degrees(graphs: tuple, caps: tuple, p_max: int, walked: list[bool]):
+    """(p, A_p, B_p) for p != 0 in (0..p_max)^k in lexicographic order,
+    with coordinate j held at 0 unless walked[j], each matrix pushed one
+    step from the one before it in its coordinate j. A p whose matrix has
+    an entry over its cap is skipped; if that graph has no sources,
+    A_{p+q} = A_p A_q, A_q with no zero row, has as large an entry, so the
+    rest of coordinate j is skipped too."""
     no_sources = [all(map(all, g.in_sources)) for g in graphs]
 
     def walk(p: tuple, mats: list):
         j, k = len(p), graphs[0].rank
         unit = unit_degree(k, j + 1)
-        for q in range(p_max + 1):
+        for q in range(p_max + 1 if walked[j] else 1):
             if q:
                 mats = [[push(g, y, unit) for y in m] for m, g in zip(mats, graphs)]
             over = [max(map(max, m), default=0) > cap for m, cap in zip(mats, caps)]
@@ -389,10 +402,16 @@ def _degrees(graphs: tuple, caps: tuple, p_max: int):
                 return
             if j + 1 < k:
                 yield from walk((*p, q), mats)
-            elif not any(over):
+            elif not any(over) and (q or any(p)):
                 yield (*p, q), *mats
 
     yield from walk((), [vertex_matrix(g, zero_degree(g.rank)) for g in graphs])
+
+
+def _is_permutation(srcs: tuple) -> bool:
+    # the one-step matrix whose row v lists the sources of the edges into
+    # v: one edge into every vertex, from distinct sources
+    return all(len(s) == 1 for s in srcs) and len(set(srcs)) == len(srcs)
 
 
 def sse_search(
@@ -404,31 +423,61 @@ def sse_search(
 
     p runs through (0..p_max)^k in lexicographic order; for each p, R and
     then S run through their matrices in row-major lexicographic order, one
-    row at a time. Row v of A_{e_i}R - R B_{e_i} reads only row v and the
-    rows w with A_{e_i}(v, w) != 0, so it is checked as soon as the last of
-    them is set; so are row t of B_{e_i}S - S A_{e_i} and row v of
-    R S - A_p, which reads the rows of S at the nonzero columns of row v of
-    R. Row t of S R reads only row t of S, so each row of S is drawn from
-    the rows x with x R = row t of B_p, and an R that leaves some row of
-    B_p with no such x is dropped at that p. A prefix is rejected only when
-    an equation row it fully determines fails, and then no completion is a
-    witness: the search meets the surviving candidates in the order of a
-    full enumeration and returns the same first witness. The intertwining R
-    do not depend on p; they are enumerated once, lazily, and replayed for
-    every later p. Rules that hold at every p skip only what no witness
-    can use, so the result is unchanged: when every vertex of g_left
-    receives an edge of every color no A_p has a zero row, so neither has
-    R; when every vertex of g_right emits one no B_p has a zero column, so
-    neither has R. An entry of R S is at most d' * entry_max^2 and one of
-    S R at most d * entry_max^2 (d, d' the vertex counts), so _degrees
+    row at a time. Every rule below skips only what no witness can use, so
+    the result is the one a full enumeration gives.
+
+    Lag 0 comes first. Over the nonnegative integers R S = I and S R = I
+    force d = d' (the vertex counts), R a permutation matrix and S = R^T,
+    whose intertwining follows from that of R. So the witness at p = 0 is
+    the first permutation intertwiner, R filled from the unit rows with no
+    column used twice; those R come in the order of the full search, and
+    no other R has an S at p = 0.
+
+    A color i in which both one-step matrices are permutations P and Q
+    (one edge into every vertex, from distinct sources) keeps p_i = 0:
+    P R = R Q, so a witness (R, S) at p gives (R, S P) at p + e_i and
+    (R, S P^T) at p - e_i, with the same entries, and the first witness
+    has p_i = 0. When every color is such, nothing is left after lag 0.
+
+    Past lag 0, row v of A_{e_i}R - R B_{e_i} reads only row v and the rows
+    w with A_{e_i}(v, w) != 0, and is checked as soon as the last of them
+    is set; so are row t of B_{e_i}S - S A_{e_i} and row v of R S - A_p.
+    Each row t of S is drawn from the rows x with x R = row t of B_p. A
+    prefix is rejected only when an equation row it fully determines
+    fails. The intertwining R do not depend on p: they are enumerated once,
+    lazily, and replayed with their _s_tables at every later p. When every
+    vertex of g_left receives an edge of every color no A_p has a zero
+    row, so neither has R; when every vertex of g_right emits one no B_p
+    has a zero column, so neither has R. An entry of R S is at most
+    d' * entry_max^2 and one of S R at most d * entry_max^2, so _degrees
     skips the p whose A_p or B_p has a larger one. No matrix product is
     formed. The search stays exponential in entry_max and d * d', and
-    tries all (p_max + 1)^k degrees where the entries do not grow."""
+    tries all walked degrees where the entries do not grow."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     if p_max < 0 or entry_max < 0:
         raise KGraphError("bounds must be >= 0")
     dl, dr = len(g_left.vertices), len(g_right.vertices)
+    r_accept = _intertwining_rows(g_left, g_right)
+    if dl == dr:
+        # the unit rows in lexicographic order; none when R must be 0
+        units = [tuple(int(c == w) for c in range(dl)) for w in range(dl - 1, -1, -1)]
+        units = units if entry_max else []
+
+        def fresh_column(rows: list, t: int) -> bool:
+            return rows[t] not in rows[:t] and r_accept(rows, t)
+
+        r = next(_row_search(dl, lambda t: units, fresh_column), None)
+        if r is not None:
+            r = [list(row) for row in r]
+            return SSEWitness((0,) * g_left.rank, r, [list(col) for col in zip(*r)])
+    walked = [
+        not (_is_permutation(a) and _is_permutation(b))
+        for a, b in zip(g_left.in_sources, g_right.in_sources)
+    ]
+    if not any(walked):
+        return ExhaustedBounds(p_max, entry_max)
+
     # whether R may have a zero row, a zero column (see above)
     zero_rows = not all(map(all, g_left.in_sources))
     zero_cols = any(len(set().union(*srcs)) < dr for srcs in g_right.in_sources)
@@ -436,22 +485,23 @@ def sse_search(
     s_accept = _intertwining_rows(g_right, g_left)
     fresh = (
         r
-        for r in _row_search(dl, lambda t: r_rows, _intertwining_rows(g_left, g_right))
+        for r in _row_search(dl, lambda t: r_rows, r_accept)
         if zero_cols or all(map(any, zip(*r)))
     )
-    seen: list[list[tuple[int, ...]]] = []
+    seen: list[tuple[list, tuple]] = []
 
     def intertwiners():
-        # the R met so far, then the rest of the enumeration
+        # the R met so far with their S tables, then the rest of the
+        # enumeration
         yield from seen
         for r in fresh:
-            seen.append(r)
-            yield r
+            seen.append((r, _s_tables(r, dr, entry_max)))
+            yield seen[-1]
 
     caps = (dr * entry_max**2, dl * entry_max**2)
-    for p, a_p, b_p in _degrees((g_left, g_right), caps, p_max):
-        for r in intertwiners():
-            s = _first_s(r, a_p, b_p, entry_max, s_accept)
+    for p, a_p, b_p in _degrees((g_left, g_right), caps, p_max, walked):
+        for r, tables in intertwiners():
+            s = _first_s(tables, a_p, b_p, s_accept)
             if s is not None:
                 return SSEWitness(p, [list(row) for row in r], s)
     return ExhaustedBounds(p_max, entry_max)

@@ -3,7 +3,7 @@ rank-(k+1) graph as an independent coherence oracle."""
 
 import random
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from test_homology import _product
@@ -608,6 +608,21 @@ def test_search_matches_the_reference_on_random_pairs():
                 assert_same_search(bridging_search(g_lam, g_om, r), want)
                 outcomes.add(type(want))
     assert outcomes == {BridgingPair, Exhausted}
+
+
+def test_exhausted_count_is_the_number_of_families():
+    # over R = I the flip blocks have the entries of a1 and a2 as sizes,
+    # so an exhausted search has ruled out the product of their factorials
+    rng = random.Random(20261019)
+    ident = [[int(i == j) for j in range(3)] for i in range(3)]
+    exhausted = 0
+    for _ in range(40):
+        a1, a2 = commuting_matrices(rng, 3, 2)
+        found = bridging_search(random_2graph(rng, "p", a1, a2), random_2graph(rng, "q", a1, a2), ident)
+        if isinstance(found, Exhausted):
+            assert found.count == prod(factorial(n) for m in (a1, a2) for row in m for n in row)
+            exhausted += 1
+    assert exhausted >= 10
 
 
 def complete_product():

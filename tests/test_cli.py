@@ -398,13 +398,22 @@ def test_sse_search_cli(capsys):
 
 def test_sse_search_stops_at_degrees_whose_entries_are_too_large(capsys):
     # A_p = [2^p1] for ex5.7-Lambda, which has no sources, is over its cap
-    # 2 * 1^2 from p1 = 2 on, so only p1 <= 1 is walked: 2 * 100001
-    # degrees, about 2.5 s on a shared 2-vCPU VM; every one of the 10^10
-    # degrees was built from the identity before
+    # 2 * 1^2 from p1 = 2 on, so only p1 <= 1 is walked, and color 2 is a
+    # permutation in both graphs, so p2 stays 0: one degree past lag 0
     start = time.perf_counter()
     code, out, _ = run(capsys, "sse-search", "ex5.7-Lambda", "ex5.7-Omega", "--p-max", "100000")
     assert (code, out) == (0, "exhausted (p_max=100000, entry_max=1)\n")
     assert time.perf_counter() - start < 20
+
+
+def test_sse_search_walks_no_degree_when_every_color_is_a_permutation(capsys):
+    # both graphs are permutations in both colors and have 2 and 1
+    # vertices, so no degree has a witness and none of the 1001^2 is
+    # walked
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "sse-search", "sec3-Gamma", "sec3-Lambda", "--p-max", "1000")
+    assert (code, out) == (0, "exhausted (p_max=1000, entry_max=1)\n")
+    assert time.perf_counter() - start < 5
 
 
 def test_rank_cli(capsys):

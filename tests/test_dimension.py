@@ -509,6 +509,12 @@ def _sink_2graph(rng, a1):
     return random_2graph(rng, "q", a1, a1)
 
 
+def _fits_the_reference(g_left, g_right, entry_max):
+    # reference_sse_search tries (entry_max + 1)^(dl * dr) matrices R per p
+    size = len(g_left.vertices) * len(g_right.vertices)
+    return (entry_max + 1) ** size <= 2**9 if entry_max < 2 else size <= 4
+
+
 @st.composite
 def sse_cases(draw):
     """(g_left, g_right, p_max, entry_max): random 2-graphs with sources
@@ -524,7 +530,7 @@ def sse_cases(draw):
             pair.append(_sink_2graph(random.Random(draw(st.integers(0, 2**32))), a1))
     size = len(pair[0].vertices) * len(pair[1].vertices)
     p_max = draw(st.integers(0, 3 if size <= 6 else 1))
-    assume((entry_max + 1) ** size <= 2**9 if entry_max < 2 else size <= 4)
+    assume(_fits_the_reference(*pair, entry_max))
     return (*pair, p_max, entry_max)
 
 
@@ -592,6 +598,119 @@ def test_sse_search_on_graphs_without_vertices():
         assert sse_search(lam, empty, p_max, entry_max) == exhausted
         want = [SSEWitness((0, 1), [], [[]]), SSEWitness((0, 1), [[]], [])] if p_max else [exhausted] * 2
         assert [sse_search(empty, bare, p_max, entry_max), sse_search(bare, empty, p_max, entry_max)] == want
+
+
+def test_sse_search_rejects_a_zero_row_of_r_where_a_p_has_none():
+    # B_p = [[0]] once p_2 > 0, which R = 0 and S = 0 meet on every side
+    # but R S = A_p: row 0 of A_p is nonzero at every p, and no equation
+    # row of R S is checked for a zero row of R
+    rng = random.Random(1)
+    g_left = random_2graph(rng, "p", [[1, 0], [0, 0]], [[1, 0], [0, 0]])
+    g_right = random_2graph(rng, "q", [[1]], [[0]])
+    for p_max in range(3):
+        want = ExhaustedBounds(p_max, 1)
+        assert sse_search(g_left, g_right, p_max, 1) == reference_sse_search(g_left, g_right, p_max, 1) == want
+
+
+def _relabelled(rng, tag, mats):
+    # a graph with these one-step matrices, its vertices renamed by a
+    # random permutation, with fresh random squares
+    n = len(mats[0])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = [[[m[perm[r]][perm[c]] for c in range(n)] for r in range(n)] for m in mats]
+    return random_2graph(rng, tag, *moved)
+
+
+def _one_color_permutation(rng, tag, n):
+    """A 2-graph on n vertices whose matrix is a permutation matrix P in
+    one color and c0 I + c1 P (c0, c1 in 0..2) in the other, which is a
+    permutation matrix only for (c0, c1) = (1, 0) or (0, 1)."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = [[int(c == perm[r]) for c in range(n)] for r in range(n)]
+    c0, c1 = rng.randint(0, 2), rng.randint(0, 2)
+    other = [[c0 * (r == c) + c1 * p[r][c] for c in range(n)] for r in range(n)]
+    return random_2graph(rng, tag, *((p, other) if rng.random() < 0.5 else (other, p)))
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """(g, a vertex-relabelled copy of g with fresh squares, p_max,
+    entry_max): the copy has a witness at p = 0 whenever entry_max >= 1,
+    a permutation intertwiner."""
+    g = draw(random_2graphs())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    entry_max = draw(st.integers(0, 2))
+    assume(_fits_the_reference(g, g, entry_max))
+    copy = _relabelled(rng, "q", (edge_matrix(g, 1), edge_matrix(g, 2)))
+    return g, copy, draw(st.integers(0, 3)), entry_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_pairs())
+def test_sse_search_matches_the_reference_on_relabelled_copies(case):
+    assert sse_search(*case) == reference_sse_search(*case)
+
+
+@st.composite
+def permutation_color_pairs(draw):
+    """(g_left, g_right, p_max, entry_max): g_left a permutation in one
+    color (_one_color_permutation), g_right a relabelled copy of it,
+    another such graph of any size, or a random 2-graph."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g_left = _one_color_permutation(rng, "p", draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(["relabelled", "permutation", "random"]))
+    if kind == "relabelled":
+        g_right = _relabelled(rng, "q", (edge_matrix(g_left, 1), edge_matrix(g_left, 2)))
+    elif kind == "permutation":
+        g_right = _one_color_permutation(rng, "q", draw(st.integers(1, 3)))
+    else:
+        g_right = draw(random_2graphs())
+    entry_max = draw(st.integers(0, 2))
+    assume(_fits_the_reference(g_left, g_right, entry_max))
+    return g_left, g_right, draw(st.integers(0, 3)), entry_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_color_pairs())
+def test_sse_search_matches_the_reference_on_permutation_colors(case):
+    assert sse_search(*case) == reference_sse_search(*case)
+
+
+def test_sse_search_matches_the_reference_on_unequal_sizes():
+    # d != d' leaves no witness at p = 0; the walk still holds a color at
+    # 0 where both graphs are permutations in it
+    rng = random.Random(20261020)
+    outcomes = set()
+    for n, m in [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)] * 4:
+        pair = [_one_color_permutation(rng, tag, size) for tag, size in (("p", n), ("q", m))]
+        for entry_max, p_max in product(range(3), range(4)):
+            if _fits_the_reference(*pair, entry_max):
+                want = reference_sse_search(*pair, p_max, entry_max)
+                assert sse_search(*pair, p_max, entry_max) == want, (n, m, p_max, entry_max)
+                outcomes.add(type(want))
+    assert outcomes == {SSEWitness, ExhaustedBounds}
+
+
+def test_sse_search_answers_lag_0_without_walking_the_degrees(monkeypatch):
+    # a relabelled copy has its witness at p = 0 among the permutation
+    # intertwiners; sec3-Gamma and sec3-Lambda are permutations in both
+    # colors and differ in size, so no degree has a witness
+    rng = random.Random(20261021)
+    a1 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    g = random_2graph(rng, "p", a1, [[x + (r == c) for c, x in enumerate(row)] for r, row in enumerate(a1)])
+    copy = _relabelled(rng, "q", (edge_matrix(g, 1), edge_matrix(g, 2)))
+    want = reference_sse_search(g, copy, 1, 1)
+    assert want.p == (0, 0) and want.r != identity(3)
+
+    def no_walk(*args):
+        raise AssertionError("the degrees were walked")
+
+    monkeypatch.setattr(dimension, "_degrees", no_walk)
+    assert sse_search(g, copy, 1, 1) == want
+    gamma, lam = fixture("sec3-Gamma"), fixture("sec3-Lambda")
+    assert sse_search(gamma, lam, 1000, 1) == ExhaustedBounds(1000, 1)
 
 
 # ------------------------------------------------------------ rank invariant
