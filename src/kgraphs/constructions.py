@@ -23,7 +23,7 @@ from .core import (
     unit_degree,
     validate_kgraph,
 )
-from .paths import Path, normalize_word, path_source, paths_of_degree
+from .paths import Path, factor_word, path_source, paths_of_degree
 
 
 class UnknownFixture(KGraphError, KeyError):
@@ -127,16 +127,13 @@ def rose(n: int) -> KGraph:
 
 # ----------------------------------------------------------------- pullback
 
-# largest total degree of an image: a pullback edge is a g-path of its
-# image degree, enumerated one recursion level per unit of degree
+# largest total degree of an image: a pullback edge id spells out a
+# g-path of its image degree, and each square rewrites the word of two
+# such paths by square swaps, quadratic in its length
 PULLBACK_MAX_DEGREE = 64
 # largest number of edges plus squares of a pullback: room for
 # ex4.7-n<EX47_MAX_N>, which has 2N + 1 of them
 PULLBACK_MAX_PATHS = 200_001
-
-
-def _path_label(p: Path) -> str:
-    return p.rng if not p.edges else ".".join(p.edges)
 
 
 def _pullback_size(g: KGraph, f: MonoidHom) -> int:
@@ -150,26 +147,6 @@ def _pullback_size(g: KGraph, f: MonoidHom) -> int:
         for b in range(a + 1, f.source_rank)
     ]
     return sum(sum(push(g, ones, n)) for n in degrees)
-
-
-def _swap_past(g: KGraph, lam: Path, mu: Path, m: Degree) -> tuple[Path, Path]:
-    """(mu2, lam2) with lam . mu = mu2 . lam2 and degree(mu2) = m, both
-    in normal form: m's edges are pulled to the front of the word lam + mu
-    color by color, each by square swaps past the edges before it, and
-    the rest is sorted. A path has one normal form, so this is
-    factor(g, compose(g, lam, mu), m) without sorting the whole word."""
-    by_id, word, front = g.by_id, list(lam.edges + mu.edges), []
-    colors = [by_id[e].color for e in word]
-    for color, times in enumerate(m, 1):
-        for _ in range(times):
-            for t in range(colors.index(color), 0, -1):
-                table = g.squares if colors[t - 1] < color else g.squares_inv
-                word[t - 1], word[t] = table[word[t - 1], word[t]]
-                colors[t - 1], colors[t] = color, colors[t - 1]
-            front.append(word.pop(0))
-            colors.pop(0)
-    rest = Path(by_id[front[-1]].src if front else lam.rng, normalize_word(g, tuple(word)))
-    return Path(lam.rng, tuple(front)), rest
 
 
 def pullback(g: KGraph, f: MonoidHom) -> KGraph:
@@ -189,20 +166,21 @@ def pullback(g: KGraph, f: MonoidHom) -> KGraph:
         )
     l = f.source_rank
 
-    def eid(color: int, p: Path) -> str:
-        return f"c{color}[{_path_label(p)}]"
+    def eid(color: int, v: str, word: tuple[str, ...]) -> str:
+        # a path is labeled by its edge word, or by its vertex v if empty
+        return f"c{color}[{'.'.join(word) if word else v}]"
 
     edges = []
     path_of: dict[str, Path] = {}
-    by_rng: dict[tuple[int, str], list[tuple[str, Path]]] = {}
+    by_rng: dict[tuple[int, str], list[tuple[Edge, Path]]] = {}
     for a in range(1, l + 1):
         deg = f.images[a - 1]
         for v in g.vertices:
             for p in paths_of_degree(g, v, deg):
-                e = Edge(eid(a, p), a, path_source(g, p), p.rng)
+                e = Edge(eid(a, v, p.edges), a, path_source(g, p), v)
                 edges.append(e)
                 path_of[e.id] = p
-                by_rng.setdefault((a, p.rng), []).append((e.id, p))
+                by_rng.setdefault((a, v), []).append((e, p))
 
     squares: dict[SquarePair, SquarePair] = {}
     for a in range(1, l + 1):
@@ -212,9 +190,10 @@ def pullback(g: KGraph, f: MonoidHom) -> KGraph:
                 if e1.color != a:
                     continue
                 lam = path_of[e1.id]
-                for e2id, mu in by_rng.get((b, e1.src), ()):
-                    mu2, lam2 = _swap_past(g, lam, mu, deg_b)
-                    squares[(e1.id, e2id)] = (eid(b, mu2), eid(a, lam2))
+                for e2, mu in by_rng.get((b, e1.src), ()):
+                    # lam . mu = mu2 . lam2; an empty lam2 sits at s(mu)
+                    mu2, lam2 = factor_word(g, lam.edges + mu.edges, deg_b)
+                    squares[(e1.id, e2.id)] = (eid(b, e1.rng, mu2), eid(a, e2.src, lam2))
     return validate_kgraph(Skeleton(l, g.vertices, tuple(edges)), squares, strict=g.strict)
 
 

@@ -10,18 +10,19 @@ not load this module.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Iterator, NamedTuple
 
 from .core import (
     Degree,
     DegreeOutOfRange,
+    Edge,
     KGraph,
     KGraphError,
     NotComposable,
     _check_degree,
     deg_join,
-    deg_leq,
-    deg_sub,
     zero_degree,
 )
 
@@ -49,23 +50,34 @@ def path_degree(g: KGraph, p: Path) -> Degree:
     return tuple(n)
 
 
-def normalize_word(
-    g: KGraph, word: tuple[str, ...], pick: Callable[[list[int]], int] | None = None
-) -> tuple[str, ...]:
-    """Sort an edge word into normal form by square swaps. Each swap of a
-    descending adjacent pair removes exactly one color inversion, and the
-    cube condition makes the result independent of `pick`."""
+def factor_word(
+    g: KGraph, word: tuple[str, ...], m: Degree
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Split a composable edge word into normal-form words (front, rest)
+    that compose to the same path, with degree(front) = m, for
+    0 <= m <= degree(word) (not checked here; factor checks it). Edges are
+    pulled to the front one at a time, m's color by color and then the
+    rest's, each past the edges before it by square swaps: `squares` past
+    a smaller color, `squares_inv` past a larger one. A path has one
+    normal form, so the result does not depend on the word's order."""
     w = list(word)
-    while True:
-        descents = [
-            t
-            for t in range(len(w) - 1)
-            if g.by_id[w[t]].color > g.by_id[w[t + 1]].color
-        ]
-        if not descents:
-            return tuple(w)
-        t = descents[0] if pick is None else pick(descents)
-        w[t], w[t + 1] = g.squares_inv[(w[t], w[t + 1])]
+    colors = [g.by_id[e].color for e in w]
+
+    def pull(color: int) -> str:
+        for t in range(colors.index(color), 0, -1):
+            table = g.squares if colors[t - 1] < color else g.squares_inv
+            w[t - 1], w[t] = table[w[t - 1], w[t]]
+            colors[t - 1], colors[t] = color, colors[t - 1]
+        colors.pop(0)
+        return w.pop(0)
+
+    front = tuple(pull(color) for color, times in enumerate(m, 1) for _ in range(times))
+    return front, tuple(pull(color) for color in sorted(colors))
+
+
+def normalize_word(g: KGraph, word: tuple[str, ...]) -> tuple[str, ...]:
+    """The normal form of a composable edge word."""
+    return factor_word(g, word, zero_degree(g.rank))[1]
 
 
 def make_path(g: KGraph, edge_ids: list[str] | tuple[str, ...]) -> Path:
@@ -89,66 +101,53 @@ def compose(g: KGraph, p: Path, q: Path) -> Path:
     return Path(p.rng, normalize_word(g, p.edges + q.edges))
 
 
-def _peel_front(g: KGraph, word: list[str], color: int) -> str:
-    """Move the first color-`color` edge of a normal-form word to the front
-    by forward square swaps, pop and return it. Mutates `word`."""
-    t = next(t for t, eid in enumerate(word) if g.by_id[eid].color == color)
-    while t > 0:
-        # word[t-1] has strictly smaller color; g.h = h2.g2 moves h left
-        word[t - 1], word[t] = g.squares[(word[t - 1], word[t])]
-        t -= 1
-    return word.pop(0)
-
-
 def factor(g: KGraph, p: Path, m: Degree) -> tuple[Path, Path]:
-    """The unique factorization p = alpha . beta with degree(alpha) = m,
-    for 0 <= m <= degree(p) (not checked here; segment checks it)."""
-    word = list(p.edges)
-    alpha: list[str] = []
-    for color in range(1, g.rank + 1):
-        for _ in range(m[color - 1]):
-            alpha.append(_peel_front(g, word, color))
-    beta_rng = g.by_id[alpha[-1]].src if alpha else p.rng
-    return Path(p.rng, tuple(alpha)), Path(beta_rng, tuple(word))
+    """The unique factorization p = alpha . beta with degree(alpha) = m;
+    raises DegreeOutOfRange unless m is a length-k degree with
+    0 <= m <= degree(p)."""
+    d = path_degree(g, p)
+    if len(m) != len(d) or not all(0 <= a <= b for a, b in zip(m, d)):
+        raise DegreeOutOfRange(f"need a length-{len(d)} degree 0 <= m <= {d}, got {m}")
+    alpha, beta = factor_word(g, p.edges, m)
+    return Path(p.rng, alpha), Path(g.by_id[alpha[-1]].src if alpha else p.rng, beta)
 
 
 def segment(g: KGraph, p: Path, m: Degree, n: Degree) -> Path:
-    """The degree n-m piece p(m, n); position 0 is the range end."""
-    d = path_degree(g, p)
-    k = g.rank
-    if len(m) != k or len(n) != k:
-        raise DegreeOutOfRange(f"degree tuples must have length {k}")
-    if not (deg_leq(zero_degree(k), m) and deg_leq(m, n) and deg_leq(n, d)):
-        raise DegreeOutOfRange(f"need 0 <= {m} <= {n} <= {d}")
-    _, rest = factor(g, p, m)
-    mid, _ = factor(g, rest, deg_sub(n, m))
-    return mid
+    """The degree n-m piece p(m, n); position 0 is the range end. Raises
+    DegreeOutOfRange unless 0 <= m <= n <= degree(p), all of length k."""
+    return factor(g, factor(g, p, n)[0], m)[1]
 
 
 def paths_of_degree(g: KGraph, v: str, n: Degree) -> list[Path]:
     """All paths with range v and degree n, as normal-form words, in
-    depth-first edge order."""
+    depth-first edge order: position t of the word has the t-th of n's
+    colors in ascending order and runs through the in-edges of that color
+    at the source of position t - 1. An explicit stack keeps long degrees
+    off the interpreter's recursion limit."""
     if v not in g.vertex_index:
         raise KGraphError(f"unknown vertex {v!r}")
     _check_degree(g, n)
+    ends = list(accumulate(n))
+    if not ends[-1]:
+        return [vertex_path(v)]
+
+    def choices(u: str, t: int) -> Iterator[Edge]:
+        return iter(g.in_edges[u][bisect_right(ends, t) + 1])
+
     results: list[Path] = []
     word: list[str] = []
-
-    def rec(cur: str, remaining: list[int], min_color: int) -> None:
-        if not any(remaining):
-            results.append(Path(v, tuple(word)))
-            return
-        for color in range(min_color, g.rank + 1):
-            if remaining[color - 1] == 0:
-                continue
-            remaining[color - 1] -= 1
-            for e in g.in_edges[cur][color]:
-                word.append(e.id)
-                rec(e.src, remaining, color)
+    stack = [choices(v, 0)]
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            if word:
                 word.pop()
-            remaining[color - 1] += 1
-
-    rec(v, list(n), 1)
+        elif len(stack) == ends[-1]:
+            results.append(Path(v, (*word, e.id)))
+        else:
+            word.append(e.id)
+            stack.append(choices(e.src, len(stack)))
     return results
 
 

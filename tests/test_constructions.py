@@ -6,11 +6,11 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from test_core import reference_factor, reference_normalize, reference_paths_of_degree, reference_segment
 from test_dimension import graphs
 
 from kgraphs.constructions import (
     FIXTURE_NAMES,
-    _swap_past,
     EmptyWindow,
     UnknownFixture,
     fixture,
@@ -23,7 +23,7 @@ from kgraphs.constructions import (
     skew_product_window,
 )
 from kgraphs.core import Edge, Skeleton, validate_kgraph, vertex_matrix, zero_degree
-from kgraphs.paths import compose, factor, path_degree, path_source, paths_of_degree, segment
+from kgraphs.paths import Path, factor_word, path_degree, path_source, paths_of_degree
 from kgraphs.textform import dump_kgraph
 
 
@@ -113,7 +113,7 @@ def test_pullback_along_identity_keeps_matrices():
 
 def two_segment_pullback(g, f):
     """Reference pullback: each square's value read off the composite by
-    two segment calls, one per side."""
+    two segment calls, one per side, all through the test-side oracles."""
 
     def eid(color, p):
         return f"c{color}[{'.'.join(p.edges) if p.edges else p.rng}]"
@@ -121,17 +121,18 @@ def two_segment_pullback(g, f):
     edges, path_of = [], {}
     for a in range(1, f.source_rank + 1):
         for v in g.vertices:
-            for p in paths_of_degree(g, v, f.images[a - 1]):
+            for p in reference_paths_of_degree(g, v, f.images[a - 1]):
                 edges.append(Edge(eid(a, p), a, path_source(g, p), p.rng))
                 path_of[edges[-1].id] = p
     squares = {}
     for e1 in edges:
         for e2 in edges:
             if e1.color < e2.color and e1.src == e2.rng:
-                tau = compose(g, path_of[e1.id], path_of[e2.id])
+                lam, mu = path_of[e1.id], path_of[e2.id]
+                tau = Path(lam.rng, reference_normalize(g, lam.edges + mu.edges))
                 deg_b = f.images[e2.color - 1]
-                mu2 = segment(g, tau, zero_degree(g.rank), deg_b)
-                lam2 = segment(g, tau, deg_b, path_degree(g, tau))
+                mu2 = reference_segment(g, tau, zero_degree(g.rank), deg_b)
+                lam2 = reference_segment(g, tau, deg_b, path_degree(g, tau))
                 squares[(e1.id, e2.id)] = (eid(e2.color, mu2), eid(e1.color, lam2))
     return validate_kgraph(Skeleton(f.source_rank, g.vertices, tuple(edges)), squares, strict=g.strict)
 
@@ -161,14 +162,24 @@ def test_pullback_matches_two_segment_reference_on_generated_fixtures(name):
     assert_pullbacks_match_reference(fixture(name))
 
 
+def test_pullback_of_a_rank_3_pullback_matches_two_segment_reference():
+    # its squares pull edges past both smaller and larger colors
+    g = pullback(fixture("ex3.5-Lambda"), monoid_hom([(1, 0), (0, 1), (1, 1)], 2))
+    f = monoid_hom([(1, 0, 0), (0, 1, 1), (1, 1, 0)], 3)
+    assert dump_kgraph(pullback(g, f)) == dump_kgraph(two_segment_pullback(g, f))
+
+
 def assert_swaps_match_compose_factor(g, degrees):
-    """_swap_past against the route pullback took before: compose the two
-    words, normalize the whole composite, then factor it."""
+    """factor_word on the word lam + mu, as pullback calls it, against the
+    test-side route: normalize the whole composite by descent swaps, then
+    peel mu2's edges off its front."""
     for deg_a, deg_b in product(degrees, repeat=2):
         for v in g.vertices:
             for lam in paths_of_degree(g, v, deg_a):
                 for mu in paths_of_degree(g, path_source(g, lam), deg_b):
-                    assert _swap_past(g, lam, mu, deg_b) == factor(g, compose(g, lam, mu), deg_b)
+                    tau = Path(v, reference_normalize(g, lam.edges + mu.edges))
+                    mu2, lam2 = reference_factor(g, tau, deg_b)
+                    assert factor_word(g, lam.edges + mu.edges, deg_b) == (mu2.edges, lam2.edges)
 
 
 SWAP_DEGREES = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (0, 2)]

@@ -7,12 +7,19 @@ the ascending word [g,h] with the descending word [h2,g2].
 
 from __future__ import annotations
 
+import ast
 import random
+from itertools import product
+from pathlib import Path as FilePath
 
 import pytest
+from hypothesis import given, settings
+from test_dimension import graphs
 from test_intmat import mat_mul
 
-from kgraphs.constructions import fixture, grid, rose
+import kgraphs
+
+from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, rose
 from kgraphs.core import (
     CubeFailure,
     DegreeOutOfRange,
@@ -39,6 +46,7 @@ from kgraphs.core import (
 from kgraphs.paths import (
     Path,
     compose,
+    factor,
     make_path,
     mce,
     normalize_word,
@@ -64,6 +72,121 @@ def all_paths_up_to(g, bound):
             else:
                 break
     return out
+
+
+# Test-side oracles: the descent-swap normalizer, the edge-peeling factor
+# and the recursive enumeration, kept apart from the code under test.
+
+
+def reference_normalize(g, word, pick=None):
+    """Sort a word by swapping descending adjacent pairs; each swap
+    removes one color inversion, and the cube condition makes the result
+    independent of which descent `pick` chooses."""
+    inv = {val: key for key, val in g.squares.items()}
+    w = list(word)
+    while True:
+        descents = [t for t in range(len(w) - 1) if g.by_id[w[t]].color > g.by_id[w[t + 1]].color]
+        if not descents:
+            return tuple(w)
+        t = descents[0] if pick is None else pick(descents)
+        w[t], w[t + 1] = inv[(w[t], w[t + 1])]
+
+
+def reference_factor(g, p, m):
+    """Peel m's edges off the front of p's normal form one at a time,
+    each moved left past the smaller colors before it."""
+    word, alpha = list(p.edges), []
+    for color, times in enumerate(m, 1):
+        for _ in range(times):
+            t = next(t for t, eid in enumerate(word) if g.by_id[eid].color == color)
+            while t > 0:
+                word[t - 1], word[t] = g.squares[(word[t - 1], word[t])]
+                t -= 1
+            alpha.append(word.pop(0))
+    beta_rng = g.by_id[alpha[-1]].src if alpha else p.rng
+    return Path(p.rng, tuple(alpha)), Path(beta_rng, tuple(word))
+
+
+def reference_segment(g, p, m, n):
+    _, rest = reference_factor(g, p, m)
+    return reference_factor(g, rest, deg_sub(n, m))[0]
+
+
+def reference_paths_of_degree(g, v, n):
+    results, word = [], []
+
+    def rec(cur, remaining, min_color):
+        if not any(remaining):
+            results.append(Path(v, tuple(word)))
+            return
+        for color in range(min_color, g.rank + 1):
+            if remaining[color - 1] == 0:
+                continue
+            remaining[color - 1] -= 1
+            for e in g.in_edges[cur][color]:
+                word.append(e.id)
+                rec(e.src, remaining, color)
+                word.pop()
+            remaining[color - 1] += 1
+
+    rec(v, list(n), 1)
+    return results
+
+
+def degrees_up_to(d):
+    return [tuple(m) for m in product(*(range(c + 1) for c in d))]
+
+
+def scramble(g, word, rng, swaps=4):
+    """The word after up to `swaps` random square swaps either way."""
+    table = {**g.squares, **{val: key for key, val in g.squares.items()}}
+    w = list(word)
+    for _ in range(swaps):
+        spots = [t for t in range(len(w) - 1) if (w[t], w[t + 1]) in table]
+        if not spots:
+            break
+        t = rng.choice(spots)
+        w[t], w[t + 1] = table[(w[t], w[t + 1])]
+    return tuple(w)
+
+
+def assert_words_match_references(g, bound, rng):
+    for p in all_paths_up_to(g, bound):
+        assert normalize_word(g, scramble(g, p.edges, rng)) == reference_normalize(g, p.edges) == p.edges
+        d = path_degree(g, p)
+        for n in degrees_up_to(d):
+            assert factor(g, p, n) == reference_factor(g, p, n)
+            for m in degrees_up_to(n):
+                assert segment(g, p, m, n) == reference_segment(g, p, m, n)
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "ex4.7-n3"])
+def test_normalize_factor_and_segment_match_the_references_on_fixtures(name):
+    assert_words_match_references(fixture(name), (2, 2), random.Random(name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs())
+def test_normalize_factor_and_segment_match_the_references_on_random_graphs(g):
+    assert_words_match_references(g, (2, 1), random.Random(0))
+
+
+@pytest.mark.parametrize("m", [(2, 0), (1,), (-1, 0)])
+def test_factor_rejects_degrees_out_of_range(m):
+    g = fixture("ex5.7-Lambda")
+    with pytest.raises(DegreeOutOfRange):
+        factor(g, make_path(g, ["f1"]), m)
+
+
+def test_only_core_and_paths_read_the_inverse_square_table():
+    # core builds squares_inv and paths' one word routine reads it; any
+    # other module swapping squares should call that routine
+    for module in sorted(FilePath(kgraphs.__file__).parent.glob("*.py")):
+        if module.stem in ("core", "paths"):
+            continue
+        tree = ast.parse(module.read_text("utf-8"))
+        readers = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "squares_inv"]
+        assert not readers, f"{module.name} reads squares_inv at lines {readers}"
 
 
 def test_compose_follows_squares_in_both_twists():
@@ -160,6 +283,20 @@ def test_paths_of_degree_counts_match_matrix_row_sums():
                 assert len(paths_of_degree(g, v, n)) == sum(a[g.vertex_index[v]])
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_paths_of_degree_matches_the_recursive_reference(name):
+    g = fixture(name)
+    for v in g.vertices:
+        for n in degrees_up_to((2, 2)):
+            assert paths_of_degree(g, v, n) == reference_paths_of_degree(g, v, n)
+
+
+def test_paths_of_degree_takes_a_long_degree_without_recursion():
+    g = fixture("ex3.5-LambdaS")
+    (p,) = paths_of_degree(g, "u", (0, 5000))
+    assert path_degree(g, p) == (0, 5000)
+
+
 def test_paths_of_degree_examples():
     g = fixture("ex5.6-Lambda")
     assert len(paths_of_degree(g, "u", (1, 1))) == 4
@@ -213,7 +350,7 @@ def test_normal_form_confluence_under_random_swap_order():
                 scrambled[t], scrambled[t + 1] = g.squares[(scrambled[t], scrambled[t + 1])]
             deterministic = normalize_word(g, tuple(scrambled))
             for _ in range(5):
-                randomized = normalize_word(g, tuple(scrambled), pick=rng.choice)
+                randomized = reference_normalize(g, tuple(scrambled), pick=rng.choice)
                 assert randomized == deterministic
             assert deterministic == word
 

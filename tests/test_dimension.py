@@ -288,15 +288,6 @@ def test_intertwiner_examples():
     assert not intertwiner_check(lam, fixture("ex3.5-LambdaS"), [[1]])
 
 
-def edge_matrix(g, color):
-    # the one-step matrix A_{e_color}, counted off the edges
-    a = [[0] * len(g.vertices) for _ in g.vertices]
-    for e in g.edges:
-        if e.color == color:
-            a[g.vertex_index[e.rng]][g.vertex_index[e.src]] += 1
-    return a
-
-
 @st.composite
 def intertwiner_cases(draw):
     """Two random 2-graphs and a matrix R: over one pair of commuting
