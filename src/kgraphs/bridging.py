@@ -10,6 +10,12 @@ the omega pair agrees with swapping the lambda pair then flipping i then j.
 Coherent families extend to flips of arbitrary-degree paths, one edge at a
 time from the source end.
 
+check_flip_family, which coherence_check, extend_flip, morph_apply and
+bridging_graph run first, builds no block: it checks each entry of f_i
+against its own block, then counts. Distinct values, as many keys as
+composable color-i pairs (lambda, g), and as many of those as pairs
+(g', omega) make every block a bijection (see its docstring).
+
 bridging_search assigns one flip key at a time, blocks in color order and
 keys in domain order, and after each assignment evaluates only the triples
 that key can complete (_watch_index). A triple that becomes decidable when
@@ -186,24 +192,65 @@ def check_flip_family(g_lam: KGraph, g_om: KGraph, pair: BridgingPair) -> Polymo
     """Raise KGraphError unless the graphs have one rank k, pair.flips is
     keyed by the colors 1..k and each f_i maps every color-i block over
     pair.r bijectively onto its codomain and has no other key; returns
-    the polymorphism."""
+    the polymorphism.
+
+    f_i is checked one entry at a time, with no block built. Every key
+    (lam, g) must be a composable color-i pair and every value (g2, om) a
+    composable color-i pair of the key's block (r(lam) = r(g2), s(g) =
+    s(om)); a key or value that is not a pair of known ids is rejected.
+    Then three counts: the values are distinct, f_i has as many keys as
+    there are composable color-i pairs (lam, g), and there are as many
+    pairs (g, om), both summed from the polymorphism's per-vertex counts.
+    The keys are distinct members of the domain and as many, so they are
+    all of it; each block's values are distinct members of its codomain,
+    so no block has more keys than values; and the totals agree, so every
+    block has exactly as many, and f_i is a bijection on each."""
     k = g_lam.rank
     if g_om.rank != k:
         raise DimensionMismatch("graphs have different ranks")
     poly = polymorphism_from_matrix(g_lam, g_om, pair.r)
     if set(pair.flips) != set(range(1, k + 1)):
         raise KGraphError(f"flips are keyed by {list(pair.flips)}, not by the colors 1..{k}")
-    covered = dict.fromkeys(pair.flips, 0)
-    for i, dom, cod in _flip_blocks(g_lam, g_om, poly):
+    by_id = {g.id: g for g in poly.edges}
+    # the polymorphism edges at each range vertex, at each source vertex
+    at_range: dict[str, int] = {}
+    at_source: dict[str, int] = {}
+    for g in poly.edges:
+        at_range[g.rng] = at_range.get(g.rng, 0) + 1
+        at_source[g.src] = at_source.get(g.src, 0) + 1
+    # domain[i], codomain[i]: the composable pairs (lam, g), (g, om) of color i
+    domain, codomain = [0] * (k + 1), [0] * (k + 1)
+    for lam in g_lam.edges:
+        domain[lam.color] += at_range.get(lam.src, 0)
+    for om in g_om.edges:
+        codomain[om.color] += at_source.get(om.rng, 0)
+    lam_by_id, om_by_id = g_lam.by_id, g_om.by_id
+    for i in range(1, k + 1):
         f = pair.flips[i]
-        if len(dom) != len(cod) or {f.get(key) for key in dom} != set(cod):
+        for key, value in f.items():
+            try:
+                if type(key) is not tuple or type(value) is not tuple:
+                    raise TypeError
+                (lam_id, g_id), (g2_id, om_id) = key, value
+                lam, g, g2, om = lam_by_id[lam_id], by_id[g_id], by_id[g2_id], om_by_id[om_id]
+            except (TypeError, ValueError, KeyError):
+                raise KGraphError(
+                    f"color {i} flip entry {key!r} -> {value!r} is not a pair of known ids"
+                ) from None
+            if lam.color != i or om.color != i or lam.src != g.rng or g2.src != om.rng:
+                raise KGraphError(
+                    f"color {i} flip entry {key!r} -> {value!r} is not two composable color-{i} pairs"
+                )
+            if lam.rng != g2.rng or g.src != om.src:
+                raise KGraphError(f"color {i} flip sends {key!r} outside its block, to {value!r}")
+        if len(set(f.values())) != len(f):
+            raise KGraphError(f"color {i} flip repeats a value")
+        if len(f) != domain[i]:
+            raise KGraphError(f"color {i} flip has {len(f)} keys, not the {domain[i]} of its domain")
+        if domain[i] != codomain[i]:
             raise KGraphError(
-                f"color {i} flip does not map the block of {(dom or cod)[0]} onto its codomain"
+                f"color {i} flip has a domain of {domain[i]} and a codomain of {codomain[i]}"
             )
-        covered[i] += len(dom)
-    for i, f in pair.flips.items():
-        if len(f) != covered[i]:
-            raise KGraphError(f"color {i} flip has keys outside its domain")
     return poly
 
 

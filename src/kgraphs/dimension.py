@@ -388,15 +388,28 @@ def _degrees(graphs: tuple, caps: tuple, p_max: int, walked: list[bool]):
     step from the one before it in its coordinate j. A p whose matrix has
     an entry over its cap is skipped; if that graph has no sources,
     A_{p+q} = A_p A_q, A_q with no zero row, has as large an entry, so the
-    rest of coordinate j is skipped too."""
+    rest of coordinate j is skipped too.
+
+    Coordinate j's loop also stops once (A_p, B_p) repeats a state met
+    earlier in it: each step is a function of the state, so every later
+    step and sub-walk repeats matrices already yielded, earlier in
+    lexicographic order. (The one pair not yielded, (I, I) at p = 0, has
+    no witness past lag 0; sse_search settles it there.) Only the state
+    at the last power-of-two step is kept and compared (Brent's cycle
+    detection), so a walk whose entries grow holds one saved state."""
     no_sources = [all(map(all, g.in_sources)) for g in graphs]
 
     def walk(p: tuple, mats: list):
         j, k = len(p), graphs[0].rank
         unit = unit_degree(k, j + 1)
+        saved, mark = mats, 1
         for q in range(p_max + 1 if walked[j] else 1):
             if q:
                 mats = [[push(g, y, unit) for y in m] for m, g in zip(mats, graphs)]
+                if mats == saved:
+                    return
+                if q == mark:
+                    saved, mark = mats, 2 * mark
             over = [max(map(max, m), default=0) > cap for m, cap in zip(mats, caps)]
             if any(o and n for o, n in zip(over, no_sources)):
                 return
@@ -450,9 +463,9 @@ def sse_search(
     row, so neither has R; when every vertex of g_right emits one no B_p
     has a zero column, so neither has R. An entry of R S is at most
     d' * entry_max^2 and one of S R at most d * entry_max^2, so _degrees
-    skips the p whose A_p or B_p has a larger one. No matrix product is
-    formed. The search stays exponential in entry_max and d * d', and
-    tries all walked degrees where the entries do not grow."""
+    skips the p whose A_p or B_p has a larger one, and stops a
+    coordinate's walk once (A_p, B_p) repeats. No matrix product is
+    formed. The search stays exponential in entry_max and d * d'."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     if p_max < 0 or entry_max < 0:

@@ -2,6 +2,7 @@
 rank-(k+1) graph as an independent coherence oracle."""
 
 import random
+import time
 from itertools import permutations, product
 from math import factorial, prod
 
@@ -19,7 +20,6 @@ from kgraphs.bridging import (
     ShapeMismatch,
     _flip_blocks,
     _iter_triples,
-    _route_triple,
     bridging_graph,
     bridging_search,
     check_flip_family,
@@ -137,6 +137,12 @@ def test_flip_family_validation():
         check_flip_family(LAM57, OM57, BridgingPair([[1, 1]], swapped))
     with pytest.raises(ValueError):
         check_flip_family(LAM57, OM57, BridgingPair([[1, 1]], {1: pair.flips[1]}))
+    # one loop against two over R = [1]: the one key has a valid value, but
+    # the codomain has two pairs, so R does not intertwine
+    one_of_two = BridgingPair([[1]], {1: {("c1", "g1[u,u]"): ("g1[u,u]", "c1")}})
+    assert not reference_accepts(rose(1), rose(2), one_of_two)
+    with pytest.raises(ValueError, match="codomain of 2"):
+        check_flip_family(rose(1), rose(2), one_of_two)
 
 
 def test_flip_family_needs_one_rank_and_its_colors():
@@ -188,7 +194,7 @@ def reference_accepts(g_lam, g_om, pair):
 def corrupted_families(rng, g_lam, g_om, pair):
     """Copies of pair with two images swapped across blocks, a key
     dropped, a key added, and a value duplicated."""
-    blocks = _flip_blocks(g_lam, g_om, polymorphism_from_matrix(g_lam, g_om, pair.r))
+    blocks = reference_flip_blocks(g_lam, g_om, polymorphism_from_matrix(g_lam, g_om, pair.r))
     keyed = [(i, dom) for i, dom, _ in blocks if dom]
 
     def copy():
@@ -215,18 +221,76 @@ def corrupted_families(rng, g_lam, g_om, pair):
         yield duplicated
 
 
+def malformed_families(rng, g_lam, g_om, pair):
+    """Copies of pair with one entry made malformed: a value that is not a
+    pair, an unknown id in a key or a value, a value that is not
+    composable, a key of another color, and a value swapped with one from
+    another block of the same color."""
+
+    def with_entry(i, key, value):
+        flips = {c: dict(f) for c, f in pair.flips.items()}
+        flips[i][key] = value
+        return flips
+
+    keyed = [i for i, f in pair.flips.items() if f]
+    i = rng.choice(keyed)
+    key = rng.choice(sorted(pair.flips[i]))
+    g2, om = value = pair.flips[i][key]
+    yield with_entry(i, key, value + (om,))
+    yield with_entry(i, key, g2)
+    yield with_entry(i, key, (g2, "stray"))
+    yield with_entry(i, key, ("g9[stray,stray]", om))
+    yield with_entry(i, (key[0], "g9[stray,stray]"), value)
+    # an omega of color i that does not start where g2 ends
+    loose = [e.id for e in g_om.edges if e.color == i and e.rng != g_om.by_id[om].rng]
+    if loose:
+        yield with_entry(i, key, (g2, rng.choice(loose)))
+    other = [c for c in keyed if c != i]
+    if other:
+        j = rng.choice(other)
+        yield with_entry(j, key, rng.choice(list(pair.flips[j].values())))
+    poly = polymorphism_from_matrix(g_lam, g_om, pair.r)
+    doms = [dom for c, dom, _ in reference_flip_blocks(g_lam, g_om, poly) if c == i and dom]
+    if len(doms) >= 2:
+        dom_a, dom_b = rng.sample(doms, 2)
+        a, b = rng.choice(dom_a), rng.choice(dom_b)
+        swapped = with_entry(i, a, pair.flips[i][b])
+        swapped[i][b] = pair.flips[i][a]
+        yield swapped
+
+
 def cycled_family(g_lam, g_om, r):
     """Each block's domain sent round its codomain in order: onto but not
     one-to-one where R does not intertwine and the domain is larger."""
     flips = {i: {} for i in range(1, g_lam.rank + 1)}
-    for i, dom, cod in _flip_blocks(g_lam, g_om, polymorphism_from_matrix(g_lam, g_om, r)):
+    for i, dom, cod in reference_flip_blocks(g_lam, g_om, polymorphism_from_matrix(g_lam, g_om, r)):
         if cod:
             flips[i].update((key, cod[t % len(cod)]) for t, key in enumerate(dom))
     return flips
 
 
+def check_accepts(g_lam, g_om, pair):
+    try:
+        check_flip_family(g_lam, g_om, pair)
+    except KGraphError:
+        return False
+    return True
+
+
+CATALOG_PAIRS = [
+    ("ex5.6-Lambda", "ex5.6-Omega", [[1, 1]]),
+    ("ex5.6-Lambda", "ex5.6-Omega", [[2, 2]]),
+    ("ex5.7-Lambda", "ex5.7-Omega", [[1, 1]]),
+    ("ex5.7-Lambda", "ex5.7-Omega", [[2, 2]]),
+    ("ex3.5-Lambda", "ex3.5-LambdaI", [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]),
+]
+
+
 def test_check_flip_family_agrees_with_the_reference():
     rng = random.Random(20261018)
+    # the malformed copies draw from their own generator, so the graphs
+    # and families above stay the same
+    rng_malformed = random.Random(20261020)
     outcomes = set()
     for _ in range(40):
         a1 = [[rng.randint(0, 2) for _ in range(2)] for _ in range(2)]
@@ -244,16 +308,39 @@ def test_check_flip_family_agrees_with_the_reference():
                 assert reference_accepts(g_lam, g_om, pair)
                 if any(pair.flips.values()):
                     families.extend(corrupted_families(rng, g_lam, g_om, pair))
+                    families.extend(malformed_families(rng_malformed, g_lam, g_om, pair))
             for flips in families:
                 candidate = BridgingPair(r, flips)
-                try:
-                    check_flip_family(g_lam, g_om, candidate)
-                    got = True
-                except KGraphError:
-                    got = False
+                got = check_accepts(g_lam, g_om, candidate)
                 assert got == reference_accepts(g_lam, g_om, candidate)
                 outcomes.add(got)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("lam, om, r", CATALOG_PAIRS)
+def test_check_flip_family_agrees_with_the_reference_on_the_catalog(lam, om, r):
+    g_lam, g_om = fixture(lam), fixture(om)
+    rng = random.Random(20261021)
+    for _ in range(5):
+        pair = random_family(rng, g_lam, g_om, r)
+        assert check_accepts(g_lam, g_om, pair) and reference_accepts(g_lam, g_om, pair)
+        for flips in (*corrupted_families(rng, g_lam, g_om, pair), *malformed_families(rng, g_lam, g_om, pair)):
+            candidate = BridgingPair(r, flips)
+            assert check_accepts(g_lam, g_om, candidate) == reference_accepts(g_lam, g_om, candidate)
+    # a non-intertwining matrix of the same shape
+    bad = [row[:-1] + [row[-1] + 1] for row in r]
+    assert not intertwiner_check(g_lam, g_om, bad)
+    cycled = BridgingPair(bad, cycled_family(g_lam, g_om, bad))
+    assert not check_accepts(g_lam, g_om, cycled) and not reference_accepts(g_lam, g_om, cycled)
+
+
+def test_check_flip_family_rejects_list_valued_entries():
+    # values as lists, the shape JSON gives them, are not pairs of ids
+    listed = {i: {key: list(value) for key, value in f.items()} for i, f in coherent_57_family().flips.items()}
+    pair = BridgingPair([[1, 1]], listed)
+    for call in (check_flip_family, coherence_check, bridging_graph):
+        with pytest.raises(KGraphError, match="not a pair of known ids"):
+            call(LAM57, OM57, pair)
 
 
 # ---------------------------------------------------------------- coherence
@@ -294,6 +381,25 @@ def test_no_family_bridges_the_56_pair():
     for pair in all_16_families():
         ok, witness = coherence_check(LAM56, OM56, pair)
         assert not ok and witness is not None
+
+
+COHERENCE_BUDGET_S = 0.5
+
+
+def test_coherence_check_of_the_identity_family_on_a_256_vertex_product_fits_a_budget():
+    # R = I and f_i(lam, g1[s,s]) = (g1[r,r], lam): 8192 entries, each
+    # checked on its own, and 65536 triples whose routes agree
+    ones = [[1] * 16 for _ in range(16)]
+    g = _product(ones, ones)
+    ident = [[int(i == j) for j in range(256)] for i in range(256)]
+    flips = {
+        i: {(e.id, f"g1[{e.src},{e.src}]"): (f"g1[{e.rng},{e.rng}]", e.id) for e in g.edges if e.color == i}
+        for i in (1, 2)
+    }
+    t0 = time.perf_counter()
+    assert coherence_check(g, g, BridgingPair(ident, flips)) == (True, None)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < COHERENCE_BUDGET_S, f"took {elapsed:.2f}s, budget {COHERENCE_BUDGET_S}s"
 
 
 # ------------------------------------------------------------------- search
@@ -505,6 +611,29 @@ def test_flip_blocks_match_the_reference_on_a_256_vertex_product():
     assert _flip_blocks(g, g, poly) == reference_flip_blocks(g, g, poly)
 
 
+def reference_route_triple(g_lam, g_om, flips, i, j, lam_i, lam_j, g):
+    """Both routes of one triple as (g, omega_j, omega_i) words, or None
+    while a flip they read is unset: push the word lambda_i lambda_j
+    through g source end first and swap the omega pair, or swap the lambda
+    pair first and push lambda_j' lambda_i' through g."""
+
+    def push_word(word, colors):
+        cur, oms = g, []
+        for lam, color in reversed(list(zip(word, colors))):
+            if (lam, cur) not in flips[color]:
+                return None
+            cur, om = flips[color][(lam, cur)]
+            oms.insert(0, om)
+        return cur, oms
+
+    top = push_word([lam_i, lam_j], [i, j])
+    bottom = push_word(list(g_lam.squares[(lam_i, lam_j)]), [j, i])
+    if top is None or bottom is None:
+        return None
+    (g_top, om_pair), (g_bottom, om_swapped) = top, bottom
+    return (g_top, *g_om.squares[tuple(om_pair)]), (g_bottom, *om_swapped)
+
+
 def reference_search(g_lam, g_om, r):
     """The search one whole block at a time: every bijection of a block in
     itertools.permutations order, then every triple re-evaluated. The
@@ -512,7 +641,7 @@ def reference_search(g_lam, g_om, r):
     if not intertwiner_check(g_lam, g_om, r):
         raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
     poly = polymorphism_from_matrix(g_lam, g_om, r)
-    blocks = _flip_blocks(g_lam, g_om, poly)
+    blocks = reference_flip_blocks(g_lam, g_om, poly)
     suffix = [1] * (len(blocks) + 1)
     for t in range(len(blocks) - 1, -1, -1):
         suffix[t] = suffix[t + 1] * factorial(len(blocks[t][2]))
@@ -527,7 +656,7 @@ def reference_search(g_lam, g_om, r):
 
     def consistent():
         for i, j, (lam_i, lam_j, g) in triples:
-            routes = _route_triple(g_lam, g_om, flips, i, j, lam_i, lam_j, g)
+            routes = reference_route_triple(g_lam, g_om, flips, i, j, lam_i, lam_j, g)
             if routes is not None and routes[0] != routes[1]:
                 return False
         return True
@@ -563,16 +692,7 @@ def assert_same_search(got, want):
         ]
 
 
-@pytest.mark.parametrize(
-    "lam, om, r",
-    [
-        ("ex5.6-Lambda", "ex5.6-Omega", [[1, 1]]),
-        ("ex5.6-Lambda", "ex5.6-Omega", [[2, 2]]),
-        ("ex5.7-Lambda", "ex5.7-Omega", [[1, 1]]),
-        ("ex5.7-Lambda", "ex5.7-Omega", [[2, 2]]),
-        ("ex3.5-Lambda", "ex3.5-LambdaI", [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]),
-    ],
-)
+@pytest.mark.parametrize("lam, om, r", CATALOG_PAIRS)
 def test_search_matches_the_reference_on_the_catalog(lam, om, r):
     g_lam, g_om = fixture(lam), fixture(om)
     assert_same_search(bridging_search(g_lam, g_om, r), reference_search(g_lam, g_om, r))

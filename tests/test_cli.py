@@ -515,6 +515,24 @@ def test_bridge_search_cli_incoherent_witness(capsys, tmp_path):
     assert "top ('g1[u,w]', 'e2', 'f1') != bottom ('g1[u,w]', 'e1', 'f2')" in out
 
 
+def test_bridge_search_cli_rejects_a_value_outside_its_block(capsys):
+    code, out, _ = run(
+        capsys, "bridge-search", "--json", "ex5.7-Lambda", "ex5.7-Omega", "--matrix", "1 1"
+    )
+    flips = json.loads(out)["flips"]
+    # (f1, g1[u,v]) and (f1, g1[u,w]) lie in different blocks; trade their values
+    table = {tuple(key): value for key, value in flips["1"]}
+    a, b = ("f1", "g1[u,v]"), ("f1", "g1[u,w]")
+    table[a], table[b] = table[b], table[a]
+    flips["1"] = [[list(key), value] for key, value in table.items()]
+    code, out, err = run(
+        capsys, "bridge-search", "ex5.7-Lambda", "ex5.7-Omega", "--matrix", "1 1",
+        "--flips", json.dumps(flips),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "outside its block" in err
+
+
 def test_bridge_search_cli_rank_and_color_errors(capsys, tmp_path):
     rose2 = tmp_path / "rose2.json"
     rose2.write_text(dump_kgraph(rose(2)), encoding="utf-8")

@@ -704,6 +704,23 @@ def test_sse_search_answers_lag_0_without_walking_the_degrees(monkeypatch):
     assert sse_search(gamma, lam, 1000, 1) == ExhaustedBounds(1000, 1)
 
 
+SINK_BUDGET_S = 1.0
+
+
+def test_sse_search_stops_the_walk_at_a_repeated_state():
+    # both one-step matrices are [[1,0],[1,0]]: v0 has a loop and an edge
+    # to the sink v1 in each color, so A_p = A_{e_1} for every p != 0. The
+    # entries never pass a cap and neither color is a permutation, so only
+    # the repeated (A_p, B_p) ends each coordinate's walk
+    sink = random_2graph(random.Random(20261022), "s", [[1, 0], [1, 0]], [[1, 0], [1, 0]])
+    gamma = fixture("sec3-Gamma")
+    assert sse_search(sink, gamma, 4, 1) == reference_sse_search(sink, gamma, 4, 1)
+    t0 = time.perf_counter()
+    assert sse_search(sink, gamma, 100000, 1) == ExhaustedBounds(100000, 1)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < SINK_BUDGET_S, f"took {elapsed:.2f}s, budget {SINK_BUDGET_S}s"
+
+
 # ------------------------------------------------------------ rank invariant
 
 def test_rank_examples():
