@@ -327,7 +327,9 @@ COMMANDS = {
         ("--p-max", {"type": int, "default": 1, "help": "componentwise bound on the degree p (default 1)"}),
         ("--entry-max", {"type": int, "default": 1, "help": (
             "bound on R and S entries (default 1; equations prune R and S row by row, "
-            "but the worst case is still (entry_max+1)^(2 d d') candidate pairs)"
+            "but the worst case is still (entry_max+1)^(2 d d') candidate pairs; "
+            "past lag 0, more than 65536 candidate rows (entry_max+1)^max(d, d') "
+            "exit 1, dimension.SSE_MAX_ROWS)"
         )}),
     ]),
     "rank": (cmd_rank, "rank of P^d, P the product of the one-step matrices and d the vertex count", [GRAPH]),

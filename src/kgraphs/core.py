@@ -13,7 +13,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .intmat import Matrix
@@ -245,14 +246,14 @@ class KGraph:
         the one-step matrices. From there on the kernel of P^j stays the
         same (Fitting's lemma), so 0 <= m0 <= d for d vertices, and
         x * P^d = 0 iff x * P^m0 = 0. Computed on first use by pushing a
-        basis of the row space of P^j one P-step (push) and cutting the
-        result down to a basis (intmat.primitive_echelon) until the rank
-        holds."""
+        basis of the row space of P^j one P-step (the push kernel) and
+        cutting the result down to a basis (intmat.primitive_echelon) until
+        the rank holds."""
         from .intmat import identity, primitive_echelon
 
         rows, step = identity(len(self.vertices)), (1,) * self.rank
         m0 = 0
-        while len(pushed := primitive_echelon(push(self, row, step) for row in rows)) < len(rows):
+        while len(pushed := primitive_echelon(_push(self, row, step) for row in rows)) < len(rows):
             rows, m0 = pushed, m0 + 1
         return m0
 
@@ -386,26 +387,38 @@ def _check_degree(g: KGraph, n: Degree) -> None:
 
 # --------------------------------------------------------------- matrices
 
-def push(g: KGraph, x: Sequence[int], n: Degree) -> list[int]:
-    """The row vector x * A_n, pushed one unit of degree at a time along
-    the in-edge index (y[s(e)] += x[r(e)] for every edge e of the step's
-    color, read per range and skipped where x[r(e)] is zero); a zero
-    vector stays zero, so it stops early there."""
-    _check_degree(g, n)
-    if len(x) != len(g.vertices):
-        raise KGraphError(f"vector has {len(x)} entries for {len(g.vertices)} vertices")
+def _push(g: KGraph, x: Sequence[int], n: Iterable[int]) -> list[int]:
+    # x * A_n with no check: one pass per unit of degree n_i, each adding
+    # y[r] at the source of every color-i edge into r, for the nonzero
+    # entries y[r] only (compress skips the zeros in C); a zero vector
+    # stays zero, so it stops early there
     y = list(x)
+    d = len(y)
     for by_range, times in zip(g.in_sources, n):
         for _ in range(times):
             if not any(y):
                 return y
-            z = [0] * len(y)
-            for c, srcs in zip(y, by_range):
-                if c:
-                    for s in srcs:
-                        z[s] += c
+            z = [0] * d
+            for r in compress(range(d), y):
+                c = y[r]
+                for s in by_range[r]:
+                    z[s] += c
             y = z
     return y
+
+
+def push(g: KGraph, x: Sequence[int], n: Degree) -> list[int]:
+    """The row vector x * A_n, pushed one unit of degree at a time along
+    the in-edge index: each step adds y[r] at the source of every edge
+    into r of the step's color, visiting only the nonzero entries of y,
+    and a zero vector stops the push early. The degree must be a length-k
+    tuple over N and x must have an entry per vertex; the package's own
+    callers check their inputs once where they enter and run the same
+    step loop unchecked."""
+    _check_degree(g, n)
+    if len(x) != len(g.vertices):
+        raise KGraphError(f"vector has {len(x)} entries for {len(g.vertices)} vertices")
+    return _push(g, x, n)
 
 
 def vertex_matrix(g: KGraph, n: Degree) -> Matrix:
@@ -414,7 +427,7 @@ def vertex_matrix(g: KGraph, n: Degree) -> Matrix:
     one-step matrices commute on a valid k-graph)."""
     _check_degree(g, n)
     d = len(g.vertices)
-    return [push(g, [int(i == j) for j in range(d)], n) for i in range(d)]
+    return [_push(g, [int(i == j) for j in range(d)], n) for i in range(d)]
 
 
 def parse_matrix(text: str) -> Matrix:

@@ -3,8 +3,9 @@
 An element is a class [x, n]: x an integer row vector over the vertices,
 n a Z^k shift. [x, n] = [y, m] iff x*A_{l-n} = y*A_{l-m} for some l >= n v m.
 Both sides are pushed to the join n v m along the in-edge index
-KGraph.in_sources (core.push), and their difference z is zero in the group
-iff z*P^d = 0, where P is the product of all one-step matrices and d the
+KGraph.in_sources (the push kernel core._push); they are one class if the
+two pushed vectors agree, and otherwise iff their difference z has
+z*P^d = 0, where P is the product of all one-step matrices and d the
 vertex count. The kernel of P^j stops growing at j = m0 <= d, the graph's
 KGraph.stable_index (computed once per graph, on the first nonzero z), so
 that is decided by pushing z on by (m0, ..., m0); when m0 = 0 a nonzero z
@@ -14,6 +15,7 @@ is never zero. No matrix power is formed.
 from __future__ import annotations
 
 from itertools import product
+from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
@@ -23,12 +25,9 @@ from .core import (
     KGraph,
     KGraphError,
     Shift,
-    deg_join,
-    deg_sub,
-    deg_total,
+    _push,
     matrix_str,
     parse_shift,
-    push,
     unit_degree,
     vertex_matrix,
     zero_degree,
@@ -92,36 +91,49 @@ def _check_element(g: KGraph, a: DimElement) -> None:
         raise RankMismatch(f"shift has {len(a.n)} coordinates for rank {g.rank}")
 
 
+# The public functions below check each element once, where it enters, and
+# then run on unchecked helpers (_lift, _eq, _add, _apply) and the push
+# kernel core._push.
+
 # the total degree of one representative push; the push takes a pass per
 # unit, and each pass costs more where the entries grow
 SHIFT_MAX_DEGREE = 100_000
 
 
-def _push(g: KGraph, a: DimElement, p: Shift) -> list[int]:
+def _lift(g: KGraph, a: DimElement, p: Shift) -> list[int]:
     # the representative of a at level p >= a.n: x * A_{p - a.n}
-    n = deg_sub(p, a.n)
-    if deg_total(n) > SHIFT_MAX_DEGREE:
-        raise KGraphError(f"shift of total degree {deg_total(n)} is over {SHIFT_MAX_DEGREE}")
-    return push(g, a.x, n)
+    total = sum(p) - sum(a.n)
+    if total > SHIFT_MAX_DEGREE:
+        raise KGraphError(f"shift of total degree {total} is over {SHIFT_MAX_DEGREE}")
+    return _push(g, a.x, map(sub, p, a.n))
+
+
+def _eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
+    p = tuple(map(max, a.n, b.n))
+    x, y = _lift(g, a, p), _lift(g, b, p)
+    if x == y:
+        return True
+    return not any(_push(g, map(sub, x, y), (g.stable_index,) * g.rank))
+
+
+def _add(g: KGraph, a: DimElement, b: DimElement) -> DimElement:
+    p = tuple(map(max, a.n, b.n))
+    return DimElement(tuple(map(add, _lift(g, a, p), _lift(g, b, p))), p)
 
 
 def dge_eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
-    """Whether a and b are one class: their difference z at the join of
-    their shifts dies under P^m0, m0 = g.stable_index (so under P^d)."""
+    """Whether a and b are one class: their representatives at the join
+    of their shifts agree, or their difference z there dies under P^m0,
+    m0 = g.stable_index (so under P^d)."""
     _check_element(g, a)
     _check_element(g, b)
-    p = deg_join(a.n, b.n)
-    z = [s - t for s, t in zip(_push(g, a, p), _push(g, b, p))]
-    if not any(z):
-        return True
-    return not any(push(g, z, (g.stable_index,) * g.rank))
+    return _eq(g, a, b)
 
 
 def dge_add(g: KGraph, a: DimElement, b: DimElement) -> DimElement:
     _check_element(g, a)
     _check_element(g, b)
-    p = deg_join(a.n, b.n)
-    return DimElement(tuple(s + t for s, t in zip(_push(g, a, p), _push(g, b, p))), p)
+    return _add(g, a, b)
 
 
 def dge_shift(a: DimElement, m: Shift) -> DimElement:
@@ -145,10 +157,10 @@ def positivity(g: KGraph, a: DimElement, q_max: int) -> str:
     if q_max < 0:
         raise KGraphError("q_max must be >= 0")
     corner = tuple(max(q_max, c) for c in a.n)
-    pushed = _push(g, a, corner)
+    pushed = _lift(g, a, corner)
     if min(pushed, default=0) >= 0:
         return "positive"
-    if max(pushed, default=0) <= 0 and not dge_eq(g, a, zero_element(g, a.n)):
+    if max(pushed, default=0) <= 0 and not _eq(g, a, zero_element(g, a.n)):
         return "not_positive"
     return "unknown"
 
@@ -165,6 +177,17 @@ def generator_map(source: KGraph, target: KGraph, images: dict[str, DimElement])
     return GeneratorMap(source, target, dict(images))
 
 
+def _check_images(m: GeneratorMap) -> None:
+    # generator_map's check of each image, for a GeneratorMap built
+    # directly; an image shifted by a source shift of another length fails
+    # first, as dge_shift reports it
+    k = m.source.rank
+    for img in m.images.values():
+        if len(img.n) != k:
+            raise RankMismatch(f"shift has {k} coordinates, element has {len(img.n)}")
+        _check_element(m.target, img)
+
+
 def identity_generator_map(g: KGraph) -> GeneratorMap:
     return identity_map_between(g, g)
 
@@ -176,28 +199,32 @@ def identity_map_between(source: KGraph, target: KGraph) -> GeneratorMap:
     return GeneratorMap(source, target, {v: unit_element(target, v) for v in source.vertices})
 
 
-def apply_generator_map(m: GeneratorMap, a: DimElement) -> DimElement:
-    """Extend images additively and Z^k-equivariantly: v(n) -> shift(m(v), n)."""
-    _check_element(m.source, a)
+def _apply(m: GeneratorMap, a: DimElement) -> DimElement:
     total = zero_element(m.target, a.n)
     for v, coeff in zip(m.source.vertices, a.x):
         if coeff:
-            total = dge_add(m.target, total, dge_scale(coeff, dge_shift(m.images[v], a.n)))
+            total = _add(m.target, total, dge_scale(coeff, dge_shift(m.images[v], a.n)))
     return total
+
+
+def apply_generator_map(m: GeneratorMap, a: DimElement) -> DimElement:
+    """Extend images additively and Z^k-equivariantly: v(n) -> shift(m(v), n)."""
+    _check_element(m.source, a)
+    _check_images(m)
+    return _apply(m, a)
 
 
 def hom_check(m: GeneratorMap) -> bool:
     """Whether the images satisfy every defining relation
     v(0) = sum over color-i in-edges of s(edge)(e_i)."""
+    _check_images(m)
     g = m.source
     for v in g.vertices:
         for i in range(1, g.rank + 1):
             rhs = zero_element(m.target, unit_degree(g.rank, i))
             for e in g.in_edges[v][i]:
-                rhs = dge_add(
-                    m.target, rhs, dge_shift(m.images[e.src], unit_degree(g.rank, i))
-                )
-            if not dge_eq(m.target, m.images[v], rhs):
+                rhs = _add(m.target, rhs, dge_shift(m.images[e.src], unit_degree(g.rank, i)))
+            if not _eq(m.target, m.images[v], rhs):
                 return False
     return True
 
@@ -211,12 +238,12 @@ def iso_check(fwd: GeneratorMap, bwd: GeneratorMap) -> bool:
     if not hom_check(fwd) or not hom_check(bwd):
         return False
     for v in fwd.source.vertices:
-        back = apply_generator_map(bwd, fwd.images[v])
-        if not dge_eq(fwd.source, back, unit_element(fwd.source, v)):
+        back = _apply(bwd, fwd.images[v])
+        if not _eq(fwd.source, back, unit_element(fwd.source, v)):
             return False
     for w in bwd.source.vertices:
-        forth = apply_generator_map(fwd, bwd.images[w])
-        if not dge_eq(bwd.source, forth, unit_element(bwd.source, w)):
+        forth = _apply(fwd, bwd.images[w])
+        if not _eq(bwd.source, forth, unit_element(bwd.source, w)):
             return False
     return True
 
@@ -224,9 +251,10 @@ def iso_check(fwd: GeneratorMap, bwd: GeneratorMap) -> bool:
 def pointed_check(fwd: GeneratorMap) -> bool:
     """Whether the sum of all source generators maps to the sum of all
     target generators (the order units)."""
+    _check_images(fwd)
     src_unit = DimElement((1,) * len(fwd.source.vertices), zero_degree(fwd.source.rank))
     tgt_unit = DimElement((1,) * len(fwd.target.vertices), zero_degree(fwd.target.rank))
-    return dge_eq(fwd.target, apply_generator_map(fwd, src_unit), tgt_unit)
+    return _eq(fwd.target, _apply(fwd, src_unit), tgt_unit)
 
 
 # -------------------------------------------------------------- intertwiners
@@ -405,7 +433,7 @@ def _degrees(graphs: tuple, caps: tuple, p_max: int, walked: list[bool]):
         saved, mark = mats, 1
         for q in range(p_max + 1 if walked[j] else 1):
             if q:
-                mats = [[push(g, y, unit) for y in m] for m, g in zip(mats, graphs)]
+                mats = [[_push(g, y, unit) for y in m] for m, g in zip(mats, graphs)]
                 if mats == saved:
                     return
                 if q == mark:
@@ -425,6 +453,11 @@ def _is_permutation(srcs: tuple) -> bool:
     # the one-step matrix whose row v lists the sources of the edges into
     # v: one edge into every vertex, from distinct sources
     return all(len(s) == 1 for s in srcs) and len(set(srcs)) == len(srcs)
+
+
+# largest number of candidate rows, (entry_max + 1)^d, of the R and S
+# tables that sse_search builds past lag 0; checked before either is built
+SSE_MAX_ROWS = 2**16
 
 
 def sse_search(
@@ -465,7 +498,10 @@ def sse_search(
     d' * entry_max^2 and one of S R at most d * entry_max^2, so _degrees
     skips the p whose A_p or B_p has a larger one, and stops a
     coordinate's walk once (A_p, B_p) repeats. No matrix product is
-    formed. The search stays exponential in entry_max and d * d'."""
+    formed. The search stays exponential in entry_max and d * d'. Past
+    lag 0, a search whose R rows or S table would hold more than
+    SSE_MAX_ROWS candidate rows, (entry_max + 1)^max(d, d'), raises
+    KGraphError before building either."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     if p_max < 0 or entry_max < 0:
@@ -490,6 +526,13 @@ def sse_search(
     ]
     if not any(walked):
         return ExhaustedBounds(p_max, entry_max)
+    rows, d = 1, max(dl, dr)
+    for _ in range(d):
+        rows *= entry_max + 1
+        if rows > SSE_MAX_ROWS:
+            raise KGraphError(
+                f"{entry_max + 1}^{d} candidate rows of R or S, over the cap of {SSE_MAX_ROWS}"
+            )
 
     # whether R may have a zero row, a zero column (see above)
     zero_rows = not all(map(all, g_left.in_sources))

@@ -20,7 +20,7 @@ from kgraphs.bridging import BridgingPair, bridging_graph
 from kgraphs.cli import COMMANDS, build_parser, main
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
 from kgraphs.core import InvalidKGraph, kgraph_violations, validate_kgraph
-from kgraphs.dimension import dge_eq, parse_element, unit_element
+from kgraphs.dimension import SSE_MAX_ROWS, dge_eq, parse_element, unit_element
 from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
 from kgraphs.textform import dump_kgraph, parse_kgraph, parse_kgraph_parts
 
@@ -416,6 +416,20 @@ def test_sse_search_walks_no_degree_when_every_color_is_a_permutation(capsys):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("entry_max", ["16", "1000", "99999999999999"])
+def test_sse_search_over_the_row_cap_exits_1(capsys, entry_max):
+    # checked after lag 0 (3 against 4 vertices has none) and before any
+    # row table is built
+    code, out, err = run(capsys, "sse-search", "ex3.5-Lambda", "ex3.5-LambdaI", "--entry-max", entry_max)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == f"error: {int(entry_max) + 1}^4 candidate rows of R or S, over the cap of {SSE_MAX_ROWS}\n"
+
+
+def test_sse_search_help_names_the_row_cap(capsys):
+    code, out, _ = run(capsys, "sse-search", "--help")
+    assert code == 0 and f"more than {SSE_MAX_ROWS} candidate rows" in " ".join(out.split())
+
+
 def test_rank_cli(capsys):
     for name, expect in (("sec3-Lambda", "1"), ("sec3-Sigma", "2"), ("sec3-Gamma", "2")):
         code, out, _ = run(capsys, "rank", name)
@@ -455,6 +469,103 @@ def test_h0_cli_on_a_576_vertex_product(capsys, tmp_path):
     elapsed = time.perf_counter() - t0
     assert code == 0 and out.strip() == f"rank {want.rank}, torsion {list(want.torsion)}"
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5.0s"
+
+
+# Every subcommand on the 576-vertex product above, each within a CPU
+# budget (ROADMAP item 9). rank and h0gr (the Smith normal form of the
+# pushed P^d) and `sse-search G G` (the lag-0 row search) do not answer on
+# it yet, so they have no row; each gets one on this graph once it does.
+SWEEP_BUDGET_S = 5.0
+
+
+@pytest.fixture(scope="module")
+def product_576(tmp_path_factory):
+    rng = random.Random(1)
+    a, b = _cycle_plus_permutation(rng, 24), _cycle_plus_permutation(rng, 24)
+    path = tmp_path_factory.mktemp("sweep") / "product.json"
+    path.write_text(dump_kgraph(_product(a, b)), encoding="utf-8")
+    return str(path), a, b
+
+
+def _defining_relation(a):
+    # x0|y0 at shift 0 is the sum of the sources of its color-1 in-edges at
+    # shift e_1
+    return " + ".join(f"x{c}|y0:1,0:{a[0][c]}" for c in range(len(a)) if a[0][c])
+
+
+def _identity_text(d):
+    return "; ".join(" ".join("1" if r == c else "0" for c in range(d)) for r in range(d))
+
+
+def _h0_text(a, b):
+    want = _invariants([math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)])
+    return f"rank {want.rank}, torsion {list(want.torsion)}\n"
+
+
+# name -> (argv from (path, a), exit code, check of (out, err, a, b))
+SWEEP_ROWS = {
+    "validate": (lambda p, a: ["validate", p], 0, lambda out, err, a, b: out == "valid (k=2, |Λ⁰|=576)\n"),
+    "info": (
+        lambda p, a: ["info", p],
+        0,
+        lambda out, err, a, b: out.startswith("rank 2\nvertices (576): x0|y0 ")
+        and "\nedges: color 1: 1152, color 2: 1152\n" in out,
+    ),
+    "h0": (lambda p, a: ["h0", p], 0, lambda out, err, a, b: out == _h0_text(a, b)),
+    "tm-eq equal": (
+        lambda p, a: ["tm-eq", p, "x0|y0:0,0", _defining_relation(a)], 0, lambda out, err, a, b: out == "equal\n"
+    ),
+    "tm-eq not equal": (
+        lambda p, a: ["tm-eq", p, "x0|y0:0,0", "x0|y0:0,0 + x1|y1:0,0"],
+        0,
+        lambda out, err, a, b: out == "not equal\n",
+    ),
+    "tm-hom-check --identity": (
+        lambda p, a: ["tm-hom-check", p, p, "--identity"], 0, lambda out, err, a, b: out == "hom: yes\npointed: yes\n"
+    ),
+    "tm-iso-check --identity": (
+        lambda p, a: ["tm-iso-check", p, p, "--identity"], 0, lambda out, err, a, b: out == "iso: yes\npointed: yes\n"
+    ),
+    "pullback": (
+        lambda p, a: ["pullback", p, "--images", "1,0;0,1"],
+        0,
+        lambda out, err, a, b: len(parse_kgraph(out).vertices) == 576,
+    ),
+    "skew-window": (
+        lambda p, a: ["skew-window", p, "--lo", "0,0", "--hi", "1,1"],
+        0,
+        lambda out, err, a, b: len(parse_kgraph(out).vertices) == 4 * 576,
+    ),
+    "bridge-search R = I": (
+        lambda p, a: ["bridge-search", p, p, "--matrix", _identity_text(576)],
+        0,
+        # R's line, then one flip per color-i edge and polymorphism edge
+        lambda out, err, a, b: out.startswith("R: 1 0 0 ") and len(out.splitlines()) == 1 + 2 * 1152,
+    ),
+    "fixtures": (lambda p, a: ["fixtures"], 0, lambda out, err, a, b: out.startswith("ex3.5-Lambda\n")),
+    "insplit": (
+        lambda p, a: ["insplit", p, "x0|y0"],
+        1,
+        lambda out, err, a, b: err == "error: x0|y0 has 1 pairing class(es); need at least 2\n",
+    ),
+    "sinkdelete": (
+        lambda p, a: ["sinkdelete", p, "x0|y0"],
+        1,
+        lambda out, err, a, b: err == "error: x0|y0 emits edges of every color\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", SWEEP_ROWS)
+def test_every_subcommand_on_a_576_vertex_product(capsys, product_576, row):
+    path, a, b = product_576
+    argv, want_code, check = SWEEP_ROWS[row]
+    argv = argv(path, a)
+    t0 = time.process_time()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.process_time() - t0
+    assert code == want_code and check(out, err, a, b), (code, out[:200], err)
+    assert elapsed < SWEEP_BUDGET_S, f"took {elapsed:.2f}s of CPU, budget {SWEEP_BUDGET_S}s"
 
 
 def test_h0gr_cli(capsys):

@@ -10,17 +10,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_bridging import complete_product, random_2graph
-from test_homology import _cycle_plus_permutation, _product
+from test_homology import _cycle_plus_permutation, _one_graph, _product
 from test_intmat import mat_mul
 
 import kgraphs.dimension as dimension
-from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, rose
-from kgraphs.core import KGraphError, Skeleton, push, unit_degree, validate_kgraph, vertex_matrix
+from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
+from kgraphs.core import (
+    DegreeOutOfRange,
+    KGraphError,
+    Skeleton,
+    push,
+    unit_degree,
+    validate_kgraph,
+    vertex_matrix,
+)
 from kgraphs.dimension import (
     SHIFT_MAX_DEGREE,
+    SSE_MAX_ROWS,
     DimElement,
     DimensionMismatch,
     ExhaustedBounds,
+    GeneratorMap,
     RankMismatch,
     SSEWitness,
     apply_generator_map,
@@ -209,6 +219,98 @@ def test_rank_mismatch():
         dge_eq(g, dim_element([1], (0,)), dim_element([1], (0, 0)))
     with pytest.raises(RankMismatch):
         dge_shift(dim_element([1], (0, 0)), (1,))
+
+
+# Each public entry point checks its inputs once, where they enter, and
+# then runs unchecked helpers; these pin the exception type and message of
+# every such check, directly built maps included (the kernel's zip would
+# otherwise truncate a short image silently).
+VECTOR_2_FOR_3 = "vector has 2 entries for 3 vertices"
+OVER_CAP = "shift of total degree 100001 is over 100000"
+PINNED_ERRORS = {
+    "dge_eq short vector": (lambda g, e: dge_eq(g, e["short_x"], e["u"]), RankMismatch, VECTOR_2_FOR_3),
+    "dge_eq short vector on the right": (lambda g, e: dge_eq(g, e["u"], e["short_x"]), RankMismatch, VECTOR_2_FOR_3),
+    "dge_eq short shift": (
+        lambda g, e: dge_eq(g, e["u"], e["short_n"]), RankMismatch, "shift has 1 coordinates for rank 2"
+    ),
+    "dge_eq long shift": (
+        lambda g, e: dge_eq(g, e["long_n"], e["u"]), RankMismatch, "shift has 3 coordinates for rank 2"
+    ),
+    "dge_add short vector": (lambda g, e: dge_add(g, e["short_x"], e["u"]), RankMismatch, VECTOR_2_FOR_3),
+    "dge_add short shift": (
+        lambda g, e: dge_add(g, e["u"], e["short_n"]), RankMismatch, "shift has 1 coordinates for rank 2"
+    ),
+    "positivity short vector": (lambda g, e: positivity(g, e["short_x"], 1), RankMismatch, VECTOR_2_FOR_3),
+    "positivity short shift": (
+        lambda g, e: positivity(g, e["short_n"], 1), RankMismatch, "shift has 1 coordinates for rank 2"
+    ),
+    "apply short vector": (
+        lambda g, e: apply_generator_map(identity_generator_map(g), e["short_x"]), RankMismatch, VECTOR_2_FOR_3
+    ),
+    "apply short shift": (
+        lambda g, e: apply_generator_map(identity_generator_map(g), e["short_n"]),
+        RankMismatch,
+        "shift has 1 coordinates for rank 2",
+    ),
+    "dge_eq right side over the cap": (lambda g, e: dge_eq(g, e["u"], e["far"]), KGraphError, OVER_CAP),
+    "dge_eq left side over the cap": (lambda g, e: dge_eq(g, e["far"], e["u"]), KGraphError, OVER_CAP),
+    "dge_eq pushed side over the cap": (lambda g, e: dge_eq(g, e["below"], e["u"]), KGraphError, OVER_CAP),
+    "dge_add pushed side over the cap": (lambda g, e: dge_add(g, e["below"], e["u"]), KGraphError, OVER_CAP),
+    "positivity corner over the cap": (
+        lambda g, e: positivity(g, unit_element(g, "u", (-SHIFT_MAX_DEGREE, 0)), 1),
+        KGraphError,
+        "shift of total degree 100002 is over 100000",
+    ),
+    "push negative degree": (
+        lambda g, e: push(g, [1, 0, 0], (-1, 0)), DegreeOutOfRange, "degree must be a length-2 tuple over N"
+    ),
+    "push short degree": (
+        lambda g, e: push(g, [1, 0, 0], (1,)), DegreeOutOfRange, "degree must be a length-2 tuple over N"
+    ),
+    "push short vector": (lambda g, e: push(g, [1, 0], (1, 0)), KGraphError, VECTOR_2_FOR_3),
+    "push long vector": (lambda g, e: push(g, [1, 0, 0, 0], (0, 0)), KGraphError, "vector has 4 entries for 3 vertices"),
+    "a direct map's short image in apply": (
+        lambda g, e: apply_generator_map(e["short_image"], DimElement((0, 2, 0), (0, 0))),
+        RankMismatch,
+        VECTOR_2_FOR_3,
+    ),
+    "a direct map's short image in hom_check": (lambda g, e: hom_check(e["short_image"]), RankMismatch, VECTOR_2_FOR_3),
+    "a direct map's short image in iso_check": (
+        lambda g, e: iso_check(e["short_image"], identity_generator_map(g)), RankMismatch, VECTOR_2_FOR_3
+    ),
+    "a direct map's short image in pointed_check": (
+        lambda g, e: pointed_check(e["short_image"]), RankMismatch, VECTOR_2_FOR_3
+    ),
+    "a direct map's short image shift in apply": (
+        lambda g, e: apply_generator_map(e["short_image_shift"], DimElement((0, 2, 0), (0, 0))),
+        RankMismatch,
+        "shift has 2 coordinates, element has 1",
+    ),
+    "a direct map's short image shift in hom_check": (
+        lambda g, e: hom_check(e["short_image_shift"]), RankMismatch, "shift has 2 coordinates, element has 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_ERRORS)
+def test_checked_once_entry_points_raise_what_they_raised(case):
+    g = fixture("ex3.5-Lambda")
+    images = identity_generator_map(g).images
+    elements = {
+        "u": unit_element(g, "u"),
+        "short_x": DimElement((1, 0), (0, 0)),
+        "short_n": DimElement((1, 0, 0), (0,)),
+        "long_n": DimElement((1, 0, 0), (0, 0, 0)),
+        "far": unit_element(g, "u", (0, SHIFT_MAX_DEGREE + 1)),
+        "below": unit_element(g, "u", (-SHIFT_MAX_DEGREE - 1, 0)),
+        # built directly, so generator_map never checked the image of v
+        "short_image": GeneratorMap(g, g, {**images, "v": DimElement((1, 0), (0, 0))}),
+        "short_image_shift": GeneratorMap(g, g, {**images, "v": DimElement((1, 0, 0), (0,))}),
+    }
+    call, kind, message = PINNED_ERRORS[case]
+    with pytest.raises(kind) as info:
+        call(g, elements)
+    assert type(info.value) is kind and str(info.value) == message
 
 
 # --------------------------------------------------------------- positivity
@@ -721,6 +823,29 @@ def test_sse_search_stops_the_walk_at_a_repeated_state():
     assert elapsed < SINK_BUDGET_S, f"took {elapsed:.2f}s, budget {SINK_BUDGET_S}s"
 
 
+def test_sse_search_caps_its_row_tables(monkeypatch):
+    # past lag 0 the rows of R are drawn from (entry_max + 1)^d' vectors
+    # and each S table keys (entry_max + 1)^d; over SSE_MAX_ROWS of either
+    # the search raises before building them. ex3.5-Lambda and -LambdaI
+    # have 3 and 4 vertices, so entry_max 15 (16^4 rows) is the largest
+    # allowed
+    lam, lam_i = fixture("ex3.5-Lambda"), fixture("ex3.5-LambdaI")
+    for entry_max in (16, 1000, 99999999999999):
+        with pytest.raises(KGraphError) as info:
+            sse_search(lam, lam_i, 1, entry_max)
+        assert str(info.value) == f"{entry_max + 1}^4 candidate rows of R or S, over the cap of {SSE_MAX_ROWS}"
+    # lag 0 answers before the cap is read
+    lag_0 = sse_search(lam, lam, 1, 99999999999999)
+    assert lag_0 == sse_search(lam, lam, 1, 1) and lag_0.p == (0, 0)
+    # the cap admits exactly SSE_MAX_ROWS rows
+    want = sse_search(lam, lam_i, 1, 1)
+    monkeypatch.setattr(dimension, "SSE_MAX_ROWS", 2**4)
+    assert sse_search(lam, lam_i, 1, 1) == want
+    monkeypatch.setattr(dimension, "SSE_MAX_ROWS", 2**4 - 1)
+    with pytest.raises(KGraphError, match=r"2\^4 candidate rows of R or S, over the cap of 15"):
+        sse_search(lam, lam_i, 1, 1)
+
+
 # ------------------------------------------------------------ rank invariant
 
 def test_rank_examples():
@@ -941,6 +1066,103 @@ def test_in_sources_push_and_vertex_matrix_match_the_edge_list(data):
     x[data.draw(st.integers(0, d - 1))] = 0
     n = data.draw(st.tuples(*[st.integers(0, 3)] * g.rank))
     assert push(g, x, n) == edge_push(g, x, n)
+
+
+def range_push(g, x, n):
+    """x * A_n by the step loop core.push ran before it visited only the
+    nonzero entries: every range row in turn, zero entries skipped."""
+    y = list(x)
+    for by_range, times in zip(g.in_sources, n):
+        for _ in range(times):
+            z = [0] * len(y)
+            for c, srcs in zip(y, by_range):
+                if c:
+                    for s in srcs:
+                        z[s] += c
+            y = z
+    return y
+
+
+@st.composite
+def ranked_graphs(draw):
+    """A graph of rank 1, 2 or 3 on 1-4 vertices, sources allowed: the
+    1-graph of a random matrix, a random 2-graph, or the pullback of one
+    along N^3 -> N^2 (an image (0, 0) gives a loop at every vertex)."""
+    rank = draw(st.integers(1, 3))
+    if rank == 1:
+        a = draw(_matrices(draw(st.integers(1, 4)), 0))
+        return validate_kgraph(Skeleton(1, *_one_graph("x", a)), {}, strict=False)
+    g = draw(random_2graphs())
+    if rank == 2:
+        return g
+    images = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=3, max_size=3))
+    return pullback(g, monoid_hom(images, 2))
+
+
+@st.composite
+def push_vectors(draw, d):
+    """A zero, sparse (one or two nonzero entries) or dense vector of
+    length d, entries in -3..3."""
+    kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    nonzero = st.integers(-3, 3).filter(bool)
+    if kind == "dense":
+        return draw(st.lists(nonzero, min_size=d, max_size=d))
+    x = [0] * d
+    if kind == "sparse":
+        for t in draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=min(d, 2))):
+            x[t] = draw(nonzero)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_push_matches_dense_products(data):
+    """core.push against x times the dense product A_n of one-step
+    matrices counted from g.edges, and against the old range-row loop."""
+    g = data.draw(ranked_graphs())
+    x = data.draw(push_vectors(len(g.vertices)))
+    n = data.draw(st.tuples(*[st.integers(0, 3)] * g.rank))
+    assert push(g, x, n) == vec_mat(x, dense_matrix(g, n)) == range_push(g, x, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_graded_queries_decide_equality_like_the_full_power_reference(data):
+    """positivity, apply_generator_map, hom_check, iso_check and
+    pointed_check decide equality by dimension._eq, the unchecked body of
+    dge_eq: with _eq replaced by reference_dge_eq every answer stays, on
+    maps whose images are the generators up to left-kernel vectors of P^d
+    and on free maps."""
+    g = data.draw(st.one_of(graphs(), st.just(_nilpotent_chain())))
+    d, kernel = len(g.vertices), left_kernel(g)
+
+    def cancelling():
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(kernel), max_size=len(kernel)))
+        return [sum(c * v[t] for c, v in zip(coeffs, kernel)) for t in range(d)]
+
+    a = data.draw(_elements(g))
+    m = data.draw(st.tuples(*[st.integers(0, 2)] * g.rank))
+    near_identity = generator_map(
+        g, g, {v: dim_element(vec_add(unit_element(g, v).x, cancelling()), m) for v in g.vertices}
+    )
+    free = generator_map(g, g, {v: data.draw(_elements(g)) for v in g.vertices})
+    q_max = data.draw(st.integers(0, 3))
+
+    def answers():
+        return (
+            [positivity(g, x, q_max) for x in (a, dge_scale(-1, a))],
+            [apply_generator_map(f, a) for f in (near_identity, free)],
+            [hom_check(f) for f in (near_identity, free)],
+            [iso_check(f, f) for f in (near_identity, free)],
+            [pointed_check(f) for f in (near_identity, free)],
+        )
+
+    got = answers()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dimension, "_eq", reference_dge_eq)
+        want = answers()
+    assert got == want
+    assert got[2][0] and (got[3][0] or any(m))
 
 
 @settings(max_examples=60, deadline=None)
