@@ -328,8 +328,8 @@ COMMANDS = {
         ("--entry-max", {"type": int, "default": 1, "help": (
             "bound on R and S entries (default 1; equations prune R and S row by row, "
             "but the worst case is still (entry_max+1)^(2 d d') candidate pairs; "
-            "past lag 0, more than 65536 candidate rows (entry_max+1)^max(d, d') "
-            "exit 1, dimension.SSE_MAX_ROWS)"
+            "past lag 0, a table of the (entry_max+1)^d' candidate rows of R, or the "
+            "(entry_max+1)^d of S, over 2^31 bytes exits 1, dimension.SSE_MAX_TABLE_BYTES)"
         )}),
     ]),
     "rank": (cmd_rank, "rank of P^d, P the product of the one-step matrices and d the vertex count", [GRAPH]),

@@ -14,7 +14,7 @@ is never zero. No matrix power is formed.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -171,21 +171,18 @@ def generator_map(source: KGraph, target: KGraph, images: dict[str, DimElement])
     for v in source.vertices:
         if v not in images:
             raise KGraphError(f"no image for vertex {v!r}")
-        _check_element(target, images[v])
     if set(images) != set(source.vertices):
         raise KGraphError("images given for unknown vertices")
-    return GeneratorMap(source, target, dict(images))
+    m = GeneratorMap(source, target, dict(images))
+    _check_images(m, source.vertices)
+    return m
 
 
-def _check_images(m: GeneratorMap) -> None:
-    # generator_map's check of each image, for a GeneratorMap built
-    # directly; an image shifted by a source shift of another length fails
-    # first, as dge_shift reports it
-    k = m.source.rank
-    for img in m.images.values():
-        if len(img.n) != k:
-            raise RankMismatch(f"shift has {k} coordinates, element has {len(img.n)}")
-        _check_element(m.target, img)
+def _check_images(m: GeneratorMap, vertices) -> None:
+    # the images of vertices are elements of the target; the functions
+    # taking a map run this too, as it may have been built directly
+    for v in vertices:
+        _check_element(m.target, m.images[v])
 
 
 def identity_generator_map(g: KGraph) -> GeneratorMap:
@@ -210,14 +207,14 @@ def _apply(m: GeneratorMap, a: DimElement) -> DimElement:
 def apply_generator_map(m: GeneratorMap, a: DimElement) -> DimElement:
     """Extend images additively and Z^k-equivariantly: v(n) -> shift(m(v), n)."""
     _check_element(m.source, a)
-    _check_images(m)
+    _check_images(m, compress(m.source.vertices, a.x))
     return _apply(m, a)
 
 
 def hom_check(m: GeneratorMap) -> bool:
     """Whether the images satisfy every defining relation
     v(0) = sum over color-i in-edges of s(edge)(e_i)."""
-    _check_images(m)
+    _check_images(m, m.source.vertices)
     g = m.source
     for v in g.vertices:
         for i in range(1, g.rank + 1):
@@ -251,7 +248,7 @@ def iso_check(fwd: GeneratorMap, bwd: GeneratorMap) -> bool:
 def pointed_check(fwd: GeneratorMap) -> bool:
     """Whether the sum of all source generators maps to the sum of all
     target generators (the order units)."""
-    _check_images(fwd)
+    _check_images(fwd, fwd.source.vertices)
     src_unit = DimElement((1,) * len(fwd.source.vertices), zero_degree(fwd.source.rank))
     tgt_unit = DimElement((1,) * len(fwd.target.vertices), zero_degree(fwd.target.rank))
     return _eq(fwd.target, _apply(fwd, src_unit), tgt_unit)
@@ -359,12 +356,36 @@ def _row_search(n: int, options, accept):
                 its[t] = iter(options(t))
 
 
+# largest size in bytes of a table of candidate rows that sse_search
+# builds past lag 0: all (entry_max + 1)^d rows of R (d = d') or of one S
+# (d the left vertex count), each a tuple of d ints, 48 + 8 d bytes with
+# its list slot on 64-bit CPython. A table over it cannot be built under a
+# 2 GB address-space limit (ulimit -v 2000000); the search answered up to
+# it there, ex3.5-Lambda against -LambdaI at entry_max 63 (2^24 rows of 4,
+# 1.6 GB peak) and a 23-vertex star against rose(1) at entry_max 1 (an S
+# table of 2^23 rows of 23, 1.9 GB)
+SSE_MAX_TABLE_BYTES = 2**31
+
+
+def _check_table(d: int, entry_max: int, name: str) -> None:
+    # the (entry_max + 1)^d candidate rows of R or S against the cap,
+    # multiplied up one factor at a time, before they are built
+    rows = 1
+    for _ in range(d):
+        rows *= entry_max + 1
+        if rows * (48 + 8 * d) > SSE_MAX_TABLE_BYTES:
+            raise KGraphError(
+                f"{entry_max + 1}^{d} candidate rows of {name}, over the cap of {SSE_MAX_TABLE_BYTES} bytes"
+            )
+
+
 def _s_tables(r: list, dr: int, entry_max: int) -> tuple:
     """What _first_s reads of R, built once per R: the rows of R that are
     zero, the equation rows of R S grouped by the row of S that completes
     them (row v reads the rows of S at the nonzero columns of row v of R,
     and is checked when the last of them is set), and every row x with
     entries in 0..entry_max keyed by x R."""
+    _check_table(len(r), entry_max, "S")
     zero_rows: list[int] = []
     rs_eqs: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(dr)]
     for v, row in enumerate(r):
@@ -455,11 +476,6 @@ def _is_permutation(srcs: tuple) -> bool:
     return all(len(s) == 1 for s in srcs) and len(set(srcs)) == len(srcs)
 
 
-# largest number of candidate rows, (entry_max + 1)^d, of the R and S
-# tables that sse_search builds past lag 0; checked before either is built
-SSE_MAX_ROWS = 2**16
-
-
 def sse_search(
     g_left: KGraph, g_right: KGraph, p_max: int, entry_max: int
 ) -> SSEWitness | ExhaustedBounds:
@@ -498,10 +514,10 @@ def sse_search(
     d' * entry_max^2 and one of S R at most d * entry_max^2, so _degrees
     skips the p whose A_p or B_p has a larger one, and stops a
     coordinate's walk once (A_p, B_p) repeats. No matrix product is
-    formed. The search stays exponential in entry_max and d * d'. Past
-    lag 0, a search whose R rows or S table would hold more than
-    SSE_MAX_ROWS candidate rows, (entry_max + 1)^max(d, d'), raises
-    KGraphError before building either."""
+    formed. The search stays exponential in entry_max and d * d'. The
+    candidate rows of R are built when the first degree needs them, and
+    those of S with each R; a table that would take more than
+    SSE_MAX_TABLE_BYTES raises KGraphError instead."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     if p_max < 0 or entry_max < 0:
@@ -526,33 +542,31 @@ def sse_search(
     ]
     if not any(walked):
         return ExhaustedBounds(p_max, entry_max)
-    rows, d = 1, max(dl, dr)
-    for _ in range(d):
-        rows *= entry_max + 1
-        if rows > SSE_MAX_ROWS:
-            raise KGraphError(
-                f"{entry_max + 1}^{d} candidate rows of R or S, over the cap of {SSE_MAX_ROWS}"
-            )
 
     # whether R may have a zero row, a zero column (see above)
     zero_rows = not all(map(all, g_left.in_sources))
     zero_cols = any(len(set().union(*srcs)) < dr for srcs in g_right.in_sources)
-    r_rows = [x for x in product(range(entry_max + 1), repeat=dr) if zero_rows or any(x)]
     s_accept = _intertwining_rows(g_right, g_left)
-    fresh = (
-        r
-        for r in _row_search(dl, lambda t: r_rows, r_accept)
-        if zero_cols or all(map(any, zip(*r)))
-    )
+
+    def fresh():
+        # the intertwining R in order, each with its S tables; runs from
+        # the first degree on, so a search with no degree builds nothing
+        _check_table(dr, entry_max, "R")
+        r_rows = [x for x in product(range(entry_max + 1), repeat=dr) if zero_rows or any(x)]
+        for r in _row_search(dl, lambda t: r_rows, r_accept):
+            if zero_cols or all(map(any, zip(*r))):
+                yield r, _s_tables(r, dr, entry_max)
+
+    rest = fresh()
     seen: list[tuple[list, tuple]] = []
 
     def intertwiners():
         # the R met so far with their S tables, then the rest of the
         # enumeration
         yield from seen
-        for r in fresh:
-            seen.append((r, _s_tables(r, dr, entry_max)))
-            yield seen[-1]
+        for item in rest:
+            seen.append(item)
+            yield item
 
     caps = (dr * entry_max**2, dl * entry_max**2)
     for p, a_p, b_p in _degrees((g_left, g_right), caps, p_max, walked):

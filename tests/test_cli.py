@@ -20,7 +20,7 @@ from kgraphs.bridging import BridgingPair, bridging_graph
 from kgraphs.cli import COMMANDS, build_parser, main
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
 from kgraphs.core import InvalidKGraph, kgraph_violations, validate_kgraph
-from kgraphs.dimension import SSE_MAX_ROWS, dge_eq, parse_element, unit_element
+from kgraphs.dimension import SSE_MAX_TABLE_BYTES, dge_eq, parse_element, unit_element
 from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
 from kgraphs.textform import dump_kgraph, parse_kgraph, parse_kgraph_parts
 
@@ -416,18 +416,21 @@ def test_sse_search_walks_no_degree_when_every_color_is_a_permutation(capsys):
     assert time.perf_counter() - start < 5
 
 
-@pytest.mark.parametrize("entry_max", ["16", "1000", "99999999999999"])
+@pytest.mark.parametrize("entry_max", ["100", "1000", "99999999999999"])
 def test_sse_search_over_the_row_cap_exits_1(capsys, entry_max):
     # checked after lag 0 (3 against 4 vertices has none) and before any
     # row table is built
     code, out, err = run(capsys, "sse-search", "ex3.5-Lambda", "ex3.5-LambdaI", "--entry-max", entry_max)
     assert code == 1 and out == "" and "Traceback" not in err
-    assert err == f"error: {int(entry_max) + 1}^4 candidate rows of R or S, over the cap of {SSE_MAX_ROWS}\n"
+    assert err == (
+        f"error: {int(entry_max) + 1}^4 candidate rows of R, over the cap of {SSE_MAX_TABLE_BYTES} bytes\n"
+    )
 
 
 def test_sse_search_help_names_the_row_cap(capsys):
     code, out, _ = run(capsys, "sse-search", "--help")
-    assert code == 0 and f"more than {SSE_MAX_ROWS} candidate rows" in " ".join(out.split())
+    assert SSE_MAX_TABLE_BYTES == 2**31
+    assert code == 0 and "of S, over 2^31 bytes exits 1" in " ".join(out.split())
 
 
 def test_rank_cli(capsys):

@@ -26,7 +26,7 @@ from kgraphs.core import (
 )
 from kgraphs.dimension import (
     SHIFT_MAX_DEGREE,
-    SSE_MAX_ROWS,
+    SSE_MAX_TABLE_BYTES,
     DimElement,
     DimensionMismatch,
     ExhaustedBounds,
@@ -281,13 +281,19 @@ PINNED_ERRORS = {
     "a direct map's short image in pointed_check": (
         lambda g, e: pointed_check(e["short_image"]), RankMismatch, VECTOR_2_FOR_3
     ),
+    # a map's images are checked as generator_map checks them
     "a direct map's short image shift in apply": (
         lambda g, e: apply_generator_map(e["short_image_shift"], DimElement((0, 2, 0), (0, 0))),
         RankMismatch,
-        "shift has 2 coordinates, element has 1",
+        "shift has 1 coordinates for rank 2",
     ),
     "a direct map's short image shift in hom_check": (
-        lambda g, e: hom_check(e["short_image_shift"]), RankMismatch, "shift has 2 coordinates, element has 1"
+        lambda g, e: hom_check(e["short_image_shift"]), RankMismatch, "shift has 1 coordinates for rank 2"
+    ),
+    "generator_map short image shift": (
+        lambda g, e: generator_map(g, g, e["short_image_shift"].images),
+        RankMismatch,
+        "shift has 1 coordinates for rank 2",
     ),
 }
 
@@ -311,6 +317,14 @@ def test_checked_once_entry_points_raise_what_they_raised(case):
     with pytest.raises(kind) as info:
         call(g, elements)
     assert type(info.value) is kind and str(info.value) == message
+
+
+def test_apply_generator_map_reads_only_the_images_it_uses():
+    # the short image of v is never read for an element without v
+    g = fixture("ex3.5-Lambda")
+    m = GeneratorMap(g, g, {**identity_generator_map(g).images, "v": DimElement((1, 0), (0, 0))})
+    a = DimElement((2, 0, -1), (1, 0))
+    assert apply_generator_map(m, a) == apply_generator_map(identity_generator_map(g), a) == a
 
 
 # --------------------------------------------------------------- positivity
@@ -825,25 +839,43 @@ def test_sse_search_stops_the_walk_at_a_repeated_state():
 
 def test_sse_search_caps_its_row_tables(monkeypatch):
     # past lag 0 the rows of R are drawn from (entry_max + 1)^d' vectors
-    # and each S table keys (entry_max + 1)^d; over SSE_MAX_ROWS of either
-    # the search raises before building them. ex3.5-Lambda and -LambdaI
-    # have 3 and 4 vertices, so entry_max 15 (16^4 rows) is the largest
-    # allowed
+    # and each S table keys (entry_max + 1)^d; a table over
+    # SSE_MAX_TABLE_BYTES at 48 + 8 d' (or d) bytes a row raises before it
+    # is built. ex3.5-Lambda and -LambdaI have 3 and 4 vertices
     lam, lam_i = fixture("ex3.5-Lambda"), fixture("ex3.5-LambdaI")
-    for entry_max in (16, 1000, 99999999999999):
+    for entry_max in (100, 1000, 99999999999999):
         with pytest.raises(KGraphError) as info:
             sse_search(lam, lam_i, 1, entry_max)
-        assert str(info.value) == f"{entry_max + 1}^4 candidate rows of R or S, over the cap of {SSE_MAX_ROWS}"
+        assert str(info.value) == (
+            f"{entry_max + 1}^4 candidate rows of R, over the cap of {SSE_MAX_TABLE_BYTES} bytes"
+        )
+        # with no degree to walk, nothing is built and the search exhausts
+        assert sse_search(lam, lam_i, 0, entry_max) == ExhaustedBounds(0, entry_max)
     # lag 0 answers before the cap is read
     lag_0 = sse_search(lam, lam, 1, 99999999999999)
     assert lag_0 == sse_search(lam, lam, 1, 1) and lag_0.p == (0, 0)
-    # the cap admits exactly SSE_MAX_ROWS rows
-    want = sse_search(lam, lam_i, 1, 1)
-    monkeypatch.setattr(dimension, "SSE_MAX_ROWS", 2**4)
-    assert sse_search(lam, lam_i, 1, 1) == want
-    monkeypatch.setattr(dimension, "SSE_MAX_ROWS", 2**4 - 1)
-    with pytest.raises(KGraphError, match=r"2\^4 candidate rows of R or S, over the cap of 15"):
+    # the cap admits exactly SSE_MAX_TABLE_BYTES: 2^4 rows of 80 bytes
+    want, back = sse_search(lam, lam_i, 1, 1), sse_search(lam_i, lam, 1, 1)
+    monkeypatch.setattr(dimension, "SSE_MAX_TABLE_BYTES", 2**4 * 80)
+    assert sse_search(lam, lam_i, 1, 1) == want and sse_search(lam_i, lam, 1, 1) == back
+    monkeypatch.setattr(dimension, "SSE_MAX_TABLE_BYTES", 2**4 * 80 - 1)
+    with pytest.raises(KGraphError, match=r"2\^4 candidate rows of R, over the cap of 1279 bytes"):
         sse_search(lam, lam_i, 1, 1)
+    # the other way round R has 2^3 rows of 72 bytes and S 2^4 of 80
+    assert isinstance(back, SSEWitness)
+    with pytest.raises(KGraphError, match=r"2\^4 candidate rows of S, over the cap of 1279 bytes"):
+        sse_search(lam_i, lam, 1, 1)
+
+
+@pytest.mark.parametrize("star_left", [True, False])
+def test_sse_search_answers_a_17_vertex_pair_under_the_cap(star_left):
+    # the star (an edge from x0 into each of 17 vertices) is A = R S,
+    # 1 = S R with R all ones and S = e_0: 2^17 candidate rows of S, or of
+    # R in the other order, are well under the cap
+    star = validate_kgraph(Skeleton(1, *_one_graph("x", [[1] + [0] * 16] * 17)), {})
+    pair = (star, rose(1)) if star_left else (rose(1), star)
+    found = sse_search(*pair, 1, 1)
+    assert found.p == (1,) and intertwiner_check(*pair, found.r)
 
 
 # ------------------------------------------------------------ rank invariant
@@ -1125,51 +1157,13 @@ def test_push_matches_dense_products(data):
     assert push(g, x, n) == vec_mat(x, dense_matrix(g, n)) == range_push(g, x, n)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_graded_queries_decide_equality_like_the_full_power_reference(data):
-    """positivity, apply_generator_map, hom_check, iso_check and
-    pointed_check decide equality by dimension._eq, the unchecked body of
-    dge_eq: with _eq replaced by reference_dge_eq every answer stays, on
-    maps whose images are the generators up to left-kernel vectors of P^d
-    and on free maps."""
-    g = data.draw(st.one_of(graphs(), st.just(_nilpotent_chain())))
-    d, kernel = len(g.vertices), left_kernel(g)
-
-    def cancelling():
-        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(kernel), max_size=len(kernel)))
-        return [sum(c * v[t] for c, v in zip(coeffs, kernel)) for t in range(d)]
-
-    a = data.draw(_elements(g))
-    m = data.draw(st.tuples(*[st.integers(0, 2)] * g.rank))
-    near_identity = generator_map(
-        g, g, {v: dim_element(vec_add(unit_element(g, v).x, cancelling()), m) for v in g.vertices}
-    )
-    free = generator_map(g, g, {v: data.draw(_elements(g)) for v in g.vertices})
-    q_max = data.draw(st.integers(0, 3))
-
-    def answers():
-        return (
-            [positivity(g, x, q_max) for x in (a, dge_scale(-1, a))],
-            [apply_generator_map(f, a) for f in (near_identity, free)],
-            [hom_check(f) for f in (near_identity, free)],
-            [iso_check(f, f) for f in (near_identity, free)],
-            [pointed_check(f) for f in (near_identity, free)],
-        )
-
-    got = answers()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dimension, "_eq", reference_dge_eq)
-        want = answers()
-    assert got == want
-    assert got[2][0] and (got[3][0] or any(m))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_stable_index_answers_match_the_full_power_reference(data):
-    """dge_eq, positivity, hom_check and iso_check against the same
-    functions deciding equality by reference_dge_eq, on pairs apart by a
+    """dge_eq against reference_dge_eq, and positivity, hom_check,
+    iso_check, apply_generator_map and pointed_check against the same
+    functions deciding equality by reference_dge_eq in place of
+    dimension._eq, the unchecked body of dge_eq, on pairs apart by a
     combination of left-kernel vectors of P^d (a nonzero one cancels) and
     on free pairs."""
     g = data.draw(st.one_of(graphs(), st.just(_nilpotent_chain())))
@@ -1197,11 +1191,13 @@ def test_stable_index_answers_match_the_full_power_reference(data):
             [dimension.positivity(g, x, q_max) for x in (a, b, dge_scale(-1, b))],
             [dimension.hom_check(f) for f in (near_identity, free)],
             [dimension.iso_check(f, f) for f in (near_identity, free)],
+            [dimension.apply_generator_map(f, b) for f in (near_identity, free)],
+            [dimension.pointed_check(f) for f in (near_identity, free)],
         )
 
     got = answers()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dimension, "dge_eq", reference_dge_eq)
+        patch.setattr(dimension, "_eq", reference_dge_eq)
         want = answers()
     assert got == want
     # the images sit at shift m, so near_identity is a shift up to kernel
