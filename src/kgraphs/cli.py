@@ -187,6 +187,8 @@ def cmd_tm_hom_check(args) -> int:
 
     source = resolve_graph(args.source)
     target = resolve_graph(args.target)
+    if args.identity + (args.matrix is not None) + (args.map is not None) > 1:
+        raise CLIUsage("only one of --identity, --matrix, --map may be given")
     if args.identity:
         m = identity_map_between(source, target)
     elif args.matrix is not None:
@@ -207,6 +209,8 @@ def cmd_tm_iso_check(args) -> int:
 
     source = resolve_graph(args.source)
     target = resolve_graph(args.target)
+    if args.identity and (args.fwd is not None or args.bwd is not None):
+        raise CLIUsage("--identity excludes --fwd and --bwd")
     if args.identity:
         fwd = identity_map_between(source, target)
         bwd = identity_map_between(target, source)

@@ -76,8 +76,9 @@ def unit_element(g: KGraph, v: str, n: Shift | None = None) -> DimElement:
     """The generator v(n), by default v(0)."""
     if v not in g.vertex_index:
         raise KGraphError(f"unknown vertex {v!r}")
-    x = tuple(1 if w == v else 0 for w in g.vertices)
-    return DimElement(x, tuple(n) if n is not None else zero_degree(g.rank))
+    x = [0] * len(g.vertices)
+    x[g.vertex_index[v]] = 1
+    return DimElement(tuple(x), tuple(n) if n is not None else zero_degree(g.rank))
 
 
 def zero_element(g: KGraph, n: Shift | None = None) -> DimElement:
@@ -92,11 +93,13 @@ def _check_element(g: KGraph, a: DimElement) -> None:
 
 
 # The public functions below check each element once, where it enters, and
-# then run on unchecked helpers (_lift, _eq, _add, _apply) and the push
-# kernel core._push.
+# then run on unchecked helpers (_lift, _eq, _sum, _apply, _relations_hold)
+# and the push kernel core._push.
 
 # the total degree of one representative push; the push takes a pass per
-# unit, and each pass costs more where the entries grow
+# unit, and each pass costs more where the entries grow. _sum lifts each
+# term once, to the join of its whole sum, so the cap bounds that one lift;
+# it lifts no zero running total
 SHIFT_MAX_DEGREE = 100_000
 
 
@@ -116,9 +119,15 @@ def _eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
     return not any(_push(g, map(sub, x, y), (g.stable_index,) * g.rank))
 
 
-def _add(g: KGraph, a: DimElement, b: DimElement) -> DimElement:
-    p = tuple(map(max, a.n, b.n))
-    return DimElement(tuple(map(add, _lift(g, a, p), _lift(g, b, p))), p)
+def _sum(g: KGraph, floor: Shift, terms) -> DimElement:
+    # the sum of the (coefficient, element) terms at the join p of floor
+    # and their shifts: each term is lifted once to p and added in
+    p = tuple(map(max, zip(floor, *(a.n for _, a in terms))))
+    x = [0] * len(g.vertices)
+    for c, a in terms:
+        y = _lift(g, a, p)
+        x = list(map(add, x, y if c == 1 else [c * t for t in y]))
+    return DimElement(tuple(x), p)
 
 
 def dge_eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
@@ -133,7 +142,7 @@ def dge_eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
 def dge_add(g: KGraph, a: DimElement, b: DimElement) -> DimElement:
     _check_element(g, a)
     _check_element(g, b)
-    return _add(g, a, b)
+    return _sum(g, a.n, ((1, a), (1, b)))
 
 
 def dge_shift(a: DimElement, m: Shift) -> DimElement:
@@ -197,11 +206,8 @@ def identity_map_between(source: KGraph, target: KGraph) -> GeneratorMap:
 
 
 def _apply(m: GeneratorMap, a: DimElement) -> DimElement:
-    total = zero_element(m.target, a.n)
-    for v, coeff in zip(m.source.vertices, a.x):
-        if coeff:
-            total = _add(m.target, total, dge_scale(coeff, dge_shift(m.images[v], a.n)))
-    return total
+    terms = [(c, dge_shift(m.images[v], a.n)) for v, c in zip(m.source.vertices, a.x) if c]
+    return _sum(m.target, a.n, terms)
 
 
 def apply_generator_map(m: GeneratorMap, a: DimElement) -> DimElement:
@@ -211,19 +217,23 @@ def apply_generator_map(m: GeneratorMap, a: DimElement) -> DimElement:
     return _apply(m, a)
 
 
+def _relations_hold(source: KGraph, target: KGraph, image, steps) -> bool:
+    # whether image[v] = sum over the color-i in-edges e of v of image[s(e)]
+    # shifted by steps[i-1], in target's group, vertex by vertex and then
+    # color by color; each sum starts at the shift steps[i-1]
+    return all(
+        _eq(target, image[v], _sum(target, step, [(1, dge_shift(image[e.src], step)) for e in edges]))
+        for v in source.vertices
+        for step, edges in zip(steps, source.in_edges[v].values())
+    )
+
+
 def hom_check(m: GeneratorMap) -> bool:
     """Whether the images satisfy every defining relation
     v(0) = sum over color-i in-edges of s(edge)(e_i)."""
     _check_images(m, m.source.vertices)
-    g = m.source
-    for v in g.vertices:
-        for i in range(1, g.rank + 1):
-            rhs = zero_element(m.target, unit_degree(g.rank, i))
-            for e in g.in_edges[v][i]:
-                rhs = _add(m.target, rhs, dge_shift(m.images[e.src], unit_degree(g.rank, i)))
-            if not _eq(m.target, m.images[v], rhs):
-                return False
-    return True
+    k = m.source.rank
+    return _relations_hold(m.source, m.target, m.images, [unit_degree(k, i) for i in range(1, k + 1)])
 
 
 def iso_check(fwd: GeneratorMap, bwd: GeneratorMap) -> bool:
@@ -234,15 +244,11 @@ def iso_check(fwd: GeneratorMap, bwd: GeneratorMap) -> bool:
         raise KGraphError("fwd.target and bwd.source differ")
     if not hom_check(fwd) or not hom_check(bwd):
         return False
-    for v in fwd.source.vertices:
-        back = _apply(bwd, fwd.images[v])
-        if not _eq(fwd.source, back, unit_element(fwd.source, v)):
-            return False
-    for w in bwd.source.vertices:
-        forth = _apply(fwd, bwd.images[w])
-        if not _eq(bwd.source, forth, unit_element(bwd.source, w)):
-            return False
-    return True
+    return all(
+        _eq(there.source, _apply(back, there.images[v]), unit_element(there.source, v))
+        for there, back in ((fwd, bwd), (bwd, fwd))
+        for v in there.source.vertices
+    )
 
 
 def pointed_check(fwd: GeneratorMap) -> bool:
@@ -594,23 +600,23 @@ def parse_element(g: KGraph, text: str) -> DimElement:
     text = text.strip()
     if text == "0":
         return zero_element(g)
-    acc = zero_element(g)
+    terms = []
     for term in text.split("+"):
         parts = term.strip().split(":")
         if len(parts) == 2:
-            v, shift, coeff = parts[0], parts[1], "1"
-        elif len(parts) == 3:
-            v, shift, coeff = parts
-        else:
+            parts.append("1")
+        if len(parts) != 3:
             raise CLIUsage(f"bad element term {term.strip()!r}: want vertex:shift[:coeff]")
+        v, shift, coeff = parts
         if v not in g.vertex_index:
             raise CLIUsage(f"unknown vertex {v!r} in element")
         try:
             c = int(coeff)
         except ValueError:
             raise CLIUsage(f"bad coefficient {coeff!r}")
-        acc = dge_add(g, acc, dge_scale(c, unit_element(g, v, parse_shift(shift))))
-    return acc
+        terms.append((c, unit_element(g, v, parse_shift(shift))))
+        _check_element(g, terms[-1][1])
+    return _sum(g, zero_degree(g.rank), terms)
 
 
 def element_str(g: KGraph, a: DimElement) -> str:

@@ -15,7 +15,6 @@ from .intmat import Matrix, cokernel_invariants
 
 if TYPE_CHECKING:
     from .constructions import MonoidHom
-    from .dimension import DimElement
 
 __all__ = [
     "AbelianInvariants",
@@ -97,23 +96,13 @@ def rho_pullback_check(g: KGraph, f: MonoidHom) -> bool:
     Surjectivity of f puts every target generator in the image, so a True
     return certifies a surjective group homomorphism."""
     from .constructions import hom_surjective, pullback
-    from .dimension import dge_add, dge_eq, dge_shift, unit_element, zero_element
+    from .dimension import _relations_hold, unit_element
 
     if not hom_surjective(f):
         raise NotSurjective("the collapsing map needs a surjective hom")
     pb = pullback(g, f)
-    for v in pb.vertices:
-        for a in range(1, pb.rank + 1):
-            # v(0) = sum over alpha in v.pb^{e_a} of s(alpha)(e_a), pushed
-            # through f: the shift e_a becomes f.images[a-1].
-            rhs: DimElement = zero_element(g)
-            for alpha in pb.in_edges[v][a]:
-                rhs = dge_add(
-                    g, rhs, dge_shift(unit_element(g, alpha.src), f.images[a - 1])
-                )
-            if not dge_eq(g, unit_element(g, v), rhs):
-                return False
-    return True
+    # v(0) = sum over alpha in v.pb^{e_a} of s(alpha)(e_a), e_a sent to f.images[a-1]
+    return _relations_hold(pb, g, {v: unit_element(g, v) for v in pb.vertices}, f.images)
 
 
 def h0gr_presentation(g: KGraph) -> tuple[tuple[Matrix, ...], int]:

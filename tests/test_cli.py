@@ -19,10 +19,10 @@ import kgraphs
 from kgraphs.bridging import BridgingPair, bridging_graph
 from kgraphs.cli import COMMANDS, build_parser, main
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
-from kgraphs.core import InvalidKGraph, kgraph_violations, validate_kgraph
+from kgraphs.core import Edge, InvalidKGraph, Skeleton, kgraph_violations, validate_kgraph
 from kgraphs.dimension import SSE_MAX_TABLE_BYTES, dge_eq, parse_element, unit_element
 from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
-from kgraphs.textform import dump_kgraph, parse_kgraph, parse_kgraph_parts
+from kgraphs.textform import dump_kgraph, load_kgraph, parse_kgraph, parse_kgraph_parts
 
 
 def run(capsys, *argv):
@@ -385,6 +385,27 @@ def test_tm_iso_check_cli(capsys):
     assert code == 2
 
 
+ZERO_3 = "0 0 0; 0 0 0; 0 0 0"
+ONE_MAP = "only one of --identity, --matrix, --map may be given"
+IDENTITY_ALONE = "--identity excludes --fwd and --bwd"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("tm-hom-check", "ex3.5-Lambda", "ex3.5-Lambda", "--matrix", ZERO_3, "--map", "bogus"), ONE_MAP),
+        (("tm-hom-check", "ex3.5-Lambda", "ex3.5-Lambda", "--identity", "--matrix", ZERO_3), ONE_MAP),
+        (("tm-hom-check", "ex3.5-Lambda", "ex3.5-Lambda", "--identity", "--map", "bogus"), ONE_MAP),
+        (("tm-iso-check", "sec3-Lambda", "sec3-Lambda", "--identity", "--fwd", "u=u:0,0"), IDENTITY_ALONE),
+        (("tm-iso-check", "sec3-Lambda", "sec3-Lambda", "--identity", "--bwd", "u=u:0,0"), IDENTITY_ALONE),
+    ],
+)
+def test_conflicting_map_options_are_a_usage_error(capsys, argv, message):
+    # each of these printed an answer and ignored all but one option
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sse_search_cli(capsys):
     code, out, _ = run(capsys, "sse-search", "ex3.5-Lambda", "ex3.5-LambdaI")
     assert code == 0
@@ -481,12 +502,31 @@ def test_h0_cli_on_a_576_vertex_product(capsys, tmp_path):
 SWEEP_BUDGET_S = 5.0
 
 
+def _with_prefixed(g, h, prefix):
+    # the disjoint union of g and h, h's vertex and edge ids prefixed
+    def edges(k, tag):
+        return tuple(Edge(tag + e.id, e.color, tag + e.src, tag + e.rng) for e in k.edges)
+
+    def squares(k, tag):
+        return {tuple(tag + i for i in key): tuple(tag + i for i in val) for key, val in k.squares.items()}
+
+    skeleton = Skeleton(
+        g.rank, g.vertices + tuple(prefix + v for v in h.vertices), edges(g, "") + edges(h, prefix)
+    )
+    return validate_kgraph(skeleton, {**g.squares, **squares(h, prefix)})
+
+
 @pytest.fixture(scope="module")
 def product_576(tmp_path_factory):
+    # the product, and beside it (union.json) its disjoint union with
+    # ex3.5-Lambda, whose v is divisible, its ids prefixed with "L."
     rng = random.Random(1)
     a, b = _cycle_plus_permutation(rng, 24), _cycle_plus_permutation(rng, 24)
+    g = _product(a, b)
     path = tmp_path_factory.mktemp("sweep") / "product.json"
-    path.write_text(dump_kgraph(_product(a, b)), encoding="utf-8")
+    path.write_text(dump_kgraph(g), encoding="utf-8")
+    union = _with_prefixed(g, fixture("ex3.5-Lambda"), "L.")
+    path.with_name("union.json").write_text(dump_kgraph(union), encoding="utf-8")
     return str(path), a, b
 
 
@@ -496,8 +536,16 @@ def _defining_relation(a):
     return " + ".join(f"x{c}|y0:1,0:{a[0][c]}" for c in range(len(a)) if a[0][c])
 
 
-def _identity_text(d):
-    return "; ".join(" ".join("1" if r == c else "0" for c in range(d)) for r in range(d))
+def _identity_text(d, last=1):
+    # the d x d identity, its last diagonal entry set to last
+    return "; ".join(" ".join(str(last if r == d - 1 else 1) if r == c else "0" for c in range(d)) for r in range(d))
+
+
+def _identity_map_text(p, a):
+    # the identity on the product, x0|y0 sent to the sum its defining
+    # relation gives it
+    images = {v: f"{v}:0,0" for v in load_kgraph(p).vertices} | {"x0|y0": _defining_relation(a)}
+    return "; ".join(f"{v}={e}" for v, e in images.items())
 
 
 def _h0_text(a, b):
@@ -529,6 +577,16 @@ SWEEP_ROWS = {
     "tm-iso-check --identity": (
         lambda p, a: ["tm-iso-check", p, p, "--identity"], 0, lambda out, err, a, b: out == "iso: yes\npointed: yes\n"
     ),
+    "tm-hom-check --map": (
+        lambda p, a: ["tm-hom-check", p, p, "--map", _identity_map_text(p, a)],
+        0,
+        lambda out, err, a, b: out == "hom: yes\npointed: yes\n",
+    ),
+    "tm-hom-check --matrix": (
+        lambda p, a: ["tm-hom-check", p, p, "--matrix", _identity_text(576, last=2)],
+        0,
+        lambda out, err, a, b: out == "hom: no\npointed: no\n",
+    ),
     "pullback": (
         lambda p, a: ["pullback", p, "--images", "1,0;0,1"],
         0,
@@ -550,6 +608,11 @@ SWEEP_ROWS = {
         lambda p, a: ["insplit", p, "x0|y0"],
         1,
         lambda out, err, a, b: err == "error: x0|y0 has 1 pairing class(es); need at least 2\n",
+    ),
+    "insplit a divisible vertex": (
+        lambda p, a: ["insplit", p.replace("product.json", "union.json"), "L.v"],
+        0,
+        lambda out, err, a, b: len(parse_kgraph(out).vertices) == 576 + 4,
     ),
     "sinkdelete": (
         lambda p, a: ["sinkdelete", p, "x0|y0"],

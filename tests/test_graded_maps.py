@@ -1,0 +1,467 @@
+"""The graded-map layer against the routines it replaced.
+
+dimension sums classes in one place (_sum) and walks defining relations
+in one place (_relations_hold). The routines below are the earlier ones,
+kept as references: each built its sums from a zero element by pairwise
+additions, lifting the running total at every step, and hom_check and
+rho_pullback_check each wrote their own relation loop. On shifts well
+inside dimension.SHIFT_MAX_DEGREE both must give the same bool, the same
+DimElement, or the same exception type and message.
+"""
+
+import ast
+import random
+from operator import add, sub
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_bridging import random_2graph
+from test_dimension import _elements, graphs, intertwiner_cases
+
+import kgraphs
+from kgraphs.constructions import FIXTURE_NAMES, fixture, monoid_hom, pullback, rose
+from kgraphs.core import CLIUsage, KGraphError, _push, parse_shift, unit_degree
+from kgraphs.dimension import (
+    SHIFT_MAX_DEGREE,
+    DimElement,
+    GeneratorMap,
+    _check_element,
+    _check_images,
+    apply_generator_map,
+    dge_add,
+    dge_scale,
+    dge_shift,
+    generator_map,
+    generator_map_from_matrix,
+    hom_check,
+    identity_generator_map,
+    iso_check,
+    parse_element,
+    pointed_check,
+    unit_element,
+    zero_element,
+)
+from kgraphs.homology import rho_pullback_check
+from kgraphs.moves import (
+    enumerate_valid_partitions,
+    phi_insplit,
+    phi_sink_delete,
+    psi_insplit,
+    sink_delete_witnesses,
+)
+
+# ------------------------------------------------------------- references
+
+
+def reference_lift(g, a, p):
+    total = sum(p) - sum(a.n)
+    if total > SHIFT_MAX_DEGREE:
+        raise KGraphError(f"shift of total degree {total} is over {SHIFT_MAX_DEGREE}")
+    return _push(g, a.x, map(sub, p, a.n))
+
+
+def reference_eq(g, a, b):
+    p = tuple(map(max, a.n, b.n))
+    x, y = reference_lift(g, a, p), reference_lift(g, b, p)
+    if x == y:
+        return True
+    return not any(_push(g, map(sub, x, y), (g.stable_index,) * g.rank))
+
+
+def reference_add(g, a, b):
+    p = tuple(map(max, a.n, b.n))
+    return DimElement(tuple(map(add, reference_lift(g, a, p), reference_lift(g, b, p))), p)
+
+
+def reference_dge_add(g, a, b):
+    _check_element(g, a)
+    _check_element(g, b)
+    return reference_add(g, a, b)
+
+
+def reference_dge_eq(g, a, b):
+    _check_element(g, a)
+    _check_element(g, b)
+    return reference_eq(g, a, b)
+
+
+def reference_apply(m, a):
+    total = zero_element(m.target, a.n)
+    for v, coeff in zip(m.source.vertices, a.x):
+        if coeff:
+            total = reference_add(m.target, total, dge_scale(coeff, dge_shift(m.images[v], a.n)))
+    return total
+
+
+def reference_apply_generator_map(m, a):
+    _check_element(m.source, a)
+    _check_images(m, [v for v, c in zip(m.source.vertices, a.x) if c])
+    return reference_apply(m, a)
+
+
+def reference_hom_check(m):
+    _check_images(m, m.source.vertices)
+    g = m.source
+    for v in g.vertices:
+        for i in range(1, g.rank + 1):
+            rhs = zero_element(m.target, unit_degree(g.rank, i))
+            for e in g.in_edges[v][i]:
+                rhs = reference_add(m.target, rhs, dge_shift(m.images[e.src], unit_degree(g.rank, i)))
+            if not reference_eq(m.target, m.images[v], rhs):
+                return False
+    return True
+
+
+def reference_iso_check(fwd, bwd):
+    if fwd.source is not bwd.target and fwd.source != bwd.target:
+        raise KGraphError("fwd.source and bwd.target differ")
+    if fwd.target is not bwd.source and fwd.target != bwd.source:
+        raise KGraphError("fwd.target and bwd.source differ")
+    if not reference_hom_check(fwd) or not reference_hom_check(bwd):
+        return False
+    for v in fwd.source.vertices:
+        back = reference_apply(bwd, fwd.images[v])
+        if not reference_eq(fwd.source, back, unit_element(fwd.source, v)):
+            return False
+    for w in bwd.source.vertices:
+        forth = reference_apply(fwd, bwd.images[w])
+        if not reference_eq(bwd.source, forth, unit_element(bwd.source, w)):
+            return False
+    return True
+
+
+def reference_pointed_check(fwd):
+    _check_images(fwd, fwd.source.vertices)
+    src_unit = DimElement((1,) * len(fwd.source.vertices), (0,) * fwd.source.rank)
+    tgt_unit = DimElement((1,) * len(fwd.target.vertices), (0,) * fwd.target.rank)
+    return reference_eq(fwd.target, reference_apply(fwd, src_unit), tgt_unit)
+
+
+def reference_parse_element(g, text):
+    text = text.strip()
+    if text == "0":
+        return zero_element(g)
+    acc = zero_element(g)
+    for term in text.split("+"):
+        parts = term.strip().split(":")
+        if len(parts) == 2:
+            v, shift, coeff = parts[0], parts[1], "1"
+        elif len(parts) == 3:
+            v, shift, coeff = parts
+        else:
+            raise CLIUsage(f"bad element term {term.strip()!r}: want vertex:shift[:coeff]")
+        if v not in g.vertex_index:
+            raise CLIUsage(f"unknown vertex {v!r} in element")
+        try:
+            c = int(coeff)
+        except ValueError:
+            raise CLIUsage(f"bad coefficient {coeff!r}")
+        acc = reference_dge_add(g, acc, dge_scale(c, unit_element(g, v, parse_shift(shift))))
+    return acc
+
+
+def reference_rho_pullback_check(g, f):
+    from kgraphs.constructions import hom_surjective
+    from kgraphs.homology import NotSurjective
+
+    if not hom_surjective(f):
+        raise NotSurjective("the collapsing map needs a surjective hom")
+    pb = pullback(g, f)
+    for v in pb.vertices:
+        for a in range(1, pb.rank + 1):
+            rhs = zero_element(g)
+            for alpha in pb.in_edges[v][a]:
+                rhs = reference_dge_add(g, rhs, dge_shift(unit_element(g, alpha.src), f.images[a - 1]))
+            if not reference_dge_eq(g, unit_element(g, v), rhs):
+                return False
+    return True
+
+
+def outcome(call, *args):
+    # what a call gives: its value, or its exception's type and message
+    try:
+        return "value", call(*args)
+    except Exception as e:  # noqa: BLE001 - every kind is compared
+        return "raised", type(e), str(e)
+
+
+def assert_maps_agree(fwd, bwd, elements):
+    """hom_check and pointed_check of both maps, iso_check of the pair and
+    apply_generator_map of fwd on each element, against the references."""
+    for m in (fwd, bwd):
+        assert outcome(hom_check, m) == outcome(reference_hom_check, m)
+        assert outcome(pointed_check, m) == outcome(reference_pointed_check, m)
+    assert outcome(iso_check, fwd, bwd) == outcome(reference_iso_check, fwd, bwd)
+    for a in elements:
+        assert outcome(apply_generator_map, fwd, a) == outcome(reference_apply_generator_map, fwd, a)
+
+
+def test_only_dimension_sums_and_compares_classes():
+    # dimension adds classes in _sum and walks relations in
+    # _relations_hold; other modules call those, not the element
+    # arithmetic. The one exception is the tm-eq command, which runs the
+    # public dge_eq it exists for.
+    allowed = {"cli": {"dge_eq"}}
+    for module in sorted(Path(kgraphs.__file__).parent.glob("*.py")):
+        if module.stem == "dimension":
+            continue
+        tree = ast.parse(module.read_text("utf-8"))
+        calls = [
+            (n.lineno, name)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+            for name in [getattr(n.func, "id", None) or getattr(n.func, "attr", None)]
+            if name in {"dge_add", "dge_eq", "_sum"} - allowed.get(module.stem, set())
+        ]
+        assert not calls, f"{module.name} calls {calls}"
+
+
+# ------------------------------------------------------------------ maps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_maps_agree_with_the_references(data):
+    # images with negative shifts, on graphs with sources and on products
+    g = data.draw(graphs())
+    fwd = generator_map(g, g, {v: data.draw(_elements(g)) for v in g.vertices})
+    bwd = generator_map(g, g, {v: data.draw(_elements(g)) for v in g.vertices})
+    assert_maps_agree(fwd, bwd, [data.draw(_elements(g)) for _ in range(3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_perturbed_identities_agree_with_the_references(data):
+    g = data.draw(graphs())
+    ident = identity_generator_map(g)
+    v = data.draw(st.sampled_from(g.vertices))
+    kind = data.draw(st.sampled_from(["element", "shifted", "relation"]))
+    if kind == "element":
+        image = data.draw(_elements(g))
+    elif kind == "shifted":
+        image = dge_shift(ident.images[v], data.draw(st.tuples(*[st.integers(-2, 2)] * g.rank)))
+    else:
+        # v(0) written as its color-i relation: the same class
+        i = data.draw(st.integers(1, g.rank))
+        image = zero_element(g, unit_degree(g.rank, i))
+        for e in g.in_edges[v][i]:
+            image = reference_add(g, image, unit_element(g, e.src, unit_degree(g.rank, i)))
+    perturbed = generator_map(g, g, {**ident.images, v: image})
+    elements = [data.draw(_elements(g)) for _ in range(2)]
+    assert_maps_agree(perturbed, ident, elements)
+    assert_maps_agree(ident, perturbed, elements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(intertwiner_cases(), st.data())
+def test_matrix_maps_agree_with_the_references(case, data):
+    # R = I and R = a1 intertwine; a random R mostly does not
+    g_left, g_right, r = case
+    fwd = generator_map_from_matrix(g_left, g_right, r)
+    bwd = generator_map_from_matrix(g_right, g_left, [list(col) for col in zip(*r)])
+    assert_maps_agree(fwd, bwd, [data.draw(_elements(g_left)) for _ in range(2)])
+
+
+def _move_cases():
+    for name, g in [(name, fixture(name)) for name in FIXTURE_NAMES] + [("rose2", rose(2)), ("rose3", rose(3))]:
+        for v in g.vertices:
+            try:
+                parts = enumerate_valid_partitions(g, v)
+            except KGraphError:
+                parts = []
+            for part in parts:
+                fwd = phi_insplit(g, part)
+                for j in range(1, g.rank + 1):
+                    yield f"{name} insplit {v} psi{j}", fwd, psi_insplit(g, part, j)
+            try:
+                witnesses = sink_delete_witnesses(g, v)
+            except KGraphError:
+                continue
+            fwd = phi_sink_delete(g, v)
+            cut = fwd.source
+            bwd = generator_map(g, cut, {u: unit_element(cut, u) for u in cut.vertices} | witnesses)
+            yield f"{name} sinkdelete {v}", fwd, bwd
+
+
+MOVE_CASES = {name: (fwd, bwd) for name, fwd, bwd in _move_cases()}
+
+
+@pytest.mark.parametrize("case", MOVE_CASES)
+def test_move_maps_agree_with_the_references(case):
+    fwd, bwd = MOVE_CASES[case]
+    rng = random.Random(case)
+    elements = [
+        DimElement(
+            tuple(rng.randint(-2, 2) for _ in fwd.source.vertices),
+            tuple(rng.randint(-2, 2) for _ in range(fwd.source.rank)),
+        )
+        for _ in range(3)
+    ]
+    assert_maps_agree(fwd, bwd, elements)
+    assert iso_check(fwd, bwd)
+
+
+def test_the_move_cases_cover_both_moves():
+    kinds = {name.split()[1] for name in MOVE_CASES}
+    assert kinds == {"insplit", "sinkdelete"}
+
+
+def test_a_one_sided_inverse_is_not_an_isomorphism():
+    # Z -> Z^2 onto the first copy, and back killing the second: bwd fwd
+    # fixes every generator, fwd bwd does not
+    one = random_2graph(random.Random(1), "p", [[1]], [[1]])
+    two = random_2graph(random.Random(1), "q", [[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    fwd = generator_map(one, two, {"p0": unit_element(two, "q0")})
+    bwd = generator_map(two, one, {"q0": unit_element(one, "p0"), "q1": zero_element(one)})
+    assert hom_check(fwd) and hom_check(bwd)
+    assert not iso_check(fwd, bwd) and not iso_check(bwd, fwd)
+    assert_maps_agree(fwd, bwd, [unit_element(one, "p0")])
+    assert_maps_agree(bwd, fwd, [unit_element(two, "q1")])
+
+
+def test_maps_between_ranks_agree_with_the_references():
+    # nothing checks that source and target have one rank: the relation
+    # sums raise on the first shifted image, as they did
+    lam, one = fixture("ex3.5-Lambda"), rose(1)
+    to_one = GeneratorMap(lam, one, {v: unit_element(one, "u") for v in lam.vertices})
+    from_one = GeneratorMap(one, lam, {"u": unit_element(lam, "u")})
+    for fwd, bwd in ((to_one, from_one), (from_one, to_one)):
+        for m in (fwd, bwd):
+            assert outcome(hom_check, m) == outcome(reference_hom_check, m)
+        assert outcome(iso_check, fwd, bwd) == outcome(reference_iso_check, fwd, bwd)
+
+
+# -------------------------------------------------------------- elements
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dge_add_agrees_with_the_reference(data):
+    g = data.draw(graphs())
+    a, b = data.draw(_elements(g)), data.draw(_elements(g))
+    assert outcome(dge_add, g, a, b) == outcome(reference_dge_add, g, a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ((0, 0), (0, SHIFT_MAX_DEGREE)),
+        ((0, 0), (0, SHIFT_MAX_DEGREE + 1)),
+        ((0, SHIFT_MAX_DEGREE + 1), (0, 0)),
+        ((0, -SHIFT_MAX_DEGREE), (0, 1)),
+        ((0, 1), (0, -SHIFT_MAX_DEGREE)),
+        ((3, -SHIFT_MAX_DEGREE), (0, 0)),
+    ],
+)
+def test_two_term_dge_add_meets_the_cap_as_before(a, b):
+    # color 2 of ex3.5-LambdaS is a loop, so these pushes stay cheap
+    g = fixture("ex3.5-LambdaS")
+    ea, eb = unit_element(g, "u", a), unit_element(g, "u", b)
+    assert outcome(dge_add, g, ea, eb) == outcome(reference_dge_add, g, ea, eb)
+
+
+@st.composite
+def element_texts(draw, g):
+    """An element in parse_element's syntax, well formed or not: known and
+    unknown vertices, shifts of the right and wrong length, bad
+    coefficients, bad terms."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["0", " 0 ", "", "+"]))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["good"] * 6 + ["vertex", "shift", "coeff", "form", "number"]))
+        v = draw(st.sampled_from(g.vertices)) if kind != "vertex" else "zz"
+        length = g.rank + (draw(st.sampled_from([-1, 1])) if kind == "shift" else 0)
+        shift = ",".join(str(draw(st.integers(-3, 3))) for _ in range(length))
+        if kind == "number":
+            shift = "1,x"
+        term = f"{v}:{shift}"
+        if draw(st.booleans()) or kind == "coeff":
+            term += ":" + ("q" if kind == "coeff" else str(draw(st.integers(-3, 3))))
+        if kind == "form":
+            term += ":1:2"
+        terms.append(term)
+    return " + ".join(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parse_element_agrees_with_the_reference(data):
+    g = data.draw(graphs())
+    text = data.draw(element_texts(g))
+    assert outcome(parse_element, g, text) == outcome(reference_parse_element, g, text)
+
+
+def test_parse_element_keeps_its_messages():
+    g = fixture("ex3.5-Lambda")
+    for text in ("u:0,0 + zz:0,0", "u:0 + zz:0,0", "u:1,x", "u:0,0:q + u", "u:0,0,0:2 + v:1:1:1"):
+        got = outcome(parse_element, g, text)
+        assert got[0] == "raised" and got == outcome(reference_parse_element, g, text)
+
+
+# A sum lifts each term once to its own join, and no zero running total:
+# one pinned case each way where that moves the outcome at the cap.
+def test_a_lone_far_term_no_longer_lifts_a_zero():
+    g = fixture("ex3.5-LambdaS")
+    text = f"u:0,{SHIFT_MAX_DEGREE + 1}"
+    assert parse_element(g, text) == unit_element(g, "u", (0, SHIFT_MAX_DEGREE + 1))
+    assert outcome(reference_parse_element, g, text) == (
+        "raised",
+        KGraphError,
+        f"shift of total degree {SHIFT_MAX_DEGREE + 1} is over {SHIFT_MAX_DEGREE}",
+    )
+
+
+def test_a_term_far_below_a_many_term_join_meets_the_cap():
+    # each running total and term was lifted at most 60000 on its way; the
+    # first term now goes straight to the join, 120000 above it. Both
+    # colors of sec3-Sigma are permutations, so the pushes stay cheap.
+    g = fixture("sec3-Sigma")
+    text = "u:0,0 + u:60000,0 + u:0,60000"
+    assert reference_parse_element(g, text) == DimElement((3, 0), (60000, 60000))
+    assert outcome(parse_element, g, text) == (
+        "raised",
+        KGraphError,
+        f"shift of total degree 120000 is over {SHIFT_MAX_DEGREE}",
+    )
+
+
+# ------------------------------------------------------- the collapsing map
+
+
+@st.composite
+def monoid_homs(draw, k):
+    # mostly onto N^k: the unit degrees and up to two more images, in any
+    # order; else one to three images, mostly not onto
+    extra = [draw(st.tuples(*[st.integers(0, 2)] * k)) for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.integers(0, 4)) == 0:
+        return monoid_hom(extra or [unit_degree(k, 1)], k)
+    images = draw(st.permutations([unit_degree(k, i) for i in range(1, k + 1)] + extra))
+    return monoid_hom(images, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rho_pullback_check_agrees_with_the_reference(data):
+    g = data.draw(graphs())
+    f = data.draw(monoid_homs(g.rank))
+    assert outcome(rho_pullback_check, g, f) == outcome(reference_rho_pullback_check, g, f)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_rho_pullback_check_agrees_on_the_catalog(name):
+    g = fixture(name)
+    k = g.rank
+    for images in ([unit_degree(k, i) for i in range(1, k + 1)], [(1,) * k] + [unit_degree(k, i) for i in range(1, k + 1)]):
+        f = monoid_hom(images, k)
+        assert outcome(rho_pullback_check, g, f) == outcome(reference_rho_pullback_check, g, f)
+
+
+def test_rho_pullback_check_agrees_on_sources():
+    # a 2-graph with a source: some relations have no in-edge
+    g = random_2graph(random.Random(5), "s", [[0, 1], [0, 1]], [[0, 1], [0, 1]])
+    for images in (((1, 0), (0, 1)), ((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 0)), ((2, 0), (0, 1))):
+        f = monoid_hom(list(images), 2)
+        assert outcome(rho_pullback_check, g, f) == outcome(reference_rho_pullback_check, g, f)
