@@ -166,9 +166,9 @@ class KGraph:
     document that textform.parse_kgraph reads back. It indexes incidence
     but does not check the k-graph axioms: build graphs with
     validate_kgraph, which does. Instances are immutable: every attribute
-    is set once here, except the one derived attribute `stable_index`,
-    computed on first use and then kept. The vertex tuple order fixes
-    matrix indexing everywhere.
+    is set once here, except the two derived attributes `stable_index` and
+    `stable_path_counts`, each computed on first use and then kept. The
+    vertex tuple order fixes matrix indexing everywhere.
     """
 
     def __init__(self, skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool):
@@ -256,6 +256,22 @@ class KGraph:
         while len(pushed := primitive_echelon(_push(self, row, step) for row in rows)) < len(rows):
             rows, m0 = pushed, m0 + 1
         return m0
+
+    @cached_property
+    def stable_path_counts(self) -> tuple[int, ...]:
+        """h = P^m0 * 1, m0 = stable_index: h[v] is the number of paths of
+        degree (m0, ..., m0) with range v, the row sums of
+        vertex_matrix(g, (m0,) * k). Computed on first use by m0 pull
+        steps per color along in_sources, (A_{e_i} y)[v] the sum of y at
+        the sources of the color-i edges into v, the colors taken in the
+        reverse of push's order; so z . h is the entry sum of z pushed by
+        (m0, ..., m0), which is 0 when that push is, and a nonzero z . h
+        shows that z does not die."""
+        h = [1] * len(self.vertices)
+        for by_range in reversed(self.in_sources):
+            for _ in range(self.stable_index):
+                h = [sum(map(h.__getitem__, srcs)) for srcs in by_range]
+        return tuple(h)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KGraph):

@@ -7,15 +7,19 @@ KGraph.in_sources (the push kernel core._push); they are one class if the
 two pushed vectors agree, and otherwise iff their difference z has
 z*P^d = 0, where P is the product of all one-step matrices and d the
 vertex count. The kernel of P^j stops growing at j = m0 <= d, the graph's
-KGraph.stable_index (computed once per graph, on the first nonzero z), so
-that is decided by pushing z on by (m0, ..., m0); when m0 = 0 a nonzero z
-is never zero. No matrix power is formed.
+KGraph.stable_index, so that is decided by pushing z on by (m0, ..., m0);
+when m0 = 0 a nonzero z is never zero. Before that push, z is dotted with
+h = P^m0 * 1, the graph's KGraph.stable_path_counts: z*P^m0 = 0 forces
+z . h = 0, so a nonzero dot product answers "not equal" in one pass over
+the vertices, and only a zero one pays the push. Both attributes are
+computed once per graph, on the first nonzero z. No matrix power is
+formed.
 """
 
 from __future__ import annotations
 
 from itertools import compress, product
-from operator import add, sub
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
@@ -116,7 +120,10 @@ def _eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
     x, y = _lift(g, a, p), _lift(g, b, p)
     if x == y:
         return True
-    return not any(_push(g, map(sub, x, y), (g.stable_index,) * g.rank))
+    z = list(map(sub, x, y))
+    if sum(map(mul, z, g.stable_path_counts)):
+        return False
+    return not any(_push(g, z, (g.stable_index,) * g.rank))
 
 
 def _sum(g: KGraph, floor: Shift, terms) -> DimElement:
@@ -133,7 +140,9 @@ def _sum(g: KGraph, floor: Shift, terms) -> DimElement:
 def dge_eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
     """Whether a and b are one class: their representatives at the join
     of their shifts agree, or their difference z there dies under P^m0,
-    m0 = g.stable_index (so under P^d)."""
+    m0 = g.stable_index (so under P^d). A z whose dot product with
+    g.stable_path_counts (P^m0 * 1) is nonzero does not die, and is
+    answered without pushing it."""
     _check_element(g, a)
     _check_element(g, b)
     return _eq(g, a, b)
@@ -188,8 +197,11 @@ def generator_map(source: KGraph, target: KGraph, images: dict[str, DimElement])
 
 
 def _check_images(m: GeneratorMap, vertices) -> None:
-    # the images of vertices are elements of the target; the functions
-    # taking a map run this too, as it may have been built directly
+    # source and target have one rank, and the images of vertices are
+    # elements of the target; the functions taking a map run this too, as
+    # it may have been built directly
+    if m.source.rank != m.target.rank:
+        raise DimensionMismatch("graphs have different ranks")
     for v in vertices:
         _check_element(m.target, m.images[v])
 

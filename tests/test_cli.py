@@ -385,6 +385,19 @@ def test_tm_iso_check_cli(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["tm-hom-check", "tm-iso-check"])
+def test_maps_between_ranks_exit_1(capsys, tmp_path, command):
+    # a rank-3 pullback shares its vertex names with the rank-2 graph; the
+    # identity between them failed in dge_shift with "shift has 3
+    # coordinates, element has 2"
+    code, out, _ = run(capsys, "pullback", "ex3.5-LambdaS", "--images", "1,0;0,1;1,1")
+    assert code == 0
+    path = tmp_path / "X.json"
+    path.write_text(out, encoding="utf-8")
+    code, out, err = run(capsys, command, str(path), "ex3.5-LambdaS", "--identity")
+    assert (code, out, err) == (1, "", "error: graphs have different ranks\n")
+
+
 ZERO_3 = "0 0 0; 0 0 0; 0 0 0"
 ONE_MAP = "only one of --identity, --matrix, --map may be given"
 IDENTITY_ALONE = "--identity excludes --fwd and --bwd"

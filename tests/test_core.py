@@ -189,6 +189,24 @@ def test_only_core_and_paths_read_the_inverse_square_table():
         assert not readers, f"{module.name} reads squares_inv at lines {readers}"
 
 
+def test_the_runtime_is_pure_stdlib_python_3_10():
+    # every module imports only the package and the standard library, and
+    # parses as the Python 3.10 that pyproject.toml's requires-python
+    # admits
+    import sys
+
+    package = FilePath(kgraphs.__file__).parent
+    for module in sorted(package.rglob("*.py")):
+        tree = ast.parse(module.read_text("utf-8"), feature_version=(3, 10))
+        names = [
+            alias.name for n in ast.walk(tree) if isinstance(n, ast.Import) for alias in n.names
+        ] + [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and not n.level]
+        foreign = {
+            name for name in names if name.split(".")[0] not in {"kgraphs", *sys.stdlib_module_names}
+        }
+        assert not foreign, f"{module.relative_to(package)} imports {sorted(foreign)}"
+
+
 def test_compose_follows_squares_in_both_twists():
     # one vertex, one color-1 loop f, two color-2 loops: the two square
     # tables (straight and twisted) give different normal forms for e1.f

@@ -4,31 +4,53 @@ dimension sums classes in one place (_sum) and walks defining relations
 in one place (_relations_hold). The routines below are the earlier ones,
 kept as references: each built its sums from a zero element by pairwise
 additions, lifting the running total at every step, and hom_check and
-rho_pullback_check each wrote their own relation loop. On shifts well
-inside dimension.SHIFT_MAX_DEGREE both must give the same bool, the same
-DimElement, or the same exception type and message.
+rho_pullback_check each wrote their own relation loop. reference_eq is
+the push-only class test: it pushes every difference by P^m0, where
+dimension._eq first refutes by a dot product with the graph's
+stable_path_counts. reference_check_images does not compare the ranks
+of source and target. On shifts well inside dimension.SHIFT_MAX_DEGREE,
+and on maps between graphs of one rank, both must give the same bool,
+the same DimElement, or the same exception type and message.
 """
 
 import ast
 import random
-from operator import add, sub
+from operator import add, mul, sub
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_bridging import random_2graph
-from test_dimension import _elements, graphs, intertwiner_cases
+from test_dimension import (
+    STABLE_INDEX_GRAPHS,
+    _elements,
+    _nilpotent_chain,
+    graphs,
+    intertwiner_cases,
+    left_kernel,
+    ranked_graphs,
+)
+from test_homology import _cycle_plus_permutation, _product
 
 import kgraphs
+import kgraphs.dimension as dimension
 from kgraphs.constructions import FIXTURE_NAMES, fixture, monoid_hom, pullback, rose
-from kgraphs.core import CLIUsage, KGraphError, _push, parse_shift, unit_degree
+from kgraphs.core import (
+    CLIUsage,
+    DimensionMismatch,
+    KGraphError,
+    _push,
+    parse_shift,
+    unit_degree,
+    vertex_matrix,
+)
 from kgraphs.dimension import (
     SHIFT_MAX_DEGREE,
     DimElement,
     GeneratorMap,
+    RankMismatch,
     _check_element,
-    _check_images,
     apply_generator_map,
     dge_add,
     dge_scale,
@@ -75,6 +97,11 @@ def reference_add(g, a, b):
     return DimElement(tuple(map(add, reference_lift(g, a, p), reference_lift(g, b, p))), p)
 
 
+def reference_check_images(m, vertices):
+    for v in vertices:
+        _check_element(m.target, m.images[v])
+
+
 def reference_dge_add(g, a, b):
     _check_element(g, a)
     _check_element(g, b)
@@ -97,12 +124,12 @@ def reference_apply(m, a):
 
 def reference_apply_generator_map(m, a):
     _check_element(m.source, a)
-    _check_images(m, [v for v, c in zip(m.source.vertices, a.x) if c])
+    reference_check_images(m, [v for v, c in zip(m.source.vertices, a.x) if c])
     return reference_apply(m, a)
 
 
 def reference_hom_check(m):
-    _check_images(m, m.source.vertices)
+    reference_check_images(m, m.source.vertices)
     g = m.source
     for v in g.vertices:
         for i in range(1, g.rank + 1):
@@ -133,7 +160,7 @@ def reference_iso_check(fwd, bwd):
 
 
 def reference_pointed_check(fwd):
-    _check_images(fwd, fwd.source.vertices)
+    reference_check_images(fwd, fwd.source.vertices)
     src_unit = DimElement((1,) * len(fwd.source.vertices), (0,) * fwd.source.rank)
     tgt_unit = DimElement((1,) * len(fwd.target.vertices), (0,) * fwd.target.rank)
     return reference_eq(fwd.target, reference_apply(fwd, src_unit), tgt_unit)
@@ -321,16 +348,179 @@ def test_a_one_sided_inverse_is_not_an_isomorphism():
     assert_maps_agree(bwd, fwd, [unit_element(two, "q1")])
 
 
-def test_maps_between_ranks_agree_with_the_references():
-    # nothing checks that source and target have one rank: the relation
-    # sums raise on the first shifted image, as they did
+def test_maps_between_ranks_raise_dimension_mismatch():
+    # the references raised inside the first relation sum, from dge_shift,
+    # with a message that names no map; a map between ranks now fails
+    # where it is built, and a map built directly wherever it is used
     lam, one = fixture("ex3.5-Lambda"), rose(1)
     to_one = GeneratorMap(lam, one, {v: unit_element(one, "u") for v in lam.vertices})
     from_one = GeneratorMap(one, lam, {"u": unit_element(lam, "u")})
+    mismatch = ("raised", DimensionMismatch, "graphs have different ranks")
     for fwd, bwd in ((to_one, from_one), (from_one, to_one)):
         for m in (fwd, bwd):
-            assert outcome(hom_check, m) == outcome(reference_hom_check, m)
-        assert outcome(iso_check, fwd, bwd) == outcome(reference_iso_check, fwd, bwd)
+            assert outcome(reference_hom_check, m)[:2] == ("raised", RankMismatch)
+            assert outcome(generator_map, m.source, m.target, m.images) == mismatch
+            assert outcome(hom_check, m) == mismatch
+            assert outcome(pointed_check, m) == mismatch
+            assert outcome(apply_generator_map, m, zero_element(m.source)) == mismatch
+        assert outcome(iso_check, fwd, bwd) == mismatch
+    lam_s = fixture("ex3.5-LambdaS")
+    assert outcome(generator_map_from_matrix, lam_s, one, [[1]]) == mismatch
+
+
+def test_a_relation_with_no_in_edges_no_longer_truncates_shifts():
+    # an edgeless rank-2 graph into rank 1: each relation compared v's
+    # image at shift (0,) with an empty sum at shift e_i, zip cutting the
+    # shifts to one coordinate, and held
+    src = random_2graph(random.Random(5), "s", [[0]], [[0]])
+    one = rose(1)
+    m = GeneratorMap(src, one, {v: zero_element(one) for v in src.vertices})
+    assert outcome(reference_hom_check, m) == ("value", True)
+    assert outcome(hom_check, m) == ("raised", DimensionMismatch, "graphs have different ranks")
+
+
+# ---------------------------------------------------------- class tests
+
+
+def class_test_graphs():
+    """Graphs with sources, with a nilpotent part, with m0 = 0, products,
+    and ranks 1 to 3."""
+    return st.one_of(
+        graphs(),
+        ranked_graphs(),
+        st.sampled_from([_nilpotent_chain(), _two_loops(), _loop_and_feeder(), _loop_and_source(), rose(2)]),
+    )
+
+
+def _two_loops():
+    # two vertices, each with a loop of every color: P = I, m0 = 0, h = (1, 1)
+    return random_2graph(random.Random(1), "q", [[1, 0], [0, 1]], [[1, 0], [0, 1]])
+
+
+def _loop_and_feeder():
+    # q0 has a loop of every color and sends an edge of every color to q1,
+    # so q1(0) = q0(1, 1) = q0(0): P = [[1, 0], [1, 0]], m0 = 1, h = (1, 1)
+    return random_2graph(random.Random(1), "q", [[1, 0], [1, 0]], [[1, 0], [1, 0]])
+
+
+def _loop_and_source():
+    # q0 has a loop of every color and q1 receives nothing, so q1(0) = 0:
+    # P = [[1, 0], [0, 0]], m0 = 1, h = (1, 0)
+    return random_2graph(random.Random(1), "q", [[1, 0], [0, 0]], [[1, 0], [0, 0]])
+
+
+def eq_and_kill_pushes(monkeypatch, g, a, b):
+    """dimension._eq(g, a, b) on elements of one shift, and how many kill
+    pushes it ran: every _push call after the two lifts."""
+    pushes = []
+    real = dimension._push
+
+    def counting(g, x, n):
+        pushes.append(n)
+        return real(g, x, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dimension, "_push", counting)
+        equal = dimension._eq(g, a, b)
+    return equal, len(pushes) - 2
+
+
+def _dot(z, h):
+    return sum(map(mul, z, h))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_eq_agrees_with_the_push_only_reference(data):
+    """_eq against reference_eq on free pairs and on pairs apart by a
+    combination of left-kernel vectors of P^d, which dies."""
+    g = data.draw(class_test_graphs())
+    d, kernel = len(g.vertices), left_kernel(g)
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(kernel), max_size=len(kernel)))
+    dying = [sum(c * v[t] for c, v in zip(coeffs, kernel)) for t in range(d)]
+    a, c = data.draw(_elements(g)), data.draw(_elements(g))
+    b = DimElement(tuple(map(add, a.x, dying)), a.n)
+    for x, y in ((a, b), (a, c), (b, c), (a, DimElement(tuple(dying), c.n))):
+        assert outcome(dimension._eq, g, x, y) == outcome(reference_eq, g, x, y)
+    assert dimension._eq(g, a, b)
+
+
+def test_a_zero_dot_product_with_unequal_classes_runs_the_kill_push(monkeypatch):
+    g = _two_loops()
+    u, v = unit_element(g, "q0"), unit_element(g, "q1")
+    assert g.stable_index == 0 and g.stable_path_counts == (1, 1)
+    assert _dot(map(sub, u.x, v.x), g.stable_path_counts) == 0
+    assert eq_and_kill_pushes(monkeypatch, g, u, v) == (False, 1)
+    assert not reference_eq(g, u, v)
+
+
+def test_a_zero_dot_product_with_a_dying_difference_runs_the_kill_push(monkeypatch):
+    g = _loop_and_feeder()
+    q0, q1 = unit_element(g, "q0"), unit_element(g, "q1")
+    assert g.stable_index == 1 and g.stable_path_counts == (1, 1)
+    assert eq_and_kill_pushes(monkeypatch, g, q1, q0) == (True, 1)
+    assert reference_eq(g, q1, q0)
+
+
+def test_the_weights_are_taken_at_m0_not_one_level_short(monkeypatch):
+    # z = q1 dies under P, but 1 . z = 1: weights P^(m0 - 1) 1 = 1 would
+    # refute a pair that is equal
+    g = _loop_and_source()
+    q0, q1 = unit_element(g, "q0"), unit_element(g, "q1")
+    both = DimElement((1, 1), (0, 0))
+    assert g.stable_index == 1 and g.stable_path_counts == (1, 0)
+    assert _dot(map(sub, both.x, q0.x), (1, 1)) == 1
+    assert eq_and_kill_pushes(monkeypatch, g, both, q0) == (True, 1)
+    assert eq_and_kill_pushes(monkeypatch, g, q1, zero_element(g)) == (True, 1)
+    assert eq_and_kill_pushes(monkeypatch, g, both, q1) == (False, 0)
+    assert reference_eq(g, both, q0) and not reference_eq(g, both, q1)
+
+
+def test_a_nilpotent_graph_has_zero_weights_and_only_kill_pushes(monkeypatch):
+    # P nilpotent: every class is zero, and every difference is pushed
+    g = _nilpotent_chain()
+    assert g.stable_index == 3 and g.stable_path_counts == (0, 0, 0)
+    for v in g.vertices:
+        for a in (unit_element(g, v), DimElement((2, -1, 3), (0, 0))):
+            assert eq_and_kill_pushes(monkeypatch, g, a, zero_element(g)) == (True, 1)
+
+
+STABLE_PATH_GRAPHS = STABLE_INDEX_GRAPHS | {
+    "nilpotent": _nilpotent_chain,
+    "feeder": _loop_and_feeder,
+    "source": _loop_and_source,
+    "two loops": _two_loops,
+}
+
+
+def assert_stable_path_counts(g):
+    m0 = g.stable_index
+    assert g.stable_path_counts == tuple(map(sum, vertex_matrix(g, (m0,) * g.rank)))
+
+
+@pytest.mark.parametrize("name", STABLE_PATH_GRAPHS)
+def test_stable_path_counts_are_the_row_sums_of_the_stable_power(name):
+    assert_stable_path_counts(STABLE_PATH_GRAPHS[name]())
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_test_graphs())
+def test_stable_path_counts_are_the_row_sums_on_random_graphs(g):
+    assert_stable_path_counts(g)
+
+
+def test_a_refuted_pair_on_a_576_vertex_product_runs_no_kill_push(monkeypatch):
+    # the product of the CLI sweep; in-degree 2 in each color, so h is
+    # constant
+    rng = random.Random(1)
+    g = _product(_cycle_plus_permutation(rng, 24), _cycle_plus_permutation(rng, 24))
+    one = unit_element(g, "x0|y0")
+    two = DimElement(tuple(map(add, one.x, unit_element(g, "x1|y1").x)), one.n)
+    assert len(set(g.stable_path_counts)) == 1
+    assert eq_and_kill_pushes(monkeypatch, g, one, two) == (False, 0)
+    # a difference whose dot product is 0 is still pushed
+    assert eq_and_kill_pushes(monkeypatch, g, one, unit_element(g, "x1|y1")) == (False, 1)
+    assert not reference_eq(g, one, two)
 
 
 # -------------------------------------------------------------- elements
