@@ -17,11 +17,14 @@ composable color-i pairs (lambda, g), and as many of those as pairs
 (g', omega) make every block a bijection (see its docstring).
 
 bridging_search assigns one flip key at a time, blocks in color order and
-keys in domain order, and after each assignment evaluates only the triples
-that key can complete (_watch_index). A triple that becomes decidable when
-key k is assigned reads k, and a decidable triple keeps its routes under
-every completion, so the search prunes exactly the families that a check
-of every triple after each whole block would prune.
+keys in domain order. A triple (i < j) reads two color-j keys, and every
+color-i key is set before color j is searched, so after assigning a
+color-j key the search evaluates exactly the triples whose other color-j
+key is already set, found through the squares at the key's edge and the
+inverse of each f_i. Each triple is evaluated as soon as it is decidable,
+and a decidable triple keeps its routes under every completion, so the
+search prunes exactly the families that a check of every triple after
+each whole block would prune.
 """
 
 from __future__ import annotations
@@ -121,17 +124,25 @@ def polymorphism_from_matrix(g_lam: KGraph, g_om: KGraph, r: Matrix) -> Polymorp
     dl, dr = len(g_lam.vertices), len(g_om.vertices)
     if len(r) != dl or any(len(row) != dr for row in r):
         raise ShapeMismatch(f"matrix must be {dl}x{dr}")
-    total = sum(max(count, 0) for row in r for count in row)
-    if total > POLY_MAX_EDGES:
-        raise KGraphError(f"matrix entries sum to {total}, over the cap of {POLY_MAX_EDGES}")
-    edges = []
+    # one pass: the sum of the positive entries and the first negative one
+    total, negative = 0, None
     for v, row in zip(g_lam.vertices, r):
         for w, count in zip(g_om.vertices, row):
-            if count < 0:
-                raise ShapeMismatch(f"negative entry at ({v}, {w})")
-            for t in range(1, count + 1):
-                edges.append(PolyEdge(f"g{t}[{v},{w}]", v, w))
-    return Polymorphism(tuple(g_lam.vertices), tuple(g_om.vertices), tuple(edges))
+            if count > 0:
+                total += count
+            elif count < 0 and negative is None:
+                negative = f"({v}, {w})"
+    if total > POLY_MAX_EDGES:
+        raise KGraphError(f"matrix entries sum to {total}, over the cap of {POLY_MAX_EDGES}")
+    if negative is not None:
+        raise ShapeMismatch(f"negative entry at {negative}")
+    edges = tuple(
+        PolyEdge(f"g{t}[{v},{w}]", v, w)
+        for v, row in zip(g_lam.vertices, r)
+        for w, count in zip(g_om.vertices, row)
+        for t in range(1, count + 1)
+    )
+    return Polymorphism(tuple(g_lam.vertices), tuple(g_om.vertices), edges)
 
 
 def coordinate_polymorphism(g: KGraph, i: int) -> Polymorphism:
@@ -200,7 +211,7 @@ def check_flip_family(g_lam: KGraph, g_om: KGraph, pair: BridgingPair) -> Polymo
     s(om)); a key or value that is not a pair of known ids is rejected.
     Then three counts: the values are distinct, f_i has as many keys as
     there are composable color-i pairs (lam, g), and there are as many
-    pairs (g, om), both summed from the polymorphism's per-vertex counts.
+    pairs (g, om), both counted per vertex from R's row and column sums.
     The keys are distinct members of the domain and as many, so they are
     all of it; each block's values are distinct members of its codomain,
     so no block has more keys than values; and the totals agree, so every
@@ -212,18 +223,16 @@ def check_flip_family(g_lam: KGraph, g_om: KGraph, pair: BridgingPair) -> Polymo
     if set(pair.flips) != set(range(1, k + 1)):
         raise KGraphError(f"flips are keyed by {list(pair.flips)}, not by the colors 1..{k}")
     by_id = {g.id: g for g in poly.edges}
-    # the polymorphism edges at each range vertex, at each source vertex
-    at_range: dict[str, int] = {}
-    at_source: dict[str, int] = {}
-    for g in poly.edges:
-        at_range[g.rng] = at_range.get(g.rng, 0) + 1
-        at_source[g.src] = at_source.get(g.src, 0) + 1
-    # domain[i], codomain[i]: the composable pairs (lam, g), (g, om) of color i
+    # domain[i], codomain[i]: the composable pairs (lam, g), (g, om) of
+    # color i, per vertex the color-i edges there times the polymorphism
+    # edges at range v (R's row sum) or at source w (its column sum)
     domain, codomain = [0] * (k + 1), [0] * (k + 1)
-    for lam in g_lam.edges:
-        domain[lam.color] += at_range.get(lam.src, 0)
-    for om in g_om.edges:
-        codomain[om.color] += at_source.get(om.rng, 0)
+    for v, edges in zip(g_lam.vertices, map(sum, pair.r)):
+        for i, lams in g_lam.out_edges[v].items():
+            domain[i] += edges * len(lams)
+    for w, edges in zip(g_om.vertices, map(sum, zip(*pair.r))):
+        for i, oms in g_om.in_edges[w].items():
+            codomain[i] += edges * len(oms)
     lam_by_id, om_by_id = g_lam.by_id, g_om.by_id
     for i in range(1, k + 1):
         f = pair.flips[i]
@@ -256,30 +265,15 @@ def check_flip_family(g_lam: KGraph, g_om: KGraph, pair: BridgingPair) -> Polymo
 
 def _route_triple(
     g_lam: KGraph, g_om: KGraph, flips: FlipFamily, i: int, j: int, lam_i: str, lam_j: str, g: str
-) -> tuple[tuple[str, str, str], tuple[str, str, str]] | None:
-    """Both route outputs for one triple, or None while some lookup is
-    still unassigned (during search)."""
-    top_j = flips[j].get((lam_j, g))
-    if top_j is None:
-        return None
-    g1, om_j = top_j
-    top_i = flips[i].get((lam_i, g1))
-    if top_i is None:
-        return None
-    g2, om_i = top_i
+) -> tuple[tuple[str, str, str], tuple[str, str, str]]:
+    """Both route outputs for one triple; every flip they read is set."""
+    g1, om_j = flips[j][(lam_j, g)]
+    g2, om_i = flips[i][(lam_i, g1)]
     sq_j, sq_i = g_om.squares[(om_i, om_j)]
-    top = (g2, sq_j, sq_i)
-
     lam_j2, lam_i2 = g_lam.squares[(lam_i, lam_j)]
-    bot_i = flips[i].get((lam_i2, g))
-    if bot_i is None:
-        return None
-    gb1, om_i2 = bot_i
-    bot_j = flips[j].get((lam_j2, gb1))
-    if bot_j is None:
-        return None
-    gb2, om_j2 = bot_j
-    return top, (gb2, om_j2, om_i2)
+    gb1, om_i2 = flips[i][(lam_i2, g)]
+    gb2, om_j2 = flips[j][(lam_j2, gb1)]
+    return (g2, sq_j, sq_i), (gb2, om_j2, om_i2)
 
 
 def _iter_triples(g_lam: KGraph, poly: Polymorphism, i: int, j: int):
@@ -331,51 +325,26 @@ def _first_witness(
 
 # ------------------------------------------------------------ bridging search
 
-def _watch_index(
-    g_lam: KGraph,
-    poly: Polymorphism,
-    blocks: list[tuple[int, list[tuple[str, str]], list[tuple[str, str]]]],
-) -> dict[tuple[int, str, str], dict[tuple[int, int, str, str, str], None]]:
-    """Flip key (color, lambda id, poly id) -> the triples (i, j, lam_i,
-    lam_j, g) that assigning it can make decidable, as dict keys. Blocks come in color
-    order and i < j, so a triple's color-i lookups are all assigned before
-    its color-j ones, and the key that completes it is one of these two:
-    (j, lam_j, g), or (j, lam_j2, g1) with g1 in the codomain of the block
-    of (i, lam_i2, g), where lam_i lam_j = lam_j2 lam_i2."""
-    reach: dict[tuple[int, str, str], dict[str, None]] = {}
-    for color, dom, cod in blocks:
-        codomain = dict.fromkeys(g2 for g2, _ in cod)
-        for lam, g in dom:
-            reach[(color, lam, g)] = codomain
-    watch: dict[tuple[int, str, str], dict[tuple[int, int, str, str, str], None]] = {}
-    for i in range(1, g_lam.rank + 1):
-        for j in range(i + 1, g_lam.rank + 1):
-            for lam_i, lam_j, g in _iter_triples(g_lam, poly, i, j):
-                lam_j2, lam_i2 = g_lam.squares[(lam_i, lam_j)]
-                triple = (i, j, lam_i, lam_j, g)
-                watch.setdefault((j, lam_j, g), {})[triple] = None
-                for g1 in reach[(i, lam_i2, g)]:
-                    watch.setdefault((j, lam_j2, g1), {})[triple] = None
-    return watch
-
-
 def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Exhausted:
     """Backtracking over per-block bijections, colors ascending and blocks
     in (range, source) order, one flip key at a time: within a block the
     keys go in domain order and each takes the smallest unused codomain
     index first, so every block runs through its bijections in the order
-    of itertools.permutations. After each assignment only the triples the
-    new key can complete are evaluated, and the value is rejected when one
-    of them disagrees. That prunes exactly the families a check of every
-    triple after each whole block would: a triple that becomes decidable
-    when key k is assigned reads k, and a decidable triple keeps its routes
-    under every completion. Returns the lexicographically first coherent
-    family, or Exhausted with the number of complete families: every
-    family extends exactly one rejected prefix, so an exhausted search has
-    ruled out all of them, the product of factorial(block size) over the
-    blocks. R intertwines exactly when every block has as many keys as
-    values; NotIntertwining is raised otherwise. The search is iterative,
-    so its depth is not bounded by the interpreter's recursion limit."""
+    of itertools.permutations. A triple (i < j) reads two color-j keys,
+    (lam_j, g) and (lam_j2, f_i(lam_i2, g)[0]) where lam_i lam_j = lam_j2
+    lam_i2, and every color-i key is set before color j is searched. So it
+    becomes decidable exactly when the later of its two color-j keys is
+    assigned, and only then is it evaluated; the value is rejected when
+    one such triple disagrees. A color-1 key completes no triple. That
+    prunes exactly the families a check of every triple after each whole
+    block would, since a decidable triple keeps its routes under every
+    completion. Returns the lexicographically first coherent family, or
+    Exhausted with the number of complete families: every family extends
+    exactly one rejected prefix, so an exhausted search has ruled out all
+    of them, the product of factorial(block size) over the blocks. R
+    intertwines exactly when every block has as many keys as values;
+    NotIntertwining is raised otherwise. The search is iterative, so its
+    depth is not bounded by the interpreter's recursion limit."""
     if g_lam.rank != g_om.rank:
         raise DimensionMismatch("graphs have different ranks")
     poly = polymorphism_from_matrix(g_lam, g_om, r)
@@ -383,10 +352,49 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
     # block (i, a, b) has (A_{e_i} R)(a, b) keys and (R B_{e_i})(a, b) values
     if any(len(dom) != len(cod) for _, dom, cod in blocks):
         raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
-    watch = _watch_index(g_lam, poly, blocks)
+    # (lam, i) -> the squares lam_i lam_j = lam_j2 lam_i2 with lam_i of
+    # color i and lam as lam_j (first list) or as lam_j2 (second list)
+    meets: dict[tuple[str, int], tuple[list, list]] = {}
+    for (lam_i, lam_j), (lam_j2, lam_i2) in g_lam.squares.items():
+        i = g_lam.by_id[lam_i].color
+        meets.setdefault((lam_j, i), ([], []))[0].append((lam_i, lam_j2, lam_i2))
+        meets.setdefault((lam_j2, i), ([], []))[1].append((lam_i, lam_j, lam_i2))
+    flips: FlipFamily = {i: {} for i in range(1, g_lam.rank + 1)}
+    # inverse[i]: (lam, g2) -> the g with f_i(lam, g)[0] = g2, or None
+    # once a color-i key has changed since it was built
+    inverse: dict[int, dict[tuple[str, str], list[str]] | None] = dict.fromkeys(flips)
+
+    def rejects(j: int, lam: str, gam: str) -> bool:
+        # whether the routes disagree on a triple (i < j) whose two color-j
+        # keys are both set now that (lam, gam) is: as (lam_j, g) its other
+        # key is read through first, as (lam_j2, f_i(lam_i2, g)[0]) through
+        # second and inverse[i]
+        f = flips[j]
+        for i in range(1, j):
+            first, second = meets.get((lam, i), ((), ()))
+            f_i = flips[i]
+            for lam_i, lam_j2, lam_i2 in first:
+                if (lam_j2, f_i[(lam_i2, gam)][0]) in f:
+                    top, bottom = _route_triple(g_lam, g_om, flips, i, j, lam_i, lam, gam)
+                    if top != bottom:
+                        return True
+            if second:
+                inv = inverse[i]
+                if inv is None:
+                    inv = inverse[i] = {}
+                    for (lam2, g), (g2, _) in f_i.items():
+                        inv.setdefault((lam2, g2), []).append(g)
+                for lam_i, lam_j, lam_i2 in second:
+                    for g in inv.get((lam_i2, gam), ()):
+                        # (lam, gam) as both keys was checked through first
+                        if (lam_j, g) in f and (g != gam or lam_j != lam):
+                            top, bottom = _route_triple(g_lam, g_om, flips, i, j, lam_i, lam_j, g)
+                            if top != bottom:
+                                return True
+        return False
+
     # one slot per flip key, in block order and then domain order
     slots = [(t, key) for t, (_, dom, _) in enumerate(blocks) for key in dom]
-    flips: FlipFamily = {i: {} for i in range(1, g_lam.rank + 1)}
     used = [[False] * len(cod) for _, _, cod in blocks]
     choice = [-1] * len(slots)  # codomain index held by each slot, -1 for none
     # slot s gives up its value and takes the next free one; with none
@@ -396,6 +404,7 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
         t, key = slots[s]
         color, _, cod = blocks[t]
         f, taken = flips[color], used[t]
+        inverse[color] = None
         idx = choice[s]
         if idx >= 0:
             taken[idx] = False
@@ -410,11 +419,7 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
         choice[s] = idx
         taken[idx] = True
         f[key] = cod[idx]
-        for i, j, lam_i, lam_j, g in watch.get((color,) + key, ()):
-            routes = _route_triple(g_lam, g_om, flips, i, j, lam_i, lam_j, g)
-            if routes is not None and routes[0] != routes[1]:
-                break
-        else:
+        if not rejects(color, *key):
             s += 1
     if s < 0:
         return Exhausted(prod(factorial(len(cod)) for _, _, cod in blocks))
@@ -528,10 +533,18 @@ def parse_flips(text: str) -> FlipFamily:
         raise CLIUsage(f"bad flips JSON: {e}")
     if not isinstance(doc, dict):
         raise CLIUsage("bad flips JSON: expected an object keyed by color")
+    colors = []
+    for color in doc:
+        try:
+            colors.append(int(color))
+        except ValueError:
+            # a long key, such as one past int's digit limit, is echoed in part
+            shown = color if len(color) <= 40 else color[:40] + "..."
+            raise CLIUsage(f"bad flips JSON: color {shown!r} is not an integer") from None
     try:
         tables = [
-            (int(color), [((lam, g), (g2, om)) for (lam, g), (g2, om) in table])
-            for color, table in doc.items()
+            (color, [((lam, g), (g2, om)) for (lam, g), (g2, om) in table])
+            for color, table in zip(colors, doc.values())
         ]
         flips = {color: dict(entries) for color, entries in tables}
     except (TypeError, ValueError):

@@ -10,6 +10,7 @@ import pytest
 from test_homology import _product
 from test_intmat import mat_mul
 
+from kgraphs import bridging
 from kgraphs.bridging import (
     POLY_MAX_EDGES,
     BridgingPair,
@@ -32,7 +33,7 @@ from kgraphs.bridging import (
     poly_matrix,
     polymorphism_from_matrix,
 )
-from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
+from kgraphs.constructions import FIXTURE_NAMES, fixture, monoid_hom, pullback, rose
 from kgraphs.core import Edge, InvalidKGraph, KGraphError, NotComposable, Skeleton, validate_kgraph
 from kgraphs.paths import Path, compose, make_path, paths_of_degree, segment, vertex_path
 from kgraphs.dimension import DimensionMismatch, intertwiner_check
@@ -728,6 +729,59 @@ def test_search_matches_the_reference_on_random_pairs():
                 assert_same_search(bridging_search(g_lam, g_om, r), want)
                 outcomes.add(type(want))
     assert outcomes == {BridgingPair, Exhausted}
+
+
+def test_search_matches_the_reference_on_rank_3_pullbacks():
+    # pullbacks along e3 -> (1,1) of generated 2-graph pairs over R = I:
+    # three colors, so color 3 is searched against the triples of both
+    # lower colors
+    rng = random.Random(20261024)
+    f = monoid_hom([(1, 0), (0, 1), (1, 1)], 2)
+    outcomes = set()
+    for n, perms in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(10):
+            a1, a2 = commuting_matrices(rng, n, perms)
+            g_lam = pullback(random_2graph(rng, "p", a1, a2), f)
+            g_om = pullback(random_2graph(rng, "q", a1, a2), f)
+            assert g_lam.rank == 3
+            want = reference_search(g_lam, g_om, ident)
+            assert_same_search(bridging_search(g_lam, g_om, ident), want)
+            outcomes.add(type(want))
+    assert outcomes == {BridgingPair, Exhausted}
+
+
+def test_search_evaluates_each_triple_once_and_only_when_decidable(monkeypatch):
+    # each triple is evaluated when the later of its two color-j keys is
+    # assigned, so every flip its routes read is set, and no assignment
+    # evaluates a triple twice; a search that also tried the triples a key
+    # might complete made 325104 calls on ex5.6 [[2, 2]], 261104 of them
+    # undecided
+    route = bridging._route_triple
+    calls = []
+
+    def decided_route(g_lam, g_om, flips, *triple):
+        assert reference_route_triple(g_lam, g_om, flips, *triple) is not None
+        calls.append((tuple((i, tuple(f.items())) for i, f in flips.items()), triple))
+        return route(g_lam, g_om, flips, *triple)
+
+    def search(g_lam, g_om, r):
+        # a search never returns to a partial family it has left, so a
+        # repeated call is one triple evaluated twice by one assignment
+        calls.clear()
+        found = bridging_search(g_lam, g_om, r)
+        assert len(set(calls)) == len(calls)
+        return found
+
+    monkeypatch.setattr(bridging, "_route_triple", decided_route)
+    assert search(LAM56, OM56, [[2, 2]]) == Exhausted(331776)
+    assert len(calls) == 63824
+    # over R = I a key often plays both color-j roles of one triple
+    rng = random.Random(20261025)
+    ident = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(20):
+        a1, a2 = commuting_matrices(rng, 3, 2)
+        search(random_2graph(rng, "p", a1, a2), random_2graph(rng, "q", a1, a2), ident)
 
 
 def test_exhausted_count_is_the_number_of_families():

@@ -761,6 +761,22 @@ def test_bridge_search_cli_rejects_repeated_flips(capsys):
         assert code == 2 and out == "" and message in err
 
 
+def test_bridge_search_cli_names_a_color_that_is_not_an_integer(capsys):
+    # the color key is at fault, not the entries under it
+    for color in ("x", "1e400"):
+        code, out, err = run(
+            capsys, "bridge-search", "ex5.6-Lambda", "ex5.6-Omega", "--matrix", "1 1",
+            "--flips", json.dumps({color: []}),
+        )
+        assert (code, out, err) == (2, "", f"error: bad flips JSON: color '{color}' is not an integer\n")
+    # a key past int's digit limit is named by its first 40 characters
+    code, out, err = run(
+        capsys, "bridge-search", "ex5.6-Lambda", "ex5.6-Omega", "--matrix", "1 1",
+        "--flips", json.dumps({"7" * 5000: []}),
+    )
+    assert (code, out, err) == (2, "", f"error: bad flips JSON: color '{'7' * 40}...' is not an integer\n")
+
+
 def test_bridge_search_cli_needs_no_recursion(capsys, tmp_path):
     g = complete_product()
     path = tmp_path / "product.json"
