@@ -2,9 +2,11 @@
 
 An element is a class [x, n]: x an integer row vector over the vertices,
 n a Z^k shift. [x, n] = [y, m] iff x*A_{l-n} = y*A_{l-m} for some l >= n v m.
-Both sides are pushed to the join n v m along the in-edge index
-KGraph.in_sources (the push kernel core._push); they are one class if the
-two pushed vectors agree, and otherwise iff their difference z has
+The side whose shift is below the join n v m is pushed to it along the
+in-edge index KGraph.in_sources (the push kernel core._push); a side
+already at the join is read as stored, so elements of one shift are
+compared with no push. They are one class if the two vectors at the join
+agree, and otherwise iff their difference z has
 z*P^d = 0, where P is the product of all one-step matrices and d the
 vertex count. The kernel of P^j stops growing at j = m0 <= d, the graph's
 KGraph.stable_index, so that is decided by pushing z on by (m0, ..., m0);
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from itertools import compress, product
 from operator import add, mul, sub
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import (
     CLIUsage,
@@ -90,10 +92,12 @@ def zero_element(g: KGraph, n: Shift | None = None) -> DimElement:
 
 
 def _check_element(g: KGraph, a: DimElement) -> None:
-    if len(a.x) != len(g.vertices):
-        raise RankMismatch(f"vector has {len(a.x)} entries for {len(g.vertices)} vertices")
-    if len(a.n) != g.rank:
-        raise RankMismatch(f"shift has {len(a.n)} coordinates for rank {g.rank}")
+    # vertex_index has a key per vertex and in_sources a row per color
+    d, k = len(g.vertex_index), len(g.in_sources)
+    if len(a.x) != d:
+        raise RankMismatch(f"vector has {len(a.x)} entries for {d} vertices")
+    if len(a.n) != k:
+        raise RankMismatch(f"shift has {len(a.n)} coordinates for rank {k}")
 
 
 # The public functions below check each element once, where it enters, and
@@ -103,12 +107,16 @@ def _check_element(g: KGraph, a: DimElement) -> None:
 # the total degree of one representative push; the push takes a pass per
 # unit, and each pass costs more where the entries grow. _sum lifts each
 # term once, to the join of its whole sum, so the cap bounds that one lift;
-# it lifts no zero running total
+# it lifts no zero running total, and no term already at the join
 SHIFT_MAX_DEGREE = 100_000
 
 
-def _lift(g: KGraph, a: DimElement, p: Shift) -> list[int]:
-    # the representative of a at level p >= a.n: x * A_{p - a.n}
+def _lift(g: KGraph, a: DimElement, p: Shift) -> Sequence[int]:
+    # the representative of a at level p >= a.n: x * A_{p - a.n}. A side
+    # already at p is its stored x, with no push, copy or cap check (its
+    # total degree is 0); only a side below p is pushed
+    if a.n == p:
+        return a.x
     total = sum(p) - sum(a.n)
     if total > SHIFT_MAX_DEGREE:
         raise KGraphError(f"shift of total degree {total} is over {SHIFT_MAX_DEGREE}")
@@ -116,9 +124,12 @@ def _lift(g: KGraph, a: DimElement, p: Shift) -> list[int]:
 
 
 def _eq(g: KGraph, a: DimElement, b: DimElement) -> bool:
+    # only a side below the join is pushed, to a list; the other is its
+    # stored tuple, which tuple() returns as it is, so elements of one
+    # shift compare their stored vectors and build no list
     p = tuple(map(max, a.n, b.n))
     x, y = _lift(g, a, p), _lift(g, b, p)
-    if x == y:
+    if tuple(x) == tuple(y):
         return True
     z = list(map(sub, x, y))
     if sum(map(mul, z, g.stable_path_counts)):

@@ -10,6 +10,7 @@ graphs.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from math import gcd
 from typing import Iterable
 
@@ -154,8 +155,13 @@ def cokernel_invariants(rows: list[dict[int, int]], cols: int) -> tuple[int, tup
     cokernel is unchanged (Havas, Holt and Rees 1993, "Recognizing badly
     presented Z-modules"). The pivot is the unit entry of least fill, the
     smallest (row nonzeros - 1) * (column nonzeros - 1) (Markowitz 1957),
-    found by scanning the live rows. What is left has no unit entry, and
-    its Smith diagonal gives the rest.
+    ties broken by column and then row. Each row's cheapest unit entry
+    sits in a heap, and after a pivot only the rows whose cost it can
+    change are costed again: those that held its column, and those that
+    use a column of its row. A popped entry that is no longer its row's
+    cheapest is skipped, so the pivots are the least-fill ones a scan of
+    every live row would pick, in the same order. What is left has no
+    unit entry, and its Smith diagonal gives the rest.
     """
     live: dict[int, dict[int, int]] = {}  # row id -> {column: nonzero entry}
     where: dict[int, set[int]] = {}  # column -> ids of the rows that use it
@@ -166,21 +172,37 @@ def cokernel_invariants(rows: list[dict[int, int]], cols: int) -> tuple[int, tup
             for c in row:
                 where.setdefault(c, set()).add(i)
 
-    def best(i: int) -> tuple[int, int, int] | None:
-        # (cost, column, row id) of the row's cheapest unit entry
-        row = live[i]
-        n = len(row) - 1
-        units = [(n * (len(where[c]) - 1), c, i) for c, v in row.items() if v == 1 or v == -1]
-        return min(units) if units else None
+    cheapest: dict[int, tuple[int, int, int]] = {}  # row id -> its best unit entry
+    heap: list[tuple[int, int, int]] = []
 
+    def recost(ids) -> None:
+        # the (cost, column, row id) of each row's cheapest unit entry, kept
+        # and pushed when it has changed; a row no longer live has none
+        for i in ids:
+            row = live.get(i, {})
+            n = len(row) - 1
+            units = [(n * (len(where[c]) - 1), c, i) for c, v in row.items() if v == 1 or v == -1]
+            found = min(units, default=None)
+            if found is None:
+                cheapest.pop(i, None)
+            elif found != cheapest.get(i):
+                cheapest[i] = found
+                heappush(heap, found)
+
+    recost(live)
     pivots = 0
-    while found := min(filter(None, map(best, live)), default=None):
+    while heap:
+        found = heappop(heap)
         _, j, i = found
+        if cheapest.get(i) != found:
+            continue
+        del cheapest[i]
         row = live.pop(i)
         p = row.pop(j)
         for c in row:
             where[c].discard(i)
-        for t in where.pop(j) - {i}:
+        held = where.pop(j) - {i}
+        for t in held:
             other = live[t]
             # other -= q * (row + p e_j), which clears column j as p * p == 1
             q = other.pop(j) * p
@@ -195,6 +217,7 @@ def cokernel_invariants(rows: list[dict[int, int]], cols: int) -> tuple[int, tup
                     where[c].discard(t)
             if not other:
                 del live[t]
+        recost(held.union(*(where[c] for c in row)))
         pivots += 1
     used = sorted({c for row in live.values() for c in row})
     diag = snf_diagonal([[row.get(c, 0) for c in used] for row in live.values()])

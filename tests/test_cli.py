@@ -508,6 +508,21 @@ def test_h0_cli_on_a_576_vertex_product(capsys, tmp_path):
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5.0s"
 
 
+def test_h0_cli_on_a_1024_vertex_product(capsys, tmp_path):
+    # 2048 relations on 1024 generators: scanning every live row for each
+    # pivot took 2-3.5 s of it, near the budget
+    rng = random.Random(1)
+    a, b = _cycle_plus_permutation(rng, 32), _cycle_plus_permutation(rng, 32)
+    path = tmp_path / "product.json"
+    path.write_text(dump_kgraph(_product(a, b)), encoding="utf-8")
+    want = _invariants([math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)])
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "h0", str(path))
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and out.strip() == f"rank {want.rank}, torsion {list(want.torsion)}"
+    assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5.0s"
+
+
 # Every subcommand on the 576-vertex product above, each within a CPU
 # budget (ROADMAP item 9). rank and h0gr (the Smith normal form of the
 # pushed P^d) and `sse-search G G` (the lag-0 row search) do not answer on

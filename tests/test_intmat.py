@@ -14,6 +14,7 @@ import random
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -231,6 +232,105 @@ def test_cokernel_matches_the_dense_snf_on_larger_sparse_matrices():
             for c in rng.sample(range(cols), rng.randint(1, 4)):
                 row[c] = rng.choice((1, -1, 1, -1, 2, -2, 3))
         assert cokernel_invariants(_sparse(rows), cols) == dense_cokernel(rows, cols)
+
+
+def reference_cokernel_invariants(rows: list[dict[int, int]], cols: int):
+    """cokernel_invariants by the earlier pivot choice, which scans every
+    live row for the least-fill unit entry at each step: its (free rank,
+    torsion), and the remainder whose Smith diagonal gives the rest."""
+    live = {}
+    where = {}
+    for i, row in enumerate(rows):
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            live[i] = row
+            for c in row:
+                where.setdefault(c, set()).add(i)
+
+    def best(i):
+        row = live[i]
+        n = len(row) - 1
+        units = [(n * (len(where[c]) - 1), c, i) for c, v in row.items() if v == 1 or v == -1]
+        return min(units) if units else None
+
+    pivots = 0
+    while found := min(filter(None, map(best, live)), default=None):
+        _, j, i = found
+        row = live.pop(i)
+        p = row.pop(j)
+        for c in row:
+            where[c].discard(i)
+        for t in where.pop(j) - {i}:
+            other = live[t]
+            q = other.pop(j) * p
+            for c, v in row.items():
+                w = other.get(c, 0) - q * v
+                if w:
+                    if c not in other:
+                        where[c].add(t)
+                    other[c] = w
+                else:
+                    del other[c]
+                    where[c].discard(t)
+            if not other:
+                del live[t]
+        pivots += 1
+    used = sorted({c for row in live.values() for c in row})
+    remainder = [[row.get(c, 0) for c in used] for row in live.values()]
+    diag = snf_diagonal(remainder)
+    invariants = cols - pivots - sum(1 for t in diag if t), tuple(t for t in diag if t > 1)
+    return invariants, remainder
+
+
+def cokernel_and_remainder(rows, cols):
+    # cokernel_invariants and the matrix it hands to snf_diagonal
+    seen = []
+
+    def recording(a):
+        seen.append(a)
+        return snf_diagonal(a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intmat, "snf_diagonal", recording)
+        invariants = cokernel_invariants(rows, cols)
+    assert len(seen) == 1
+    return invariants, seen[0]
+
+
+@st.composite
+def sparse_rows(draw):
+    """A sparse integer matrix that is not a graph relation matrix: up to
+    twice as many rows as its 1-12 columns, entries in -3..3, each row
+    with 0-4 nonzeros; some rows have no unit entry, and a column may be
+    met by many rows."""
+    cols = draw(st.integers(1, 12))
+    row = st.dictionaries(st.integers(0, cols - 1), st.integers(-3, 3), max_size=4)
+    unit_free = st.dictionaries(st.integers(0, cols - 1), st.sampled_from((2, -2, 3, -3)), max_size=4)
+    return cols, draw(st.lists(st.one_of(row, unit_free), max_size=2 * cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows())
+def test_cokernel_picks_the_pivots_of_the_full_scan(case):
+    # the same pivots in the same order leave the same remainder; the
+    # dense Smith normal form checks the answer independently
+    cols, rows = case
+    want, remainder = reference_cokernel_invariants(rows, cols)
+    assert cokernel_and_remainder(rows, cols) == (want, remainder)
+    assert want == dense_cokernel([[row.get(c, 0) for c in range(cols)] for row in rows], cols)
+
+
+def test_cokernel_picks_the_pivots_of_the_full_scan_on_larger_sparse_matrices():
+    # columns met by many rows, so one pivot re-costs many rows
+    rng = random.Random(13)
+    for _ in range(40):
+        cols = rng.randint(20, 60)
+        rows = []
+        for _ in range(rng.randint(cols // 2, 2 * cols)):
+            support = rng.sample(range(min(cols, 8)), rng.randint(0, 2)) + rng.sample(range(cols), rng.randint(1, 4))
+            rows.append({c: rng.choice((1, -1, 1, -1, 2, -2, 3, -3)) for c in support})
+        want, remainder = reference_cokernel_invariants(rows, cols)
+        assert cokernel_and_remainder(rows, cols) == (want, remainder)
 
 
 def sympy_cokernel(rows: Matrix, cols: int) -> tuple[int, tuple[int, ...]]:
