@@ -9,6 +9,7 @@ of pairing classes.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
@@ -100,25 +101,29 @@ def pairing_closure(g: KGraph, v: str) -> list[tuple[str, ...]]:
     return [tuple(classes[root]) for root in order]
 
 
+def _split_classes(g: KGraph, v: str) -> list[tuple[str, ...]]:
+    # the pairing classes at v, at least two of them
+    classes = pairing_closure(g, v)
+    if len(classes) < 2:
+        raise IndivisibleVertex(f"{v} has {len(classes)} pairing class(es); need at least 2")
+    return classes
+
+
+def _partition(v: str, classes: list[tuple[str, ...]], mask: int) -> Partition:
+    # entry `mask` of enumerate_valid_partitions: class i + 1 goes to side 1
+    # when bit i of mask is set; the first class is always on side 1
+    side1, side2 = list(classes[0]), []
+    for i, cls in enumerate(classes[1:]):
+        (side1 if mask >> i & 1 else side2).extend(cls)
+    return Partition(v, tuple(sorted(side1)), tuple(sorted(side2)))
+
+
 def enumerate_valid_partitions(g: KGraph, v: str) -> list[Partition]:
     """All 2^(c-1) - 1 two-sided splits of the c pairing classes at v,
     with the first class pinned to side 1. Raises IndivisibleVertex when
     c < 2."""
-    classes = pairing_closure(g, v)
-    c = len(classes)
-    if c < 2:
-        raise IndivisibleVertex(f"{v} has {c} pairing class(es); need at least 2")
-    out = []
-    for mask in range(2 ** (c - 1) - 1):
-        side1 = list(classes[0])
-        side2 = []
-        for i, cls in enumerate(classes[1:]):
-            if mask >> i & 1:
-                side1.extend(cls)
-            else:
-                side2.extend(cls)
-        out.append(Partition(v, tuple(sorted(side1)), tuple(sorted(side2))))
-    return out
+    classes = _split_classes(g, v)
+    return [_partition(v, classes, mask) for mask in range(2 ** (len(classes) - 1) - 1)]
 
 
 def check_partition(g: KGraph, p: Partition) -> None:
@@ -129,6 +134,9 @@ def check_partition(g: KGraph, p: Partition) -> None:
     s1, s2 = set(p.side1), set(p.side2)
     if not s1 or not s2:
         raise InvalidPartition("both sides must be nonempty")
+    if len(s1) < len(p.side1) or len(s2) < len(p.side2):
+        repeated = sorted({e for side in (p.side1, p.side2) for e, n in Counter(side).items() if n > 1})
+        raise InvalidPartition(f"sides repeat edge ids: {repeated}")
     if s1 & s2:
         raise InvalidPartition(f"sides overlap: {sorted(s1 & s2)}")
     full = {e.id for e in _range_edges(g, p.vertex)}
@@ -365,7 +373,7 @@ def sink_delete_witnesses(g: KGraph, v: str) -> dict[str, DimElement]:
 def choose_partition(g: KGraph, v: str, side1: str | None, index: int) -> Partition:
     """The partition at v that `kgraph insplit` names: side 1 as
     comma-separated edge ids (side 2 is the rest of v's in-edges), or else
-    entry `index` of enumerate_valid_partitions."""
+    entry `index` of enumerate_valid_partitions, built on its own."""
     if v not in g.vertex_index:
         raise KGraphError(f"unknown vertex {v!r}")
     if side1 is not None:
@@ -374,10 +382,11 @@ def choose_partition(g: KGraph, v: str, side1: str | None, index: int) -> Partit
         p = Partition(v, ones, tuple(sorted(set(all_in) - set(ones))))
         check_partition(g, p)
         return p
-    options = enumerate_valid_partitions(g, v)
-    if not 0 <= index < len(options):
-        raise CLIUsage(f"--partition {index} out of range: vertex has {len(options)} valid partition(s)")
-    return options[index]
+    classes = _split_classes(g, v)
+    count = 2 ** (len(classes) - 1) - 1
+    if not 0 <= index < count:
+        raise CLIUsage(f"--partition {index} out of range: vertex has {count} valid partition(s)")
+    return _partition(v, classes, index)
 
 
 def insplit_sidecar(g: KGraph, p: Partition, j: int) -> tuple[KGraph, dict]:

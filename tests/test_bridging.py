@@ -3,12 +3,14 @@ rank-(k+1) graph as an independent coherence oracle."""
 
 import random
 import time
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial, prod
 
 import pytest
-from test_homology import _product
-from test_intmat import mat_mul
+from oracles import (
+    G_V, G_W, all_16_families, coherent_57_family, complete_product, displayed_56_family, mat_mul,
+    product_graph, random_2graph, random_family,
+)
 
 from kgraphs import bridging
 from kgraphs.bridging import (
@@ -34,7 +36,7 @@ from kgraphs.bridging import (
     polymorphism_from_matrix,
 )
 from kgraphs.constructions import FIXTURE_NAMES, fixture, monoid_hom, pullback, rose
-from kgraphs.core import Edge, InvalidKGraph, KGraphError, NotComposable, Skeleton, validate_kgraph
+from kgraphs.core import InvalidKGraph, KGraphError, NotComposable
 from kgraphs.paths import Path, compose, make_path, paths_of_degree, segment, vertex_path
 from kgraphs.dimension import DimensionMismatch, intertwiner_check
 
@@ -42,42 +44,6 @@ LAM56 = fixture("ex5.6-Lambda")
 OM56 = fixture("ex5.6-Omega")
 LAM57 = fixture("ex5.7-Lambda")
 OM57 = fixture("ex5.7-Omega")
-G_W = "g1[u,w]"
-G_V = "g1[u,v]"
-
-
-def displayed_56_family() -> BridgingPair:
-    flips = {
-        1: {
-            ("alpha1", G_W): (G_V, "f2"),
-            ("alpha1", G_V): (G_W, "f3"),
-            ("alpha2", G_W): (G_V, "f1"),
-            ("alpha2", G_V): (G_W, "f4"),
-        },
-        2: {
-            ("beta1", G_W): (G_V, "e3"),
-            ("beta1", G_V): (G_W, "e2"),
-            ("beta2", G_W): (G_V, "e4"),
-            ("beta2", G_V): (G_W, "e1"),
-        },
-    }
-    return BridgingPair([[1, 1]], flips)
-
-
-def coherent_57_family() -> BridgingPair:
-    flips = {
-        1: {
-            ("f1", G_W): (G_V, "alpha1"),
-            ("f1", G_V): (G_W, "alpha3"),
-            ("f2", G_W): (G_V, "alpha2"),
-            ("f2", G_V): (G_W, "alpha4"),
-        },
-        2: {
-            ("e", G_W): (G_W, "gamma1"),
-            ("e", G_V): (G_V, "gamma2"),
-        },
-    }
-    return BridgingPair([[1, 1]], flips)
 
 
 # ------------------------------------------------------------- polymorphisms
@@ -359,25 +325,6 @@ def test_coherent_family_passes():
     assert ok and witness is None
 
 
-def all_16_families():
-    cod1 = {G_W: [(G_V, "f1"), (G_V, "f2")], G_V: [(G_W, "f3"), (G_W, "f4")]}
-    cod2 = {G_W: [(G_V, "e3"), (G_V, "e4")], G_V: [(G_W, "e1"), (G_W, "e2")]}
-    doms1 = {g: [("alpha1", g), ("alpha2", g)] for g in (G_W, G_V)}
-    doms2 = {g: [("beta1", g), ("beta2", g)] for g in (G_W, G_V)}
-    for s1, s2, s3, s4 in product((0, 1), repeat=4):
-        flips = {1: {}, 2: {}}
-        for g, swap, doms, cods in (
-            (G_W, s1, doms1, cod1),
-            (G_V, s2, doms1, cod1),
-        ):
-            order = cods[g][::-1] if swap else cods[g]
-            flips[1].update(zip(doms[g], order))
-        for g, swap in ((G_W, s3), (G_V, s4)):
-            order = cod2[g][::-1] if swap else cod2[g]
-            flips[2].update(zip(doms2[g], order))
-        yield BridgingPair([[1, 1]], flips)
-
-
 def test_no_family_bridges_the_56_pair():
     for pair in all_16_families():
         ok, witness = coherence_check(LAM56, OM56, pair)
@@ -391,7 +338,7 @@ def test_coherence_check_of_the_identity_family_on_a_256_vertex_product_fits_a_b
     # R = I and f_i(lam, g1[s,s]) = (g1[r,r], lam): 8192 entries, each
     # checked on its own, and 65536 triples whose routes agree
     ones = [[1] * 16 for _ in range(16)]
-    g = _product(ones, ones)
+    g = product_graph(ones, ones)
     ident = [[int(i == j) for j in range(256)] for i in range(256)]
     flips = {
         i: {(e.id, f"g1[{e.src},{e.src}]"): (f"g1[{e.rng},{e.rng}]", e.id) for e in g.edges if e.color == i}
@@ -555,7 +502,7 @@ def test_iter_triples_matches_the_reference_on_a_256_vertex_product():
     # 65536 triples, where the scan visits 256 polymorphism edges for each
     # of the 4096 color-1 edges
     ones = [[1] * 16 for _ in range(16)]
-    g = _product(ones, ones)
+    g = product_graph(ones, ones)
     ident = [[int(i == j) for j in range(256)] for i in range(256)]
     assert_same_triples(g, polymorphism_from_matrix(g, g, ident))
 
@@ -607,7 +554,7 @@ def test_flip_blocks_match_the_reference():
 
 def test_flip_blocks_match_the_reference_on_a_256_vertex_product():
     ones = [[1] * 16 for _ in range(16)]
-    g = _product(ones, ones)
+    g = product_graph(ones, ones)
     poly = polymorphism_from_matrix(g, g, [[int(i == j) for j in range(256)] for i in range(256)])
     assert _flip_blocks(g, g, poly) == reference_flip_blocks(g, g, poly)
 
@@ -799,13 +746,6 @@ def test_exhausted_count_is_the_number_of_families():
     assert exhausted >= 10
 
 
-def complete_product():
-    # the strict product of two complete 8-vertex 1-graphs: 64 vertices
-    # and, over R = I, 1024 flip blocks of one key each
-    ones = [[1] * 8 for _ in range(8)]
-    return _product(ones, ones)
-
-
 def test_search_needs_no_recursion():
     g = complete_product()
     ident = [[int(i == j) for j in range(64)] for i in range(64)]
@@ -920,44 +860,6 @@ def test_graph_oracle_agrees_on_all_16():
     for pair in all_16_families():
         with pytest.raises(InvalidKGraph):
             bridging_graph(LAM56, OM56, pair)
-
-
-def random_2graph(rng, tag, a1, a2):
-    """A 2-graph with the given commuting vertex matrices and uniformly
-    random factorization squares (the cube condition is vacuous at k=2)."""
-    n = len(a1)
-    vertices = tuple(f"{tag}{t}" for t in range(n))
-    edges = []
-    for color, mat in ((1, a1), (2, a2)):
-        for r in range(n):
-            for c in range(n):
-                for t in range(mat[r][c]):
-                    edges.append(
-                        Edge(f"{tag}c{color}[{r},{c}]{t}", color, vertices[c], vertices[r])
-                    )
-    buckets_dom = {}
-    buckets_cod = {}
-    for g in edges:
-        for h in edges:
-            if g.color == 1 and h.color == 2 and g.src == h.rng:
-                buckets_dom.setdefault((g.rng, h.src), []).append((g.id, h.id))
-            if g.color == 2 and h.color == 1 and g.src == h.rng:
-                buckets_cod.setdefault((g.rng, h.src), []).append((g.id, h.id))
-    squares = {}
-    for key, dom in buckets_dom.items():
-        cod = buckets_cod[key][:]
-        rng.shuffle(cod)
-        squares.update(zip(dom, cod))
-    return validate_kgraph(Skeleton(2, vertices, tuple(edges)), squares, strict=False)
-
-
-def random_family(rng, g_lam, g_om, r):
-    poly = polymorphism_from_matrix(g_lam, g_om, r)
-    flips = {i: {} for i in range(1, g_lam.rank + 1)}
-    for i, dom, cod in _flip_blocks(g_lam, g_om, poly):
-        rng.shuffle(cod)
-        flips[i].update(zip(dom, cod))
-    return BridgingPair(r, flips)
 
 
 def test_graph_oracle_agrees_on_random_instances():

@@ -1,6 +1,5 @@
 import copy
 import json
-import math
 import os
 import random
 import subprocess
@@ -11,16 +10,16 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_bridging import complete_product
-from test_dimension import DEEP_SHIFTS, reference_dge_eq
-from test_homology import _cycle_plus_permutation, _cyclic_orders, _invariants, _product
+from oracles import (
+    DEEP_SHIFTS, complete_product, cycle_plus_permutation, kill_push_dge_eq, product_graph, product_h0,
+)
 
 import kgraphs
 from kgraphs.bridging import BridgingPair, bridging_graph
 from kgraphs.cli import COMMANDS, build_parser, main
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
 from kgraphs.core import Edge, InvalidKGraph, Skeleton, kgraph_violations, validate_kgraph
-from kgraphs.dimension import SSE_MAX_TABLE_BYTES, dge_eq, parse_element, unit_element
+from kgraphs.dimension import SSE_MAX_TABLE_BYTES, parse_element, unit_element
 from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
 from kgraphs.textform import dump_kgraph, load_kgraph, parse_kgraph, parse_kgraph_parts
 
@@ -272,6 +271,23 @@ def test_insplit_errors(capsys):
     assert code == 1 and "unknown vertex" in err
 
 
+def test_insplit_at_40_pairing_classes_builds_one_partition(capsys, tmp_path):
+    # listing all 2^39 - 1 partitions to pick one ran out of memory at 24
+    # classes; each loop of rose(40) is its own class
+    path = tmp_path / "rose40.json"
+    path.write_text(dump_kgraph(rose(40)), encoding="utf-8")
+    count = 2**39 - 1
+    t0 = time.process_time()
+    for index in (0, count - 1):
+        code, out, _ = run(capsys, "insplit", str(path), "u", "--partition", str(index))
+        split = parse_kgraph(out)
+        assert code == 0 and split.vertices == ("u^1", "u^2") and len(split.edges) == 80
+    elapsed = time.process_time() - t0
+    assert elapsed < 1.0, f"took {elapsed:.2f}s of CPU, budget 1.0s"
+    code, _, err = run(capsys, "insplit", str(path), "u", "--partition", str(count))
+    assert code == 2 and f"vertex has {count} valid partition(s)" in err
+
+
 def test_sinkdelete_round_trip(capsys, tmp_path):
     sidecar = tmp_path / "maps.json"
     code, out, _ = run(
@@ -326,7 +342,7 @@ def test_tm_eq_deep_shifts(capsys, name, a, b, _):
     terms = [f"{v}:{','.join(map(str, n))}" for v, n in (a, b)]
     code, out, err = run(capsys, "tm-eq", name, *terms)
     g = fixture(name)
-    want = reference_dge_eq(g, unit_element(g, *a), unit_element(g, *b))
+    want = kill_push_dge_eq(g, unit_element(g, *a), unit_element(g, *b))
     assert code == 0 and "Traceback" not in err
     assert out.strip() == ("equal" if want else "not equal")
 
@@ -497,10 +513,10 @@ def test_h0_cli_on_a_576_vertex_product(capsys, tmp_path):
     # 1152 relations on 576 generators: the dense Smith normal form of
     # them took ~28 s
     rng = random.Random(1)
-    a, b = _cycle_plus_permutation(rng, 24), _cycle_plus_permutation(rng, 24)
+    a, b = cycle_plus_permutation(rng, 24), cycle_plus_permutation(rng, 24)
     path = tmp_path / "product.json"
-    path.write_text(dump_kgraph(_product(a, b)), encoding="utf-8")
-    want = _invariants([math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)])
+    path.write_text(dump_kgraph(product_graph(a, b)), encoding="utf-8")
+    want = product_h0(a, b)
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "h0", str(path))
     elapsed = time.perf_counter() - t0
@@ -512,10 +528,10 @@ def test_h0_cli_on_a_1024_vertex_product(capsys, tmp_path):
     # 2048 relations on 1024 generators: scanning every live row for each
     # pivot took 2-3.5 s of it, near the budget
     rng = random.Random(1)
-    a, b = _cycle_plus_permutation(rng, 32), _cycle_plus_permutation(rng, 32)
+    a, b = cycle_plus_permutation(rng, 32), cycle_plus_permutation(rng, 32)
     path = tmp_path / "product.json"
-    path.write_text(dump_kgraph(_product(a, b)), encoding="utf-8")
-    want = _invariants([math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)])
+    path.write_text(dump_kgraph(product_graph(a, b)), encoding="utf-8")
+    want = product_h0(a, b)
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "h0", str(path))
     elapsed = time.perf_counter() - t0
@@ -549,8 +565,8 @@ def product_576(tmp_path_factory):
     # the product, and beside it (union.json) its disjoint union with
     # ex3.5-Lambda, whose v is divisible, its ids prefixed with "L."
     rng = random.Random(1)
-    a, b = _cycle_plus_permutation(rng, 24), _cycle_plus_permutation(rng, 24)
-    g = _product(a, b)
+    a, b = cycle_plus_permutation(rng, 24), cycle_plus_permutation(rng, 24)
+    g = product_graph(a, b)
     path = tmp_path_factory.mktemp("sweep") / "product.json"
     path.write_text(dump_kgraph(g), encoding="utf-8")
     union = _with_prefixed(g, fixture("ex3.5-Lambda"), "L.")
@@ -577,7 +593,7 @@ def _identity_map_text(p, a):
 
 
 def _h0_text(a, b):
-    want = _invariants([math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)])
+    want = product_h0(a, b)
     return f"rank {want.rank}, torsion {list(want.torsion)}\n"
 
 
@@ -641,6 +657,11 @@ SWEEP_ROWS = {
         lambda p, a: ["insplit", p.replace("product.json", "union.json"), "L.v"],
         0,
         lambda out, err, a, b: len(parse_kgraph(out).vertices) == 576 + 4,
+    ),
+    "insplit a repeated edge id": (
+        lambda p, a: ["insplit", p.replace("product.json", "union.json"), "L.v", "--side1", "L.f2,L.f2,L.h1"],
+        1,
+        lambda out, err, a, b: err == "error: sides repeat edge ids: ['L.f2']\n",
     ),
     "sinkdelete": (
         lambda p, a: ["sinkdelete", p, "x0|y0"],

@@ -6,8 +6,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
-from test_core import reference_factor, reference_normalize, reference_paths_of_degree, reference_segment
-from test_dimension import graphs
+from oracles import graphs, reference_factor, reference_normalize, reference_paths_of_degree, reference_segment
 
 from kgraphs.constructions import (
     FIXTURE_NAMES,

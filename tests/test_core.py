@@ -14,8 +14,9 @@ from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings
-from test_dimension import graphs
-from test_intmat import mat_mul
+from oracles import (
+    graphs, mat_mul, reference_factor, reference_normalize, reference_paths_of_degree, reference_segment,
+)
 
 import kgraphs
 
@@ -72,65 +73,6 @@ def all_paths_up_to(g, bound):
             else:
                 break
     return out
-
-
-# Test-side oracles: the descent-swap normalizer, the edge-peeling factor
-# and the recursive enumeration, kept apart from the code under test.
-
-
-def reference_normalize(g, word, pick=None):
-    """Sort a word by swapping descending adjacent pairs; each swap
-    removes one color inversion, and the cube condition makes the result
-    independent of which descent `pick` chooses."""
-    inv = {val: key for key, val in g.squares.items()}
-    w = list(word)
-    while True:
-        descents = [t for t in range(len(w) - 1) if g.by_id[w[t]].color > g.by_id[w[t + 1]].color]
-        if not descents:
-            return tuple(w)
-        t = descents[0] if pick is None else pick(descents)
-        w[t], w[t + 1] = inv[(w[t], w[t + 1])]
-
-
-def reference_factor(g, p, m):
-    """Peel m's edges off the front of p's normal form one at a time,
-    each moved left past the smaller colors before it."""
-    word, alpha = list(p.edges), []
-    for color, times in enumerate(m, 1):
-        for _ in range(times):
-            t = next(t for t, eid in enumerate(word) if g.by_id[eid].color == color)
-            while t > 0:
-                word[t - 1], word[t] = g.squares[(word[t - 1], word[t])]
-                t -= 1
-            alpha.append(word.pop(0))
-    beta_rng = g.by_id[alpha[-1]].src if alpha else p.rng
-    return Path(p.rng, tuple(alpha)), Path(beta_rng, tuple(word))
-
-
-def reference_segment(g, p, m, n):
-    _, rest = reference_factor(g, p, m)
-    return reference_factor(g, rest, deg_sub(n, m))[0]
-
-
-def reference_paths_of_degree(g, v, n):
-    results, word = [], []
-
-    def rec(cur, remaining, min_color):
-        if not any(remaining):
-            results.append(Path(v, tuple(word)))
-            return
-        for color in range(min_color, g.rank + 1):
-            if remaining[color - 1] == 0:
-                continue
-            remaining[color - 1] -= 1
-            for e in g.in_edges[cur][color]:
-                word.append(e.id)
-                rec(e.src, remaining, color)
-                word.pop()
-            remaining[color - 1] += 1
-
-    rec(v, list(n), 1)
-    return results
 
 
 def degrees_up_to(d):
@@ -205,6 +147,28 @@ def test_the_runtime_is_pure_stdlib_python_3_10():
             name for name in names if name.split(".")[0] not in {"kgraphs", *sys.stdlib_module_names}
         }
         assert not foreign, f"{module.relative_to(package)} imports {sorted(foreign)}"
+
+
+def test_test_modules_share_helpers_only_through_oracles():
+    # no test module imports another, at the top or inside a function;
+    # tests/oracles.py defines no test, and each function in its last
+    # section, the references, opens its docstring with its label
+    tests = FilePath(__file__).parent
+    for module in sorted(tests.glob("*.py")):
+        tree = ast.parse(module.read_text("utf-8"))
+        names = [a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names]
+        names += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+        imported = [name for name in names if name.split(".")[0].startswith("test_")]
+        assert not imported, f"{module.name} imports {imported}"
+    source = (tests / "oracles.py").read_text("utf-8")
+    defs = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)]
+    assert not [n.name for n in defs if n.name.startswith("test_")]
+    start = source[: source.index(" references\n")].count("\n") + 1
+    refs = [n for n in defs if n.lineno > start]
+    assert len(refs) >= 10
+    for n in refs:
+        label = (ast.get_docstring(n) or "").split(":")[0]
+        assert label == "Independent" or label.startswith("Previous version of "), n.name
 
 
 def test_compose_follows_squares_in_both_twists():

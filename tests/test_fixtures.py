@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from test_intmat import mat_mul
+from oracles import mat_mul
 
 from kgraphs.constructions import FIXTURE_NAMES, fixture
 from kgraphs.core import kgraph_violations, vertex_matrix

@@ -21,19 +21,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_bridging import random_2graph
-from test_dimension import (
-    STABLE_INDEX_GRAPHS,
-    _elements,
-    _nilpotent_chain,
-    dge_eq_oracle,
-    graphs,
-    intertwiner_cases,
-    left_kernel,
-    positivity_reference,
-    ranked_graphs,
+from oracles import (
+    STABLE_INDEX_GRAPHS, cycle_plus_permutation, dense_dge_eq, dense_positivity, graphs, intertwiner_cases,
+    left_kernel, nilpotent_chain, product_graph, random_2graph, ranked_graphs, small_elements,
 )
-from test_homology import _cycle_plus_permutation, _product
 
 import kgraphs
 import kgraphs.dimension as dimension
@@ -113,6 +104,7 @@ def reference_dge_add(g, a, b):
 
 
 def reference_dge_eq(g, a, b):
+    """Previous version of dimension.dge_eq: check both, then reference_eq."""
     _check_element(g, a)
     _check_element(g, b)
     return reference_eq(g, a, b)
@@ -257,9 +249,9 @@ def test_only_dimension_sums_and_compares_classes():
 def test_random_maps_agree_with_the_references(data):
     # images with negative shifts, on graphs with sources and on products
     g = data.draw(graphs())
-    fwd = generator_map(g, g, {v: data.draw(_elements(g)) for v in g.vertices})
-    bwd = generator_map(g, g, {v: data.draw(_elements(g)) for v in g.vertices})
-    assert_maps_agree(fwd, bwd, [data.draw(_elements(g)) for _ in range(3)])
+    fwd = generator_map(g, g, {v: data.draw(small_elements(g)) for v in g.vertices})
+    bwd = generator_map(g, g, {v: data.draw(small_elements(g)) for v in g.vertices})
+    assert_maps_agree(fwd, bwd, [data.draw(small_elements(g)) for _ in range(3)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,7 +262,7 @@ def test_perturbed_identities_agree_with_the_references(data):
     v = data.draw(st.sampled_from(g.vertices))
     kind = data.draw(st.sampled_from(["element", "shifted", "relation"]))
     if kind == "element":
-        image = data.draw(_elements(g))
+        image = data.draw(small_elements(g))
     elif kind == "shifted":
         image = dge_shift(ident.images[v], data.draw(st.tuples(*[st.integers(-2, 2)] * g.rank)))
     else:
@@ -280,7 +272,7 @@ def test_perturbed_identities_agree_with_the_references(data):
         for e in g.in_edges[v][i]:
             image = reference_add(g, image, unit_element(g, e.src, unit_degree(g.rank, i)))
     perturbed = generator_map(g, g, {**ident.images, v: image})
-    elements = [data.draw(_elements(g)) for _ in range(2)]
+    elements = [data.draw(small_elements(g)) for _ in range(2)]
     assert_maps_agree(perturbed, ident, elements)
     assert_maps_agree(ident, perturbed, elements)
 
@@ -292,7 +284,7 @@ def test_matrix_maps_agree_with_the_references(case, data):
     g_left, g_right, r = case
     fwd = generator_map_from_matrix(g_left, g_right, r)
     bwd = generator_map_from_matrix(g_right, g_left, [list(col) for col in zip(*r)])
-    assert_maps_agree(fwd, bwd, [data.draw(_elements(g_left)) for _ in range(2)])
+    assert_maps_agree(fwd, bwd, [data.draw(small_elements(g_left)) for _ in range(2)])
 
 
 def _move_cases():
@@ -392,7 +384,7 @@ def class_test_graphs():
     return st.one_of(
         graphs(),
         ranked_graphs(),
-        st.sampled_from([_nilpotent_chain(), _two_loops(), _loop_and_feeder(), _loop_and_source(), rose(2)]),
+        st.sampled_from([nilpotent_chain(), _two_loops(), _loop_and_feeder(), _loop_and_source(), rose(2)]),
     )
 
 
@@ -443,7 +435,7 @@ def test_eq_agrees_with_the_push_only_reference(data):
     d, kernel = len(g.vertices), left_kernel(g)
     coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(kernel), max_size=len(kernel)))
     dying = [sum(c * v[t] for c, v in zip(coeffs, kernel)) for t in range(d)]
-    a, c = data.draw(_elements(g)), data.draw(_elements(g))
+    a, c = data.draw(small_elements(g)), data.draw(small_elements(g))
     b = DimElement(tuple(map(add, a.x, dying)), a.n)
     for x, y in ((a, b), (a, c), (b, c), (a, DimElement(tuple(dying), c.n))):
         assert outcome(dimension._eq, g, x, y) == outcome(reference_eq, g, x, y)
@@ -483,7 +475,7 @@ def test_the_weights_are_taken_at_m0_not_one_level_short(monkeypatch):
 
 def test_a_nilpotent_graph_has_zero_weights_and_only_kill_pushes(monkeypatch):
     # P nilpotent: every class is zero, and every difference is pushed
-    g = _nilpotent_chain()
+    g = nilpotent_chain()
     assert g.stable_index == 3 and g.stable_path_counts == (0, 0, 0)
     for v in g.vertices:
         for a in (unit_element(g, v), DimElement((2, -1, 3), (0, 0))):
@@ -491,7 +483,7 @@ def test_a_nilpotent_graph_has_zero_weights_and_only_kill_pushes(monkeypatch):
 
 
 STABLE_PATH_GRAPHS = STABLE_INDEX_GRAPHS | {
-    "nilpotent": _nilpotent_chain,
+    "nilpotent": nilpotent_chain,
     "feeder": _loop_and_feeder,
     "source": _loop_and_source,
     "two loops": _two_loops,
@@ -518,7 +510,7 @@ def test_a_refuted_pair_on_a_576_vertex_product_runs_no_kill_push(monkeypatch):
     # the product of the CLI sweep; in-degree 2 in each color, so h is
     # constant
     rng = random.Random(1)
-    g = _product(_cycle_plus_permutation(rng, 24), _cycle_plus_permutation(rng, 24))
+    g = product_graph(cycle_plus_permutation(rng, 24), cycle_plus_permutation(rng, 24))
     one = unit_element(g, "x0|y0")
     two = DimElement(tuple(map(add, one.x, unit_element(g, "x1|y1").x)), one.n)
     assert len(set(g.stable_path_counts)) == 1
@@ -535,7 +527,7 @@ def test_a_refuted_pair_on_a_576_vertex_product_runs_no_kill_push(monkeypatch):
 @given(st.data())
 def test_dge_add_agrees_with_the_reference(data):
     g = data.draw(graphs())
-    a, b = data.draw(_elements(g)), data.draw(_elements(g))
+    a, b = data.draw(small_elements(g)), data.draw(small_elements(g))
     assert outcome(dge_add, g, a, b) == outcome(reference_dge_add, g, a, b)
 
 
@@ -544,7 +536,7 @@ def element_pairs(draw):
     """A graph and two elements of it: of one shift, the second at the
     join of the two shifts, or free; in either order."""
     g = draw(graphs())
-    a, b = draw(_elements(g)), draw(_elements(g))
+    a, b = draw(small_elements(g)), draw(small_elements(g))
     kind = draw(st.sampled_from(("one shift", "at the join", "free")))
     if kind == "one shift":
         b = DimElement(b.x, a.n)
@@ -561,10 +553,10 @@ def test_element_queries_agree_with_the_references(case, q_max):
     # dense oracle
     g, a, b = case
     assert outcome(dimension._eq, g, a, b) == outcome(reference_eq, g, a, b)
-    assert dge_eq(g, a, b) == dge_eq_oracle(g, a, b)
+    assert dge_eq(g, a, b) == dense_dge_eq(g, a, b)
     assert outcome(dge_add, g, a, b) == outcome(reference_dge_add, g, a, b)
     for x in (a, b):
-        assert positivity(g, x, q_max) == positivity_reference(g, x, q_max)
+        assert positivity(g, x, q_max) == dense_positivity(g, x, q_max)
 
 
 @settings(max_examples=40, deadline=None)
@@ -575,7 +567,7 @@ def test_only_the_moving_side_meets_the_cap(data):
     # far's shift compare, add and answer positivity as they do with its
     # first coordinate at 0
     g = data.draw(graphs())
-    a, b, c = (data.draw(_elements(g)) for _ in range(3))
+    a, b, c = (data.draw(small_elements(g)) for _ in range(3))
     lead = a.n[0] + SHIFT_MAX_DEGREE + data.draw(st.integers(1, 3))
     far, far_too = DimElement(b.x, (lead, *a.n[1:])), DimElement(c.x, (lead, *a.n[1:]))
     for x, y in ((a, far), (far, a)):
@@ -584,9 +576,9 @@ def test_only_the_moving_side_meets_the_cap(data):
             assert got[0] == "raised" and got == outcome(reference, g, x, y)
     assert outcome(dimension._eq, g, far, far_too) == outcome(reference_eq, g, far, far_too)
     near = [DimElement(x.x, (0, *a.n[1:])) for x in (far, far_too)]
-    assert dge_eq(g, far, far_too) == dge_eq_oracle(g, *near)
+    assert dge_eq(g, far, far_too) == dense_dge_eq(g, *near)
     assert dge_add(g, far, far_too) == DimElement(tuple(map(add, b.x, c.x)), far.n)
-    assert positivity(g, far, 0) == positivity_reference(g, near[0], 0)
+    assert positivity(g, far, 0) == dense_positivity(g, near[0], 0)
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,13 @@
-import math
 import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cycle_plus_permutation, no_sources, product_graph, product_h0, random_2graph, square_matrices
 
 from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
-from kgraphs.core import Edge, Skeleton, unit_degree, validate_kgraph, vertex_matrix
+from kgraphs.core import Skeleton, unit_degree, validate_kgraph, vertex_matrix
 from kgraphs.homology import (
     AbelianInvariants,
     NotStrict,
@@ -174,48 +174,6 @@ def test_h0gr_presentation_returns_the_one_step_matrices():
 
 # --------------------------------------------------- h0 of a product 2-graph
 
-def _one_graph(tag, a):
-    # vertices tag0.., one edge per unit of a[r][c], from vertex c to vertex r
-    vertices = tuple(f"{tag}{i}" for i in range(len(a)))
-    edges = tuple(
-        Edge(f"{tag}[{r},{c}]{t}", 1, vertices[c], vertices[r])
-        for r, row in enumerate(a)
-        for c, count in enumerate(row)
-        for t in range(count)
-    )
-    return vertices, edges
-
-
-def _product(a, b):
-    """The cartesian product of the 1-graphs of a and b: color 1 moves in
-    the first coordinate, color 2 in the second, and each pair of edges
-    commutes in exactly one square."""
-    vs1, e1 = _one_graph("x", a)
-    vs2, e2 = _one_graph("y", b)
-    vertices = tuple(f"{v}|{w}" for v in vs1 for w in vs2)
-    edges = [Edge(f"{e.id}|{w}", 1, f"{e.src}|{w}", f"{e.rng}|{w}") for e in e1 for w in vs2]
-    edges += [Edge(f"{v}|{f.id}", 2, f"{v}|{f.src}", f"{v}|{f.rng}") for v in vs1 for f in e2]
-    squares = {
-        (f"{e.id}|{f.rng}", f"{e.src}|{f.id}"): (f"{e.rng}|{f.id}", f"{e.id}|{f.src}")
-        for e in e1
-        for f in e2
-    }
-    return validate_kgraph(Skeleton(2, vertices, tuple(edges)), squares)
-
-
-def _cyclic_orders(a):
-    # coker(1 - a) as a list of cyclic orders, 0 for a copy of Z
-    n = len(a)
-    diag = snf_diagonal([[(r == c) - a[r][c] for c in range(n)] for r in range(n)])
-    return [t for t in diag if t != 1]
-
-
-def _invariants(orders):
-    n = len(orders)
-    diag = snf_diagonal([[orders[r] if r == c else 0 for c in range(n)] for r in range(n)]) if n else []
-    return AbelianInvariants(diag.count(0), tuple(t for t in diag if t > 1))
-
-
 @pytest.mark.parametrize(
     "a, b",
     [
@@ -228,29 +186,17 @@ def _invariants(orders):
     ],
 )
 def test_h0_of_product_is_tensor_of_factors(a, b):
-    # H0 = coker(1 - A_1^t, 1 - A_2^t) (Farsi-Kumjian-Pask-Sims 2019); on a
-    # product A_1 = a (x) 1 and A_2 = 1 (x) b, so by right exactness H0 is
-    # coker(1 - a^t) (x) coker(1 - b^t), and Z/s (x) Z/t = Z/gcd(s, t)
-    tensor = [math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)]
-    assert h0(_product(a, b)) == _invariants(tensor)
-
-
-def _cycle_plus_permutation(rng, n):
-    # every vertex receives and emits two edges: t+1 -> t and p(t) -> t
-    p = list(range(n))
-    rng.shuffle(p)
-    return [[(c == (r + 1) % n) + (c == p[r]) for c in range(n)] for r in range(n)]
+    assert h0(product_graph(a, b)) == product_h0(a, b)
 
 
 def test_h0_of_a_256_vertex_product_is_tensor_of_factors():
     rng = random.Random(11)
-    a, b = _cycle_plus_permutation(rng, 16), _cycle_plus_permutation(rng, 16)
-    g = _product(a, b)
+    a, b = cycle_plus_permutation(rng, 16), cycle_plus_permutation(rng, 16)
+    g = product_graph(a, b)
     t0 = time.perf_counter()
     got = h0(g)
     elapsed = time.perf_counter() - t0
-    tensor = [math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)]
-    assert got == _invariants(tensor)
+    assert got == product_h0(a, b)
     # the dense Smith normal form of the 512 x 256 relations took ~2 s
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
@@ -269,32 +215,20 @@ def reference_h0(g):
     return AbelianInvariants(d - sum(1 for t in diag if t != 0), tuple(t for t in diag if t > 1))
 
 
-def _has_sources(g):
-    return any(not g.in_edges[v][i] for v in g.vertices for i in range(1, g.rank + 1))
-
-
 def _agrees_with_reference(g):
-    if _has_sources(g):
+    if no_sources(g):
+        assert h0(g) == reference_h0(g)
+    else:
         with pytest.raises(NotStrict):
             h0(g)
-    else:
-        assert h0(g) == reference_h0(g)
-
-
-def _square(n, entries, row_min=0):
-    # n x n, each row summing to at least row_min
-    row = st.lists(entries, min_size=n, max_size=n).filter(lambda r: sum(r) >= row_min)
-    return st.lists(row, min_size=n, max_size=n)
 
 
 @st.composite
 def commuting_2graphs(draw):
     """A random 2-graph on 1-3 vertices whose color-2 matrix is
     c0 + c1 a + c2 a^2 for its color-1 matrix a; sources allowed."""
-    from test_bridging import random_2graph
-
     n = draw(st.integers(1, 3))
-    a = draw(_square(n, st.integers(0, 2)))
+    a = draw(square_matrices(n))
     c0, c1, c2 = draw(st.tuples(*[st.integers(0, 1)] * 3))
     a2 = [[sum(a[r][t] * a[t][c] for t in range(n)) for c in range(n)] for r in range(n)]
     b = [[c0 * (r == c) + c1 * a[r][c] + c2 * a2[r][c] for c in range(n)] for r in range(n)]
@@ -307,15 +241,14 @@ def test_h0_matches_the_dense_reference_on_random_2graphs(g):
     _agrees_with_reference(g)
 
 
-_STRICT_SQUARES = st.integers(1, 4).flatmap(lambda n: _square(n, st.integers(0, 3), row_min=1))
+_STRICT_SQUARES = st.integers(1, 4).flatmap(lambda n: square_matrices(n, 1, st.integers(0, 3)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_STRICT_SQUARES, _STRICT_SQUARES)
 def test_h0_matches_the_dense_reference_on_products(a, b):
-    g = _product(a, b)
-    tensor = [math.gcd(s, t) for s in _cyclic_orders(a) for t in _cyclic_orders(b)]
-    assert h0(g) == reference_h0(g) == _invariants(tensor)
+    g = product_graph(a, b)
+    assert h0(g) == reference_h0(g) == product_h0(a, b)
 
 
 def test_h0_matches_the_dense_reference_on_every_fixture():

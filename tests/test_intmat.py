@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mat_mul
 
 import kgraphs
 import kgraphs.intmat as intmat
@@ -34,14 +35,6 @@ from kgraphs.intmat import (
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    # the dense product the other test modules use as their oracle
-    if len(a[0] if a else ()) != len(b):
-        raise ValueError(f"cannot multiply a {len(a)}-row matrix by a {len(b)}-row one")
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:

@@ -6,13 +6,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_bridging import random_2graph
-from test_dimension import _matrices, random_2graphs
-from test_homology import _product
-from test_intmat import mat_mul
+from oracles import mat_mul, product_graph, random_2graph, random_2graphs, square_matrices
 
 from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
-from kgraphs.core import KGraphError, validate_kgraph, vertex_matrix
+from kgraphs.core import CLIUsage, KGraphError, validate_kgraph, vertex_matrix
 from kgraphs.paths import Path, mce
 from kgraphs.dimension import (
     SSEWitness,
@@ -30,6 +27,7 @@ from kgraphs.moves import (
     NotASink,
     Partition,
     check_partition,
+    choose_partition,
     ei_sinks,
     enumerate_valid_partitions,
     insplit,
@@ -89,6 +87,35 @@ def test_partition_validation():
         check_partition(g, Partition("v", ("h1", "f2"), ("h2",)))
     with pytest.raises(InvalidPartition):
         check_partition(g, Partition("nope", ("h1",), ("h2",)))
+
+
+def test_partition_sides_must_not_repeat_an_edge():
+    # compared as sets, f2 twice passed and gave v^1 the S row [2, 0, 0]
+    g = fixture("ex3.5-Lambda")
+    with pytest.raises(InvalidPartition, match=r"sides repeat edge ids: \['f2'\]"):
+        insplit_matrices(g, Partition("v", ("f2", "f2", "h1"), ("f1", "h2")), 2)
+    with pytest.raises(InvalidPartition, match=r"sides repeat edge ids: \['h2'\]"):
+        check_partition(g, Partition("v", ("f2", "h1"), ("f1", "h2", "h2")))
+
+
+def test_choose_partition_builds_the_enumerated_entry():
+    cases = [(rose(c), "u") for c in range(1, 7)]
+    cases += [(fixture(name), v) for name in FIXTURE_NAMES for v in fixture(name).vertices]
+    for g, v in cases:
+        c = len(pairing_closure(g, v))
+        if c < 2:
+            with pytest.raises(IndivisibleVertex):
+                choose_partition(g, v, None, 0)
+            continue
+        if c > 6:
+            continue
+        options = enumerate_valid_partitions(g, v)
+        assert len(options) == 2 ** (c - 1) - 1
+        for n, want in enumerate(options):
+            assert choose_partition(g, v, None, n) == want
+        for n in (-1, len(options)):
+            with pytest.raises(CLIUsage, match=f"vertex has {len(options)} valid partition"):
+                choose_partition(g, v, None, n)
 
 
 # ----------------------------------------------------------------- insplit
@@ -272,10 +299,10 @@ def theorem_graphs(draw):
     whose second vertex is a sink, in either order."""
     if draw(st.booleans()):
         return draw(random_2graphs())
-    a = draw(_matrices(draw(st.integers(1, 2)), 1))
+    a = draw(square_matrices(draw(st.integers(1, 2)), 1))
     # column 1 is zero: vertex 1 emits nothing
     b = [[draw(st.integers(1, 2)), 0], [draw(st.integers(1, 2)), 0]]
-    return _product(a, b) if draw(st.booleans()) else _product(b, a)
+    return product_graph(a, b) if draw(st.booleans()) else product_graph(b, a)
 
 
 def _invariants(g, with_h0):
