@@ -24,7 +24,10 @@ key is already set, found through the squares at the key's edge and the
 inverse of each f_i. Each triple is evaluated as soon as it is decidable,
 and a decidable triple keeps its routes under every completion, so the
 search prunes exactly the families that a check of every triple after
-each whole block would prune.
+each whole block would prune. The search builds its slots once, one per
+flip key, each holding what an assignment reads: the key, its color and
+f_color, the block's codomain and taken flags, and the lists of squares
+through which the key's lambda edge meets each lower color.
 """
 
 from __future__ import annotations
@@ -122,27 +125,27 @@ def polymorphism_from_matrix(g_lam: KGraph, g_om: KGraph, r: Matrix) -> Polymorp
     A matrix whose entries sum to more than POLY_MAX_EDGES raises
     KGraphError."""
     dl, dr = len(g_lam.vertices), len(g_om.vertices)
-    if len(r) != dl or any(len(row) != dr for row in r):
+    if len(r) != dl:
         raise ShapeMismatch(f"matrix must be {dl}x{dr}")
-    # one pass: the sum of the positive entries and the first negative one
+    # one pass: each row's length, the sum of the positive entries, the
+    # first negative one, and the edges while the sum is within the cap
+    edges: list[PolyEdge] = []
     total, negative = 0, None
     for v, row in zip(g_lam.vertices, r):
+        if len(row) != dr:
+            raise ShapeMismatch(f"matrix must be {dl}x{dr}")
         for w, count in zip(g_om.vertices, row):
             if count > 0:
                 total += count
+                if total <= POLY_MAX_EDGES:
+                    edges += [PolyEdge(f"g{t}[{v},{w}]", v, w) for t in range(1, count + 1)]
             elif count < 0 and negative is None:
                 negative = f"({v}, {w})"
     if total > POLY_MAX_EDGES:
         raise KGraphError(f"matrix entries sum to {total}, over the cap of {POLY_MAX_EDGES}")
     if negative is not None:
         raise ShapeMismatch(f"negative entry at {negative}")
-    edges = tuple(
-        PolyEdge(f"g{t}[{v},{w}]", v, w)
-        for v, row in zip(g_lam.vertices, r)
-        for w, count in zip(g_om.vertices, row)
-        for t in range(1, count + 1)
-    )
-    return Polymorphism(tuple(g_lam.vertices), tuple(g_om.vertices), edges)
+    return Polymorphism(tuple(g_lam.vertices), tuple(g_om.vertices), tuple(edges))
 
 
 def coordinate_polymorphism(g: KGraph, i: int) -> Polymorphism:
@@ -343,8 +346,13 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
     exactly one rejected prefix, so an exhausted search has ruled out all
     of them, the product of factorial(block size) over the blocks. R
     intertwines exactly when every block has as many keys as values;
-    NotIntertwining is raised otherwise. The search is iterative, so its
-    depth is not bounded by the interpreter's recursion limit."""
+    NotIntertwining is raised otherwise. The slots, one per key, are built
+    once: each holds the key, its color, f_color, its block's codomain and
+    taken flags, and the key's lower-color checks, for each color i below
+    it the squares lam_i lam_j = lam_j2 lam_i2 with the key's edge as
+    lam_j or lam_j2; a slot with none (every color-1 slot) is accepted
+    without a check. The search is iterative, so its depth is not bounded
+    by the interpreter's recursion limit."""
     if g_lam.rank != g_om.rank:
         raise DimensionMismatch("graphs have different ranks")
     poly = polymorphism_from_matrix(g_lam, g_om, r)
@@ -352,27 +360,24 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
     # block (i, a, b) has (A_{e_i} R)(a, b) keys and (R B_{e_i})(a, b) values
     if any(len(dom) != len(cod) for _, dom, cod in blocks):
         raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
-    # (lam, i) -> the squares lam_i lam_j = lam_j2 lam_i2 with lam_i of
-    # color i and lam as lam_j (first list) or as lam_j2 (second list)
-    meets: dict[tuple[str, int], tuple[list, list]] = {}
+    # meets[i - 1]: lam -> the squares lam_i lam_j = lam_j2 lam_i2 with
+    # lam_i of color i and lam as lam_j (first list) or as lam_j2 (second)
+    meets: list[dict[str, tuple[list, list]]] = [{} for _ in range(g_lam.rank)]
     for (lam_i, lam_j), (lam_j2, lam_i2) in g_lam.squares.items():
-        i = g_lam.by_id[lam_i].color
-        meets.setdefault((lam_j, i), ([], []))[0].append((lam_i, lam_j2, lam_i2))
-        meets.setdefault((lam_j2, i), ([], []))[1].append((lam_i, lam_j, lam_i2))
+        by_lam = meets[g_lam.by_id[lam_i].color - 1]
+        by_lam.setdefault(lam_j, ([], []))[0].append((lam_i, lam_j2, lam_i2))
+        by_lam.setdefault(lam_j2, ([], []))[1].append((lam_i, lam_j, lam_i2))
     flips: FlipFamily = {i: {} for i in range(1, g_lam.rank + 1)}
     # inverse[i]: (lam, g2) -> the g with f_i(lam, g)[0] = g2, or None
     # once a color-i key has changed since it was built
     inverse: dict[int, dict[tuple[str, str], list[str]] | None] = dict.fromkeys(flips)
 
-    def rejects(j: int, lam: str, gam: str) -> bool:
+    def rejects(j: int, f: dict, lam: str, gam: str, checks: list) -> bool:
         # whether the routes disagree on a triple (i < j) whose two color-j
-        # keys are both set now that (lam, gam) is: as (lam_j, g) its other
-        # key is read through first, as (lam_j2, f_i(lam_i2, g)[0]) through
-        # second and inverse[i]
-        f = flips[j]
-        for i in range(1, j):
-            first, second = meets.get((lam, i), ((), ()))
-            f_i = flips[i]
+        # keys are both set now that (lam, gam) is, f being f_j: as
+        # (lam_j, g) its other key is read through first, as
+        # (lam_j2, f_i(lam_i2, g)[0]) through second and inverse[i]
+        for i, f_i, first, second in checks:
             for lam_i, lam_j2, lam_i2 in first:
                 if (lam_j2, f_i[(lam_i2, gam)][0]) in f:
                     top, bottom = _route_triple(g_lam, g_om, flips, i, j, lam_i, lam, gam)
@@ -393,33 +398,39 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
                                 return True
         return False
 
-    # one slot per flip key, in block order and then domain order
-    slots = [(t, key) for t, (_, dom, _) in enumerate(blocks) for key in dom]
-    used = [[False] * len(cod) for _, _, cod in blocks]
+    # one slot per flip key, in block order and then domain order; its
+    # checks are (i, f_i, first, second) per color i meeting the key's
+    # edge, ascending, or None
+    checks_of: dict[str, list] = {}
+    for i, by_lam in enumerate(meets, 1):
+        for lam, (first, second) in by_lam.items():
+            checks_of.setdefault(lam, []).append((i, flips[i], first, second))
+    slots = []
+    for color, dom, cod in blocks:
+        taken = [False] * len(cod)
+        slots += [(key, color, flips[color], cod, taken, checks_of.get(key[0])) for key in dom]
     choice = [-1] * len(slots)  # codomain index held by each slot, -1 for none
     # slot s gives up its value and takes the next free one; with none
     # left it is cleared and the search backs up to slot s - 1
-    s = 0
-    while 0 <= s < len(slots):
-        t, key = slots[s]
-        color, _, cod = blocks[t]
-        f, taken = flips[color], used[t]
+    s, n = 0, len(slots)
+    while 0 <= s < n:
+        key, color, f, cod, taken, checks = slots[s]
         inverse[color] = None
-        idx = choice[s]
+        idx, end = choice[s], len(cod)
         if idx >= 0:
             taken[idx] = False
             del f[key]
         idx += 1
-        while idx < len(cod) and taken[idx]:
+        while idx < end and taken[idx]:
             idx += 1
-        if idx == len(cod):
+        if idx == end:
             choice[s] = -1
             s -= 1
             continue
         choice[s] = idx
         taken[idx] = True
         f[key] = cod[idx]
-        if not rejects(color, *key):
+        if not checks or not rejects(color, f, *key, checks):
             s += 1
     if s < 0:
         return Exhausted(prod(factorial(len(cod)) for _, _, cod in blocks))

@@ -166,9 +166,9 @@ class KGraph:
     document that textform.parse_kgraph reads back. It indexes incidence
     but does not check the k-graph axioms: build graphs with
     validate_kgraph, which does. Instances are immutable: every attribute
-    is set once here, except the two derived attributes `stable_index` and
-    `stable_path_counts`, each computed on first use and then kept. The
-    vertex tuple order fixes matrix indexing everywhere.
+    is set once here, except the three derived attributes `stable_index`,
+    `stable_path_counts` and `out_sources`, each computed on first use and
+    then kept. The vertex tuple order fixes matrix indexing everywhere.
     """
 
     def __init__(self, skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool):
@@ -272,6 +272,22 @@ class KGraph:
             for _ in range(self.stable_index):
                 h = [sum(map(h.__getitem__, srcs)) for srcs in by_range]
         return tuple(h)
+
+    @cached_property
+    def out_sources(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """out_sources[i - 1][u]: the range index of each color-i edge out
+        of vertex index u, column u of A_{e_i} as an index list, the
+        transpose of in_sources (ranges ascending, and in in_sources order
+        within one range). Computed on first use; the lag-0 search of
+        dimension.sse_search reads it."""
+        out = []
+        for by_range in self.in_sources:
+            cols: list[list[int]] = [[] for _ in by_range]
+            for v, srcs in enumerate(by_range):
+                for u in srcs:
+                    cols[u].append(v)
+            out.append(tuple(map(tuple, cols)))
+        return tuple(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KGraph):

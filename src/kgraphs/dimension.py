@@ -505,6 +505,74 @@ def _is_permutation(srcs: tuple) -> bool:
     return all(len(s) == 1 for s in srcs) and len(set(srcs)) == len(srcs)
 
 
+def _permutation_intertwiner(g_left: KGraph, g_right: KGraph) -> list[int] | None:
+    """The first sigma, rows t in vertex order and each row's columns
+    from the last index down, with A_i(v, u) = B_i(sigma v, sigma u) for
+    all vertices v, u of the d of each graph and every color i, as the
+    list of sigma t; or None.
+
+    Placing t at w checks only the entries between t and the rows already
+    placed, t included: per color, t's in-edge sources (in_sources, the
+    row multiplicities) and out-edge ranges (out_sources, the column
+    multiplicities) that are placed must map by sigma onto the placed
+    ones of w, with multiplicity. Each placed neighbour u of t limits t
+    to the neighbours of sigma u in the same color and direction; a row
+    with none tries every column. Both rules drop only columns that no
+    completion can use, so the first sigma is unchanged (Ullmann, J. ACM
+    23, 1976). The stack of column iterators is explicit."""
+    d = len(g_left.vertices)
+    # per color and direction: t's neighbours in g_left, w's in g_right,
+    # and those of a placed image in g_right the other way
+    sides = []
+    for a_in, b_in, a_out, b_out in zip(
+        g_left.in_sources, g_right.in_sources, g_left.out_sources, g_right.out_sources
+    ):
+        sides += [(a_in, b_in, b_out), (a_out, b_out, b_in)]
+    # sigma[t] or -1; own[t] = t once t is placed and preimage[w] =
+    # sigma^-1 w, else -1, so a neighbour list mapped through them names
+    # its placed members by their g_left index
+    sigma, own, preimage = [-1] * d, [-1] * d, [-1] * d
+    own_of, preimage_of = own.__getitem__, preimage.__getitem__
+    everything = range(d - 1, -1, -1)
+
+    def columns(t: int):
+        found = None
+        for a, _, back in sides:
+            for u in a[t]:
+                if u != t and sigma[u] >= 0:
+                    found = set(back[sigma[u]]) if found is None else found.intersection(back[sigma[u]])
+        return everything if found is None else sorted(found, reverse=True)
+
+    def fits(t: int, w: int) -> bool:
+        # t placed at w, then every color and direction compared
+        sigma[t], own[t], preimage[w] = w, t, t
+        for a, b, _ in sides:
+            at, bw = a[t], b[w]
+            if len(at) != len(bw) or sorted(map(own_of, at)) != sorted(map(preimage_of, bw)):
+                sigma[t] = own[t] = preimage[w] = -1
+                return False
+        return True
+
+    if d == 0:
+        return []
+    its = [iter(columns(0))] + [None] * (d - 1)
+    t = 0
+    while t >= 0:
+        if sigma[t] >= 0:
+            preimage[sigma[t]] = sigma[t] = own[t] = -1
+        for w in its[t]:
+            if preimage[w] < 0 and fits(t, w):
+                break
+        else:
+            t -= 1
+            continue
+        if t + 1 == d:
+            return sigma
+        t += 1
+        its[t] = iter(columns(t))
+    return None
+
+
 def sse_search(
     g_left: KGraph, g_right: KGraph, p_max: int, entry_max: int
 ) -> SSEWitness | ExhaustedBounds:
@@ -520,9 +588,10 @@ def sse_search(
     Lag 0 comes first. Over the nonnegative integers R S = I and S R = I
     force d = d' (the vertex counts), R a permutation matrix and S = R^T,
     whose intertwining follows from that of R. So the witness at p = 0 is
-    the first permutation intertwiner, R filled from the unit rows with no
-    column used twice; those R come in the order of the full search, and
-    no other R has an S at p = 0.
+    the first permutation intertwiner in the order of the full search,
+    which _permutation_intertwiner finds one row at a time, each checked
+    against the rows already placed, with no matrix built; no other R has
+    an S at p = 0.
 
     A color i in which both one-step matrices are permutations P and Q
     (one edge into every vertex, from distinct sources) keeps p_i = 0:
@@ -552,19 +621,14 @@ def sse_search(
     if p_max < 0 or entry_max < 0:
         raise KGraphError("bounds must be >= 0")
     dl, dr = len(g_left.vertices), len(g_right.vertices)
-    r_accept = _intertwining_rows(g_left, g_right)
-    if dl == dr:
-        # the unit rows in lexicographic order; none when R must be 0
-        units = [tuple(int(c == w) for c in range(dl)) for w in range(dl - 1, -1, -1)]
-        units = units if entry_max else []
-
-        def fresh_column(rows: list, t: int) -> bool:
-            return rows[t] not in rows[:t] and r_accept(rows, t)
-
-        r = next(_row_search(dl, lambda t: units, fresh_column), None)
-        if r is not None:
-            r = [list(row) for row in r]
-            return SSEWitness((0,) * g_left.rank, r, [list(col) for col in zip(*r)])
+    # a permutation matrix needs entry_max >= 1, unless it is 0 x 0
+    if dl == dr and (entry_max or not dl):
+        sigma = _permutation_intertwiner(g_left, g_right)
+        if sigma is not None:
+            r, s = [[0] * dl for _ in sigma], [[0] * dl for _ in sigma]
+            for t, w in enumerate(sigma):
+                r[t][w] = s[w][t] = 1
+            return SSEWitness((0,) * g_left.rank, r, s)
     walked = [
         not (_is_permutation(a) and _is_permutation(b))
         for a, b in zip(g_left.in_sources, g_right.in_sources)
@@ -575,6 +639,7 @@ def sse_search(
     # whether R may have a zero row, a zero column (see above)
     zero_rows = not all(map(all, g_left.in_sources))
     zero_cols = any(len(set().union(*srcs)) < dr for srcs in g_right.in_sources)
+    r_accept = _intertwining_rows(g_left, g_right)
     s_accept = _intertwining_rows(g_right, g_left)
 
     def fresh():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from kgraphs.bridging import BridgingPair, _flip_blocks, polymorphism_from_matrix
 from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
 from kgraphs.core import Edge, Skeleton, deg_sub, validate_kgraph
-from kgraphs.dimension import DimElement, zero_element
+from kgraphs.dimension import DimElement, _intertwining_rows, _row_search, zero_element
 from kgraphs.homology import AbelianInvariants
 from kgraphs.intmat import identity, snf_diagonal
 from kgraphs.paths import Path
@@ -450,3 +450,21 @@ def reference_paths_of_degree(g, v, n):
 
     rec(v, list(n), 1)
     return results
+
+
+def reference_lag_0(g_left, g_right, entry_max):
+    """Previous version of sse_search's lag-0 search: R filled from the
+    unit rows in lexicographic order (columns from the last index down),
+    one row at a time by _row_search, a row rejected when its column is
+    already used or when an equation row of A_{e_i} R = R B_{e_i} that it
+    completes fails (_intertwining_rows); R as a list of rows, or None."""
+    dl = len(g_left.vertices)
+    r_accept = _intertwining_rows(g_left, g_right)
+    # none when R must be 0
+    units = [tuple(int(c == w) for c in range(dl)) for w in range(dl - 1, -1, -1)] if entry_max else []
+
+    def fresh_column(rows, t):
+        return rows[t] not in rows[:t] and r_accept(rows, t)
+
+    r = next(_row_search(dl, lambda t: units, fresh_column), None)
+    return None if r is None else [list(row) for row in r]

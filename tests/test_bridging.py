@@ -70,6 +70,15 @@ def test_polymorphism_is_capped_before_it_is_built():
         polymorphism_from_matrix(LAM56, OM56, [[half, POLY_MAX_EDGES - half + 1]])
     with pytest.raises(KGraphError, match="over the cap"):
         polymorphism_from_matrix(LAM56, OM56, [[10**12, -(10**12)]])
+    # wherever each sits in R: a wrong shape first, then the cap, then the
+    # first negative entry
+    lam = fixture("ex3.5-Lambda")
+    with pytest.raises(ShapeMismatch, match="matrix must be 3x3"):
+        polymorphism_from_matrix(lam, lam, [[-1, 10**12, 0], [0, 0, 0], [0, 0]])
+    with pytest.raises(KGraphError, match="over the cap"):
+        polymorphism_from_matrix(lam, lam, [[0, -1, 0], [0, -2, 0], [0, 0, 10**12]])
+    with pytest.raises(ShapeMismatch, match=r"negative entry at \(u, v\)"):
+        polymorphism_from_matrix(lam, lam, [[0, -1, 0], [0, -2, 0], [0, 0, 1]])
 
 
 def test_compose_poly():

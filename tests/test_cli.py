@@ -18,8 +18,8 @@ import kgraphs
 from kgraphs.bridging import BridgingPair, bridging_graph
 from kgraphs.cli import COMMANDS, build_parser, main
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
-from kgraphs.core import Edge, InvalidKGraph, Skeleton, kgraph_violations, validate_kgraph
-from kgraphs.dimension import SSE_MAX_TABLE_BYTES, parse_element, unit_element
+from kgraphs.core import Edge, InvalidKGraph, Skeleton, kgraph_violations, parse_matrix, validate_kgraph
+from kgraphs.dimension import SSE_MAX_TABLE_BYTES, intertwiner_check, parse_element, unit_element
 from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
 from kgraphs.textform import dump_kgraph, load_kgraph, parse_kgraph, parse_kgraph_parts
 
@@ -541,8 +541,8 @@ def test_h0_cli_on_a_1024_vertex_product(capsys, tmp_path):
 
 # Every subcommand on the 576-vertex product above, each within a CPU
 # budget (ROADMAP item 9). rank and h0gr (the Smith normal form of the
-# pushed P^d) and `sse-search G G` (the lag-0 row search) do not answer on
-# it yet, so they have no row; each gets one on this graph once it does.
+# pushed P^d) do not answer on it yet, so they have no row; each gets one
+# on this graph once it does.
 SWEEP_BUDGET_S = 5.0
 
 
@@ -597,6 +597,22 @@ def _h0_text(a, b):
     return f"rank {want.rank}, torsion {list(want.torsion)}\n"
 
 
+def _permutation_intertwiner_text(out, a, b):
+    # p = 0, R a permutation matrix that intertwines the product with
+    # itself, and S = R^T
+    lines = out.splitlines()
+    if len(lines) != 3 or lines[0] != "p: 0,0" or not lines[1].startswith("R: "):
+        return False
+    r, s = (parse_matrix(line.split(": ", 1)[1]) for line in lines[1:])
+    g, d = product_graph(a, b), len(a) * len(b)
+    return (
+        all(sorted(row) == [0] * (d - 1) + [1] for row in r)
+        and sorted(row.index(1) for row in r) == list(range(d))
+        and s == [list(col) for col in zip(*r)]
+        and intertwiner_check(g, g, r)
+    )
+
+
 # name -> (argv from (path, a), exit code, check of (out, err, a, b))
 SWEEP_ROWS = {
     "validate": (lambda p, a: ["validate", p], 0, lambda out, err, a, b: out == "valid (k=2, |Λ⁰|=576)\n"),
@@ -646,6 +662,9 @@ SWEEP_ROWS = {
         0,
         # R's line, then one flip per color-i edge and polymorphism edge
         lambda out, err, a, b: out.startswith("R: 1 0 0 ") and len(out.splitlines()) == 1 + 2 * 1152,
+    ),
+    "sse-search G G": (
+        lambda p, a: ["sse-search", p, p], 0, lambda out, err, a, b: _permutation_intertwiner_text(out, a, b)
     ),
     "fixtures": (lambda p, a: ["fixtures"], 0, lambda out, err, a, b: out.startswith("ex3.5-Lambda\n")),
     "insplit": (

@@ -12,7 +12,7 @@ from oracles import (
     DEEP_SHIFTS, STABLE_INDEX_GRAPHS, complete_product, cycle_plus_permutation, dense_dge_eq, dense_matrix,
     dense_positivity, dense_push, edge_matrix, edge_push, graphs, intertwiner_cases, kill_push_dge_eq,
     left_kernel, mat_mul, nilpotent_chain, no_sources, one_graph, product_graph, random_2graph,
-    random_2graphs, ranked_graphs, small_elements, square_matrices, vec_mat,
+    random_2graphs, ranked_graphs, reference_lag_0, small_elements, square_matrices, vec_mat,
 )
 
 import kgraphs.dimension as dimension
@@ -764,6 +764,92 @@ def test_sse_search_answers_a_17_vertex_pair_under_the_cap(star_left):
     pair = (star, rose(1)) if star_left else (rose(1), star)
     found = sse_search(*pair, 1, 1)
     assert found.p == (1,) and intertwiner_check(*pair, found.r)
+
+
+def _lag_0_witness(r, k=2):
+    # the witness at p = 0 in rank k with this R: S = R^T
+    return SSEWitness((0,) * k, r, [list(col) for col in zip(*r)])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_lag_0_matches_the_previous_search_on_products(n):
+    # products of 16, 25 and 36 vertices against themselves and against a
+    # relabelled copy with fresh squares: the same first permutation
+    # intertwiner as the row search lag 0 ran before
+    for seed in range(3):
+        rng = random.Random(seed)
+        g = product_graph(cycle_plus_permutation(rng, n), cycle_plus_permutation(rng, n))
+        copy = _relabelled(rng, "q", (edge_matrix(g, 1), edge_matrix(g, 2)))
+        for right in (g, copy):
+            want = reference_lag_0(g, right, 1)
+            assert want is not None
+            assert sse_search(g, right, 0, 1) == _lag_0_witness(want), (n, seed)
+
+
+def test_lag_0_matches_the_previous_search_on_the_catalog():
+    # every catalog pair of one rank and one vertex count, self-pairs
+    # included; at entry_max 0 no graph with a vertex has a lag-0 witness
+    outcomes = set()
+    for a, b in product(FIXTURE_NAMES, repeat=2):
+        g_left, g_right = fixture(a), fixture(b)
+        if g_left.rank != g_right.rank or len(g_left.vertices) != len(g_right.vertices):
+            continue
+        for entry_max in (0, 1):
+            want = reference_lag_0(g_left, g_right, entry_max)
+            got = sse_search(g_left, g_right, 0, entry_max)
+            assert got == (ExhaustedBounds(0, entry_max) if want is None else _lag_0_witness(want)), (a, b)
+            outcomes.add((a == b, entry_max, want is None))
+    assert {(True, 1, False), (True, 0, True), (False, 1, True)} <= outcomes
+
+
+def test_lag_0_compares_edge_multiplicities():
+    # [[2, 1], [1, 2]] and [[1, 2], [2, 1]] have one support and the same
+    # row and column sums, so only the edge multiplicities tell them
+    # apart: no permutation carries one to the other
+    g_left = validate_kgraph(Skeleton(1, *one_graph("x", [[2, 1], [1, 2]])), {})
+    g_right = validate_kgraph(Skeleton(1, *one_graph("y", [[1, 2], [2, 1]])), {})
+    assert reference_lag_0(g_left, g_right, 1) is None
+    assert sse_search(g_left, g_right, 0, 1) == ExhaustedBounds(0, 1)
+    assert sse_search(g_left, g_left, 0, 1) == _lag_0_witness(reference_lag_0(g_left, g_left, 1), k=1)
+
+
+def _gram(r):
+    # the nonzero entries of R R^T, from R's nonzero entries grouped by
+    # column
+    by_column = {}
+    for a, row in enumerate(r):
+        for c, x in enumerate(row):
+            if x:
+                by_column.setdefault(c, []).append((a, x))
+    gram = {}
+    for entries in by_column.values():
+        for a, x in entries:
+            for b, y in entries:
+                gram[(a, b)] = gram.get((a, b), 0) + x * y
+    return {key: x for key, x in gram.items() if x}
+
+
+LAG_0_BUDGET_S = 5.0
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_lag_0_answers_large_products_within_a_budget(n):
+    # products of 64, 256 and 1024 vertices against themselves and against
+    # a copy with its vertex order shuffled: a permutation intertwiner at
+    # p = 0, within a CPU budget
+    rng = random.Random(n)
+    g = product_graph(cycle_plus_permutation(rng, n), cycle_plus_permutation(rng, n))
+    shuffled = list(g.vertices)
+    rng.shuffle(shuffled)
+    copy = validate_kgraph(Skeleton(2, tuple(shuffled), g.edges), g.squares)
+    for right in (g, copy):
+        t0 = time.process_time()
+        found = sse_search(g, right, 1, 1)
+        elapsed = time.process_time() - t0
+        assert found.p == (0, 0) and found.s == [list(col) for col in zip(*found.r)]
+        assert intertwiner_check(g, right, found.r)
+        assert _gram(found.r) == {(a, a): 1 for a in range(n * n)}
+        assert elapsed < LAG_0_BUDGET_S, f"took {elapsed:.2f}s of CPU, budget {LAG_0_BUDGET_S}s"
 
 
 # ------------------------------------------------------------ rank invariant
