@@ -61,10 +61,8 @@ _EXPORTS = {
     ),
     "dimension": (
         "DimElement",
-        "ExhaustedBounds",
         "GeneratorMap",
         "RankMismatch",
-        "SSEWitness",
         "apply_generator_map",
         "dge_add",
         "dge_eq",
@@ -76,12 +74,9 @@ _EXPORTS = {
         "hom_check",
         "identity_generator_map",
         "identity_map_between",
-        "intertwiner_check",
         "iso_check",
         "pointed_check",
         "positivity",
-        "rank_invariant",
-        "sse_search",
         "unit_element",
         "zero_element",
     ),
@@ -92,6 +87,7 @@ _EXPORTS = {
         "h0",
         "h0_pullback_compare",
         "h0gr_presentation",
+        "rank_invariant",
         "rho_pullback_check",
     ),
     "intmat": ("rank", "smith_normal_form", "snf_diagonal"),
@@ -128,6 +124,7 @@ _EXPORTS = {
         "segment",
         "vertex_path",
     ),
+    "sse": ("ExhaustedBounds", "SSEWitness", "intertwiner_check", "sse_search"),
     "textform": (
         "TextFormatError",
         "dump_kgraph",

@@ -124,6 +124,9 @@ def cmd_insplit(args) -> int:
 
     g = resolve_graph(args.graph)
     p = choose_partition(g, args.vertex, args.side1, args.partition)
+    # checked with or without --sidecar, though only the sidecar's psi reads it
+    if not 1 <= args.psi_color <= g.rank:
+        raise KGraphError(f"color {args.psi_color} out of range 1..{g.rank}")
     if args.sidecar:
         split, doc = insplit_sidecar(g, p, args.psi_color)
         _write_sidecar(args.sidecar, doc)
@@ -227,7 +230,7 @@ def cmd_tm_iso_check(args) -> int:
 
 
 def cmd_sse_search(args) -> int:
-    from .dimension import sse_search, sse_search_doc
+    from .sse import sse_search, sse_search_doc
 
     left = resolve_graph(args.left)
     right = resolve_graph(args.right)
@@ -235,7 +238,7 @@ def cmd_sse_search(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    from .dimension import rank_invariant
+    from .homology import rank_invariant
 
     g = resolve_graph(args.graph)
     r = rank_invariant(g)
@@ -333,7 +336,7 @@ COMMANDS = {
             "bound on R and S entries (default 1; equations prune R and S row by row, "
             "but the worst case is still (entry_max+1)^(2 d d') candidate pairs; "
             "past lag 0, a table of the (entry_max+1)^d' candidate rows of R, or the "
-            "(entry_max+1)^d of S, over 2^31 bytes exits 1, dimension.SSE_MAX_TABLE_BYTES)"
+            "(entry_max+1)^d of S, over 2^31 bytes exits 1, sse.SSE_MAX_TABLE_BYTES)"
         )}),
     ]),
     "rank": (cmd_rank, "rank of P^d, P the product of the one-step matrices and d the vertex count", [GRAPH]),

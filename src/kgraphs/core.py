@@ -145,6 +145,13 @@ class DimensionMismatch(KGraphError):
     them."""
 
 
+def _check_shape(g_left: KGraph, g_right: KGraph, r: Matrix) -> None:
+    # a row per left vertex, a column per right vertex
+    dl, dr = len(g_left.vertices), len(g_right.vertices)
+    if len(r) != dl or any(len(row) != dr for row in r):
+        raise DimensionMismatch(f"matrix must be {dl}x{dr}")
+
+
 # ----------------------------------------------------------------- KGraph
 
 # Validation reads every color triple; no catalog or generated graph has a
@@ -158,8 +165,8 @@ class KGraph:
     in_edges and out_edges group the edges by vertex and color;
     in_sources, the one integer incidence index, holds the source indices
     of the color-i edges into each vertex index and is what push,
-    vertex_matrix, homology.h0 and the intertwining kernel of dimension
-    read. The constructor rejects structurally malformed input (a rank
+    vertex_matrix, homology.h0 and the intertwining kernel of sse read.
+    The constructor rejects structurally malformed input (a rank
     that is not an int in 1..KGRAPH_MAX_RANK, ids that are not strings,
     colors that are not ints in range, unknown endpoints, a strict flag
     that is not a bool) with KGraphError, so whatever it accepts dumps to a
@@ -279,7 +286,7 @@ class KGraph:
         of vertex index u, column u of A_{e_i} as an index list, the
         transpose of in_sources (ranges ascending, and in in_sources order
         within one range). Computed on first use; the lag-0 search of
-        dimension.sse_search reads it."""
+        sse.sse_search reads it."""
         out = []
         for by_range in self.in_sources:
             cols: list[list[int]] = [[] for _ in by_range]

@@ -2,8 +2,8 @@
 
 The ungraded group is a finitely generated abelian group read off a sparse
 elimination of its relations; the graded group has no finite canonical form
-in general, so its surface is the presentation data plus the decision
-procedures of the dimension module.
+in general, so its surface is the presentation data and the rank invariant
+here, plus the decision procedures of the dimension module.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import KGraph, KGraphError, unit_degree, vertex_matrix
-from .intmat import Matrix, cokernel_invariants
+from .intmat import Matrix, cokernel_invariants, rank
 
 if TYPE_CHECKING:
     from .constructions import MonoidHom
@@ -23,6 +23,7 @@ __all__ = [
     "h0",
     "h0_pullback_compare",
     "h0gr_presentation",
+    "rank_invariant",
     "rho_pullback_check",
 ]
 
@@ -111,9 +112,14 @@ def h0gr_presentation(g: KGraph) -> tuple[tuple[Matrix, ...], int]:
     A_{e_i}-successors at n + e_i) together with the rank invariant.
     Element equality is dge_eq; no finite canonical form is returned
     because none exists in general."""
-    from .dimension import rank_invariant
-
     mats = tuple(
         vertex_matrix(g, unit_degree(g.rank, i)) for i in range(1, g.rank + 1)
     )
     return mats, rank_invariant(g)
+
+
+def rank_invariant(g: KGraph) -> int:
+    """Rank over Q of P^d, P the product of the one-step matrices; P^d is
+    built by pushing the identity rows (vertex_matrix), with no product."""
+    d = len(g.vertices)
+    return rank(vertex_matrix(g, (d,) * g.rank))

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from kgraphs.bridging import BridgingPair, _flip_blocks, polymorphism_from_matrix
 from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
 from kgraphs.core import Edge, Skeleton, deg_sub, validate_kgraph
-from kgraphs.dimension import DimElement, _intertwining_rows, _row_search, zero_element
+from kgraphs.dimension import DimElement, zero_element
 from kgraphs.homology import AbelianInvariants
 from kgraphs.intmat import identity, snf_diagonal
 from kgraphs.paths import Path
+from kgraphs.sse import _intertwining_rows, _row_search
 
 # ------------------------------------------------------------ graph builders
 

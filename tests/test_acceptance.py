@@ -30,10 +30,9 @@ from kgraphs.dimension import (
     identity_map_between,
     iso_check,
     pointed_check,
-    rank_invariant,
     unit_element,
 )
-from kgraphs.homology import AbelianInvariants, h0, h0_pullback_compare, rho_pullback_check
+from kgraphs.homology import AbelianInvariants, h0, h0_pullback_compare, rank_invariant, rho_pullback_check
 from kgraphs.moves import (
     enumerate_valid_partitions,
     insplit,

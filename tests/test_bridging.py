@@ -38,7 +38,8 @@ from kgraphs.bridging import (
 from kgraphs.constructions import FIXTURE_NAMES, fixture, monoid_hom, pullback, rose
 from kgraphs.core import InvalidKGraph, KGraphError, NotComposable
 from kgraphs.paths import Path, compose, make_path, paths_of_degree, segment, vertex_path
-from kgraphs.dimension import DimensionMismatch, intertwiner_check
+from kgraphs.dimension import DimensionMismatch
+from kgraphs.sse import intertwiner_check
 
 LAM56 = fixture("ex5.6-Lambda")
 OM56 = fixture("ex5.6-Omega")

@@ -19,8 +19,9 @@ from kgraphs.bridging import BridgingPair, bridging_graph
 from kgraphs.cli import COMMANDS, build_parser, main
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
 from kgraphs.core import Edge, InvalidKGraph, Skeleton, kgraph_violations, parse_matrix, validate_kgraph
-from kgraphs.dimension import SSE_MAX_TABLE_BYTES, intertwiner_check, parse_element, unit_element
+from kgraphs.dimension import parse_element, unit_element
 from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
+from kgraphs.sse import SSE_MAX_TABLE_BYTES, intertwiner_check
 from kgraphs.textform import dump_kgraph, load_kgraph, parse_kgraph, parse_kgraph_parts
 
 
@@ -972,6 +973,18 @@ def test_insplit_sidecar_golden_bytes(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize("color", ["3", "-1"])
+@pytest.mark.parametrize("with_sidecar", [True, False])
+def test_insplit_rejects_a_psi_color_out_of_range(capsys, tmp_path, color, with_sidecar):
+    # ex3.5-Lambda has rank 2; the color is refused whether or not a
+    # sidecar would read it, and neither graph nor sidecar is written
+    sidecar = tmp_path / "maps.json"
+    extra = ["--sidecar", str(sidecar)] if with_sidecar else []
+    code, out, err = run(capsys, "insplit", "ex3.5-Lambda", "v", "--psi-color", color, *extra)
+    assert (code, out, err) == (1, "", f"error: color {color} out of range 1..2\n")
+    assert not sidecar.exists()
+
+
 def test_sinkdelete_sidecar_golden_bytes(capsys, tmp_path):
     sidecar = tmp_path / "maps.json"
     code, out, _ = run(capsys, "sinkdelete", "ex3.5-Lambda", "v", "--sidecar", str(sidecar))
@@ -1295,7 +1308,8 @@ _CLI_BASE = {"kgraphs", "kgraphs.core", "kgraphs.textform"}
     [
         (["validate", "{g}"], set()),
         (["h0", "{g}"], {"homology", "intmat"}),
-        (["rank", "{g}"], {"dimension", "intmat"}),
+        (["rank", "{g}"], {"homology", "intmat"}),
+        (["h0gr", "{g}"], {"homology", "intmat"}),
         # an equal pair differs by zero at the join of its shifts; a pair
         # that does not needs the stabilization index, found by echelon
         (["tm-eq", "{g}", "u:0,0", "u:0,7"], {"dimension"}),
@@ -1308,12 +1322,13 @@ _CLI_BASE = {"kgraphs", "kgraphs.core", "kgraphs.textform"}
         (["sinkdelete", "{lam}", "v", "--sidecar", "{sidecar}"], {"moves", "dimension"}),
         (["tm-iso-check", "{lam}", "{split}", "--fwd", "{phi}", "--bwd", "{psi}"], {"dimension"}),
         (["bridge-search", "{g}", "{g}", "--matrix", "1"], {"bridging", "paths"}),
-        (["sse-search", "{lam}", "{split}"], {"dimension"}),
+        (["sse-search", "{lam}", "{split}"], {"sse"}),
+        (["tm-hom-check", "{g}", "{g}", "--identity"], {"dimension"}),
     ],
     ids=[
-        "validate", "h0", "rank", "tm-eq", "tm-eq-apart", "info", "pullback", "skew-window",
+        "validate", "h0", "rank", "h0gr", "tm-eq", "tm-eq-apart", "info", "pullback", "skew-window",
         "validate-fixture-id", "insplit-sidecar", "sinkdelete-sidecar", "tm-iso-check",
-        "bridge-search", "sse-search",
+        "bridge-search", "sse-search", "tm-hom-check-identity",
     ],
 )
 def test_commands_load_only_the_modules_they_run(tmp_path, argv, extra):

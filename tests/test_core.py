@@ -579,7 +579,7 @@ def test_the_in_edge_index_is_the_one_integer_incidence_list():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         attrs = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
         assert "step_pairs" not in attrs, path.name
-        if path.name == "dimension.py":
+        if path.name == "sse.py":
             (kernel,) = [
                 node
                 for node in tree.body

@@ -16,6 +16,7 @@ from oracles import (
 )
 
 import kgraphs.dimension as dimension
+import kgraphs.sse as sse
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
 from kgraphs.core import (
     DegreeOutOfRange,
@@ -28,13 +29,10 @@ from kgraphs.core import (
 )
 from kgraphs.dimension import (
     SHIFT_MAX_DEGREE,
-    SSE_MAX_TABLE_BYTES,
     DimElement,
     DimensionMismatch,
-    ExhaustedBounds,
     GeneratorMap,
     RankMismatch,
-    SSEWitness,
     apply_generator_map,
     dge_add,
     dge_eq,
@@ -45,15 +43,13 @@ from kgraphs.dimension import (
     generator_map_from_matrix,
     hom_check,
     identity_generator_map,
-    intertwiner_check,
     iso_check,
     pointed_check,
     positivity,
-    rank_invariant,
-    sse_search,
     unit_element,
     zero_element,
 )
+from kgraphs.homology import rank_invariant
 from kgraphs.intmat import identity
 from kgraphs.moves import (
     enumerate_valid_partitions,
@@ -63,6 +59,13 @@ from kgraphs.moves import (
     psi_insplit,
     sink_delete,
     sink_delete_witnesses,
+)
+from kgraphs.sse import (
+    SSE_MAX_TABLE_BYTES,
+    ExhaustedBounds,
+    SSEWitness,
+    intertwiner_check,
+    sse_search,
 )
 
 
@@ -702,7 +705,7 @@ def test_sse_search_answers_lag_0_without_walking_the_degrees(monkeypatch):
     def no_walk(*args):
         raise AssertionError("the degrees were walked")
 
-    monkeypatch.setattr(dimension, "_degrees", no_walk)
+    monkeypatch.setattr(sse, "_degrees", no_walk)
     assert sse_search(g, copy, 1, 1) == want
     gamma, lam = fixture("sec3-Gamma"), fixture("sec3-Lambda")
     assert sse_search(gamma, lam, 1000, 1) == ExhaustedBounds(1000, 1)
@@ -744,9 +747,9 @@ def test_sse_search_caps_its_row_tables(monkeypatch):
     assert lag_0 == sse_search(lam, lam, 1, 1) and lag_0.p == (0, 0)
     # the cap admits exactly SSE_MAX_TABLE_BYTES: 2^4 rows of 80 bytes
     want, back = sse_search(lam, lam_i, 1, 1), sse_search(lam_i, lam, 1, 1)
-    monkeypatch.setattr(dimension, "SSE_MAX_TABLE_BYTES", 2**4 * 80)
+    monkeypatch.setattr(sse, "SSE_MAX_TABLE_BYTES", 2**4 * 80)
     assert sse_search(lam, lam_i, 1, 1) == want and sse_search(lam_i, lam, 1, 1) == back
-    monkeypatch.setattr(dimension, "SSE_MAX_TABLE_BYTES", 2**4 * 80 - 1)
+    monkeypatch.setattr(sse, "SSE_MAX_TABLE_BYTES", 2**4 * 80 - 1)
     with pytest.raises(KGraphError, match=r"2\^4 candidate rows of R, over the cap of 1279 bytes"):
         sse_search(lam, lam_i, 1, 1)
     # the other way round R has 2^3 rows of 72 bytes and S 2^4 of 80

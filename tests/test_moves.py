@@ -11,16 +11,8 @@ from oracles import mat_mul, product_graph, random_2graph, random_2graphs, squar
 from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
 from kgraphs.core import CLIUsage, KGraphError, validate_kgraph, vertex_matrix
 from kgraphs.paths import Path, mce
-from kgraphs.dimension import (
-    SSEWitness,
-    generator_map,
-    generator_map_from_matrix,
-    iso_check,
-    rank_invariant,
-    sse_search,
-    unit_element,
-)
-from kgraphs.homology import h0
+from kgraphs.dimension import generator_map, generator_map_from_matrix, iso_check, unit_element
+from kgraphs.homology import h0, rank_invariant
 from kgraphs.moves import (
     IndivisibleVertex,
     InvalidPartition,
@@ -42,6 +34,7 @@ from kgraphs.moves import (
     sink_delete_maps,
     sink_delete_witnesses,
 )
+from kgraphs.sse import SSEWitness, sse_search
 
 
 # ------------------------------------------------------------------ pairing
