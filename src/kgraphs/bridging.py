@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 from math import factorial, prod
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
@@ -226,16 +227,9 @@ def check_flip_family(g_lam: KGraph, g_om: KGraph, pair: BridgingPair) -> Polymo
     if set(pair.flips) != set(range(1, k + 1)):
         raise KGraphError(f"flips are keyed by {list(pair.flips)}, not by the colors 1..{k}")
     by_id = {g.id: g for g in poly.edges}
-    # domain[i], codomain[i]: the composable pairs (lam, g), (g, om) of
-    # color i, per vertex the color-i edges there times the polymorphism
-    # edges at range v (R's row sum) or at source w (its column sum)
-    domain, codomain = [0] * (k + 1), [0] * (k + 1)
-    for v, edges in zip(g_lam.vertices, map(sum, pair.r)):
-        for i, lams in g_lam.out_edges[v].items():
-            domain[i] += edges * len(lams)
-    for w, edges in zip(g_om.vertices, map(sum, zip(*pair.r))):
-        for i, oms in g_om.in_edges[w].items():
-            codomain[i] += edges * len(oms)
+    # the polymorphism edges at each range v (R's row sums) and at each
+    # source w (its column sums)
+    rows, cols = list(map(sum, pair.r)), list(map(sum, zip(*pair.r)))
     lam_by_id, om_by_id = g_lam.by_id, g_om.by_id
     for i in range(1, k + 1):
         f = pair.flips[i]
@@ -257,12 +251,15 @@ def check_flip_family(g_lam: KGraph, g_om: KGraph, pair: BridgingPair) -> Polymo
                 raise KGraphError(f"color {i} flip sends {key!r} outside its block, to {value!r}")
         if len(set(f.values())) != len(f):
             raise KGraphError(f"color {i} flip repeats a value")
-        if len(f) != domain[i]:
-            raise KGraphError(f"color {i} flip has {len(f)} keys, not the {domain[i]} of its domain")
-        if domain[i] != codomain[i]:
-            raise KGraphError(
-                f"color {i} flip has a domain of {domain[i]} and a codomain of {codomain[i]}"
-            )
+        # the composable pairs (lam, g), (g, om) of color i: per vertex,
+        # the color-i edges out of v times the edges at range v, or the
+        # color-i edges into w times those at source w
+        domain = sum(map(mul, rows, map(len, g_lam.out_sources[i - 1])))
+        codomain = sum(map(mul, cols, map(len, g_om.in_sources[i - 1])))
+        if len(f) != domain:
+            raise KGraphError(f"color {i} flip has {len(f)} keys, not the {domain} of its domain")
+        if domain != codomain:
+            raise KGraphError(f"color {i} flip has a domain of {domain} and a codomain of {codomain}")
     return poly
 
 

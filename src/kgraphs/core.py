@@ -162,15 +162,20 @@ KGRAPH_MAX_RANK = 32
 class KGraph:
     """A k-graph: skeleton + square table, with its incidence indexed.
 
-    in_edges and out_edges group the edges by vertex and color;
-    in_sources, the one integer incidence index, holds the source indices
-    of the color-i edges into each vertex index and is what push,
-    vertex_matrix, homology.h0 and the intertwining kernel of sse read.
+    in_edges groups the edges by range vertex and color; in_sources, the
+    one integer incidence index, holds the source indices of the color-i
+    edges into each vertex index and is what push, vertex_matrix,
+    homology.h0 and the intertwining kernel of sse read. Its transpose
+    out_sources is the one out-edge index: the sink moves of moves
+    (ei_sinks, sink_colors, sink_delete), the domain counts of
+    bridging.check_flip_family and the lag-0 search and zero-column rule
+    of sse.sse_search read it.
     The constructor rejects structurally malformed input (a rank
-    that is not an int in 1..KGRAPH_MAX_RANK, ids that are not strings,
-    colors that are not ints in range, unknown endpoints, a strict flag
-    that is not a bool) with KGraphError, so whatever it accepts dumps to a
-    document that textform.parse_kgraph reads back. It indexes incidence
+    that is not an int in 1..KGRAPH_MAX_RANK, edges that are not Edge,
+    ids and endpoints that are not strings, hashable or not, colors that
+    are not ints in range, unknown endpoints, a strict flag that is not a
+    bool) with KGraphError, so whatever it accepts dumps to a document
+    that textform.parse_kgraph reads back. It indexes incidence
     but does not check the k-graph axioms: build graphs with
     validate_kgraph, which does. Instances are immutable: every attribute
     is set once here, except the three derived attributes `stable_index`,
@@ -186,16 +191,19 @@ class KGraph:
             raise KGraphError(f"rank must be in 1..{KGRAPH_MAX_RANK}")
         if not isinstance(strict, bool):
             raise KGraphError(f"strict must be a bool, not {strict!r}")
+        # every id is checked to be a string before it is hashed, so an
+        # unhashable one is reported like any other
+        for v in skeleton.vertices:
+            if not isinstance(v, str):
+                raise KGraphError(f"vertex id {v!r} is not a string")
         self.vertex_index = index = {v: i for i, v in enumerate(skeleton.vertices)}
         if len(index) != len(skeleton.vertices):
             raise KGraphError("duplicate vertex ids")
-        for v in index:
-            if not isinstance(v, str):
-                raise KGraphError(f"vertex id {v!r} is not a string")
         self.by_id = by_id = {}
         ins = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
-        outs = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
         for e in skeleton.edges:
+            if not isinstance(e, Edge):
+                raise KGraphError(f"edge {e!r} is not an Edge")
             if not isinstance(e.id, str):
                 raise KGraphError(f"edge id {e.id!r} is not a string")
             if e.id in by_id:
@@ -205,10 +213,11 @@ class KGraph:
                 raise KGraphError(f"edge {e.id!r} has color {e.color!r}, not an int")
             if not 1 <= e.color <= k:
                 raise KGraphError(f"edge {e.id!r} has color {e.color} outside 1..{k}")
+            if not isinstance(e.src, str) or not isinstance(e.rng, str):
+                raise KGraphError(f"edge {e.id!r} has src {e.src!r} and rng {e.rng!r}, not two strings")
             if e.src not in index or e.rng not in index:
                 raise KGraphError(f"edge {e.id!r} references unknown vertex")
             ins[e.rng][e.color].append(e)
-            outs[e.src][e.color].append(e)
         if not index.keys().isdisjoint(by_id):
             raise KGraphError("vertex and edge ids must be disjoint")
         for key, val in squares.items():
@@ -216,6 +225,8 @@ class KGraph:
                 if not isinstance(side, tuple) or len(side) != 2:
                     raise KGraphError(f"square side {side!r} is not a pair of edge ids")
             for eid in (*key, *val):
+                if not isinstance(eid, str):
+                    raise KGraphError(f"square edge id {eid!r} is not a string")
                 if eid not in by_id:
                     raise KGraphError(f"square references unknown edge id {eid!r}")
         self.skeleton = skeleton
@@ -224,9 +235,6 @@ class KGraph:
         self.squares_inv = {val: key for key, val in self.squares.items()}
         self.in_edges: dict[str, dict[int, tuple[Edge, ...]]] = {
             v: {i: tuple(es) for i, es in by_color.items()} for v, by_color in ins.items()
-        }
-        self.out_edges: dict[str, dict[int, tuple[Edge, ...]]] = {
-            v: {i: tuple(es) for i, es in by_color.items()} for v, by_color in outs.items()
         }
         # in_sources[i - 1][v]: the source index of each color-i edge into
         # vertex index v, in edge order; row v of A_{e_i} as an index list
@@ -285,8 +293,10 @@ class KGraph:
         """out_sources[i - 1][u]: the range index of each color-i edge out
         of vertex index u, column u of A_{e_i} as an index list, the
         transpose of in_sources (ranges ascending, and in in_sources order
-        within one range). Computed on first use; the lag-0 search of
-        sse.sse_search reads it."""
+        within one range). Computed on first use; moves.ei_sinks,
+        moves.sink_colors, the reachability walk of moves.sink_delete, the
+        domain counts of bridging.check_flip_family, and the lag-0 search
+        and zero-column rule of sse.sse_search read it."""
         out = []
         for by_range in self.in_sources:
             cols: list[list[int]] = [[] for _ in by_range]

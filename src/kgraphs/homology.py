@@ -16,18 +16,6 @@ from .intmat import Matrix, cokernel_invariants, rank
 if TYPE_CHECKING:
     from .constructions import MonoidHom
 
-__all__ = [
-    "AbelianInvariants",
-    "NotStrict",
-    "NotSurjective",
-    "h0",
-    "h0_pullback_compare",
-    "h0gr_presentation",
-    "rank_invariant",
-    "rho_pullback_check",
-]
-
-
 class NotStrict(KGraphError):
     pass
 

@@ -261,27 +261,28 @@ def ei_sinks(g: KGraph, i: int) -> list[str]:
     """Vertices emitting no color-i edge."""
     if not 1 <= i <= g.rank:
         raise KGraphError(f"color {i} out of range 1..{g.rank}")
-    return [v for v in g.vertices if not g.out_edges[v][i]]
+    return [v for v, ranges in zip(g.vertices, g.out_sources[i - 1]) if not ranges]
 
 
 def sink_colors(g: KGraph, v: str) -> list[int]:
     if v not in g.vertex_index:
         raise KGraphError(f"unknown vertex {v!r}")
-    return [i for i in range(1, g.rank + 1) if not g.out_edges[v][i]]
+    u = g.vertex_index[v]
+    return [i for i, by_source in enumerate(g.out_sources, 1) if not by_source[u]]
 
 
 def _reachable_from(g: KGraph, v: str) -> set[str]:
-    # follow edges source -> range
-    seen = {v}
-    frontier = [v]
+    # follow edges source -> range, by vertex index
+    seen = {g.vertex_index[v]}
+    frontier = list(seen)
     while frontier:
-        w = frontier.pop()
-        for i in range(1, g.rank + 1):
-            for e in g.out_edges[w][i]:
-                if e.rng not in seen:
-                    seen.add(e.rng)
-                    frontier.append(e.rng)
-    return seen
+        u = frontier.pop()
+        for by_source in g.out_sources:
+            for w in by_source[u]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+    return {g.vertices[u] for u in seen}
 
 
 def sink_delete(g: KGraph, v: str) -> KGraph:

@@ -6,10 +6,11 @@ for every color i, A over the left graph and B over the right one.
 sse_search finds the first one within bounds on p and on the entries of
 R and S. intertwiner_check checks the intertwining equations of one R on
 the row kernel (_intertwining_rows) that the search runs past lag 0.
-That kernel reads the in-edge index KGraph.in_sources, the lag-0 search
-reads KGraph.out_sources too, and the degree walk runs the push kernel
-core._push. The graded dimension group itself is in dimension, and this
-module imports nothing from it.
+That kernel reads the in-edge index KGraph.in_sources; the lag-0 search
+and the zero-column rule read the out-edge index KGraph.out_sources too,
+and the degree walk runs the push kernel core._push. The graded
+dimension group itself is in dimension, and this module imports nothing
+from it.
 """
 
 from __future__ import annotations
@@ -383,7 +384,7 @@ def sse_search(
 
     # whether R may have a zero row, a zero column (see above)
     zero_rows = not all(map(all, g_left.in_sources))
-    zero_cols = any(len(set().union(*srcs)) < dr for srcs in g_right.in_sources)
+    zero_cols = not all(map(all, g_right.out_sources))
     r_accept = _intertwining_rows(g_left, g_right)
     s_accept = _intertwining_rows(g_right, g_left)
 

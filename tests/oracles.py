@@ -288,6 +288,29 @@ def edge_matrix(g, color):
     return a
 
 
+def reference_sinks(g):
+    """Independent: ({color i: the vertices that emit no color-i edge},
+    {vertex: the colors it emits no edge of}), both in skeleton order, by
+    scanning g.skeleton.edges."""
+    emits = {(e.src, e.color) for e in g.skeleton.edges}
+    colors = range(1, g.rank + 1)
+    return (
+        {i: [v for v in g.vertices if (v, i) not in emits] for i in colors},
+        {v: [i for i in colors if (v, i) not in emits] for v in g.vertices},
+    )
+
+
+def reference_reachable(g, v):
+    """Independent: v and every vertex a path from v reaches, by a
+    breadth-first search over g.skeleton.edges: the vertices that
+    sink_delete(g, v) removes."""
+    seen = frontier = {v}
+    while frontier:
+        frontier = {e.rng for e in g.skeleton.edges if e.src in frontier} - seen
+        seen = seen | frontier
+    return seen
+
+
 # (id(graph), degree) -> (graph, A_degree); holding the graph keeps its id
 # from being reused while the entry lives. Emptied when full, since the
 # property tests bring a new graph per example.

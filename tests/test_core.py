@@ -433,6 +433,46 @@ def test_kgraph_rejects_malformed_edges(edge, message):
     assert str(info.value) == message
 
 
+# Ids of the wrong type, each unhashable or not an Edge at all: rejected
+# as malformed before anything hashes them
+UNHASHABLE = {
+    "vertex-list": (
+        Skeleton(1, ("a", ["b"]), (Edge("e", 1, "a", "a"),)),
+        {},
+        "vertex id ['b'] is not a string",
+    ),
+    "src-list": (
+        Skeleton(1, ("a",), (Edge("e", 1, ["a"], "a"),)),
+        {},
+        "edge 'e' has src ['a'] and rng 'a', not two strings",
+    ),
+    "rng-list": (
+        Skeleton(1, ("a",), (Edge("e", 1, "a", ["a"]),)),
+        {},
+        "edge 'e' has src 'a' and rng ['a'], not two strings",
+    ),
+    "square-side-list": (
+        fixture("ex3.5-LambdaS").skeleton,
+        {("e", "f"): (["x"], "y")},
+        "square edge id ['x'] is not a string",
+    ),
+    "edge-tuple": (
+        Skeleton(1, ("a",), (("e", 1, "a", "a"),)),
+        {},
+        "edge ('e', 1, 'a', 'a') is not an Edge",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNHASHABLE))
+def test_kgraph_rejects_ids_of_the_wrong_type(case):
+    skeleton, squares, message = UNHASHABLE[case]
+    for build in (KGraph, validate_kgraph, kgraph_violations):
+        with pytest.raises(KGraphError) as info:
+            build(skeleton, squares, True)
+        assert str(info.value) == message
+
+
 # Values the text format cannot hold: each built and dumped, then failed
 # to parse, so the graph could not round-trip. The document beside each
 # is what dump_kgraph would have written.
@@ -544,6 +584,7 @@ def test_every_typed_error_shares_one_base():
 
 def test_package_names_resolve_lazily_to_their_modules():
     import importlib
+    import pkgutil
 
     import kgraphs
 
@@ -563,27 +604,32 @@ def test_package_names_resolve_lazily_to_their_modules():
         kgraphs.no_such_name
     with pytest.raises(ImportError):
         from kgraphs import no_such_name  # noqa: F401
+    # _EXPORTS is the one list of public names: no submodule keeps another
+    for info in pkgutil.iter_modules(kgraphs.__path__):
+        assert not hasattr(importlib.import_module(f"kgraphs.{info.name}"), "__all__"), info.name
 
 
 def test_the_in_edge_index_is_the_one_integer_incidence_list():
     # KGraph.in_sources is the one integer incidence index: no module reads
     # a flat (range, source) edge list `step_pairs`, and the intertwining
-    # kernel reads the index instead of regrouping edges on every call
+    # kernel reads the index instead of regrouping edges on every call;
+    # its transpose out_sources is the one out-edge index, read by the
+    # zero-column rule of sse_search, and no module reads `out_edges`
     import ast
     from pathlib import Path as FilePath
 
     import kgraphs
 
-    kernel_reads = set()
+    reads = {}
     for path in FilePath(kgraphs.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         attrs = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
-        assert "step_pairs" not in attrs, path.name
+        assert "step_pairs" not in attrs and "out_edges" not in attrs, path.name
         if path.name == "sse.py":
-            (kernel,) = [
-                node
+            reads = {
+                node.name: {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
                 for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_intertwining_rows"
-            ]
-            kernel_reads = {node.attr for node in ast.walk(kernel) if isinstance(node, ast.Attribute)}
-    assert "in_sources" in kernel_reads
+                if isinstance(node, ast.FunctionDef)
+            }
+    assert "in_sources" in reads["_intertwining_rows"]
+    assert "out_sources" in reads["sse_search"]

@@ -6,9 +6,27 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mat_mul, product_graph, random_2graph, random_2graphs, square_matrices
+from oracles import (
+    graphs,
+    mat_mul,
+    product_graph,
+    random_2graph,
+    random_2graphs,
+    ranked_graphs,
+    reference_reachable,
+    reference_sinks,
+    square_matrices,
+)
 
-from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
+from kgraphs.constructions import (
+    FIXTURE_NAMES,
+    fixture,
+    grid,
+    monoid_hom,
+    pullback,
+    rose,
+    skew_product_window,
+)
 from kgraphs.core import CLIUsage, KGraphError, validate_kgraph, vertex_matrix
 from kgraphs.paths import Path, mce
 from kgraphs.dimension import generator_map, generator_map_from_matrix, iso_check, unit_element
@@ -212,6 +230,38 @@ def test_sink_delete_removes_whole_downstream():
     assert all(e.src in cut.vertices and e.rng in cut.vertices for e in cut.edges)
 
 
+def _check_sinks(g):
+    # ei_sinks, sink_colors and the vertices sink_delete removes, against
+    # the scan and search of g.skeleton.edges
+    sinks, colors = reference_sinks(g)
+    assert {i: ei_sinks(g, i) for i in sinks} == sinks
+    assert {v: sink_colors(g, v) for v in colors} == colors
+    for v in g.vertices:
+        if not colors[v]:
+            with pytest.raises(NotASink):
+                sink_delete(g, v)
+            continue
+        dead = reference_reachable(g, v)
+        if dead == set(g.vertices):
+            with pytest.raises(KGraphError, match="removes every vertex"):
+                sink_delete(g, v)
+        else:
+            assert set(g.vertices) - set(sink_delete(g, v).vertices) == dead, v
+
+
+def test_sinks_match_the_reference():
+    cases = [fixture(name) for name in FIXTURE_NAMES]
+    cases += [grid(2, (2, 3)), skew_product_window(fixture("sec3-Lambda"), (-1, 0), (1, 2))]
+    for g in cases:
+        _check_sinks(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(graphs(), ranked_graphs()))
+def test_sinks_match_the_reference_on_generated_graphs(g):
+    _check_sinks(g)
+
+
 def test_sink_delete_empty_result_is_an_error():
     from kgraphs.core import Edge, Skeleton
 
@@ -304,18 +354,6 @@ def _invariants(g, with_h0):
     return rank_invariant(g), h0(g) if with_h0 else None
 
 
-def _reachable(g, v):
-    # v and every vertex a path from v reaches
-    seen, todo = {v}, [v]
-    while todo:
-        w = todo.pop()
-        for e in g.edges:
-            if e.src == w and e.rng not in seen:
-                seen.add(e.rng)
-                todo.append(e.rng)
-    return seen
-
-
 @settings(max_examples=100, deadline=None)
 @given(theorem_graphs())
 def test_moves_keep_the_graded_invariants_on_generated_graphs(g):
@@ -336,7 +374,7 @@ def test_moves_keep_the_graded_invariants_on_generated_graphs(g):
             assert isinstance(sse_search(g, split, 1, bound), SSEWitness)
         if not sink_colors(g, v):
             continue
-        if _reachable(g, v) == set(g.vertices):
+        if reference_reachable(g, v) == set(g.vertices):
             with pytest.raises(KGraphError):
                 sink_delete(g, v)
             continue
