@@ -27,14 +27,18 @@ search prunes exactly the families that a check of every triple after
 each whole block would prune. The search builds its slots once, one per
 flip key, each holding what an assignment reads: the key, its color and
 f_color, the block's codomain and taken flags, and the lists of squares
-through which the key's lambda edge meets each lower color.
+through which the key's lambda edge meets each lower color. That set-up
+is linear in the composable pairs plus R's entries: one pass over the
+squares of Lambda indexes each edge's checks, the blocks are walked per
+color and range vertex (_flip_blocks), and the slots are made in one pass
+over the blocks, which also checks that R intertwines.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from math import factorial, prod
+from math import factorial
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -46,6 +50,7 @@ from .core import (
     KGraphError,
     NotComposable,
     Skeleton,
+    _check_color,
     matrix_str,
     validate_kgraph,
 )
@@ -139,7 +144,8 @@ def polymorphism_from_matrix(g_lam: KGraph, g_om: KGraph, r: Matrix) -> Polymorp
             if count > 0:
                 total += count
                 if total <= POLY_MAX_EDGES:
-                    edges += [PolyEdge(f"g{t}[{v},{w}]", v, w) for t in range(1, count + 1)]
+                    for t in range(1, count + 1):
+                        edges.append(PolyEdge(f"g{t}[{v},{w}]", v, w))
             elif count < 0 and negative is None:
                 negative = f"({v}, {w})"
     if total > POLY_MAX_EDGES:
@@ -150,8 +156,7 @@ def polymorphism_from_matrix(g_lam: KGraph, g_om: KGraph, r: Matrix) -> Polymorp
 
 
 def coordinate_polymorphism(g: KGraph, i: int) -> Polymorphism:
-    if not 1 <= i <= g.rank:
-        raise KGraphError(f"color {i} out of range 1..{g.rank}")
+    _check_color(g.rank, i)
     edges = tuple(PolyEdge(e.id, e.rng, e.src) for e in g.edges if e.color == i)
     return Polymorphism(tuple(g.vertices), tuple(g.vertices), edges)
 
@@ -180,27 +185,41 @@ def _flip_blocks(
 ) -> list[tuple[int, list[tuple[str, str]], list[tuple[str, str]]]]:
     """(color, domain, codomain) of every block with a member, in color,
     then g_lam vertex, then g_om vertex order; members keep edge order.
-    The polymorphism edges are indexed by range once and the g_om edges
-    are read from g_om.in_edges, so the cost is linear in the pairs."""
-    poly_by_range: dict[str, list[PolyEdge]] = {}
-    for g in poly.edges:
-        poly_by_range.setdefault(g.rng, []).append(g)
-    dom: dict[tuple[int, str, str], list[tuple[str, str]]] = {}
-    cod: dict[tuple[int, str, str], list[tuple[str, str]]] = {}
-    for lam in g_lam.edges:
-        for g in poly_by_range.get(lam.src, ()):
-            dom.setdefault((lam.color, lam.rng, g.src), []).append((lam.id, g.id))
-    for g in poly.edges:
-        for i, oms in g_om.in_edges[g.src].items():
-            for om in oms:
-                cod.setdefault((i, g.rng, om.src), []).append((g.id, om.id))
-    return [
-        (i, dom.get(key, []), cod.get(key, []))
-        for i in range(1, g_lam.rank + 1)
-        for a in g_lam.vertices
-        for b in g_om.vertices
-        if (key := (i, a, b)) in dom or key in cod
-    ]
+    The polymorphism edges are indexed by range once; then per color i
+    and range vertex a the domain pairs are the color-i edges into a
+    (g_lam.in_edges) against the polymorphism edges at each one's source,
+    and the codomain pairs the polymorphism edges at a against the
+    color-i edges into each one's source (g_om.in_edges), both grouped by
+    the g_om vertex b. No (i, a, b) without a member is visited, so the
+    cost is linear in the composable pairs, the polymorphism edges and
+    the k |g_lam vertices| groups (i, a), up to sorting each group's
+    vertices b."""
+    # range -> (id, source) of each polymorphism edge, in edge order
+    by_range: dict[str, list[tuple[str, str]]] = {}
+    for g, rng, src in poly.edges:
+        by_range.setdefault(rng, []).append((g, src))
+    order = g_om.vertex_index.__getitem__
+    blocks = []
+    for i in range(1, g_lam.rank + 1):
+        for a in g_lam.vertices:
+            # b -> the domain and codomain of the block (i, a, b)
+            by_b: dict[str, tuple[list, list]] = {}
+            for lam, _, src, _ in g_lam.in_edges[a][i]:
+                for g, b in by_range.get(src, ()):
+                    if b in by_b:
+                        by_b[b][0].append((lam, g))
+                    else:
+                        by_b[b] = ([(lam, g)], [])
+            for g, src in by_range.get(a, ()):
+                for om, _, b, _ in g_om.in_edges[src][i]:
+                    if b in by_b:
+                        by_b[b][1].append((g, om))
+                    else:
+                        by_b[b] = ([], [(g, om)])
+            for b in sorted(by_b, key=order) if len(by_b) > 1 else by_b:
+                dom, cod = by_b[b]
+                blocks.append((i, dom, cod))
+    return blocks
 
 
 def check_flip_family(g_lam: KGraph, g_om: KGraph, pair: BridgingPair) -> Polymorphism:
@@ -348,22 +367,13 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
     taken flags, and the key's lower-color checks, for each color i below
     it the squares lam_i lam_j = lam_j2 lam_i2 with the key's edge as
     lam_j or lam_j2; a slot with none (every color-1 slot) is accepted
-    without a check. The search is iterative, so its depth is not bounded
-    by the interpreter's recursion limit."""
+    without a check. The checks come from one pass over g_lam.squares and
+    the slots from one pass over the blocks, so the set-up is linear in
+    the composable pairs plus R's entries. The search is iterative, so its
+    depth is not bounded by the interpreter's recursion limit."""
     if g_lam.rank != g_om.rank:
         raise DimensionMismatch("graphs have different ranks")
     poly = polymorphism_from_matrix(g_lam, g_om, r)
-    blocks = _flip_blocks(g_lam, g_om, poly)
-    # block (i, a, b) has (A_{e_i} R)(a, b) keys and (R B_{e_i})(a, b) values
-    if any(len(dom) != len(cod) for _, dom, cod in blocks):
-        raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
-    # meets[i - 1]: lam -> the squares lam_i lam_j = lam_j2 lam_i2 with
-    # lam_i of color i and lam as lam_j (first list) or as lam_j2 (second)
-    meets: list[dict[str, tuple[list, list]]] = [{} for _ in range(g_lam.rank)]
-    for (lam_i, lam_j), (lam_j2, lam_i2) in g_lam.squares.items():
-        by_lam = meets[g_lam.by_id[lam_i].color - 1]
-        by_lam.setdefault(lam_j, ([], []))[0].append((lam_i, lam_j2, lam_i2))
-        by_lam.setdefault(lam_j2, ([], []))[1].append((lam_i, lam_j, lam_i2))
     flips: FlipFamily = {i: {} for i in range(1, g_lam.rank + 1)}
     # inverse[i]: (lam, g2) -> the g with f_i(lam, g)[0] = g2, or None
     # once a color-i key has changed since it was built
@@ -395,17 +405,36 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
                                 return True
         return False
 
-    # one slot per flip key, in block order and then domain order; its
-    # checks are (i, f_i, first, second) per color i meeting the key's
-    # edge, ascending, or None
+    # the checks of a color-j edge lam, made in one pass over the squares:
+    # (i, f_i, first, second) for each color i < j, first listing the
+    # squares lam_i lam_j = lam_j2 lam_i2 with lam_i of color i and lam as
+    # lam_j, second those with lam as lam_j2; an edge in no square has none
+    by_id = g_lam.by_id
     checks_of: dict[str, list] = {}
-    for i, by_lam in enumerate(meets, 1):
-        for lam, (first, second) in by_lam.items():
-            checks_of.setdefault(lam, []).append((i, flips[i], first, second))
+    for (lam_i, lam_j), (lam_j2, lam_i2) in g_lam.squares.items():
+        i = by_id[lam_i].color - 1
+        if lam_j not in checks_of:
+            checks = checks_of[lam_j] = []
+            for c in range(1, by_id[lam_j].color):
+                checks.append((c, flips[c], [], []))
+        if lam_j2 not in checks_of:
+            checks = checks_of[lam_j2] = []
+            for c in range(1, by_id[lam_j2].color):
+                checks.append((c, flips[c], [], []))
+        checks_of[lam_j][i][2].append((lam_i, lam_j2, lam_i2))
+        checks_of[lam_j2][i][3].append((lam_i, lam_j, lam_i2))
+    # one slot per flip key, in block order and then domain order; an
+    # exhausted search has ruled out `families` complete families
     slots = []
-    for color, dom, cod in blocks:
-        taken = [False] * len(cod)
-        slots += [(key, color, flips[color], cod, taken, checks_of.get(key[0])) for key in dom]
+    families = 1
+    for color, dom, cod in _flip_blocks(g_lam, g_om, poly):
+        # block (i, a, b) has (A_{e_i} R)(a, b) keys and (R B_{e_i})(a, b) values
+        if len(dom) != len(cod):
+            raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
+        families *= factorial(len(cod))
+        f, taken = flips[color], [False] * len(cod)
+        for key in dom:
+            slots.append((key, color, f, cod, taken, checks_of.get(key[0])))
     choice = [-1] * len(slots)  # codomain index held by each slot, -1 for none
     # slot s gives up its value and takes the next free one; with none
     # left it is cleared and the search backs up to slot s - 1
@@ -430,7 +459,7 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
         if not checks or not rejects(color, f, *key, checks):
             s += 1
     if s < 0:
-        return Exhausted(prod(factorial(len(cod)) for _, _, cod in blocks))
+        return Exhausted(families)
     return BridgingPair(r, {i: dict(f) for i, f in flips.items()})
 
 

@@ -26,6 +26,7 @@ from .core import (
     InvalidKGraph,
     KGraph,
     KGraphError,
+    _check_color,
     matrix_str,
     parse_matrix,
     parse_shift,
@@ -125,8 +126,7 @@ def cmd_insplit(args) -> int:
     g = resolve_graph(args.graph)
     p = choose_partition(g, args.vertex, args.side1, args.partition)
     # checked with or without --sidecar, though only the sidecar's psi reads it
-    if not 1 <= args.psi_color <= g.rank:
-        raise KGraphError(f"color {args.psi_color} out of range 1..{g.rank}")
+    _check_color(g.rank, args.psi_color)
     if args.sidecar:
         split, doc = insplit_sidecar(g, p, args.psi_color)
         _write_sidecar(args.sidecar, doc)

@@ -41,9 +41,17 @@ def zero_degree(k: int) -> Degree:
     return (0,) * k
 
 
-def unit_degree(k: int, color: int) -> Degree:
+def _check_color(k: int, color: int) -> None:
+    # a bool is an int and a float compares with ints, so each would pass
+    # the range check; the type is checked first
+    if not isinstance(color, int) or isinstance(color, bool):
+        raise KGraphError(f"color {color!r} is not an int")
     if not 1 <= color <= k:
         raise KGraphError(f"color {color} out of range 1..{k}")
+
+
+def unit_degree(k: int, color: int) -> Degree:
+    _check_color(k, color)
     return tuple(1 if i == color - 1 else 0 for i in range(k))
 
 
@@ -427,6 +435,12 @@ def validate_kgraph(
     if violations:
         raise InvalidKGraph(violations)
     return g
+
+
+def _check_vertex(g: KGraph, v: str) -> None:
+    # an unhashable id fails the type check before the lookup hashes it
+    if not isinstance(v, str) or v not in g.vertex_index:
+        raise KGraphError(f"unknown vertex {v!r}")
 
 
 def _check_degree(g: KGraph, n: Degree) -> None:

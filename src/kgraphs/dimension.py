@@ -36,6 +36,7 @@ from .core import (
     KGraphError,
     Shift,
     _check_shape,
+    _check_vertex,
     _push,
     parse_shift,
     unit_degree,
@@ -72,8 +73,7 @@ def dim_element(x, n) -> DimElement:
 
 def unit_element(g: KGraph, v: str, n: Shift | None = None) -> DimElement:
     """The generator v(n), by default v(0)."""
-    if v not in g.vertex_index:
-        raise KGraphError(f"unknown vertex {v!r}")
+    _check_vertex(g, v)
     x = [0] * len(g.vertices)
     x[g.vertex_index[v]] = 1
     return DimElement(tuple(x), tuple(n) if n is not None else zero_degree(g.rank))

@@ -18,6 +18,8 @@ from .core import (
     KGraph,
     KGraphError,
     Skeleton,
+    _check_color,
+    _check_vertex,
     unit_degree,
     validate_kgraph,
     vertex_matrix,
@@ -73,8 +75,7 @@ def pairing_closure(g: KGraph, v: str) -> list[tuple[str, ...]]:
 
     For color(e) < color(f) a common extension is a path e.h = f.g2, so
     e ~ f iff some square (e, h) -> (f, g2) is in the table."""
-    if v not in g.vertex_index:
-        raise KGraphError(f"unknown vertex {v!r}")
+    _check_vertex(g, v)
     edges = _range_edges(g, v)
     parent = {e.id: e.id for e in edges}
 
@@ -129,7 +130,7 @@ def enumerate_valid_partitions(g: KGraph, v: str) -> list[Partition]:
 def check_partition(g: KGraph, p: Partition) -> None:
     """Raise InvalidPartition unless p is a two-sided split of the edges
     with range p.vertex that keeps every pairing class on one side."""
-    if p.vertex not in g.vertex_index:
+    if not isinstance(p.vertex, str) or p.vertex not in g.vertex_index:
         raise InvalidPartition(f"unknown vertex {p.vertex!r}")
     s1, s2 = set(p.side1), set(p.side2)
     if not s1 or not s2:
@@ -221,8 +222,7 @@ def insplit(g: KGraph, p: Partition) -> tuple[KGraph, ParentMap]:
 def _copy_rows(g: KGraph, p: Partition, j: int) -> dict[str, list[int]]:
     # row of each copy v^t over g's vertices: the color-j edges on side t,
     # counted by source; these are S's copy rows and psi's images
-    if not 1 <= j <= g.rank:
-        raise KGraphError(f"color {j} out of range 1..{g.rank}")
+    _check_color(g.rank, j)
     rows = {}
     for t, side in ((1, p.side1), (2, p.side2)):
         row = [0] * len(g.vertices)
@@ -259,14 +259,12 @@ def insplit_matrices(g: KGraph, p: Partition, j: int) -> tuple[Matrix, Matrix]:
 
 def ei_sinks(g: KGraph, i: int) -> list[str]:
     """Vertices emitting no color-i edge."""
-    if not 1 <= i <= g.rank:
-        raise KGraphError(f"color {i} out of range 1..{g.rank}")
+    _check_color(g.rank, i)
     return [v for v, ranges in zip(g.vertices, g.out_sources[i - 1]) if not ranges]
 
 
 def sink_colors(g: KGraph, v: str) -> list[int]:
-    if v not in g.vertex_index:
-        raise KGraphError(f"unknown vertex {v!r}")
+    _check_vertex(g, v)
     u = g.vertex_index[v]
     return [i for i, by_source in enumerate(g.out_sources, 1) if not by_source[u]]
 
@@ -375,8 +373,7 @@ def choose_partition(g: KGraph, v: str, side1: str | None, index: int) -> Partit
     """The partition at v that `kgraph insplit` names: side 1 as
     comma-separated edge ids (side 2 is the rest of v's in-edges), or else
     entry `index` of enumerate_valid_partitions, built on its own."""
-    if v not in g.vertex_index:
-        raise KGraphError(f"unknown vertex {v!r}")
+    _check_vertex(g, v)
     if side1 is not None:
         ones = tuple(sorted(side1.split(",")))
         all_in = [e.id for i in range(1, g.rank + 1) for e in g.in_edges[v][i]]

@@ -22,6 +22,7 @@ from .core import (
     KGraphError,
     NotComposable,
     _check_degree,
+    _check_vertex,
     deg_join,
     zero_degree,
 )
@@ -124,8 +125,7 @@ def paths_of_degree(g: KGraph, v: str, n: Degree) -> list[Path]:
     colors in ascending order and runs through the in-edges of that color
     at the source of position t - 1. An explicit stack keeps long degrees
     off the interpreter's recursion limit."""
-    if v not in g.vertex_index:
-        raise KGraphError(f"unknown vertex {v!r}")
+    _check_vertex(g, v)
     _check_degree(g, n)
     ends = list(accumulate(n))
     if not ends[-1]:

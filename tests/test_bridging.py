@@ -3,12 +3,14 @@ rank-(k+1) graph as an independent coherence oracle."""
 
 import random
 import time
+from functools import cache
 from itertools import permutations
 from math import factorial, prod
 
 import pytest
 from oracles import (
-    G_V, G_W, all_16_families, coherent_57_family, complete_product, displayed_56_family, mat_mul,
+    G_V, G_W, all_16_families, coherent_57_family, complete_product, cycle_plus_permutation,
+    displayed_56_family, mat_mul,
     product_graph, random_2graph, random_family,
 )
 
@@ -61,6 +63,13 @@ def test_polymorphism_from_matrix():
         polymorphism_from_matrix(LAM56, OM56, [[1]])
     with pytest.raises(ShapeMismatch):
         polymorphism_from_matrix(LAM56, OM56, [[1, -1]])
+
+
+@pytest.mark.parametrize("color", [1.5, True, "1", 0, 3])
+def test_coordinate_polymorphism_takes_only_an_int_color_in_range(color):
+    # 1.5 once gave an empty polymorphism
+    with pytest.raises(KGraphError, match="color"):
+        coordinate_polymorphism(fixture("ex3.5-Lambda"), color)
 
 
 def test_polymorphism_is_capped_before_it_is_built():
@@ -560,6 +569,19 @@ def test_flip_blocks_match_the_reference():
             same(g_lam, g_om, poly)
             # the same edges out of range order
             same(g_lam, g_om, poly._replace(edges=tuple(rng.sample(poly.edges, len(poly.edges)))))
+    # the rank-3 pullbacks of test_search_matches_the_reference_on_rank_3_pullbacks
+    rng = random.Random(20261024)
+    f = monoid_hom([(1, 0), (0, 1), (1, 1)], 2)
+    for n, perms in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(10):
+            a1, a2 = commuting_matrices(rng, n, perms)
+            g_lam = pullback(random_2graph(rng, "p", a1, a2), f)
+            g_om = pullback(random_2graph(rng, "q", a1, a2), f)
+            for r in (ident, a1):
+                poly = polymorphism_from_matrix(g_lam, g_om, r)
+                same(g_lam, g_om, poly)
+                same(g_lam, g_om, poly._replace(edges=tuple(rng.sample(poly.edges, len(poly.edges)))))
 
 
 def test_flip_blocks_match_the_reference_on_a_256_vertex_product():
@@ -567,6 +589,29 @@ def test_flip_blocks_match_the_reference_on_a_256_vertex_product():
     g = product_graph(ones, ones)
     poly = polymorphism_from_matrix(g, g, [[int(i == j) for j in range(256)] for i in range(256)])
     assert _flip_blocks(g, g, poly) == reference_flip_blocks(g, g, poly)
+
+
+@cache
+def cycle_product(n):
+    # the product of two n-cycles, each plus a random permutation: n * n
+    # vertices, each receiving and emitting two edges of each color
+    rng = random.Random(1)
+    return product_graph(cycle_plus_permutation(rng, n), cycle_plus_permutation(rng, n))
+
+
+FLIP_BLOCKS_BUDGET_S = 0.15
+
+
+def test_flip_blocks_on_a_1024_vertex_product_fit_a_budget():
+    # 4096 blocks over R = I; a scan of every (color, vertex, vertex) key,
+    # 2 * 1024 * 1024 of them, took about 0.3 s
+    g = cycle_product(32)
+    poly = polymorphism_from_matrix(g, g, [[int(i == j) for j in range(1024)] for i in range(1024)])
+    t0 = time.process_time()
+    blocks = _flip_blocks(g, g, poly)
+    elapsed = time.process_time() - t0
+    assert len(blocks) == 4096
+    assert elapsed < FLIP_BLOCKS_BUDGET_S, f"took {elapsed:.2f}s of CPU, budget {FLIP_BLOCKS_BUDGET_S}s"
 
 
 def reference_route_triple(g_lam, g_om, flips, i, j, lam_i, lam_j, g):
@@ -754,6 +799,25 @@ def test_exhausted_count_is_the_number_of_families():
             assert found.count == prod(factorial(n) for m in (a1, a2) for row in m for n in row)
             exhausted += 1
     assert exhausted >= 10
+
+
+SEARCH_BUDGET_S = 5.0
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_search_answers_on_large_products_within_a_budget(n):
+    # the products of 256 and 1024 vertices against themselves over R = I,
+    # with 976 and 4096 blocks of one or two keys; nearly all the time is
+    # the set-up
+    g = cycle_product(n)
+    ident = [[int(i == j) for j in range(n * n)] for i in range(n * n)]
+    t0 = time.process_time()
+    found = bridging_search(g, g, ident)
+    elapsed = time.process_time() - t0
+    assert isinstance(found, BridgingPair)
+    check_flip_family(g, g, found)
+    assert coherence_check(g, g, found) == (True, None)
+    assert elapsed < SEARCH_BUDGET_S, f"took {elapsed:.2f}s of CPU, budget {SEARCH_BUDGET_S}s"
 
 
 def test_search_needs_no_recursion():

@@ -565,6 +565,13 @@ def test_degree_helpers():
     assert zero_degree(2) == (0, 0)
 
 
+@pytest.mark.parametrize("color", [1.5, True, "1", 0, 3])
+def test_unit_degree_takes_only_an_int_color_in_range(color):
+    # a float or a bool once gave a degree, (0, 0) or (1, 0)
+    with pytest.raises(KGraphError, match="color"):
+        unit_degree(2, color)
+
+
 def test_every_typed_error_shares_one_base():
     import kgraphs
     from kgraphs.cli import CLIUsage

@@ -28,7 +28,7 @@ from kgraphs.constructions import (
     skew_product_window,
 )
 from kgraphs.core import CLIUsage, KGraphError, validate_kgraph, vertex_matrix
-from kgraphs.paths import Path, mce
+from kgraphs.paths import Path, mce, paths_of_degree
 from kgraphs.dimension import generator_map, generator_map_from_matrix, iso_check, unit_element
 from kgraphs.homology import h0, rank_invariant
 from kgraphs.moves import (
@@ -203,6 +203,40 @@ def test_ei_sinks():
     assert sink_colors(g, "u") == []
     h = grid(2, (2, 2))
     assert ei_sinks(h, 1) == ["(0,0)", "(0,1)", "(0,2)"]
+
+
+@pytest.mark.parametrize("color", [1.5, True, "1", 0, 3])
+def test_ei_sinks_takes_only_an_int_color_in_range(color):
+    # 1.5 and "1" once raised TypeError, True read color 1
+    with pytest.raises(KGraphError, match="color"):
+        ei_sinks(fixture("ex3.5-Lambda"), color)
+
+
+@pytest.mark.parametrize("color", [1.5, True])
+def test_insplit_matrices_take_only_an_int_color(color):
+    # 1.5 once gave an S with no color-j edges on either side
+    g = fixture("ex3.5-Lambda")
+    with pytest.raises(KGraphError, match="not an int"):
+        insplit_matrices(g, enumerate_valid_partitions(g, "v")[0], color)
+
+
+VERTEX_TAKERS = {
+    "sink_colors": sink_colors,
+    "sink_delete": sink_delete,
+    "pairing_closure": pairing_closure,
+    "choose_partition": lambda g, v: choose_partition(g, v, None, 0),
+    "unit_element": unit_element,
+    "paths_of_degree": lambda g, v: paths_of_degree(g, v, (1, 0)),
+    "check_partition": lambda g, v: check_partition(g, Partition(v, ("e",), ("f",))),
+}
+
+
+@pytest.mark.parametrize("name", VERTEX_TAKERS)
+@pytest.mark.parametrize("vertex", [["v"], 1])
+def test_a_vertex_that_is_not_a_string_is_unknown(name, vertex):
+    # a list once escaped as TypeError: unhashable type
+    with pytest.raises(KGraphError, match="unknown vertex"):
+        VERTEX_TAKERS[name](fixture("ex3.5-Lambda"), vertex)
 
 
 def test_sink_delete_matches_catalog():
