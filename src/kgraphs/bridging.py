@@ -26,20 +26,23 @@ and a decidable triple keeps its routes under every completion, so the
 search prunes exactly the families that a check of every triple after
 each whole block would prune. The search builds its slots once, one per
 flip key, each holding what an assignment reads: the key, its color and
-f_color, the block's codomain and taken flags, and the lists of squares
-through which the key's lambda edge meets each lower color. That set-up
-is linear in the composable pairs plus R's entries: one pass over the
-squares of Lambda indexes each edge's checks, the blocks are walked per
-color and range vertex (_flip_blocks), and the slots are made in one pass
-over the blocks, which also checks that R intertwines.
+f_color, the block's codomain and taken flags, and the flat tuples of
+the squares through which the key's lambda edge meets each lower color.
+That set-up is linear in the composable pairs plus R's entries: one pass
+over the squares of Lambda indexes each edge's checks, the blocks are
+walked per color and range vertex (_flip_blocks), and the slots are made
+in one pass over the blocks, which also checks that R intertwines. The
+search itself is one flat loop with no Python call per node except the
+route check of each decidable triple.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from itertools import compress
 from math import factorial
-from operator import mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
@@ -134,13 +137,15 @@ def polymorphism_from_matrix(g_lam: KGraph, g_om: KGraph, r: Matrix) -> Polymorp
     if len(r) != dl:
         raise ShapeMismatch(f"matrix must be {dl}x{dr}")
     # one pass: each row's length, the sum of the positive entries, the
-    # first negative one, and the edges while the sum is within the cap
+    # first negative one, and the edges while the sum is within the cap;
+    # compress skips the zero entries without a Python-level step each
     edges: list[PolyEdge] = []
     total, negative = 0, None
+    om_vertices = g_om.vertices
     for v, row in zip(g_lam.vertices, r):
         if len(row) != dr:
             raise ShapeMismatch(f"matrix must be {dl}x{dr}")
-        for w, count in zip(g_om.vertices, row):
+        for w, count in zip(compress(om_vertices, row), compress(row, row)):
             if count > 0:
                 total += count
                 if total <= POLY_MAX_EDGES:
@@ -364,65 +369,43 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
     intertwines exactly when every block has as many keys as values;
     NotIntertwining is raised otherwise. The slots, one per key, are built
     once: each holds the key, its color, f_color, its block's codomain and
-    taken flags, and the key's lower-color checks, for each color i below
-    it the squares lam_i lam_j = lam_j2 lam_i2 with the key's edge as
-    lam_j or lam_j2; a slot with none (every color-1 slot) is accepted
-    without a check. The checks come from one pass over g_lam.squares and
-    the slots from one pass over the blocks, so the set-up is linear in
-    the composable pairs plus R's entries. The search is iterative, so its
-    depth is not bounded by the interpreter's recursion limit."""
+    taken flags, and the key's lower-color checks, one flat tuple per
+    square lam_i lam_j = lam_j2 lam_i2 with the key's edge as lam_j or
+    lam_j2, by color i and then those two kinds; a slot with none (every
+    color-1 slot) is accepted without a check. The checks come from one
+    pass over g_lam.squares and the slots from one pass over the blocks,
+    so the set-up is linear in the composable pairs plus R's entries. The
+    search is one flat loop: a node gives up its slot's value, takes the
+    next free one and runs the slot's checks inline, calling no Python
+    function but _route_triple, once for each triple its key makes
+    decidable. The one derived table, inverse[i], is rebuilt only when a
+    check reads it after a color-i key has changed; no check reads the
+    top color's, so a top-color node leaves it alone. The loop is
+    iterative, so the search depth is not bounded by the interpreter's
+    recursion limit."""
     if g_lam.rank != g_om.rank:
         raise DimensionMismatch("graphs have different ranks")
     poly = polymorphism_from_matrix(g_lam, g_om, r)
-    flips: FlipFamily = {i: {} for i in range(1, g_lam.rank + 1)}
+    top = g_lam.rank
+    flips: FlipFamily = {i: {} for i in range(1, top + 1)}
     # inverse[i]: (lam, g2) -> the g with f_i(lam, g)[0] = g2, or None
     # once a color-i key has changed since it was built
     inverse: dict[int, dict[tuple[str, str], list[str]] | None] = dict.fromkeys(flips)
-
-    def rejects(j: int, f: dict, lam: str, gam: str, checks: list) -> bool:
-        # whether the routes disagree on a triple (i < j) whose two color-j
-        # keys are both set now that (lam, gam) is, f being f_j: as
-        # (lam_j, g) its other key is read through first, as
-        # (lam_j2, f_i(lam_i2, g)[0]) through second and inverse[i]
-        for i, f_i, first, second in checks:
-            for lam_i, lam_j2, lam_i2 in first:
-                if (lam_j2, f_i[(lam_i2, gam)][0]) in f:
-                    top, bottom = _route_triple(g_lam, g_om, flips, i, j, lam_i, lam, gam)
-                    if top != bottom:
-                        return True
-            if second:
-                inv = inverse[i]
-                if inv is None:
-                    inv = inverse[i] = {}
-                    for (lam2, g), (g2, _) in f_i.items():
-                        inv.setdefault((lam2, g2), []).append(g)
-                for lam_i, lam_j, lam_i2 in second:
-                    for g in inv.get((lam_i2, gam), ()):
-                        # (lam, gam) as both keys was checked through first
-                        if (lam_j, g) in f and (g != gam or lam_j != lam):
-                            top, bottom = _route_triple(g_lam, g_om, flips, i, j, lam_i, lam_j, g)
-                            if top != bottom:
-                                return True
-        return False
-
-    # the checks of a color-j edge lam, made in one pass over the squares:
-    # (i, f_i, first, second) for each color i < j, first listing the
-    # squares lam_i lam_j = lam_j2 lam_i2 with lam_i of color i and lam as
-    # lam_j, second those with lam as lam_j2; an edge in no square has none
+    # the checks of a color-j edge lam, from one pass over the squares
+    # lam_i lam_j = lam_j2 lam_i2: (i, False, f_i, lam_i, lam_j2, lam_i2)
+    # where lam is lam_j, (i, True, f_i, lam_i, lam_j, lam_i2) where it is
+    # lam_j2; sorted stably by (i, kind), so per color i < j the first
+    # kind comes before the second, each in square order
     by_id = g_lam.by_id
     checks_of: dict[str, list] = {}
     for (lam_i, lam_j), (lam_j2, lam_i2) in g_lam.squares.items():
-        i = by_id[lam_i].color - 1
-        if lam_j not in checks_of:
-            checks = checks_of[lam_j] = []
-            for c in range(1, by_id[lam_j].color):
-                checks.append((c, flips[c], [], []))
-        if lam_j2 not in checks_of:
-            checks = checks_of[lam_j2] = []
-            for c in range(1, by_id[lam_j2].color):
-                checks.append((c, flips[c], [], []))
-        checks_of[lam_j][i][2].append((lam_i, lam_j2, lam_i2))
-        checks_of[lam_j2][i][3].append((lam_i, lam_j, lam_i2))
+        i = by_id[lam_i].color
+        f_i = flips[i]
+        checks_of.setdefault(lam_j, []).append((i, False, f_i, lam_i, lam_j2, lam_i2))
+        checks_of.setdefault(lam_j2, []).append((i, True, f_i, lam_i, lam_j, lam_i2))
+    color_and_kind = itemgetter(0, 1)
+    for checks in checks_of.values():
+        checks.sort(key=color_and_kind)
     # one slot per flip key, in block order and then domain order; an
     # exhausted search has ruled out `families` complete families
     slots = []
@@ -432,31 +415,61 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
         if len(dom) != len(cod):
             raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
         families *= factorial(len(cod))
-        f, taken = flips[color], [False] * len(cod)
+        f, taken, lower = flips[color], [False] * len(cod), color < top
         for key in dom:
-            slots.append((key, color, f, cod, taken, checks_of.get(key[0])))
+            lam, gam = key
+            slots.append((key, lam, gam, color, lower, f, cod, len(cod), taken, checks_of.get(lam, ())))
+    route = _route_triple
     choice = [-1] * len(slots)  # codomain index held by each slot, -1 for none
-    # slot s gives up its value and takes the next free one; with none
-    # left it is cleared and the search backs up to slot s - 1
+    # slot s gives up its value and takes the next free one, written over
+    # the old so that its key keeps its place in f; with none left it is
+    # cleared and the search backs up to slot s - 1. A first visit always
+    # finds one, since the block's earlier keys hold fewer values than it has
     s, n = 0, len(slots)
     while 0 <= s < n:
-        key, color, f, cod, taken, checks = slots[s]
-        inverse[color] = None
-        idx, end = choice[s], len(cod)
+        key, lam, gam, color, lower, f, cod, end, taken, checks = slots[s]
+        if lower:
+            inverse[color] = None
+        idx = choice[s]
         if idx >= 0:
             taken[idx] = False
-            del f[key]
         idx += 1
         while idx < end and taken[idx]:
             idx += 1
         if idx == end:
             choice[s] = -1
+            del f[key]
             s -= 1
             continue
         choice[s] = idx
         taken[idx] = True
         f[key] = cod[idx]
-        if not checks or not rejects(color, f, *key, checks):
+        # the triples (i < color) whose two color-j keys are both set now
+        # that key is: as (lam_j, g) its other key is (lam_j2,
+        # f_i(lam_i2, gam)[0]); as (lam_j2, f_i(lam_i2, g)[0]) its other
+        # keys are (lam_j, g) for the g that inverse[i] gives
+        for i, second, f_i, lam_i, lam_x, lam_i2 in checks:
+            pair = (lam_i2, gam)
+            if second:
+                inv = inverse[i]
+                if inv is None:
+                    inv = inverse[i] = {}
+                    for (lam2, g), (g2, _) in f_i.items():
+                        inv.setdefault((lam2, g2), []).append(g)
+                for g in inv.get(pair, ()):
+                    # (lam, gam) as both keys was checked as a first entry
+                    if (lam_x, g) in f and (g != gam or lam_x != lam):
+                        t, b = route(g_lam, g_om, flips, i, color, lam_i, lam_x, g)
+                        if t != b:
+                            break
+                else:
+                    continue
+                break
+            if (lam_x, f_i[pair][0]) in f:
+                t, b = route(g_lam, g_om, flips, i, color, lam_i, lam, gam)
+                if t != b:
+                    break
+        else:
             s += 1
     if s < 0:
         return Exhausted(families)

@@ -7,11 +7,15 @@ impossible moves, unreadable files, ...), 2 usage, parse and decode errors.
 Argument syntaxes:
   GRAPH      path to a graph file, or a catalog fixture id (a bare id or
              a path-like "fixtures/<id>" both work)
-  matrix     rows separated by ';', entries by whitespace: "1 0; 0 1"
+  matrix     rows separated by ';', entries by whitespace: "1 0; 0 1",
+             inline or a path
   shift      comma-separated integers: "1,0" or "-2,3"
   element    '+'-separated terms "vertex:shift[:coeff]"; "0" is zero
   map        ';'-separated assignments "generator=element"
   flips      JSON {color: [[[lam, g], [g2, om]], ...]}, inline or a path
+
+A matrix or flips argument that names an existing file is read as that
+file, so an inline matrix such as "1" reads the file 1 if there is one.
 """
 
 from __future__ import annotations
@@ -287,6 +291,7 @@ def cmd_fixtures(args) -> int:
 # ----------------------------------------------------------------- dispatch
 
 GRAPH = ("graph", {})
+_INLINE_OR_FILE = "inline or a file (text naming an existing file is read as that file)"
 
 # name -> (handler, help, arguments); an argument is (name or flag,
 # add_argument keywords), added after --json in this order
@@ -318,7 +323,7 @@ COMMANDS = {
         ("source", {}),
         ("target", {}),
         ("--map", {"help": "generator=element assignments, ';'-separated"}),
-        ("--matrix", {"help": "integer matrix inducing the map"}),
+        ("--matrix", {"help": "integer matrix inducing the map, " + _INLINE_OR_FILE}),
         ("--identity", {"action": "store_true", "help": "identity on shared vertex names"}),
     ]),
     "tm-iso-check": (cmd_tm_iso_check, "check a mutually inverse pair", [
@@ -345,7 +350,7 @@ COMMANDS = {
     "bridge-search": (cmd_bridge_search, "search for a coherent flip family", [
         ("lam", {}),
         ("om", {}),
-        ("--matrix", {"required": True, "help": "the candidate bridging matrix R"}),
+        ("--matrix", {"required": True, "help": "the candidate bridging matrix R, " + _INLINE_OR_FILE}),
         ("--flips", {"help": "check this flip family instead of searching"}),
     ]),
     "fixtures": (cmd_fixtures, "list the bundled catalog", []),

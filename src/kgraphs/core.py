@@ -12,6 +12,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import os
 from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -495,15 +496,22 @@ def vertex_matrix(g: KGraph, n: Degree) -> Matrix:
 
 def parse_matrix(text: str) -> Matrix:
     """An integer matrix written as rows separated by ';' and entries by
-    whitespace: "1 0; 0 1"."""
+    whitespace: "1 0; 0 1", inline or in a file. Text that names an
+    existing file is read as that file, as parse_flips reads --flips; a
+    matrix too large for one command-line argument goes in a file."""
+    shown = repr(text)
+    if os.path.isfile(text):
+        from .textform import read_text
+
+        shown, text = f"in {text!r}", read_text(text)
     try:
         rows = [[int(x) for x in row.split()] for row in text.split(";")]
     except ValueError:
-        raise CLIUsage(f"bad matrix {text!r}: entries must be integers")
+        raise CLIUsage(f"bad matrix {shown}: entries must be integers")
     if not rows or any(not r for r in rows):
-        raise CLIUsage(f"bad matrix {text!r}: empty row")
+        raise CLIUsage(f"bad matrix {shown}: empty row")
     if any(len(r) != len(rows[0]) for r in rows):
-        raise CLIUsage(f"bad matrix {text!r}: ragged rows")
+        raise CLIUsage(f"bad matrix {shown}: ragged rows")
     return rows
 
 

@@ -17,6 +17,7 @@ from kgraphs.core import Edge, Skeleton, deg_sub, validate_kgraph
 from kgraphs.dimension import DimElement, zero_element
 from kgraphs.homology import AbelianInvariants
 from kgraphs.intmat import identity, snf_diagonal
+from kgraphs.moves import enumerate_valid_partitions, insplit, insplit_matrices
 from kgraphs.paths import Path
 from kgraphs.sse import _intertwining_rows, _row_search
 
@@ -92,6 +93,40 @@ def random_2graph(rng, tag, a1, a2):
         rng.shuffle(cod)
         squares.update(zip(dom, cod))
     return validate_kgraph(Skeleton(2, vertices, tuple(edges)), squares, strict=False)
+
+
+def with_prefixed(g, h, prefix):
+    """The disjoint union of g and h, h's vertex and edge ids prefixed."""
+    def edges(k, tag):
+        return tuple(Edge(tag + e.id, e.color, tag + e.src, tag + e.rng) for e in k.edges)
+
+    def squares(k, tag):
+        return {tuple(tag + i for i in key): tuple(tag + i for i in val) for key, val in k.squares.items()}
+
+    skeleton = Skeleton(
+        g.rank, g.vertices + tuple(prefix + v for v in h.vertices), edges(g, "") + edges(h, prefix)
+    )
+    return validate_kgraph(skeleton, {**g.squares, **squares(h, prefix)})
+
+
+# n for insplit_pair: pairs of 3/4, 7/8, 12/13 and 67/68 vertices
+INSPLIT_PAIR_SIZES = (0, 2, 3, 8)
+
+
+def insplit_pair(n):
+    """(G, split, R, S): G is ex3.5-Lambda, alone for n = 0, else beside the
+    product of two n-vertex cycle_plus_permutation factors (seeded by n)
+    with ex3.5's ids prefixed "L."; split is G in-split at ex3.5's v by
+    the first enumerated partition, and (R, S) = insplit_matrices(G, p, 1),
+    so R S = A_{e_1}, S R = B_{e_1}, and R and S intertwine G and split."""
+    g, v = fixture("ex3.5-Lambda"), "v"
+    if n:
+        rng = random.Random(n)
+        product = product_graph(cycle_plus_permutation(rng, n), cycle_plus_permutation(rng, n))
+        g, v = with_prefixed(product, g, "L."), "L.v"
+    p = enumerate_valid_partitions(g, v)[0]
+    r, s = insplit_matrices(g, p, 1)
+    return g, insplit(g, p)[0], r, s
 
 
 def nilpotent_chain():

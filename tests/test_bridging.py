@@ -9,8 +9,8 @@ from math import factorial, prod
 
 import pytest
 from oracles import (
-    G_V, G_W, all_16_families, coherent_57_family, complete_product, cycle_plus_permutation,
-    displayed_56_family, mat_mul,
+    G_V, G_W, INSPLIT_PAIR_SIZES, all_16_families, coherent_57_family, complete_product,
+    cycle_plus_permutation, displayed_56_family, insplit_pair, mat_mul,
     product_graph, random_2graph, random_family,
 )
 
@@ -784,6 +784,59 @@ def test_search_evaluates_each_triple_once_and_only_when_decidable(monkeypatch):
     for _ in range(20):
         a1, a2 = commuting_matrices(rng, 3, 2)
         search(random_2graph(rng, "p", a1, a2), random_2graph(rng, "q", a1, a2), ident)
+
+
+def test_search_checks_an_assignment_by_lower_color_then_kind(monkeypatch):
+    # the triples one assignment makes decidable are evaluated color i by
+    # color i, and per color those with the assigned key as (lam_j, g)
+    # before those with it as (lam_j2, f_i(lam_i2, g)[0]); the first
+    # disagreement rejects, so this order fixes which triples are evaluated
+    route = bridging._route_triple
+    calls = []
+
+    def recorded_route(g_lam, g_om, flips, i, j, lam_i, lam_j, g):
+        state = tuple((c, tuple(f.items())) for c, f in flips.items())
+        key = next(reversed(flips[j]))
+        calls.append((state, (i, (lam_j, g) != key)))
+        return route(g_lam, g_om, flips, i, j, lam_i, lam_j, g)
+
+    monkeypatch.setattr(bridging, "_route_triple", recorded_route)
+    rng = random.Random(20261024)
+    f = monoid_hom([(1, 0), (0, 1), (1, 1)], 2)
+    steps = set()  # (to a higher color, to the other kind) between two calls
+    for n, perms in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(10):
+            a1, a2 = commuting_matrices(rng, n, perms)
+            g_lam = pullback(random_2graph(rng, "p", a1, a2), f)
+            g_om = pullback(random_2graph(rng, "q", a1, a2), f)
+            calls.clear()
+            bridging_search(g_lam, g_om, ident)
+            # one assignment's calls share its partial family
+            for (state, order), (next_state, next_order) in zip(calls, calls[1:]):
+                if state == next_state:
+                    assert order <= next_order, (order, next_order)
+                    steps.add((order[0] != next_order[0], order[1] != next_order[1]))
+    assert any(up for up, _ in steps) and (False, True) in steps
+
+
+@pytest.mark.parametrize("n", INSPLIT_PAIR_SIZES)
+def test_search_bridges_an_insplit_both_ways(n):
+    # an in-split's (R, S) are known-positive instances: R S and S R are
+    # one-step matrices and both intertwine. That the searches over R and
+    # over S find a coherent family is observed on these pairs, not a
+    # theorem; the transposes do not intertwine
+    g, split, r, s = insplit_pair(n)
+    for g_lam, g_om, m in ((g, split, r), (split, g, s)):
+        found = bridging_search(g_lam, g_om, m)
+        assert isinstance(found, BridgingPair), (n, found)
+        assert coherence_check(g_lam, g_om, found) == (True, None)
+        assert bridging_graph(g_lam, g_om, found).rank == 3
+        assert_same_search(found, reference_search(g_lam, g_om, m))
+    with pytest.raises(NotIntertwining):
+        bridging_search(split, g, [list(col) for col in zip(*r)])
+    with pytest.raises(NotIntertwining):
+        bridging_search(g, split, [list(col) for col in zip(*s)])
 
 
 def test_exhausted_count_is_the_number_of_families():

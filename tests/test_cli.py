@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     DEEP_SHIFTS, complete_product, cycle_plus_permutation, kill_push_dge_eq, product_graph, product_h0,
+    with_prefixed,
 )
 
 import kgraphs
 from kgraphs.bridging import BridgingPair, bridging_graph
 from kgraphs.cli import COMMANDS, build_parser, main
 from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
-from kgraphs.core import Edge, InvalidKGraph, Skeleton, kgraph_violations, parse_matrix, validate_kgraph
+from kgraphs.core import InvalidKGraph, kgraph_violations, parse_matrix, validate_kgraph
 from kgraphs.dimension import parse_element, unit_element
 from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
 from kgraphs.sse import SSE_MAX_TABLE_BYTES, intertwiner_check
@@ -547,20 +548,6 @@ def test_h0_cli_on_a_1024_vertex_product(capsys, tmp_path):
 SWEEP_BUDGET_S = 5.0
 
 
-def _with_prefixed(g, h, prefix):
-    # the disjoint union of g and h, h's vertex and edge ids prefixed
-    def edges(k, tag):
-        return tuple(Edge(tag + e.id, e.color, tag + e.src, tag + e.rng) for e in k.edges)
-
-    def squares(k, tag):
-        return {tuple(tag + i for i in key): tuple(tag + i for i in val) for key, val in k.squares.items()}
-
-    skeleton = Skeleton(
-        g.rank, g.vertices + tuple(prefix + v for v in h.vertices), edges(g, "") + edges(h, prefix)
-    )
-    return validate_kgraph(skeleton, {**g.squares, **squares(h, prefix)})
-
-
 @pytest.fixture(scope="module")
 def product_576(tmp_path_factory):
     # the product, and beside it (union.json) its disjoint union with
@@ -570,7 +557,7 @@ def product_576(tmp_path_factory):
     g = product_graph(a, b)
     path = tmp_path_factory.mktemp("sweep") / "product.json"
     path.write_text(dump_kgraph(g), encoding="utf-8")
-    union = _with_prefixed(g, fixture("ex3.5-Lambda"), "L.")
+    union = with_prefixed(g, fixture("ex3.5-Lambda"), "L.")
     path.with_name("union.json").write_text(dump_kgraph(union), encoding="utf-8")
     return str(path), a, b
 
@@ -701,6 +688,40 @@ def test_every_subcommand_on_a_576_vertex_product(capsys, product_576, row):
     elapsed = time.process_time() - t0
     assert code == want_code and check(out, err, a, b), (code, out[:200], err)
     assert elapsed < SWEEP_BUDGET_S, f"took {elapsed:.2f}s of CPU, budget {SWEEP_BUDGET_S}s"
+
+
+def test_matrix_from_a_file_reaches_a_kgraph_child_at_576_vertices(product_576):
+    # the 576 x 576 identity is 663551 bytes of text, over Linux's 131072
+    # bytes for one argument, so inline it cannot start a child at all
+    path, a, b = product_576
+    r_path = os.path.join(os.path.dirname(path), "identity.txt")
+    with open(r_path, "w", encoding="utf-8") as fh:
+        fh.write(_identity_text(576) + "\n")
+    assert os.path.getsize(r_path) > 131072
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kgraphs.__file__)))
+    for argv, check in (
+        (["bridge-search", path, path], lambda out: out.startswith("R: 1 0 0 ") and len(out.splitlines()) == 1 + 2 * 1152),
+        (["tm-hom-check", path, path], lambda out: out == "hom: yes\npointed: yes\n"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgraphs.cli", *argv, "--matrix", r_path],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0 and check(proc.stdout), (argv[0], proc.stdout[:200], proc.stderr)
+
+
+def test_matrix_from_a_file_reads_as_inline(capsys, tmp_path):
+    r_path = tmp_path / "r.txt"
+    r_path.write_text("1 1\n", encoding="utf-8")
+    inline = run(capsys, "bridge-search", "ex5.7-Lambda", "ex5.7-Omega", "--matrix", "1 1")
+    assert inline[0] == 0
+    assert run(capsys, "bridge-search", "ex5.7-Lambda", "ex5.7-Omega", "--matrix", str(r_path)) == inline
+    # an error names the file, not its contents
+    r_path.write_text("1 x", encoding="utf-8")
+    code, _, err = run(capsys, "tm-hom-check", "ex5.7-Lambda", "ex5.7-Lambda", "--matrix", str(r_path))
+    assert code == 2 and err == f"error: bad matrix in {str(r_path)!r}: entries must be integers\n"
+    r_path.write_bytes(b"\xff")
+    assert run(capsys, "bridge-search", "ex5.7-Lambda", "ex5.7-Omega", "--matrix", str(r_path))[0] == 2
 
 
 def test_h0gr_cli(capsys):

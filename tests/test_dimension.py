@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
-    DEEP_SHIFTS, STABLE_INDEX_GRAPHS, complete_product, cycle_plus_permutation, dense_dge_eq, dense_matrix,
-    dense_positivity, dense_push, edge_matrix, edge_push, graphs, intertwiner_cases, kill_push_dge_eq,
-    left_kernel, mat_mul, nilpotent_chain, no_sources, one_graph, product_graph, random_2graph,
+    DEEP_SHIFTS, INSPLIT_PAIR_SIZES, STABLE_INDEX_GRAPHS, complete_product, cycle_plus_permutation, dense_dge_eq,
+    dense_matrix, dense_positivity, dense_push, edge_matrix, edge_push, graphs, insplit_pair, intertwiner_cases,
+    kill_push_dge_eq, left_kernel, mat_mul, nilpotent_chain, no_sources, one_graph, product_graph, random_2graph,
     random_2graphs, ranked_graphs, reference_lag_0, small_elements, square_matrices, vec_mat,
 )
 
@@ -446,6 +446,20 @@ def test_sse_finds_insplit_witness():
     assert mat_mul(w.r, w.s) == a_p
     assert mat_mul(w.s, w.r) == b_p
     assert intertwiner_check(lam, lam_i, w.r)
+
+
+@pytest.mark.parametrize("n", INSPLIT_PAIR_SIZES[:2])
+def test_sse_search_finds_an_insplit_within_its_witness_bounds(n):
+    # (R, S) from the in-split is a witness at p = e_1 whose entries are at
+    # most m, so a search up to p = (1, 1) and entries m cannot exhaust
+    # (3/4 and 7/8 vertices; the 7/8 pair takes about 0.6 s)
+    g, split, r, s = insplit_pair(n)
+    m = max(max(row) for row in r + s)
+    w = sse_search(g, split, 1, m)
+    assert isinstance(w, SSEWitness), (n, w)
+    assert mat_mul(w.r, w.s) == vertex_matrix(g, w.p)
+    assert mat_mul(w.s, w.r) == vertex_matrix(split, w.p)
+    assert intertwiner_check(g, split, w.r) and intertwiner_check(split, g, w.s)
 
 
 def test_sse_exhausts():
