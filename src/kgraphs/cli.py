@@ -144,8 +144,6 @@ def cmd_sinkdelete(args) -> int:
     from .moves import sink_delete, sink_delete_sidecar
 
     g = resolve_graph(args.graph)
-    if args.vertex not in g.vertex_index:
-        raise KGraphError(f"unknown vertex {args.vertex!r}")
     if args.sidecar:
         result, doc = sink_delete_sidecar(g, args.vertex)
         _write_sidecar(args.sidecar, doc)
@@ -338,10 +336,9 @@ COMMANDS = {
         ("right", {}),
         ("--p-max", {"type": int, "default": 1, "help": "componentwise bound on the degree p (default 1)"}),
         ("--entry-max", {"type": int, "default": 1, "help": (
-            "bound on R and S entries (default 1; equations prune R and S row by row, "
-            "but the worst case is still (entry_max+1)^(2 d d') candidate pairs; "
-            "past lag 0, a table of the (entry_max+1)^d' candidate rows of R, or the "
-            "(entry_max+1)^d of S, over 2^31 bytes exits 1, sse.SSE_MAX_TABLE_BYTES)"
+            "bound on R and S entries (default 1; past lag 0 each entry that no equation "
+            "fixes runs through 0..entry_max, so a large bound with no witness near 0 "
+            "may not finish; d*d' over 5000 unknowns exits 1, sse.SSE_MAX_UNKNOWNS)"
         )}),
     ]),
     "rank": (cmd_rank, "rank of P^d, P the product of the one-step matrices and d the vertex count", [GRAPH]),

@@ -496,10 +496,10 @@ def vertex_matrix(g: KGraph, n: Degree) -> Matrix:
 
 def parse_matrix(text: str) -> Matrix:
     """An integer matrix written as rows separated by ';' and entries by
-    whitespace: "1 0; 0 1", inline or in a file. Text that names an
-    existing file is read as that file, as parse_flips reads --flips; a
-    matrix too large for one command-line argument goes in a file."""
-    shown = repr(text)
+    whitespace: "1 0; 0 1", inline or in a file (text that names an
+    existing file, as parse_flips reads --flips; a matrix too large for one
+    argument goes in a file). Errors echo at most 40 characters of text."""
+    shown = repr(text if len(text) <= 40 else text[:40] + "...")
     if os.path.isfile(text):
         from .textform import read_text
 

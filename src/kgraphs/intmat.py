@@ -102,21 +102,34 @@ def rank(a: Matrix) -> int:
 def primitive_echelon(rows: Iterable[list[int]]) -> Matrix:
     """A basis of the span of `rows` over Q in echelon form, each row
     primitive: its entries have gcd 1 and its leading entry is positive.
+    The dense form of echelon_extend from an empty basis."""
+    rows = list(rows)
+    width = len(rows[-1]) if rows else 0
+    dense_basis = []
+    for _, row in sorted(echelon_extend({}, ({c: s for c, s in enumerate(d) if s} for d in rows)).items()):
+        dense_basis.append([0] * width)
+        for c, s in row.items():
+            dense_basis[-1][c] = s
+    return dense_basis
+
+
+def echelon_extend(
+    basis: dict[int, dict[int, int]], rows: Iterable[dict[int, int]]
+) -> dict[int, dict[int, int]]:
+    """A primitive echelon basis of the span of basis and rows, as
+    {leading column: row}, every row sparse ({column: nonzero entry});
+    basis is such a basis already, and neither it nor rows change.
 
     Fraction-free: while a row's leading column is the leading column of a
     basis row b, the row becomes p * row - x * b, where p and x are b's and
     the row's leading entries divided by their gcd, which clears that
     column. A row that is left nonzero is divided by the gcd of its
-    entries and joins the basis. Rows are held sparse, as {column: nonzero
-    entry}, and taken sparsest first, which keeps the fill-in down.
+    entries, negated if its leading entry is negative, and joins the
+    basis. Rows are taken sparsest first, which keeps the fill-in down.
     """
-    width = 0
-    sparse = []
-    for dense in rows:
-        width = len(dense)
-        sparse.append({c: s for c, s in enumerate(dense) if s})
-    basis: dict[int, dict[int, int]] = {}  # leading column -> row
-    for row in sorted(sparse, key=len):
+    basis = dict(basis)
+    for row in sorted(rows, key=len):
+        row = dict(row)
         while row and (lead := min(row)) in basis:
             b = basis[lead]
             p, x = b[lead], row[lead]
@@ -135,13 +148,7 @@ def primitive_echelon(rows: Iterable[list[int]]) -> Matrix:
             if row[min(row)] < 0:
                 g = -g
             basis[min(row)] = {c: s // g for c, s in row.items()}
-    dense_basis = []
-    for lead in sorted(basis):
-        row = [0] * width
-        for c, s in basis[lead].items():
-            row[c] = s
-        dense_basis.append(row)
-    return dense_basis
+    return basis
 
 
 def cokernel_invariants(rows: list[dict[int, int]], cols: int) -> tuple[int, tuple[int, ...]]:

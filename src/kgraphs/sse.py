@@ -4,19 +4,18 @@ A witness at degree p is a pair (R, S) of nonnegative integer matrices
 with A_p = R*S, B_p = S*R, A_{e_i}R = R B_{e_i} and B_{e_i}S = S A_{e_i}
 for every color i, A over the left graph and B over the right one.
 sse_search finds the first one within bounds on p and on the entries of
-R and S. intertwiner_check checks the intertwining equations of one R on
-the row kernel (_intertwining_rows) that the search runs past lag 0.
-That kernel reads the in-edge index KGraph.in_sources; the lag-0 search
-and the zero-column rule read the out-edge index KGraph.out_sources too,
-and the degree walk runs the push kernel core._push. The graded
-dimension group itself is in dimension, and this module imports nothing
-from it.
+R and S; past lag 0 it walks the integer points of the linear systems
+of R and S (_lattice_walk). intertwiner_check checks one R on a row
+kernel that reads only nonzero entries (_intertwining_rows). Both read
+the in-edge index KGraph.in_sources; the lag-0 search and the
+zero-column rule read KGraph.out_sources too, and the degree walk runs
+the push kernel core._push. This module imports nothing from dimension.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import TYPE_CHECKING, NamedTuple
+from bisect import bisect_right
+from typing import NamedTuple
 
 from .core import (
     Degree,
@@ -30,9 +29,7 @@ from .core import (
     vertex_matrix,
     zero_degree,
 )
-
-if TYPE_CHECKING:
-    from .intmat import Matrix
+from .intmat import Matrix, echelon_extend
 
 
 class SSEWitness(NamedTuple):
@@ -49,8 +46,8 @@ class ExhaustedBounds(NamedTuple):
 # -------------------------------------------------------------- intertwiners
 
 def _intertwining_rows(g_m: KGraph, g_n: KGraph):
-    """accept(rows, t) for a row search of X, a g_m-by-g_n matrix, under
-    A_{e_i} X = X B_{e_i} for every color i, A over g_m and B over g_n:
+    """accept(rows, t) for a row-by-row check of X, a g_m-by-g_n matrix,
+    under A_{e_i} X = X B_{e_i} for every color i, A over g_m and B over g_n:
     it checks the equation rows that row t of X completes. Row v of the
     equation reads row v of X and the rows s with A_{e_i}(v, s) != 0, and
     t is the last of them. Its left side adds row s of X for each color-i
@@ -96,8 +93,10 @@ def _intertwining_rows(g_m: KGraph, g_n: KGraph):
 
 
 def intertwiner_check(g_left: KGraph, g_right: KGraph, r: Matrix) -> bool:
-    """Whether A_{e_i} * r == r * B_{e_i} for every color: one full pass of
-    the row kernel of sse_search (_intertwining_rows) over the rows of r."""
+    """Whether A_{e_i} * r == r * B_{e_i} for every color: one pass of the
+    row kernel _intertwining_rows over the rows of r. It reads only the
+    nonzero entries of r, where sse_search's k d d' equation rows would
+    make a check of a permutation matrix quadratic in the vertex count."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     _check_shape(g_left, g_right, r)
@@ -108,102 +107,90 @@ def intertwiner_check(g_left: KGraph, g_right: KGraph, r: Matrix) -> bool:
 
 # ---------------------------------------------------------------- SSE search
 
-def _row_search(n: int, options, accept):
-    """Every n-row matrix whose row t is drawn from options(t) and passes
-    accept(rows, t), as a list of rows, in lexicographic order of the rows.
-    accept sees rows 0..t set, and a prefix it rejects is not extended.
-    The stack of row iterators is explicit, so there is no recursion."""
-    if n == 0:
-        yield []
+# largest d * d' (the unknowns of R, and of S) sse_search takes past lag 0:
+# eliminating R's equations took 0.56 s at 4556 unknowns (an in-split pair
+# of 67/68 vertices), 1.0 s at 5250 and 1.9 s at 7140 (shared 2-vCPU VM)
+SSE_MAX_UNKNOWNS = 5000
+
+
+def _intertwining_eqs(g_m: KGraph, g_n: KGraph) -> list[dict[int, int]]:
+    """The rows of A_{e_i} X = X B_{e_i} for every color i, X a g_m-by-g_n
+    matrix, A over g_m and B over g_n, as sparse rows over the columns of
+    _lattice_walk: row (v, w) adds X(s, w) for each color-i edge of g_m
+    from s into v (in_sources), and takes off X(v, u) for each color-i
+    edge of g_n from w into u (out_sources)."""
+    dn = len(g_n.vertices)
+    last = len(g_m.vertices) * dn - 1
+    rows = []
+    for m_srcs, n_outs in zip(g_m.in_sources, g_n.out_sources):
+        for v, srcs in enumerate(m_srcs):
+            for w, outs in enumerate(n_outs):
+                eq: dict[int, int] = {}
+                for c, x in [(last - s * dn - w, 1) for s in srcs] + [(last - v * dn - u, -1) for u in outs]:
+                    eq[c] = eq.get(c, 0) + x
+                rows.append({c: x for c, x in eq.items() if x})
+    return rows
+
+
+def _lattice_walk(basis: dict, n: int, entry_max: int, cut: dict | None = None):
+    """Every x in 0..entry_max^n, in lexicographic order, that solves the
+    system of which basis is a primitive echelon basis (echelon_extend):
+    unknown c at column n - 1 - c and the right-hand side at column n, so
+    a row leading at n has no solution and one leading at n - 1 - c fixes
+    x_c from the x before it. The walk branches only on the free x_c, each
+    through 0..entry_max, which keeps the order. A fixed x_c is worked out
+    as soon as the free x it depends on are set, and cuts the branch
+    unless it is an integer in 0..entry_max; so does cut[c](x), if there,
+    once x_0..x_c are set. The stack of value iterators is explicit."""
+    if n in basis:
         return
-    rows: list = [None] * n
-    its: list = [iter(options(0))] + [None] * (n - 1)
-    t = 0
-    while t >= 0:
-        rows[t] = next(its[t], None)
-        if rows[t] is None:
-            t -= 1
-        elif accept(rows, t):
-            if t + 1 == n:
-                yield rows[:]
-            else:
-                t += 1
-                its[t] = iter(options(t))
-
-
-# largest size in bytes of a table of candidate rows that sse_search
-# builds past lag 0: all (entry_max + 1)^d rows of R (d = d') or of one S
-# (d the left vertex count), each a tuple of d ints, 48 + 8 d bytes with
-# its list slot on 64-bit CPython. A table over it cannot be built under a
-# 2 GB address-space limit (ulimit -v 2000000); the search answered up to
-# it there, ex3.5-Lambda against -LambdaI at entry_max 63 (2^24 rows of 4,
-# 1.6 GB peak) and a 23-vertex star against rose(1) at entry_max 1 (an S
-# table of 2^23 rows of 23, 1.9 GB)
-SSE_MAX_TABLE_BYTES = 2**31
-
-
-def _check_table(d: int, entry_max: int, name: str) -> None:
-    # the (entry_max + 1)^d candidate rows of R or S against the cap,
-    # multiplied up one factor at a time, before they are built
-    rows = 1
-    for _ in range(d):
-        rows *= entry_max + 1
-        if rows * (48 + 8 * d) > SSE_MAX_TABLE_BYTES:
-            raise KGraphError(
-                f"{entry_max + 1}^{d} candidate rows of {name}, over the cap of {SSE_MAX_TABLE_BYTES} bytes"
-            )
-
-
-def _s_tables(r: list, dr: int, entry_max: int) -> tuple:
-    """What _first_s reads of R, built once per R: the rows of R that are
-    zero, the equation rows of R S grouped by the row of S that completes
-    them (row v reads the rows of S at the nonzero columns of row v of R,
-    and is checked when the last of them is set), and every row x with
-    entries in 0..entry_max keyed by x R."""
-    _check_table(len(r), entry_max, "S")
-    zero_rows: list[int] = []
-    rs_eqs: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(dr)]
-    for v, row in enumerate(r):
-        terms = [(t, c) for t, c in enumerate(row) if c]
-        if terms:
-            rs_eqs[terms[-1][0]].append((v, terms))
+    fixed = {}
+    for lead, row in basis.items():
+        terms = [(n - 1 - col, a) for col, a in row.items() if lead < col < n]
+        fixed[n - 1 - lead] = (row[lead], row.get(n, 0), terms)
+    # steps[i]: the fixed x_c, in order, and the cut[c] due once the first
+    # i free x are set; step[c] is that i for a fixed x_c, i + 1 for free[i]
+    free, step, steps = [], [0] * n, [([], [])]
+    for c in range(n):
+        if c in fixed:
+            step[c] = max((step[j] for j, _ in fixed[c][2]), default=0)
+            steps[step[c]][0].append(c)
         else:
-            zero_rows.append(v)
-    by_image: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for x in product(range(entry_max + 1), repeat=len(r)):
-        image = [0] * dr
-        for c, row in zip(x, r):
-            if c:
-                image = [a + c * b for a, b in zip(image, row)]
-        by_image.setdefault(tuple(image), []).append(x)
-    return zero_rows, rs_eqs, by_image
+            free.append(c)
+            step[c] = len(free)
+            steps.append(([], []))
+    for c, check in (cut or {}).items():
+        steps[bisect_right(free, c)][1].append(check)
+    x = [0] * n
 
-
-def _first_s(tables: tuple, a_p: Matrix, b_p: Matrix, s_accept) -> Matrix | None:
-    """The first S in row-major lexicographic order with S R = B_p,
-    R S = A_p and B_{e_i} S = S A_{e_i} for all i, or None; tables are
-    R's _s_tables."""
-    zero_rows, rs_eqs, by_image = tables
-    if any(any(a_p[v]) for v in zero_rows):
-        return None
-    # row t of S R is (row t of S) R, so row t of S is drawn from the rows
-    # x with x R = row t of B_p
-    options = [by_image.get(tuple(row), []) for row in b_p]
-    if not all(options):
-        return None
-    dl = len(a_p)
-
-    def holds(rows: list, t: int) -> bool:
-        for v, terms in rs_eqs[t]:
-            acc = [0] * dl
-            for u, c in terms:
-                acc = [a + c * b for a, b in zip(acc, rows[u])]
-            if acc != a_p[v]:
+    def settle(i: int) -> bool:
+        due, checks = steps[i]
+        for c in due:
+            lead, rhs, terms = fixed[c]
+            value, rest = divmod(rhs - sum(a * x[j] for j, a in terms), lead)
+            if rest or not 0 <= value <= entry_max:
                 return False
-        return s_accept(rows, t)
+            x[c] = value
+        return all(check(x) for check in checks)
 
-    s = next(_row_search(len(b_p), options.__getitem__, holds), None)
-    return None if s is None else [list(row) for row in s]
+    # level 0 settles what no free x decides; level i sets free[i - 1]
+    values = range(entry_max + 1)
+    its = [iter((0,))] + [None] * len(free)
+    i = 0
+    while i >= 0:
+        value = next(its[i], None)
+        if value is None:
+            i -= 1
+            continue
+        if i:
+            x[free[i - 1]] = value
+        if not settle(i):
+            continue
+        if i == len(free):
+            yield x[:]
+        else:
+            i += 1
+            its[i] = iter(values)
 
 
 def _degrees(graphs: tuple, caps: tuple, p_max: int, walked: list[bool]):
@@ -327,9 +314,9 @@ def sse_search(
     R and S in 0..entry_max and p <= p_max componentwise.
 
     p runs through (0..p_max)^k in lexicographic order; for each p, R and
-    then S run through their matrices in row-major lexicographic order, one
-    row at a time. Every rule below skips only what no witness can use, so
-    the result is the one a full enumeration gives.
+    then S run through their matrices in row-major lexicographic order.
+    Every rule below skips only what no witness can use, so the result is
+    the one a full enumeration gives.
 
     Lag 0 comes first. Over the nonnegative integers R S = I and S R = I
     force d = d' (the vertex counts), R a permutation matrix and S = R^T,
@@ -345,23 +332,21 @@ def sse_search(
     (R, S P^T) at p - e_i, with the same entries, and the first witness
     has p_i = 0. When every color is such, nothing is left after lag 0.
 
-    Past lag 0, row v of A_{e_i}R - R B_{e_i} reads only row v and the rows
-    w with A_{e_i}(v, w) != 0, and is checked as soon as the last of them
-    is set; so are row t of B_{e_i}S - S A_{e_i} and row v of R S - A_p.
-    Each row t of S is drawn from the rows x with x R = row t of B_p. A
-    prefix is rejected only when an equation row it fully determines
-    fails. The intertwining R do not depend on p: they are enumerated once,
-    lazily, and replayed with their _s_tables at every later p. When every
-    vertex of g_left receives an edge of every color no A_p has a zero
-    row, so neither has R; when every vertex of g_right emits one no B_p
-    has a zero column, so neither has R. An entry of R S is at most
-    d' * entry_max^2 and one of S R at most d * entry_max^2, so _degrees
-    skips the p whose A_p or B_p has a larger one, and stops a
-    coordinate's walk once (A_p, B_p) repeats. No matrix product is
-    formed. The search stays exponential in entry_max and d * d'. The
-    candidate rows of R are built when the first degree needs them, and
-    those of S with each R; a table that would take more than
-    SSE_MAX_TABLE_BYTES raises KGraphError instead."""
+    Past lag 0, the R are the points of A_{e_i}R = R B_{e_i} and the S for
+    one (p, R) those of B_{e_i}S = S A_{e_i}, R S = A_p and S R = B_p, in
+    0..entry_max. Both intertwining systems are put in echelon form once,
+    and each (p, R) adds its R S and S R rows to S's. The intertwining R
+    do not depend on p: they are enumerated once, lazily, and replayed at
+    every later p. When every vertex of g_left receives an edge of every
+    color no A_p has a zero row, so neither has R; when every vertex of
+    g_right emits one no B_p has a zero column, so neither has R. An entry
+    of R S is at most d' * entry_max^2 and one of S R at most
+    d * entry_max^2, so _degrees skips the p whose A_p or B_p has a larger
+    one, and stops a coordinate's walk once (A_p, B_p) repeats. The walk
+    is exponential in the free entries, each through all of 0..entry_max,
+    so a large entry_max with no witness near 0 does not finish. Over
+    SSE_MAX_UNKNOWNS unknowns (d * d') the first degree raises KGraphError
+    instead."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     if p_max < 0 or entry_max < 0:
@@ -385,24 +370,32 @@ def sse_search(
     # whether R may have a zero row, a zero column (see above)
     zero_rows = not all(map(all, g_left.in_sources))
     zero_cols = not all(map(all, g_right.out_sources))
-    r_accept = _intertwining_rows(g_left, g_right)
-    s_accept = _intertwining_rows(g_right, g_left)
+    n = dl * dr
+    s_basis: dict = {}
 
     def fresh():
-        # the intertwining R in order, each with its S tables; runs from
-        # the first degree on, so a search with no degree builds nothing
-        _check_table(dr, entry_max, "R")
-        r_rows = [x for x in product(range(entry_max + 1), repeat=dr) if zero_rows or any(x)]
-        for r in _row_search(dl, lambda t: r_rows, r_accept):
-            if zero_cols or all(map(any, zip(*r))):
-                yield r, _s_tables(r, dr, entry_max)
+        # the intertwining R in order, each with the left sides of R S =
+        # A_p and S R = B_p over S's unknowns, row by row; runs from the
+        # first degree on, so a search with no degree sets up nothing
+        if n > SSE_MAX_UNKNOWNS:
+            raise KGraphError(f"{dl} x {dr} = {n} unknowns in R and in S, over the cap of {SSE_MAX_UNKNOWNS}")
+        s_basis.update(echelon_extend({}, _intertwining_eqs(g_right, g_left)))
+        # a zero row of R is cut as soon as it is set (at once if d' = 0)
+        ends = [] if zero_rows else range(dl)
+        cut = {(v + 1) * dr - 1: lambda x, v=v: any(x[v * dr : (v + 1) * dr]) for v in ends}
+        for x in _lattice_walk(echelon_extend({}, _intertwining_eqs(g_left, g_right)), n, entry_max, cut):
+            r = [x[v * dr : (v + 1) * dr] for v in range(dl)]
+            cols = list(zip(*r))
+            if not (zero_cols or all(map(any, cols))):
+                continue
+            eqs = [{n - 1 - t * dl - u: y for t, y in enumerate(row) if y} for row in r for u in range(dl)]
+            eqs += [{n - 1 - t * dl - u: y for u, y in enumerate(c) if y} for t in range(dr) for c in cols]
+            yield r, eqs
 
-    rest = fresh()
-    seen: list[tuple[list, tuple]] = []
+    rest, seen = fresh(), []
 
     def intertwiners():
-        # the R met so far with their S tables, then the rest of the
-        # enumeration
+        # the R met so far with their equations, then the rest
         yield from seen
         for item in rest:
             seen.append(item)
@@ -410,10 +403,12 @@ def sse_search(
 
     caps = (dr * entry_max**2, dl * entry_max**2)
     for p, a_p, b_p in _degrees((g_left, g_right), caps, p_max, walked):
-        for r, tables in intertwiners():
-            s = _first_s(tables, a_p, b_p, s_accept)
+        rhs = [x for row in a_p + b_p for x in row]
+        for r, eqs in intertwiners():
+            rows = [eq | {n: b} if b else eq for eq, b in zip(eqs, rhs)]
+            s = next(_lattice_walk(echelon_extend(s_basis, rows), n, entry_max), None)
             if s is not None:
-                return SSEWitness(p, [list(row) for row in r], s)
+                return SSEWitness(p, r, [s[t * dl : (t + 1) * dl] for t in range(dr)])
     return ExhaustedBounds(p_max, entry_max)
 
 

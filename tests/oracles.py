@@ -19,7 +19,7 @@ from kgraphs.homology import AbelianInvariants
 from kgraphs.intmat import identity, snf_diagonal
 from kgraphs.moves import enumerate_valid_partitions, insplit, insplit_matrices
 from kgraphs.paths import Path
-from kgraphs.sse import _intertwining_rows, _row_search
+from kgraphs.sse import _intertwining_rows
 
 # ------------------------------------------------------------ graph builders
 
@@ -509,6 +509,29 @@ def reference_paths_of_degree(g, v, n):
 
     rec(v, list(n), 1)
     return results
+
+
+def _row_search(n: int, options, accept):
+    """Previous version of sse._row_search: every n-row matrix whose row t
+    is drawn from options(t) and passes accept(rows, t), as a list of rows,
+    in lexicographic order of the rows. accept sees rows 0..t set, and a
+    prefix it rejects is not extended."""
+    if n == 0:
+        yield []
+        return
+    rows: list = [None] * n
+    its: list = [iter(options(0))] + [None] * (n - 1)
+    t = 0
+    while t >= 0:
+        rows[t] = next(its[t], None)
+        if rows[t] is None:
+            t -= 1
+        elif accept(rows, t):
+            if t + 1 == n:
+                yield rows[:]
+            else:
+                t += 1
+                its[t] = iter(options(t))
 
 
 def reference_lag_0(g_left, g_right, entry_max):

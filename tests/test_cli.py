@@ -22,7 +22,7 @@ from kgraphs.constructions import FIXTURE_NAMES, fixture, rose
 from kgraphs.core import InvalidKGraph, kgraph_violations, parse_matrix, validate_kgraph
 from kgraphs.dimension import parse_element, unit_element
 from kgraphs.moves import enumerate_valid_partitions, insplit, sink_delete
-from kgraphs.sse import SSE_MAX_TABLE_BYTES, intertwiner_check
+from kgraphs.sse import SSE_MAX_UNKNOWNS, intertwiner_check
 from kgraphs.textform import dump_kgraph, load_kgraph, parse_kgraph, parse_kgraph_parts
 
 
@@ -310,6 +310,15 @@ def test_sinkdelete_not_a_sink(capsys):
     assert code == 1 and "every color" in err
 
 
+@pytest.mark.parametrize("sidecar", [False, True])
+def test_sinkdelete_unknown_vertex(capsys, tmp_path, sidecar):
+    path = tmp_path / "maps.json"
+    extra = ["--sidecar", str(path)] if sidecar else []
+    code, out, err = run(capsys, "sinkdelete", "ex3.5-Lambda", "zz", *extra)
+    assert (code, out, err) == (1, "", "error: unknown vertex 'zz'\n")
+    assert not path.exists()
+
+
 # ------------------------------------------------------------ constructions
 
 def test_pullback_cli(capsys):
@@ -469,20 +478,35 @@ def test_sse_search_walks_no_degree_when_every_color_is_a_permutation(capsys):
 
 
 @pytest.mark.parametrize("entry_max", ["100", "1000", "99999999999999"])
-def test_sse_search_over_the_row_cap_exits_1(capsys, entry_max):
-    # checked after lag 0 (3 against 4 vertices has none) and before any
-    # row table is built
+def test_sse_search_at_a_large_entry_max_answers(capsys, entry_max):
+    # past lag 0 (3 against 4 vertices has none) the walk meets the
+    # witness with entries at most 1 first, whatever the bound
     code, out, err = run(capsys, "sse-search", "ex3.5-Lambda", "ex3.5-LambdaI", "--entry-max", entry_max)
-    assert code == 1 and out == "" and "Traceback" not in err
-    assert err == (
-        f"error: {int(entry_max) + 1}^4 candidate rows of R, over the cap of {SSE_MAX_TABLE_BYTES} bytes\n"
-    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["p: 0,1", "R: 1 0 0 0; 0 1 1 0; 0 0 0 1"]
 
 
-def test_sse_search_help_names_the_row_cap(capsys):
+def test_sse_search_over_the_unknowns_cap_exits_1(capsys, tmp_path):
+    # 70 against 72 vertices: 5040 unknowns, just over the cap, checked
+    # after lag 0 (unequal sizes have none) and before any elimination
+    rng = random.Random(5040)
+    paths = []
+    for name, (m, n) in (("left", (7, 10)), ("right", (8, 9))):
+        g = product_graph(cycle_plus_permutation(rng, m), cycle_plus_permutation(rng, n))
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(dump_kgraph(g), encoding="utf-8")
+    t0 = time.process_time()
+    code, out, err = run(capsys, "sse-search", *map(str, paths))
+    elapsed = time.process_time() - t0
+    assert (code, out) == (1, "")
+    assert err == f"error: 70 x 72 = 5040 unknowns in R and in S, over the cap of {SSE_MAX_UNKNOWNS}\n"
+    assert elapsed < 1.0, f"took {elapsed:.2f}s of CPU, budget 1.0s"
+
+
+def test_sse_search_help_names_the_unknowns_cap(capsys):
     code, out, _ = run(capsys, "sse-search", "--help")
-    assert SSE_MAX_TABLE_BYTES == 2**31
-    assert code == 0 and "of S, over 2^31 bytes exits 1" in " ".join(out.split())
+    assert SSE_MAX_UNKNOWNS == 5000
+    assert code == 0 and "d*d' over 5000 unknowns exits 1" in " ".join(out.split())
 
 
 def test_rank_cli(capsys):
@@ -654,6 +678,11 @@ SWEEP_ROWS = {
     "sse-search G G": (
         lambda p, a: ["sse-search", p, p], 0, lambda out, err, a, b: _permutation_intertwiner_text(out, a, b)
     ),
+    "sse-search G and G beside ex3.5-Lambda": (
+        lambda p, a: ["sse-search", p, p.replace("product.json", "union.json")],
+        1,
+        lambda out, err, a, b: err == "error: 576 x 579 = 333504 unknowns in R and in S, over the cap of 5000\n",
+    ),
     "fixtures": (lambda p, a: ["fixtures"], 0, lambda out, err, a, b: out.startswith("ex3.5-Lambda\n")),
     "insplit": (
         lambda p, a: ["insplit", p, "x0|y0"],
@@ -722,6 +751,18 @@ def test_matrix_from_a_file_reads_as_inline(capsys, tmp_path):
     assert code == 2 and err == f"error: bad matrix in {str(r_path)!r}: entries must be integers\n"
     r_path.write_bytes(b"\xff")
     assert run(capsys, "bridge-search", "ex5.7-Lambda", "ex5.7-Omega", "--matrix", str(r_path))[0] == 2
+
+
+def test_a_long_inline_matrix_is_echoed_in_part(capsys):
+    # a ragged inline matrix of about 120 KB: the error shows its first
+    # 40 characters, where short inline text is shown whole
+    ragged = "1 0; " * 24000 + "1"
+    assert len(ragged) > 120000
+    code, out, err = run(capsys, "tm-hom-check", "ex5.7-Lambda", "ex5.7-Lambda", "--matrix", ragged)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad matrix {ragged[:40] + '...'!r}: ragged rows\n"
+    code, _, err = run(capsys, "tm-hom-check", "ex5.7-Lambda", "ex5.7-Lambda", "--matrix", "1 0; 1")
+    assert (code, err) == (2, "error: bad matrix '1 0; 1': ragged rows\n")
 
 
 def test_h0gr_cli(capsys):
@@ -1343,7 +1384,7 @@ _CLI_BASE = {"kgraphs", "kgraphs.core", "kgraphs.textform"}
         (["sinkdelete", "{lam}", "v", "--sidecar", "{sidecar}"], {"moves", "dimension"}),
         (["tm-iso-check", "{lam}", "{split}", "--fwd", "{phi}", "--bwd", "{psi}"], {"dimension"}),
         (["bridge-search", "{g}", "{g}", "--matrix", "1"], {"bridging", "paths"}),
-        (["sse-search", "{lam}", "{split}"], {"sse"}),
+        (["sse-search", "{lam}", "{split}"], {"sse", "intmat"}),
         (["tm-hom-check", "{g}", "{g}", "--identity"], {"dimension"}),
     ],
     ids=[

@@ -50,7 +50,7 @@ from kgraphs.dimension import (
     zero_element,
 )
 from kgraphs.homology import rank_invariant
-from kgraphs.intmat import identity
+from kgraphs.intmat import echelon_extend, identity
 from kgraphs.moves import (
     enumerate_valid_partitions,
     insplit,
@@ -61,7 +61,7 @@ from kgraphs.moves import (
     sink_delete_witnesses,
 )
 from kgraphs.sse import (
-    SSE_MAX_TABLE_BYTES,
+    SSE_MAX_UNKNOWNS,
     ExhaustedBounds,
     SSEWitness,
     intertwiner_check,
@@ -448,18 +448,52 @@ def test_sse_finds_insplit_witness():
     assert intertwiner_check(lam, lam_i, w.r)
 
 
-@pytest.mark.parametrize("n", INSPLIT_PAIR_SIZES[:2])
+INSPLIT_SSE_BUDGET_S = 5.0
+
+
+@pytest.mark.parametrize("n", INSPLIT_PAIR_SIZES[:3])
 def test_sse_search_finds_an_insplit_within_its_witness_bounds(n):
     # (R, S) from the in-split is a witness at p = e_1 whose entries are at
     # most m, so a search up to p = (1, 1) and entries m cannot exhaust
-    # (3/4 and 7/8 vertices; the 7/8 pair takes about 0.6 s)
+    # (3/4, 7/8 and 12/13 vertices; the 12/13 pair takes about 0.1 s)
     g, split, r, s = insplit_pair(n)
     m = max(max(row) for row in r + s)
+    t0 = time.process_time()
     w = sse_search(g, split, 1, m)
+    elapsed = time.process_time() - t0
+    assert elapsed < INSPLIT_SSE_BUDGET_S, f"took {elapsed:.2f}s of CPU, budget {INSPLIT_SSE_BUDGET_S}s"
     assert isinstance(w, SSEWitness), (n, w)
     assert mat_mul(w.r, w.s) == vertex_matrix(g, w.p)
     assert mat_mul(w.s, w.r) == vertex_matrix(split, w.p)
     assert intertwiner_check(g, split, w.r) and intertwiner_check(split, g, w.s)
+
+
+def test_lattice_walk_matches_a_full_enumeration():
+    # random systems, each solved by a point drawn in range half the time:
+    # the walk over their primitive echelon basis, whole or extended from
+    # that of the first rows, yields
+    # exactly the x in 0..entry_max^n that solve every row and pass every
+    # cut, in lexicographic order; unknown c at column n - 1 - c
+    rng = random.Random(20261020)
+    for _ in range(300):
+        n, entry_max = rng.randint(0, 5), rng.randint(0, 2)
+        point = [rng.randint(0, entry_max + (rng.random() < 0.5)) for _ in range(n)]
+        eqs = []
+        for _ in range(rng.randint(0, n + 1)):
+            coefs = [rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(n)]
+            rhs = sum(a * x for a, x in zip(coefs, point)) + (rng.random() < 0.1)
+            eqs.append((coefs, rhs))
+        cut = {c: (lambda x, c=c: sum(x[: c + 1]) % 3 != 1) for c in range(n) if rng.random() < 0.3}
+        want = [
+            list(x)
+            for x in product(range(entry_max + 1), repeat=n)
+            if all(sum(a * v for a, v in zip(coefs, x)) == rhs for coefs, rhs in eqs)
+            and all(check(x) for check in cut.values())
+        ]
+        rows = [{n - 1 - c: a for c, a in enumerate(coefs) if a} | ({n: rhs} if rhs else {}) for coefs, rhs in eqs]
+        first = echelon_extend({}, rows[: len(rows) // 2])
+        for basis in (echelon_extend({}, rows), echelon_extend(first, rows[len(rows) // 2 :])):
+            assert list(sse._lattice_walk(basis, n, entry_max, cut)) == want
 
 
 def test_sse_exhausts():
@@ -742,41 +776,40 @@ def test_sse_search_stops_the_walk_at_a_repeated_state():
     assert elapsed < SINK_BUDGET_S, f"took {elapsed:.2f}s, budget {SINK_BUDGET_S}s"
 
 
-def test_sse_search_caps_its_row_tables(monkeypatch):
-    # past lag 0 the rows of R are drawn from (entry_max + 1)^d' vectors
-    # and each S table keys (entry_max + 1)^d; a table over
-    # SSE_MAX_TABLE_BYTES at 48 + 8 d' (or d) bytes a row raises before it
-    # is built. ex3.5-Lambda and -LambdaI have 3 and 4 vertices
+def test_sse_search_caps_its_unknowns(monkeypatch):
+    # past lag 0 R and S have d * d' unknowns each; over SSE_MAX_UNKNOWNS
+    # the search raises when the first degree needs them.
+    # ex3.5-Lambda and -LambdaI have 3 and 4 vertices, and a large
+    # entry_max finds the entry_max-1 witness
     lam, lam_i = fixture("ex3.5-Lambda"), fixture("ex3.5-LambdaI")
+    want, back = sse_search(lam, lam_i, 1, 1), sse_search(lam_i, lam, 1, 1)
+    assert want.p == (0, 1) and want.r == [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+    assert isinstance(back, SSEWitness)
     for entry_max in (100, 1000, 99999999999999):
-        with pytest.raises(KGraphError) as info:
-            sse_search(lam, lam_i, 1, entry_max)
-        assert str(info.value) == (
-            f"{entry_max + 1}^4 candidate rows of R, over the cap of {SSE_MAX_TABLE_BYTES} bytes"
-        )
-        # with no degree to walk, nothing is built and the search exhausts
+        assert sse_search(lam, lam_i, 1, entry_max) == want
         assert sse_search(lam, lam_i, 0, entry_max) == ExhaustedBounds(0, entry_max)
-    # lag 0 answers before the cap is read
+    # the cap admits exactly SSE_MAX_UNKNOWNS: 3 x 4 = 12 unknowns
+    monkeypatch.setattr(sse, "SSE_MAX_UNKNOWNS", 12)
+    assert sse_search(lam, lam_i, 1, 1) == want and sse_search(lam_i, lam, 1, 1) == back
+    monkeypatch.setattr(sse, "SSE_MAX_UNKNOWNS", 11)
+    with pytest.raises(KGraphError) as info:
+        sse_search(lam, lam_i, 1, 1)
+    assert str(info.value) == "3 x 4 = 12 unknowns in R and in S, over the cap of 11"
+    with pytest.raises(KGraphError, match=r"^4 x 3 = 12 unknowns in R and in S, over the cap of 11$"):
+        sse_search(lam_i, lam, 1, 1)
+    # with no degree to walk nothing is set up and the search exhausts,
+    # and lag 0 answers before the cap is read
+    assert sse_search(lam, lam_i, 0, 1) == ExhaustedBounds(0, 1)
     lag_0 = sse_search(lam, lam, 1, 99999999999999)
     assert lag_0 == sse_search(lam, lam, 1, 1) and lag_0.p == (0, 0)
-    # the cap admits exactly SSE_MAX_TABLE_BYTES: 2^4 rows of 80 bytes
-    want, back = sse_search(lam, lam_i, 1, 1), sse_search(lam_i, lam, 1, 1)
-    monkeypatch.setattr(sse, "SSE_MAX_TABLE_BYTES", 2**4 * 80)
-    assert sse_search(lam, lam_i, 1, 1) == want and sse_search(lam_i, lam, 1, 1) == back
-    monkeypatch.setattr(sse, "SSE_MAX_TABLE_BYTES", 2**4 * 80 - 1)
-    with pytest.raises(KGraphError, match=r"2\^4 candidate rows of R, over the cap of 1279 bytes"):
-        sse_search(lam, lam_i, 1, 1)
-    # the other way round R has 2^3 rows of 72 bytes and S 2^4 of 80
-    assert isinstance(back, SSEWitness)
-    with pytest.raises(KGraphError, match=r"2\^4 candidate rows of S, over the cap of 1279 bytes"):
-        sse_search(lam_i, lam, 1, 1)
+    assert SSE_MAX_UNKNOWNS == 5000
 
 
 @pytest.mark.parametrize("star_left", [True, False])
 def test_sse_search_answers_a_17_vertex_pair_under_the_cap(star_left):
     # the star (an edge from x0 into each of 17 vertices) is A = R S,
-    # 1 = S R with R all ones and S = e_0: 2^17 candidate rows of S, or of
-    # R in the other order, are well under the cap
+    # 1 = S R with R all ones and S = e_0: 17 unknowns each in R and S,
+    # well under the cap
     star = validate_kgraph(Skeleton(1, *one_graph("x", [[1] + [0] * 16] * 17)), {})
     pair = (star, rose(1)) if star_left else (rose(1), star)
     found = sse_search(*pair, 1, 1)

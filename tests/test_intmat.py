@@ -24,7 +24,9 @@ import kgraphs.intmat as intmat
 from kgraphs.intmat import (
     Matrix,
     cokernel_invariants,
+    echelon_extend,
     identity,
+    primitive_echelon,
     rank,
     smith_normal_form,
     snf_diagonal,
@@ -356,6 +358,34 @@ def test_unit_free_cokernel_matches_sympy(case):
     # columns, goes to the Smith normal form
     cols, rows = case
     assert cokernel_invariants(_sparse(rows), cols) == sympy_cokernel(rows, cols)
+
+
+def _sparse(a: Matrix) -> list[dict[int, int]]:
+    return [{c: x for c, x in enumerate(row) if x} for row in a]
+
+
+def _dense(basis: dict[int, dict[int, int]], cols: int) -> Matrix:
+    return [[basis[lead].get(c, 0) for c in range(cols)] for lead in sorted(basis)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.integers(0, 4))
+def test_echelon_extend_spans_the_rows(a, split):
+    # a basis of the first rows extended by the rest spans what all the
+    # rows span: as many rows as the rank, every row of a in their span
+    # (the rank does not grow), one per leading column, each primitive
+    # with a positive leading entry, and the same as primitive_echelon
+    # gives. Neither call changes what it is given
+    cols = len(a[0])
+    rows = _sparse(a)
+    first = echelon_extend({}, rows[:split])
+    kept = {lead: dict(row) for lead, row in first.items()}
+    basis = echelon_extend(first, rows[split:])
+    assert first == kept and rows == _sparse(a)
+    assert len(basis) == rank(a) == rank(a + _dense(basis, cols)) == rank(_dense(basis, cols))
+    for lead, row in basis.items():
+        assert min(row) == lead and row[lead] > 0 and math.gcd(*row.values()) == 1
+    assert _dense(echelon_extend({}, rows), cols) == primitive_echelon(a)
 
 
 def test_snf_invariant_under_permutation():
