@@ -1,4 +1,5 @@
-"""Finite rank-k graphs: skeletons, commuting squares, validation, and
+"""Finite rank-k graphs: skeletons, commuting squares, validation (each
+axiom decided by a count, its violations listed only when one fails) and
 the vector push along the in-edge index. Path arithmetic is in paths.
 
 Conventions used throughout:
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import os
 from functools import cached_property
-from itertools import compress
+from itertools import chain, combinations, compress, repeat
+from operator import lt
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -42,11 +44,14 @@ def zero_degree(k: int) -> Degree:
     return (0,) * k
 
 
+def _check_int(name: str, x: int) -> None:
+    # a bool is an int and a float compares with ints: the type comes first
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise KGraphError(f"{name} {x!r} is not an int")
+
+
 def _check_color(k: int, color: int) -> None:
-    # a bool is an int and a float compares with ints, so each would pass
-    # the range check; the type is checked first
-    if not isinstance(color, int) or isinstance(color, bool):
-        raise KGraphError(f"color {color!r} is not an int")
+    _check_int("color", color)
     if not 1 <= color <= k:
         raise KGraphError(f"color {color} out of range 1..{k}")
 
@@ -161,6 +166,11 @@ def _check_shape(g_left: KGraph, g_right: KGraph, r: Matrix) -> None:
         raise DimensionMismatch(f"matrix must be {dl}x{dr}")
 
 
+def _fields(edges: Sequence[Edge]) -> tuple[tuple, ...]:
+    # the ids, colors, sources and ranges of the edges, one tuple each
+    return tuple(zip(*edges)) or ((),) * 4
+
+
 # ----------------------------------------------------------------- KGraph
 
 # Validation reads every color triple; no catalog or generated graph has a
@@ -180,44 +190,54 @@ class KGraph:
     bridging.check_flip_family and the lag-0 search and zero-column rule
     of sse.sse_search read it.
     The constructor rejects structurally malformed input (a rank
-    that is not an int in 1..KGRAPH_MAX_RANK, edges that are not Edge,
-    ids and endpoints that are not strings, hashable or not, colors that
-    are not ints in range, unknown endpoints, a strict flag that is not a
+    that is not an int in 1..KGRAPH_MAX_RANK, vertices or edges not in a
+    tuple or list, squares not in a dict, edges that are not Edge, ids
+    and endpoints that are not strings, hashable or not, colors that are
+    not ints in range, unknown endpoints, a strict flag that is not a
     bool) with KGraphError, so whatever it accepts dumps to a document
-    that textform.parse_kgraph reads back. It indexes incidence
-    but does not check the k-graph axioms: build graphs with
-    validate_kgraph, which does. Instances are immutable: every attribute
-    is set once here, except the three derived attributes `stable_index`,
-    `stable_path_counts` and `out_sources`, each computed on first use and
-    then kept. The vertex tuple order fixes matrix indexing everywhere.
+    that textform.parse_kgraph reads back; each field is checked whole,
+    item by item only to name its first bad item. It indexes incidence but
+    does not check the k-graph axioms: validate_kgraph does, by counts.
+    Instances are immutable: every attribute is set once here, except the
+    derived `in_edges`, `stable_index`, `stable_path_counts` and
+    `out_sources`, each computed on first use and then kept. The vertex
+    tuple order fixes matrix indexing everywhere.
     """
 
     def __init__(self, skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool):
-        k = skeleton.rank
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise KGraphError(f"rank {k!r} is not an int")
+        k, vertices, edges = skeleton.rank, skeleton.vertices, skeleton.edges
+        _check_int("rank", k)
         if not 1 <= k <= KGRAPH_MAX_RANK:
             raise KGraphError(f"rank must be in 1..{KGRAPH_MAX_RANK}")
         if not isinstance(strict, bool):
             raise KGraphError(f"strict must be a bool, not {strict!r}")
-        # every id is checked to be a string before it is hashed, so an
-        # unhashable one is reported like any other
-        for v in skeleton.vertices:
+        # a generator would be spent by the checks, a string read as letters
+        for name, field in (("vertices", vertices), ("edges", edges)):
+            if not isinstance(field, (tuple, list)):
+                raise KGraphError(f"{name} must be a tuple or a list, not {type(field).__name__}")
+        if not isinstance(squares, dict):
+            raise KGraphError(f"squares must be a dict, not {type(squares).__name__}")
+        # each field is checked whole, at C speed; every id is checked to be
+        # a string before it is hashed, so an unhashable one is named too
+        for v in vertices if not set(map(type, vertices)) <= {str} else ():
             if not isinstance(v, str):
                 raise KGraphError(f"vertex id {v!r} is not a string")
-        self.vertex_index = index = {v: i for i, v in enumerate(skeleton.vertices)}
-        if len(index) != len(skeleton.vertices):
+        self.vertex_index = index = dict(zip(vertices, range(len(vertices))))
+        if len(index) != len(vertices):
             raise KGraphError("duplicate vertex ids")
-        self.by_id = by_id = {}
-        ins = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
-        for e in skeleton.edges:
+        ids, colors, srcs, rngs = _fields(edges) if all(map(isinstance, edges, repeat(Edge))) else _fields(())
+        well_formed = len(ids) == len(edges) and set(map(type, ids + srcs + rngs)) <= {str} and (
+            len(set(ids)) == len(ids) and set(map(type, colors)) <= {int}
+            and set(colors) <= set(range(1, k + 1)) and index.keys() >= {*srcs, *rngs})
+        seen: set[str] = set()
+        for e in edges if not well_formed else ():
             if not isinstance(e, Edge):
                 raise KGraphError(f"edge {e!r} is not an Edge")
             if not isinstance(e.id, str):
                 raise KGraphError(f"edge id {e.id!r} is not a string")
-            if e.id in by_id:
+            if e.id in seen:
                 raise KGraphError(f"duplicate edge id {e.id!r}")
-            by_id[e.id] = e
+            seen.add(e.id)
             if not isinstance(e.color, int) or isinstance(e.color, bool):
                 raise KGraphError(f"edge {e.id!r} has color {e.color!r}, not an int")
             if not 1 <= e.color <= k:
@@ -226,10 +246,13 @@ class KGraph:
                 raise KGraphError(f"edge {e.id!r} has src {e.src!r} and rng {e.rng!r}, not two strings")
             if e.src not in index or e.rng not in index:
                 raise KGraphError(f"edge {e.id!r} references unknown vertex")
-            ins[e.rng][e.color].append(e)
+        self.by_id = by_id = dict(zip(ids, edges))
         if not index.keys().isdisjoint(by_id):
             raise KGraphError("vertex and edge ids must be disjoint")
-        for key, val in squares.items():
+        sides = (*squares, *squares.values())
+        well_formed = set(map(type, sides)) <= {tuple} and set(map(len, sides)) <= {2} and (
+            set(map(type, eids := tuple(chain.from_iterable(sides)))) <= {str} and by_id.keys() >= set(eids))
+        for key, val in squares.items() if not well_formed else ():
             for side in (key, val):
                 if not isinstance(side, tuple) or len(side) != 2:
                     raise KGraphError(f"square side {side!r} is not a pair of edge ids")
@@ -241,16 +264,14 @@ class KGraph:
         self.skeleton = skeleton
         self.squares = dict(squares)
         self.strict = strict
-        self.squares_inv = {val: key for key, val in self.squares.items()}
-        self.in_edges: dict[str, dict[int, tuple[Edge, ...]]] = {
-            v: {i: tuple(es) for i, es in by_color.items()} for v, by_color in ins.items()
-        }
+        self.squares_inv = dict(zip(squares.values(), squares))
         # in_sources[i - 1][v]: the source index of each color-i edge into
         # vertex index v, in edge order; row v of A_{e_i} as an index list
-        self.in_sources: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
-            tuple(tuple(index[e.src] for e in ins[v][i]) for v in skeleton.vertices)
-            for i in range(1, k + 1)
-        )
+        d = len(vertices)
+        rows = [[] for _ in range(k * d)]
+        for i, v, u in zip(colors, map(index.__getitem__, rngs), map(index.__getitem__, srcs)):
+            rows[(i - 1) * d + v].append(u)
+        self.in_sources = tuple(tuple(map(tuple, rows[i * d : i * d + d])) for i in range(k))
 
     @property
     def rank(self) -> int:
@@ -298,6 +319,14 @@ class KGraph:
         return tuple(h)
 
     @cached_property
+    def in_edges(self) -> dict[str, dict[int, tuple[Edge, ...]]]:
+        """in_edges[v][i]: the color-i edges into v, in edge order."""
+        ins = {v: {i: [] for i in range(1, self.rank + 1)} for v in self.vertices}
+        for e in self.edges:
+            ins[e.rng][e.color].append(e)
+        return {v: {i: tuple(es) for i, es in by_color.items()} for v, by_color in ins.items()}
+
+    @cached_property
     def out_sources(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """out_sources[i - 1][u]: the range index of each color-i edge out
         of vertex index u, column u of A_{e_i} as an index list, the
@@ -334,27 +363,45 @@ class KGraph:
 # ------------------------------------------------------------- validation
 
 def _violations(g: KGraph) -> list[Violation]:
-    # every violated axiom, in a deterministic order, read off g's index
-    by_id, in_edges, squares, k = g.by_id, g.in_edges, g.squares, g.rank
+    """Every violated axiom, in a deterministic order, read off g's index.
+
+    Each axiom is decided by a count; its violations are listed only when
+    the count fails. A table whose keys (g, h) are composable pairs of
+    colors i < j, each valued by a pair of colors (j, i) with the key's
+    endpoints, is total when it has sum_v out_i(v) in_j(v) squares over
+    i < j, and onto when also no value repeats and that sum is the one of
+    out_j(v) in_i(v). Under strict, every vertex needs an in-edge of every
+    color. The cube condition (k >= 3) is checked route by route."""
+    by_id, squares, k, into = g.by_id, g.squares, g.rank, g.in_sources
+    # each square's four edges resolved once: the colors, sources and ranges
+    # of the keys' g and h and of the values' h2 and g2, one tuple each
+    keys = tuple(map(by_id.__getitem__, chain.from_iterable(squares)))
+    vals = tuple(map(by_id.__getitem__, chain.from_iterable(squares.values())))
+    (_, gc, gs, gr), (_, hc, hs, hr) = _fields(keys[0::2]), _fields(keys[1::2])
+    (_, h2c, h2s, h2r), (_, g2c, g2s, g2r) = _fields(vals[0::2]), _fields(vals[1::2])
+    sound = gs == hr and h2s == g2r and (h2c, g2c, h2r, g2s) == (hc, gc, gr, hs) and all(map(lt, gc, hc))
+    # sum_v out_i(v) in_j(v) counts the words [x, y] with x of color i, y of
+    # color j and s(x) = r(y): in_j(s(x)) summed over the color-i edges x
+    in_count, ascending, descending = [list(map(len, by_range)) for by_range in into], 0, 0
+    for i, j in combinations(range(k), 2):
+        ascending += sum(map(in_count[j].__getitem__, chain.from_iterable(into[i])))
+        descending += sum(map(in_count[i].__getitem__, chain.from_iterable(into[j])))
+    total = sound and len(squares) == ascending
+    onto = sound and len(g.squares_inv) == len(squares) == descending
     violations: list[Violation] = []
-    of_color: dict[int, list[Edge]] = {i: [] for i in range(1, k + 1)}
-    for e in g.edges:
-        of_color[e.color].append(e)
+    in_edges = g.in_edges if k > 2 or not (total and onto) else {}
+    of_color = {i: [e for e in g.edges if e.color == i] for i in range(1, k + 1)} if k > 2 or not onto else {}
 
     # totality: one entry per composable color-ascending pair
-    for e in g.edges:
+    for e in g.edges if not total else ():
         for h_color in range(e.color + 1, k + 1):
             for h in in_edges[e.src][h_color]:
                 if (e.id, h.id) not in squares:
                     violations.append(MissingSquare(e.id, h.id))
 
-    # key/value well-formedness and endpoint preservation; the entries are
-    # grouped by key color pair for the bijectivity check below
-    by_colors: dict[tuple[int, int], list[tuple[SquarePair, SquarePair]]] = {}
-    for key, val in squares.items():
-        (gid, hid), (h2id, g2id) = key, val
-        e, h, h2, e2 = by_id[gid], by_id[hid], by_id[h2id], by_id[g2id]
-        by_colors.setdefault((e.color, h.color), []).append((key, val))
+    # key/value well-formedness and endpoint preservation
+    for key, val in squares.items() if not sound else ():
+        e, h, h2, e2 = map(by_id.__getitem__, (*key, *val))
         if not e.color < h.color:
             detail = "key colors must ascend"
         elif e.src != h.rng:
@@ -367,55 +414,47 @@ def _violations(g: KGraph) -> list[Violation]:
             detail = "square endpoints not preserved"
         else:
             continue
-        violations.append(EndpointMismatch((gid, hid), (h2id, g2id), detail))
+        violations.append(EndpointMismatch(tuple(key), tuple(val), detail))
 
-    # bijectivity per color pair (i, j): images must exactly cover the
-    # composable descending pairs
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            images: dict[SquarePair, SquarePair] = {}
-            for key, val in by_colors.get((i, j), ()):
-                if val in images:
+    # bijectivity per color pair (i, j) of the keys: images must exactly
+    # cover the composable descending pairs
+    for i, j in combinations(range(1, k + 1), 2) if not onto else ():
+        images: dict[SquarePair, SquarePair] = {}
+        for key, val in compress(squares.items(), map((i, j).__eq__, zip(gc, hc))):
+            if val in images:
+                violations.append(
+                    NonBijectiveSquares((i, j), f"value {val} assigned to both {images[val]} and {key}")
+                )
+            else:
+                images[val] = key
+        for h2 in of_color[j]:
+            for e2 in in_edges[h2.src][i]:
+                if (h2.id, e2.id) not in images:
                     violations.append(
-                        NonBijectiveSquares((i, j), f"value {val} assigned to both {images[val]} and {key}")
+                        NonBijectiveSquares((i, j), f"descending pair {(h2.id, e2.id)} has no preimage")
                     )
-                else:
-                    images[val] = key
-            for h2 in of_color[j]:
-                for e2 in in_edges[h2.src][i]:
-                    if (h2.id, e2.id) not in images:
-                        violations.append(
-                            NonBijectiveSquares((i, j), f"descending pair {(h2.id, e2.id)} has no preimage")
-                        )
 
     # cube: both rewriting routes from [a, b, c] to descending must agree
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for l in range(j + 1, k + 1):
-                for a in of_color[i]:
-                    for b in in_edges[a.src][j]:
-                        for c in in_edges[b.src][l]:
-                            try:
-                                b1, a1 = squares[(a.id, b.id)]
-                                c1, a2 = squares[(a1, c.id)]
-                                c2, b2 = squares[(b1, c1)]
-                                route_a = (c2, b2, a2)
-                                c3, b3 = squares[(b.id, c.id)]
-                                c4, a3 = squares[(a.id, c3)]
-                                b4, a4 = squares[(a3, b3)]
-                                route_b = (c4, b4, a4)
-                            except KeyError:
-                                continue  # already reported as missing/malformed
-                            if route_a != route_b:
-                                violations.append(
-                                    CubeFailure((i, j, l), (a.id, b.id, c.id), route_a, route_b)
-                                )
+    for i, j, l in combinations(range(1, k + 1), 3):
+        for a in of_color[i]:
+            for b in in_edges[a.src][j]:
+                for c in in_edges[b.src][l]:
+                    try:
+                        b1, a1 = squares[(a.id, b.id)]
+                        c1, a2 = squares[(a1, c.id)]
+                        c2, b2 = squares[(b1, c1)]
+                        route_a = (c2, b2, a2)
+                        c3, b3 = squares[(b.id, c.id)]
+                        c4, a3 = squares[(a.id, c3)]
+                        b4, a4 = squares[(a3, b3)]
+                        route_b = (c4, b4, a4)
+                    except KeyError:
+                        continue  # already reported as missing/malformed
+                    if route_a != route_b:
+                        violations.append(CubeFailure((i, j, l), (a.id, b.id, c.id), route_a, route_b))
 
-    if g.strict:
-        for v in g.vertices:
-            for i in range(1, k + 1):
-                if not in_edges[v][i]:
-                    violations.append(SourceVertex(v, i))
+    for t, v in enumerate(g.vertices) if g.strict and not all(map(all, into)) else ():
+        violations += [SourceVertex(v, i) for i in range(1, k + 1) if not into[i - 1][t]]
 
     return violations
 
@@ -424,7 +463,7 @@ def kgraph_violations(
     skeleton: Skeleton, squares: dict[SquarePair, SquarePair], strict: bool = True
 ) -> list[Violation]:
     """Every violated constraint, in a deterministic order. Raises
-    KGraphError only for structurally malformed input (bad ids/colors)."""
+    KGraphError only for structurally malformed input (see KGraph)."""
     return _violations(KGraph(skeleton, squares, strict))
 
 
@@ -445,7 +484,7 @@ def _check_vertex(g: KGraph, v: str) -> None:
 
 
 def _check_degree(g: KGraph, n: Degree) -> None:
-    if len(n) != g.rank or min(n) < 0:
+    if len(n) != g.rank or not all(isinstance(c, int) and not isinstance(c, bool) for c in n) or min(n) < 0:
         raise DegreeOutOfRange(f"degree must be a length-{g.rank} tuple over N")
 
 

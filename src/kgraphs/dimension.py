@@ -35,6 +35,7 @@ from .core import (
     KGraph,
     KGraphError,
     Shift,
+    _check_int,
     _check_shape,
     _check_vertex,
     _push,
@@ -175,6 +176,7 @@ def positivity(g: KGraph, a: DimElement, q_max: int) -> str:
     element whose negation is positive is itself positive only if zero.
     """
     _check_element(g, a)
+    _check_int("q_max", q_max)
     if q_max < 0:
         raise KGraphError("q_max must be >= 0")
     corner = tuple(max(q_max, c) for c in a.n)

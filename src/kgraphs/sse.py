@@ -22,6 +22,7 @@ from .core import (
     DimensionMismatch,
     KGraph,
     KGraphError,
+    _check_int,
     _check_shape,
     _push,
     matrix_str,
@@ -349,6 +350,8 @@ def sse_search(
     instead."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
+    _check_int("p_max", p_max)
+    _check_int("entry_max", entry_max)
     if p_max < 0 or entry_max < 0:
         raise KGraphError("bounds must be >= 0")
     dl, dr = len(g_left.vertices), len(g_right.vertices)

@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 
 from kgraphs.bridging import BridgingPair, _flip_blocks, polymorphism_from_matrix
 from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
-from kgraphs.core import Edge, Skeleton, deg_sub, validate_kgraph
+from kgraphs.core import (
+    KGRAPH_MAX_RANK, CubeFailure, Edge, EndpointMismatch, KGraphError, MissingSquare, NonBijectiveSquares, Skeleton,
+    SourceVertex, deg_sub, validate_kgraph,
+)
 from kgraphs.dimension import DimElement, zero_element
 from kgraphs.homology import AbelianInvariants
 from kgraphs.intmat import identity, snf_diagonal
@@ -550,3 +553,137 @@ def reference_lag_0(g_left, g_right, entry_max):
 
     r = next(_row_search(dl, lambda t: units, fresh_column), None)
     return None if r is None else [list(row) for row in r]
+
+
+def reference_violations(skeleton, squares, strict):
+    """Previous version of core._violations, with the structural checks of
+    the KGraph constructor before it: KGraphError for the first malformed
+    rank, flag, vertex, edge or square, else every violated axiom in a
+    deterministic order, each found by walking the composable pairs, the
+    squares and the cubes one at a time."""
+    k = skeleton.rank
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise KGraphError(f"rank {k!r} is not an int")
+    if not 1 <= k <= KGRAPH_MAX_RANK:
+        raise KGraphError(f"rank must be in 1..{KGRAPH_MAX_RANK}")
+    if not isinstance(strict, bool):
+        raise KGraphError(f"strict must be a bool, not {strict!r}")
+    for v in skeleton.vertices:
+        if not isinstance(v, str):
+            raise KGraphError(f"vertex id {v!r} is not a string")
+    index = {v: i for i, v in enumerate(skeleton.vertices)}
+    if len(index) != len(skeleton.vertices):
+        raise KGraphError("duplicate vertex ids")
+    by_id = {}
+    in_edges = {v: {i: [] for i in range(1, k + 1)} for v in skeleton.vertices}
+    for e in skeleton.edges:
+        if not isinstance(e, Edge):
+            raise KGraphError(f"edge {e!r} is not an Edge")
+        if not isinstance(e.id, str):
+            raise KGraphError(f"edge id {e.id!r} is not a string")
+        if e.id in by_id:
+            raise KGraphError(f"duplicate edge id {e.id!r}")
+        by_id[e.id] = e
+        if not isinstance(e.color, int) or isinstance(e.color, bool):
+            raise KGraphError(f"edge {e.id!r} has color {e.color!r}, not an int")
+        if not 1 <= e.color <= k:
+            raise KGraphError(f"edge {e.id!r} has color {e.color} outside 1..{k}")
+        if not isinstance(e.src, str) or not isinstance(e.rng, str):
+            raise KGraphError(f"edge {e.id!r} has src {e.src!r} and rng {e.rng!r}, not two strings")
+        if e.src not in index or e.rng not in index:
+            raise KGraphError(f"edge {e.id!r} references unknown vertex")
+        in_edges[e.rng][e.color].append(e)
+    if not index.keys().isdisjoint(by_id):
+        raise KGraphError("vertex and edge ids must be disjoint")
+    for key, val in squares.items():
+        for side in (key, val):
+            if not isinstance(side, tuple) or len(side) != 2:
+                raise KGraphError(f"square side {side!r} is not a pair of edge ids")
+        for eid in (*key, *val):
+            if not isinstance(eid, str):
+                raise KGraphError(f"square edge id {eid!r} is not a string")
+            if eid not in by_id:
+                raise KGraphError(f"square references unknown edge id {eid!r}")
+
+    violations = []
+    of_color = {i: [] for i in range(1, k + 1)}
+    for e in skeleton.edges:
+        of_color[e.color].append(e)
+
+    # totality: one entry per composable color-ascending pair
+    for e in skeleton.edges:
+        for h_color in range(e.color + 1, k + 1):
+            for h in in_edges[e.src][h_color]:
+                if (e.id, h.id) not in squares:
+                    violations.append(MissingSquare(e.id, h.id))
+
+    # key/value well-formedness and endpoint preservation; the entries are
+    # grouped by key color pair for the bijectivity check below
+    by_colors = {}
+    for key, val in squares.items():
+        (gid, hid), (h2id, g2id) = key, val
+        e, h, h2, e2 = by_id[gid], by_id[hid], by_id[h2id], by_id[g2id]
+        by_colors.setdefault((e.color, h.color), []).append((key, val))
+        if not e.color < h.color:
+            detail = "key colors must ascend"
+        elif e.src != h.rng:
+            detail = "key pair not composable"
+        elif h2.color != h.color or e2.color != e.color:
+            detail = "value colors must be (j, i)"
+        elif h2.src != e2.rng:
+            detail = "value pair not composable"
+        elif h2.rng != e.rng or e2.src != h.src:
+            detail = "square endpoints not preserved"
+        else:
+            continue
+        violations.append(EndpointMismatch((gid, hid), (h2id, g2id), detail))
+
+    # bijectivity per color pair (i, j): images must exactly cover the
+    # composable descending pairs
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            images = {}
+            for key, val in by_colors.get((i, j), ()):
+                if val in images:
+                    violations.append(
+                        NonBijectiveSquares((i, j), f"value {val} assigned to both {images[val]} and {key}")
+                    )
+                else:
+                    images[val] = key
+            for h2 in of_color[j]:
+                for e2 in in_edges[h2.src][i]:
+                    if (h2.id, e2.id) not in images:
+                        violations.append(
+                            NonBijectiveSquares((i, j), f"descending pair {(h2.id, e2.id)} has no preimage")
+                        )
+
+    # cube: both rewriting routes from [a, b, c] to descending must agree
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            for l in range(j + 1, k + 1):
+                for a in of_color[i]:
+                    for b in in_edges[a.src][j]:
+                        for c in in_edges[b.src][l]:
+                            try:
+                                b1, a1 = squares[(a.id, b.id)]
+                                c1, a2 = squares[(a1, c.id)]
+                                c2, b2 = squares[(b1, c1)]
+                                route_a = (c2, b2, a2)
+                                c3, b3 = squares[(b.id, c.id)]
+                                c4, a3 = squares[(a.id, c3)]
+                                b4, a4 = squares[(a3, b3)]
+                                route_b = (c4, b4, a4)
+                            except KeyError:
+                                continue  # already reported as missing/malformed
+                            if route_a != route_b:
+                                violations.append(
+                                    CubeFailure((i, j, l), (a.id, b.id, c.id), route_a, route_b)
+                                )
+
+    if strict:
+        for v in skeleton.vertices:
+            for i in range(1, k + 1):
+                if not in_edges[v][i]:
+                    violations.append(SourceVertex(v, i))
+
+    return violations

@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import ast
 import random
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
-    graphs, mat_mul, reference_factor, reference_normalize, reference_paths_of_degree, reference_segment,
+    graphs, mat_mul, product_graph, random_2graph, reference_factor, reference_normalize, reference_paths_of_degree,
+    reference_segment, reference_violations, square_matrices,
 )
 
 import kgraphs
 
-from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, rose
+from kgraphs.constructions import FIXTURE_NAMES, fixture, grid, monoid_hom, pullback, rose
 from kgraphs.core import (
     CubeFailure,
     DegreeOutOfRange,
@@ -39,11 +41,13 @@ from kgraphs.core import (
     deg_leq,
     deg_sub,
     kgraph_violations,
+    push,
     unit_degree,
     validate_kgraph,
     vertex_matrix,
     zero_degree,
 )
+from kgraphs.moves import enumerate_valid_partitions, insplit, pairing_closure
 from kgraphs.paths import (
     Path,
     compose,
@@ -433,6 +437,21 @@ def test_kgraph_rejects_malformed_edges(edge, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (("u", "u"), (), "duplicate vertex ids"),
+        (("u",), (Edge("e", 1, "u", "u"), Edge("e", 2, "u", "u")), "duplicate edge id 'e'"),
+        (("u",), (Edge("u", 1, "u", "u"),), "vertex and edge ids must be disjoint"),
+    ],
+    ids=["vertex", "edge", "vertex-and-edge"],
+)
+def test_kgraph_rejects_repeated_ids(vertices, edges, message):
+    with pytest.raises(KGraphError) as info:
+        KGraph(Skeleton(2, vertices, edges), {}, True)
+    assert str(info.value) == message
+
+
 # Ids of the wrong type, each unhashable or not an Edge at all: rejected
 # as malformed before anything hashes them
 UNHASHABLE = {
@@ -535,6 +554,231 @@ def test_rank_is_capped():
         with pytest.raises(KGraphError) as info:
             KGraph(Skeleton(k, ("u",), loop), {}, False)
         assert str(info.value) == f"rank must be in 1..{KGRAPH_MAX_RANK}"
+
+
+# A skeleton field or a square table in the wrong container is named by a
+# KGraphError: unchecked, it would escape as AttributeError or TypeError,
+# or build a wrong graph (a generator of edges spent by the checks, the
+# string "uv" read as the two vertices "u" and "v")
+def _containers(case):
+    g = fixture("ex3.5-LambdaS")
+    k, vertices, edges = g.skeleton
+    return {
+        "squares-list": (g.skeleton, list(g.squares.items()), "squares must be a dict, not list"),
+        "squares-none": (g.skeleton, None, "squares must be a dict, not NoneType"),
+        "vertices-none": (Skeleton(k, None, edges), g.squares, "vertices must be a tuple or a list, not NoneType"),
+        "edges-none": (Skeleton(k, vertices, None), g.squares, "edges must be a tuple or a list, not NoneType"),
+        "edges-generator": (
+            Skeleton(k, vertices, (e for e in edges)), g.squares, "edges must be a tuple or a list, not generator"
+        ),
+        "vertices-string": (Skeleton(1, "uv", ()), {}, "vertices must be a tuple or a list, not str"),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case", ["squares-list", "squares-none", "vertices-none", "edges-none", "edges-generator", "vertices-string"]
+)
+def test_kgraph_names_a_field_in_the_wrong_container(case):
+    skeleton, squares, message = _containers(case)
+    for build in (KGraph, validate_kgraph, kgraph_violations):
+        with pytest.raises(KGraphError) as info:
+            build(skeleton, squares, True)
+        assert str(info.value) == message
+
+
+def test_vertices_and_edges_may_be_lists():
+    g = fixture("ex3.5-Lambda")
+    listed = validate_kgraph(Skeleton(g.rank, list(g.vertices), list(g.edges)), g.squares)
+    assert listed.in_sources == g.in_sources and listed.in_edges == g.in_edges
+    broken = dict(g.squares)
+    broken.popitem()
+    assert kgraph_violations(Skeleton(g.rank, list(g.vertices), list(g.edges)), broken) == kgraph_violations(
+        g.skeleton, broken
+    )
+
+
+@pytest.mark.parametrize("n", [(1.5, 0), ("1", 0), (True, 0), (0, 1.0)])
+def test_degrees_take_only_ints(n):
+    # unchecked, a float would reach range() and a string min() as
+    # TypeError, and a bool would pass as 1
+    g = fixture("ex3.5-Lambda")
+    calls = (
+        lambda: push(g, [1, 0, 0], n),
+        lambda: vertex_matrix(g, n),
+        lambda: paths_of_degree(g, "u", n),
+    )
+    for call in calls:
+        with pytest.raises(DegreeOutOfRange):
+            call()
+
+
+# ------------------------------------------------- validation by counting
+
+@st.composite
+def valid_graphs(draw):
+    """A valid graph: a strict product of two 1-graphs, a random strict
+    2-graph, the pullback of a random 2-graph along N^3 -> N^2, one side
+    of an in-split pair (a random strict 2-graph or a fixture, and its
+    in-split at a vertex), or one of the fixtures."""
+    kind = draw(st.sampled_from(["product", "random", "pullback", "insplit", "fixture"]))
+    if kind == "fixture":
+        return fixture(draw(st.sampled_from(FIXTURE_NAMES)))
+    if kind == "product":
+        a = draw(square_matrices(draw(st.integers(1, 3)), 1))
+        return product_graph(a, draw(square_matrices(draw(st.integers(1, 3)), 1)))
+    n = draw(st.integers(1, 3))
+    a1 = draw(square_matrices(n, 1 if kind != "pullback" else 0))
+    a2 = [[a1[r][c] + (r == c) for c in range(n)] for r in range(n)]
+    g = random_2graph(random.Random(draw(st.integers(0, 2**32))), "p", a1, a2)
+    if kind == "pullback":
+        images = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=3, max_size=3))
+        return pullback(g, monoid_hom(images, 2))
+    if kind == "insplit":
+        if draw(st.booleans()):
+            g = fixture(draw(st.sampled_from(FIXTURE_NAMES)))
+        v = draw(st.sampled_from(g.vertices))
+        partitions = enumerate_valid_partitions(g, v) if len(pairing_closure(g, v)) > 1 else []
+        if partitions and draw(st.booleans()):
+            return insplit(g, draw(st.sampled_from(partitions)))[0]
+    return g
+
+
+MUTATIONS = ["cube", "corner", "strip", "retarget", "recolor", "move", "uncomposable", "repeat", "drop", "none"]
+
+
+def mutate(draw, g, kind):
+    """(skeleton, squares, strict) of g after one mutation of the given
+    kind, or unchanged when g offers no place for it."""
+    squares, edges, strict = dict(g.squares), list(g.edges), g.strict
+    keys = list(squares)
+    color = {e.id: e.color for e in edges}
+
+    def colors(key):
+        return color[key[0]], color[key[1]]
+
+    def ends(key):
+        return g.by_id[key[0]].rng, g.by_id[key[1]].src
+
+    if kind == "drop" and keys:
+        del squares[draw(st.sampled_from(keys))]
+    elif kind == "repeat" and len(keys) > 1:
+        a, b = draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True))
+        squares[a] = squares[b]
+    elif kind == "move" and keys:
+        # the values of two squares of different color pairs swapped, the
+        # pairs sharing their larger color or not, and their range and
+        # source where some do, so that only a color tells them apart
+        a, top = draw(st.sampled_from(keys)), draw(st.booleans())
+        others = [b for b in keys if colors(b) != colors(a) and (colors(b)[1] == colors(a)[1]) == top]
+        others = [b for b in others if ends(b) == ends(a)] or others
+        if others:
+            b = draw(st.sampled_from(others))
+            squares[a], squares[b] = squares[b], squares[a]
+    elif kind == "recolor" and edges:
+        t = draw(st.integers(0, len(edges) - 1))
+        edges[t] = edges[t]._replace(color=draw(st.integers(0, g.rank + 1)))
+    elif kind == "retarget" and edges:
+        t = draw(st.integers(0, len(edges) - 1))
+        end = draw(st.sampled_from(["src", "rng"]))
+        edges[t] = edges[t]._replace(**{end: draw(st.sampled_from([*g.vertices, "zz"]))})
+    elif kind in ("cube", "corner"):
+        # the values of two squares of one color pair and one range
+        # swapped: with one source too every face stays a bijection and a
+        # cube may break; with two sources each value leaves its key's
+        # endpoints. The keys are grouped first, so a graph with many keys
+        # costs no pass over every pair of them
+        groups: dict = {}
+        for a in keys:
+            groups.setdefault((colors(a), ends(a)[0]), []).append(a)
+        groups = [group for group in groups.values() if len(group) > 1]
+        if groups:
+            group = draw(st.sampled_from(groups))
+            a = draw(st.sampled_from(group))
+            others = [b for b in group if b != a and (ends(b) == ends(a)) == (kind == "cube")]
+            if others:
+                b = draw(st.sampled_from(others))
+                squares[a], squares[b] = squares[b], squares[a]
+    elif kind == "strip":
+        # no edge into v, and no square through such an edge, under strict
+        v = draw(st.sampled_from(g.vertices))
+        gone = {e.id for e in edges if e.rng == v}
+        edges = [e for e in edges if e.rng != v]
+        squares = {key: val for key, val in squares.items() if gone.isdisjoint((*key, *val))}
+        strict = True
+    elif kind == "uncomposable" and keys:
+        # a key (x, y) replaced by (x, z), z of y's color but not ending
+        # where x starts: as many keys of each color pair as before
+        x, y = old = draw(st.sampled_from(keys))
+        zs = [z.id for z in edges if z.color == color[y] and z.rng != g.by_id[x].src and (x, z.id) not in squares]
+        if zs:
+            squares[(x, draw(st.sampled_from(zs)))] = squares.pop(old)
+    return Skeleton(g.rank, g.vertices, tuple(edges)), squares, strict
+
+
+def _outcome(build, skeleton, squares, strict):
+    # the violations with their types, or the error's type and message
+    try:
+        return [(type(v), v, str(v)) for v in build(skeleton, squares, strict)]
+    except KGraphError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_graphs(), st.sampled_from(MUTATIONS), st.data())
+def test_validation_by_counting_matches_the_reference(g, kind, data):
+    skeleton, squares, strict = mutate(data.draw, g, kind)
+    expected = _outcome(reference_violations, skeleton, squares, strict)
+    assert _outcome(kgraph_violations, skeleton, squares, strict) == expected
+    try:
+        validate_kgraph(skeleton, squares, strict)
+        assert expected == []
+    except InvalidKGraph as err:
+        assert str(err) == str(InvalidKGraph([v for _, v, _ in expected]))
+    except KGraphError as err:
+        assert (type(err), str(err)) == expected
+
+
+def _single_mutations(g):
+    # every square turned around, every value swap between two squares,
+    # every value spliced from two squares, and every edge moved at one
+    # end to another vertex
+    squares = g.squares
+    for a, val in squares.items():
+        yield g.skeleton, {**{b: v for b, v in squares.items() if b != a}, val: a}
+    for a, b in combinations(squares, 2):
+        yield g.skeleton, {**squares, a: squares[b], b: squares[a]}
+        yield g.skeleton, {**squares, a: (squares[a][0], squares[b][1])}
+    for t, e in enumerate(g.edges):
+        for end, v in product(("src", "rng"), g.vertices):
+            if v != getattr(e, end):
+                edges = g.edges[:t] + (e._replace(**{end: v}),) + g.edges[t + 1 :]
+                yield Skeleton(g.rank, g.vertices, edges), squares
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "pullback", "grid3"])
+def test_validation_by_counting_matches_the_reference_on_every_single_mutation(name):
+    # the rank-3 pullback has one vertex, so squares of its three color
+    # pairs share all their endpoints and a swap changes only colors
+    g = {
+        "pullback": lambda: pullback(fixture("ex5.7-Lambda"), monoid_hom([(1, 0), (0, 1), (1, 0)], 2)),
+        "grid3": lambda: grid(3, (1, 1, 1)),
+    }.get(name, lambda: fixture(name))()
+    for skeleton, squares in _single_mutations(g):
+        for strict in (False, True):
+            expected = _outcome(reference_violations, skeleton, squares, strict)
+            assert _outcome(kgraph_violations, skeleton, squares, strict) == expected
+
+
+def test_a_count_that_matches_does_not_hide_an_uncomposable_key():
+    # the key (e, f) becomes (e, g): g has f's color but ends at w, not at
+    # e's source u, so each color pair keeps its number of keys
+    g = fixture("ex3.5-Lambda")
+    squares = dict(g.squares)
+    squares[("e", "g")] = squares.pop(("e", "f"))
+    found = kgraph_violations(g.skeleton, squares)
+    assert found == reference_violations(g.skeleton, squares, True)
+    assert found[0] == MissingSquare("e", "f")
+    assert EndpointMismatch(("e", "g"), ("f", "e"), "key pair not composable") in found
 
 
 @pytest.mark.parametrize("side", ["key", "value"])

@@ -260,6 +260,19 @@ def test_positivity_cases():
         positivity(g, dim_element([1, 0, 0], (0, 0)), -1)
 
 
+@pytest.mark.parametrize("bound", [1.5, "1", True])
+def test_positivity_and_sse_search_take_only_int_bounds(bound):
+    # unchecked, a float or a string would reach a comparison or range()
+    # as TypeError, or be searched with, and a bool would pass as 1
+    g = fixture("ex3.5-Lambda")
+    with pytest.raises(KGraphError, match=r"^q_max .* is not an int$"):
+        positivity(g, dim_element([1, 0, 0], (0, 0)), bound)
+    with pytest.raises(KGraphError, match=r"^p_max .* is not an int$"):
+        sse_search(g, g, bound, 1)
+    with pytest.raises(KGraphError, match=r"^entry_max .* is not an int$"):
+        sse_search(g, g, 1, bound)
+
+
 # ------------------------------------------------------------ generator maps
 
 def test_identity_is_a_hom():
