@@ -181,10 +181,11 @@ KGRAPH_MAX_RANK = 32
 class KGraph:
     """A k-graph: skeleton + square table, with its incidence indexed.
 
-    in_edges groups the edges by range vertex and color; in_sources, the
-    one integer incidence index, holds the source indices of the color-i
-    edges into each vertex index and is what push, vertex_matrix,
-    homology.h0 and the intertwining kernel of sse read. Its transpose
+    in_edges groups the edges by range vertex and color, for the readers
+    that need edge ids; in_sources, the one integer incidence index, holds
+    the source indices of the color-i edges into each vertex index and is
+    what push, vertex_matrix, homology.h0, the relation checks of
+    dimension and sse.intertwiner_check read. Its transpose
     out_sources is the one out-edge index: the sink moves of moves
     (ei_sinks, sink_colors, sink_delete), the domain counts of
     bridging.check_flip_family and the lag-0 search and zero-column rule

@@ -68,8 +68,17 @@ class GeneratorMap(NamedTuple):
 
 # ----------------------------------------------------------------- elements
 
+def _ints(name: str, xs) -> tuple[int, ...]:
+    # xs as a tuple of ints, bools refused: checked whole at C speed, item
+    # by item only to name the first bad one
+    xs = tuple(xs)
+    for c in xs if not set(map(type, xs)) <= {int} else ():
+        _check_int(name, c)
+    return xs
+
+
 def dim_element(x, n) -> DimElement:
-    return DimElement(tuple(int(c) for c in x), tuple(int(c) for c in n))
+    return DimElement(_ints("entry", x), _ints("shift entry", n))
 
 
 def unit_element(g: KGraph, v: str, n: Shift | None = None) -> DimElement:
@@ -77,11 +86,11 @@ def unit_element(g: KGraph, v: str, n: Shift | None = None) -> DimElement:
     _check_vertex(g, v)
     x = [0] * len(g.vertices)
     x[g.vertex_index[v]] = 1
-    return DimElement(tuple(x), tuple(n) if n is not None else zero_degree(g.rank))
+    return DimElement(tuple(x), _ints("shift entry", n) if n is not None else zero_degree(g.rank))
 
 
 def zero_element(g: KGraph, n: Shift | None = None) -> DimElement:
-    return DimElement((0,) * len(g.vertices), tuple(n) if n is not None else zero_degree(g.rank))
+    return DimElement((0,) * len(g.vertices), _ints("shift entry", n) if n is not None else zero_degree(g.rank))
 
 
 def _check_element(g: KGraph, a: DimElement) -> None:
@@ -158,10 +167,14 @@ def dge_add(g: KGraph, a: DimElement, b: DimElement) -> DimElement:
     return _sum(g, a.n, ((1, a), (1, b)))
 
 
+def _shift(a: DimElement, m: Shift) -> DimElement:
+    return DimElement(a.x, tuple(map(add, a.n, m)))
+
+
 def dge_shift(a: DimElement, m: Shift) -> DimElement:
     if len(m) != len(a.n):
         raise RankMismatch(f"shift has {len(m)} coordinates, element has {len(a.n)}")
-    return DimElement(a.x, tuple(x + y for x, y in zip(a.n, m)))
+    return _shift(a, _ints("shift entry", m))
 
 
 def dge_scale(c: int, a: DimElement) -> DimElement:
@@ -223,7 +236,7 @@ def identity_map_between(source: KGraph, target: KGraph) -> GeneratorMap:
 
 
 def _apply(m: GeneratorMap, a: DimElement) -> DimElement:
-    terms = [(c, dge_shift(m.images[v], a.n)) for v, c in zip(m.source.vertices, a.x) if c]
+    terms = [(c, _shift(m.images[v], a.n)) for v, c in zip(m.source.vertices, a.x) if c]
     return _sum(m.target, a.n, terms)
 
 
@@ -237,11 +250,13 @@ def apply_generator_map(m: GeneratorMap, a: DimElement) -> DimElement:
 def _relations_hold(source: KGraph, target: KGraph, image, steps) -> bool:
     # whether image[v] = sum over the color-i in-edges e of v of image[s(e)]
     # shifted by steps[i-1], in target's group, vertex by vertex and then
-    # color by color; each sum starts at the shift steps[i-1]
+    # color by color, the sources read off in_sources; each sum starts at
+    # the shift steps[i-1]
+    images = [image[v] for v in source.vertices]
     return all(
-        _eq(target, image[v], _sum(target, step, [(1, dge_shift(image[e.src], step)) for e in edges]))
-        for v in source.vertices
-        for step, edges in zip(steps, source.in_edges[v].values())
+        _eq(target, a, _sum(target, step, [(1, _shift(images[s], step)) for s in srcs]))
+        for a, *by_color in zip(images, *source.in_sources)
+        for step, srcs in zip(steps, by_color)
     )
 
 

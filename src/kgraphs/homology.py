@@ -35,10 +35,10 @@ class AbelianInvariants(NamedTuple):
 def _check_no_sources(g: KGraph) -> None:
     # The collapse relations v = sum of sources of v's color-i edges only
     # rewrite v when that edge set is nonempty, so every vertex must
-    # receive every color.
-    for v in g.vertices:
-        for i in range(1, g.rank + 1):
-            if not g.in_edges[v][i]:
+    # receive every color: its row of in_sources is nonempty in each.
+    for v, *by_color in zip(g.vertices, *g.in_sources):
+        for i, srcs in enumerate(by_color, 1):
+            if not srcs:
                 raise NotStrict(f"vertex {v!r} receives no color-{i} edge")
 
 

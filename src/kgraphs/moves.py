@@ -376,8 +376,8 @@ def choose_partition(g: KGraph, v: str, side1: str | None, index: int) -> Partit
     _check_vertex(g, v)
     if side1 is not None:
         ones = tuple(sorted(side1.split(",")))
-        all_in = [e.id for i in range(1, g.rank + 1) for e in g.in_edges[v][i]]
-        p = Partition(v, ones, tuple(sorted(set(all_in) - set(ones))))
+        rest = {e.id for e in _range_edges(g, v)} - set(ones)
+        p = Partition(v, ones, tuple(sorted(rest)))
         check_partition(g, p)
         return p
     classes = _split_classes(g, v)

@@ -5,16 +5,18 @@ with A_p = R*S, B_p = S*R, A_{e_i}R = R B_{e_i} and B_{e_i}S = S A_{e_i}
 for every color i, A over the left graph and B over the right one.
 sse_search finds the first one within bounds on p and on the entries of
 R and S; past lag 0 it walks the integer points of the linear systems
-of R and S (_lattice_walk). intertwiner_check checks one R on a row
-kernel that reads only nonzero entries (_intertwining_rows). Both read
-the in-edge index KGraph.in_sources; the lag-0 search and the
-zero-column rule read KGraph.out_sources too, and the degree walk runs
-the push kernel core._push. This module imports nothing from dimension.
+of R and S (_lattice_walk). intertwiner_check checks one R row by row,
+each row of A_{e_i}R summed from R's rows at the sources in
+KGraph.in_sources and each row of R B_{e_i} pushed by the push kernel
+core._push, which the degree walk runs too. The lag-0 search and the
+zero-column rule read KGraph.out_sources as well. This module imports
+nothing from dimension.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import compress
 from typing import NamedTuple
 
 from .core import (
@@ -46,64 +48,32 @@ class ExhaustedBounds(NamedTuple):
 
 # -------------------------------------------------------------- intertwiners
 
-def _intertwining_rows(g_m: KGraph, g_n: KGraph):
-    """accept(rows, t) for a row-by-row check of X, a g_m-by-g_n matrix,
-    under A_{e_i} X = X B_{e_i} for every color i, A over g_m and B over g_n:
-    it checks the equation rows that row t of X completes. Row v of the
-    equation reads row v of X and the rows s with A_{e_i}(v, s) != 0, and
-    t is the last of them. Its left side adds row s of X for each color-i
-    edge of g_m from s into v; its right side, row v times B_{e_i}, adds
-    each entry of row v, at column w, at the source of every color-i edge
-    of g_n into w. Both source lists are read off the graphs' in_sources.
-    Only nonzero entries are read, listed once per distinct row, and row v
-    times B_{e_i} is kept per distinct row too. Calling accept for every t
-    checks the whole equation (intertwiner_check)."""
-    zero = [0] * len(g_n.vertices)
-    watch: list[list] = [[] for _ in g_m.vertices]
-    for m_srcs, n_srcs in zip(g_m.in_sources, g_n.in_sources):
-        times_b: dict[tuple[int, ...], list[int]] = {}
-        for v, srcs in enumerate(m_srcs):
-            watch[max((v, *srcs))].append((v, srcs, n_srcs, times_b))
-
-    nonzero: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-
-    def entries(row: tuple[int, ...]) -> list[tuple[int, int]]:
-        # the (column, entry) pairs of row's nonzero entries
-        found = nonzero.get(row)
-        if found is None:
-            found = nonzero[row] = [(c, x) for c, x in enumerate(row) if x]
-        return found
-
-    def accept(rows: list, t: int) -> bool:
-        for v, srcs, n_srcs, times_b in watch[t]:
-            rhs = times_b.get(rows[v])
-            if rhs is None:
-                rhs = times_b[rows[v]] = zero[:]
-                for w, x in entries(rows[v]):
-                    for s in n_srcs[w]:
-                        rhs[s] += x
-            lhs = zero[:]
-            for s in srcs:
-                for c, x in entries(rows[s]):
-                    lhs[c] += x
-            if lhs != rhs:
-                return False
-        return True
-
-    return accept
-
-
 def intertwiner_check(g_left: KGraph, g_right: KGraph, r: Matrix) -> bool:
-    """Whether A_{e_i} * r == r * B_{e_i} for every color: one pass of the
-    row kernel _intertwining_rows over the rows of r. It reads only the
-    nonzero entries of r, where sse_search's k d d' equation rows would
-    make a check of a permutation matrix quadratic in the vertex count."""
+    """Whether A_{e_i} * r == r * B_{e_i} for every color i, compared row
+    by row: row v of the left side sums the nonzero entries of r's rows at
+    the sources of v's color-i in-edges (in_sources), and row v of the
+    right side is row v of r pushed one color-i step along g_right (the
+    push kernel core._push), pushed once per distinct row. No matrix
+    product is formed."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     _check_shape(g_left, g_right, r)
-    accept = _intertwining_rows(g_left, g_right)
-    rows = list(map(tuple, r))
-    return all(accept(rows, t) for t in range(len(rows)))
+    d = len(g_right.vertices)
+    # the (column, entry) pairs of each row's nonzero entries
+    nonzero = [[(c, row[c]) for c in compress(range(d), row)] for row in r]
+    for i, by_range in enumerate(g_left.in_sources, 1):
+        step, pushed = unit_degree(g_left.rank, i), {}
+        for row, entries, srcs in zip(r, nonzero, by_range):
+            lhs = [0] * d
+            for s in srcs:
+                for c, x in nonzero[s]:
+                    lhs[c] += x
+            rhs = pushed.get(key := tuple(entries))
+            if rhs is None:
+                rhs = pushed[key] = _push(g_right, row, step)
+            if lhs != rhs:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------- SSE search

@@ -7,6 +7,7 @@ another. Each reference's docstring opens with "Independent" or with
 
 import math
 import random
+from functools import cache
 from itertools import product
 
 from hypothesis import strategies as st
@@ -22,7 +23,6 @@ from kgraphs.homology import AbelianInvariants
 from kgraphs.intmat import identity, snf_diagonal
 from kgraphs.moves import enumerate_valid_partitions, insplit, insplit_matrices
 from kgraphs.paths import Path
-from kgraphs.sse import _intertwining_rows
 
 # ------------------------------------------------------------ graph builders
 
@@ -542,14 +542,29 @@ def reference_lag_0(g_left, g_right, entry_max):
     unit rows in lexicographic order (columns from the last index down),
     one row at a time by _row_search, a row rejected when its column is
     already used or when an equation row of A_{e_i} R = R B_{e_i} that it
-    completes fails (_intertwining_rows); R as a list of rows, or None."""
+    completes fails, both sides by dense products; R as a list of rows, or
+    None."""
     dl = len(g_left.vertices)
-    r_accept = _intertwining_rows(g_left, g_right)
     # none when R must be 0
     units = [tuple(int(c == w) for c in range(dl)) for w in range(dl - 1, -1, -1)] if entry_max else []
+    # equation row (i, v) reads R's rows v and s with A_i(v, s) != 0, and
+    # the last of them completes it
+    due = [[] for _ in range(dl)]
+    b = [edge_matrix(g_right, i) for i in range(1, g_right.rank + 1)]
+    for i in range(g_left.rank):
+        for v, a_v in enumerate(edge_matrix(g_left, i + 1)):
+            srcs = [s for s, x in enumerate(a_v) if x]
+            due[max(v, *srcs)].append((i, v, (*(a_v[s] for s in srcs), 0), srcs))
+    # both sides by dense products, each kept per distinct operands: row v
+    # of A_i R is A_i's row v at srcs, padded by a 0, times those rows of
+    # R, padded by a zero row; row v of R B_i is R's row v times B_i
+    zero = (0,) * dl
+    left, right = cache(vec_mat), cache(lambda x, i: vec_mat(x, b[i]))
 
     def fresh_column(rows, t):
-        return rows[t] not in rows[:t] and r_accept(rows, t)
+        return rows[t] not in rows[:t] and all(
+            left(a_v, (*map(rows.__getitem__, srcs), zero)) == right(rows[v], i) for i, v, a_v, srcs in due[t]
+        )
 
     r = next(_row_search(dl, lambda t: units, fresh_column), None)
     return None if r is None else [list(row) for row in r]

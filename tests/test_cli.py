@@ -2,10 +2,13 @@ import copy
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings
@@ -950,6 +953,41 @@ def test_emitted_graphs_reparse_identically(capsys):
         g = parse_kgraph(out)
         rebuilt = validate_kgraph(g.skeleton, g.squares, strict=g.strict)
         assert dump_kgraph(rebuilt) == out
+
+
+# ------------------------------------------------------------------- README
+
+README = (FilePath(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _fenced_block(after: str, fence: str = "```") -> str:
+    # the body of the first fenced block after the line `after`
+    return README.split(f"\n{after}\n", 1)[1].split(f"{fence}\n", 1)[1].split("\n```\n", 1)[0] + "\n"
+
+
+def test_the_readme_examples_come_out_byte_for_byte(capsys, monkeypatch, tmp_path):
+    # each "$ kgraph ..." line and the lines up to the next blank one: the
+    # command, run in-process from an empty directory, and its stdout
+    examples = re.findall(r"^\$ kgraph (.*)\n((?:.+\n)*)", _fenced_block("Examples (actual output):"), re.M)
+    assert len(examples) == 7
+    monkeypatch.chdir(tmp_path)
+    for command, want in examples:
+        assert run(capsys, *shlex.split(command))[:2] == (0, want), command
+
+
+def test_the_readme_library_snippet_gives_its_commented_results():
+    # a line with a comment is an expression whose repr the comment gives,
+    # alone or before a colon
+    namespace, checked = {}, 0
+    for line in _fenced_block("## Library", "```python").splitlines():
+        code, _, comment = line.partition("  # ")
+        if not comment:
+            exec(code, namespace)
+            continue
+        shown = repr(eval(code, namespace))
+        assert comment.strip() == shown or comment.startswith(shown + ":"), line
+        checked += 1
+    assert checked == 2
 
 
 # ------------------------------------------------------------ golden sidecars

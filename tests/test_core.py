@@ -47,6 +47,10 @@ from kgraphs.core import (
     vertex_matrix,
     zero_degree,
 )
+from kgraphs.dimension import (
+    dge_eq, dge_shift, hom_check, identity_generator_map, iso_check, pointed_check, unit_element,
+)
+from kgraphs.homology import h0, rank_invariant
 from kgraphs.moves import enumerate_valid_partitions, insplit, pairing_closure
 from kgraphs.paths import (
     Path,
@@ -862,25 +866,44 @@ def test_package_names_resolve_lazily_to_their_modules():
 
 def test_the_in_edge_index_is_the_one_integer_incidence_list():
     # KGraph.in_sources is the one integer incidence index: no module reads
-    # a flat (range, source) edge list `step_pairs`, and the intertwining
-    # kernel reads the index instead of regrouping edges on every call;
+    # a flat (range, source) edge list `step_pairs`, intertwiner_check
+    # reads the index instead of regrouping edges on every call, and
+    # dimension, homology and sse never read the edge lists `in_edges`;
     # its transpose out_sources is the one out-edge index, read by the
     # zero-column rule of sse_search, and no module reads `out_edges`
-    import ast
-    from pathlib import Path as FilePath
-
-    import kgraphs
-
     reads = {}
     for path in FilePath(kgraphs.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         attrs = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
         assert "step_pairs" not in attrs and "out_edges" not in attrs, path.name
+        if path.stem in ("dimension", "homology", "sse"):
+            assert "in_edges" not in attrs, path.name
         if path.name == "sse.py":
             reads = {
                 node.name: {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
                 for node in tree.body
                 if isinstance(node, ast.FunctionDef)
             }
-    assert "in_sources" in reads["_intertwining_rows"]
+    assert "in_sources" in reads["intertwiner_check"]
     assert "out_sources" in reads["sse_search"]
+
+
+# the graded queries that read a graph's sources off in_sources only
+GRADED_QUERIES = {
+    "h0": h0,
+    "rank_invariant": rank_invariant,
+    "dge_eq": lambda g: dge_eq(g, unit_element(g, g.vertices[0]), dge_shift(unit_element(g, g.vertices[0]), (1, 0))),
+    "hom_check": lambda g: hom_check(identity_generator_map(g)),
+    "iso_check": lambda g: iso_check(identity_generator_map(g), identity_generator_map(g)),
+    "pointed_check": lambda g: pointed_check(identity_generator_map(g)),
+}
+
+
+@pytest.mark.parametrize("name", list(GRADED_QUERIES))
+def test_graded_queries_leave_the_edge_lists_unbuilt(name):
+    # a rank-2 product validates by counting, with no in_edges, and these
+    # queries build none either
+    g = product_graph([[1, 1], [1, 1]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    assert "in_edges" not in g.__dict__.keys()
+    GRADED_QUERIES[name](g)
+    assert "in_edges" not in g.__dict__.keys()

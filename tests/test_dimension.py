@@ -273,6 +273,26 @@ def test_positivity_and_sse_search_take_only_int_bounds(bound):
         sse_search(g, g, 1, bound)
 
 
+@pytest.mark.parametrize(
+    "make, bad",
+    [
+        (lambda g: dim_element([1.7, 0, 0], (0, 0)), r"entry 1\.7"),
+        (lambda g: dim_element(["3", 0, 0], (0, 0)), r"entry '3'"),
+        (lambda g: dim_element([True, 0, 0], (0, 0)), r"entry True"),
+        (lambda g: dim_element([1, 0, 0], (0.5, 0)), r"shift entry 0\.5"),
+        (lambda g: dge_shift(unit_element(g, "u"), (0.5, 0)), r"shift entry 0\.5"),
+        (lambda g: unit_element(g, "u", (0.5, 0)), r"shift entry 0\.5"),
+        (lambda g: zero_element(g, ("x", 0)), r"shift entry 'x'"),
+    ],
+)
+def test_elements_take_only_int_entries(make, bad):
+    # int() would truncate a float entry and parse a string one, and an
+    # unconverted float or string shift reaches the next dge_eq or dge_add
+    # as TypeError
+    with pytest.raises(KGraphError, match=f"^{bad} is not an int$"):
+        make(fixture("ex3.5-Lambda"))
+
+
 # ------------------------------------------------------------ generator maps
 
 def test_identity_is_a_hom():
@@ -352,14 +372,34 @@ def test_intertwiner_check_matches_dense_products(case):
     assert intertwiner_check(g_left, g_right, r) == dense_intertwines(g_left, g_right, r)
 
 
+INTERTWINER_BUDGET_S = 1.0
+
+
+def _identity_and_moved(d):
+    # (R, whether R intertwines a graph with itself) for R = I and for I
+    # with one entry moved
+    ident = identity(d)
+    moved = [row[:] for row in ident]
+    moved[5][5], moved[5][6] = 0, 1
+    return ((ident, True), (moved, False))
+
+
 def test_intertwiner_check_on_a_64_vertex_product():
     g = complete_product()
-    ident = identity(64)
-    moved = [row[:] for row in ident]
-    moved[5][5], moved[5][6] = 0, 1  # one entry of R = I moved
-    for r, want in ((ident, True), (moved, False)):
+    for r, want in _identity_and_moved(64):
         assert dense_intertwines(g, g, r) is want
         assert intertwiner_check(g, g, r) is want
+    # the 1024-vertex product of the lag-0 tests, within a CPU budget: its
+    # vertices all emit edges of each color, so the moved entry breaks the
+    # equation rows of the vertices that vertex 5 has edges into
+    rng = random.Random(32)
+    big = product_graph(cycle_plus_permutation(rng, 32), cycle_plus_permutation(rng, 32))
+    cases = _identity_and_moved(1024)
+    t0 = time.process_time()
+    for r, want in cases:
+        assert intertwiner_check(big, big, r) is want
+    elapsed = time.process_time() - t0
+    assert elapsed < INTERTWINER_BUDGET_S, f"took {elapsed:.2f}s of CPU, budget {INTERTWINER_BUDGET_S}s"
 
 
 def hom_from_matrix(r, a):
