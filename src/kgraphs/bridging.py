@@ -26,14 +26,15 @@ and a decidable triple keeps its routes under every completion, so the
 search prunes exactly the families that a check of every triple after
 each whole block would prune. The search builds its slots once, one per
 flip key, each holding what an assignment reads: the key, its color and
-f_color, the block's codomain and taken flags, and the flat tuples of
-the squares through which the key's lambda edge meets each lower color.
-That set-up is linear in the composable pairs plus R's entries: one pass
-over the squares of Lambda indexes each edge's checks, the blocks are
-walked per color and range vertex (_flip_blocks), and the slots are made
-in one pass over the blocks, which also checks that R intertwines. The
-search itself is one flat loop with no Python call per node except the
-route check of each decidable triple.
+f_color, the block's codomain and taken flags, and the squares through
+which the key's lambda edge meets each lower color (KGraph.upper_squares,
+indexed once per graph). That set-up is linear in the composable pairs
+plus R's entries: the blocks are walked per color and range vertex
+(_flip_blocks), and the slots are made in one pass over the blocks,
+which also checks that R intertwines. With the colors below j fixed,
+each color-j slot's squares name fixed triples and the other key each
+reads, so a slot resolves them once per change below j, and a node only
+runs the route check of each triple whose other key is set.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import json
 import os
 from itertools import compress
 from math import factorial
-from operator import itemgetter, mul
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
@@ -369,18 +370,25 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
     intertwines exactly when every block has as many keys as values;
     NotIntertwining is raised otherwise. The slots, one per key, are built
     once: each holds the key, its color, f_color, its block's codomain and
-    taken flags, and the key's lower-color checks, one flat tuple per
-    square lam_i lam_j = lam_j2 lam_i2 with the key's edge as lam_j or
-    lam_j2, by color i and then those two kinds; a slot with none (every
-    color-1 slot) is accepted without a check. The checks come from one
-    pass over g_lam.squares and the slots from one pass over the blocks,
-    so the set-up is linear in the composable pairs plus R's entries. The
+    taken flags, and the key's lower-color checks, the entries of
+    g_lam.upper_squares at the key's edge (one per square lam_i lam_j =
+    lam_j2 lam_i2 with that edge as lam_j or lam_j2, by color i and then
+    those two kinds). That index is built once per graph, and the slots
+    come from one pass over the blocks, so the set-up is linear in the
+    composable pairs plus R's entries. Once the colors below j are set, a
+    color-j slot's checks name fixed triples, and the other color-j key
+    each reads is fixed too (read through f_i and inverse[i]). So a slot
+    resolves its checks into the list of its triples, each with that
+    other key, and resolves them again only when a key of a lower color
+    has changed since (a change counter per color below j against a stamp
+    per slot); a slot with no checks (every color-1 slot) has none. The
     search is one flat loop: a node gives up its slot's value, takes the
-    next free one and runs the slot's checks inline, calling no Python
-    function but _route_triple, once for each triple its key makes
-    decidable. The one derived table, inverse[i], is rebuilt only when a
-    check reads it after a color-i key has changed; no check reads the
-    top color's, so a top-color node leaves it alone. The loop is
+    next free one and calls _route_triple on each triple of its slot's
+    list whose other key is set, calling no other Python function. A
+    color-j key is set exactly when its slot is at or before the current
+    one, so each triple is evaluated at the later of its two slots. The
+    one derived table, inverse[i], is rebuilt only when a resolution
+    reads it after a color-i key has changed. The loop is
     iterative, so the search depth is not bounded by the interpreter's
     recursion limit."""
     if g_lam.rank != g_om.rank:
@@ -391,23 +399,9 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
     # inverse[i]: (lam, g2) -> the g with f_i(lam, g)[0] = g2, or None
     # once a color-i key has changed since it was built
     inverse: dict[int, dict[tuple[str, str], list[str]] | None] = dict.fromkeys(flips)
-    # the checks of a color-j edge lam, from one pass over the squares
-    # lam_i lam_j = lam_j2 lam_i2: (i, False, f_i, lam_i, lam_j2, lam_i2)
-    # where lam is lam_j, (i, True, f_i, lam_i, lam_j, lam_i2) where it is
-    # lam_j2; sorted stably by (i, kind), so per color i < j the first
-    # kind comes before the second, each in square order
-    by_id = g_lam.by_id
-    checks_of: dict[str, list] = {}
-    for (lam_i, lam_j), (lam_j2, lam_i2) in g_lam.squares.items():
-        i = by_id[lam_i].color
-        f_i = flips[i]
-        checks_of.setdefault(lam_j, []).append((i, False, f_i, lam_i, lam_j2, lam_i2))
-        checks_of.setdefault(lam_j2, []).append((i, True, f_i, lam_i, lam_j, lam_i2))
-    color_and_kind = itemgetter(0, 1)
-    for checks in checks_of.values():
-        checks.sort(key=color_and_kind)
     # one slot per flip key, in block order and then domain order; an
     # exhausted search has ruled out `families` complete families
+    upper = g_lam.upper_squares
     slots = []
     families = 1
     for color, dom, cod in _flip_blocks(g_lam, g_om, poly):
@@ -415,21 +409,29 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
         if len(dom) != len(cod):
             raise NotIntertwining("A_{e_i} R != R B_{e_i} for some color")
         families *= factorial(len(cod))
-        f, taken, lower = flips[color], [False] * len(cod), color < top
+        f, taken, higher = flips[color], [False] * len(cod), range(color + 1, top + 1)
         for key in dom:
             lam, gam = key
-            slots.append((key, lam, gam, color, lower, f, cod, len(cod), taken, checks_of.get(lam, ())))
+            slots.append((key, lam, gam, color, higher, f, cod, len(cod), taken, upper.get(lam, ())))
     route = _route_triple
-    choice = [-1] * len(slots)  # codomain index held by each slot, -1 for none
+    n = len(slots)
+    choice = [-1] * n  # codomain index held by each slot, -1 for none
+    # below[j] counts the changes to keys of the colors below j; triples[s]
+    # holds the triples of slot s's key, each with the other color-j key
+    # it reads, resolved when below[color] stood at stamp[s], and is
+    # resolved again once it has moved
+    below, stamp, triples = [0] * (top + 1), [-1] * n, [()] * n
     # slot s gives up its value and takes the next free one, written over
     # the old so that its key keeps its place in f; with none left it is
     # cleared and the search backs up to slot s - 1. A first visit always
     # finds one, since the block's earlier keys hold fewer values than it has
-    s, n = 0, len(slots)
+    s = 0
     while 0 <= s < n:
-        key, lam, gam, color, lower, f, cod, end, taken, checks = slots[s]
-        if lower:
+        key, lam, gam, color, higher, f, cod, end, taken, checks = slots[s]
+        if higher:
             inverse[color] = None
+            for h in higher:
+                below[h] += 1
         idx = choice[s]
         if idx >= 0:
             taken[idx] = False
@@ -444,29 +446,34 @@ def bridging_search(g_lam: KGraph, g_om: KGraph, r: Matrix) -> BridgingPair | Ex
         choice[s] = idx
         taken[idx] = True
         f[key] = cod[idx]
-        # the triples (i < color) whose two color-j keys are both set now
-        # that key is: as (lam_j, g) its other key is (lam_j2,
-        # f_i(lam_i2, gam)[0]); as (lam_j2, f_i(lam_i2, g)[0]) its other
-        # keys are (lam_j, g) for the g that inverse[i] gives
-        for i, second, f_i, lam_i, lam_x, lam_i2 in checks:
-            pair = (lam_i2, gam)
-            if second:
+        if stamp[s] != below[color]:
+            # the triples (i < color) that key takes part in, each with the
+            # other color-j key it reads, fixed while the lower colors are:
+            # as (lam_j, g) its other key is (lam_j2, f_i(lam_i2, gam)[0]);
+            # as (lam_j2, f_i(lam_i2, g)[0]) its other keys are (lam_j, g)
+            # for the g that inverse[i] gives, key itself excepted (it is a
+            # first entry then)
+            stamp[s], resolved = below[color], []
+            for i, second, lam_i, lam_x, lam_i2 in checks:
+                pair = (lam_i2, gam)
+                if not second:
+                    resolved.append(((lam_x, flips[i][pair][0]), i, lam_i, lam, gam))
+                    continue
                 inv = inverse[i]
                 if inv is None:
                     inv = inverse[i] = {}
-                    for (lam2, g), (g2, _) in f_i.items():
+                    for (lam2, g), (g2, _) in flips[i].items():
                         inv.setdefault((lam2, g2), []).append(g)
                 for g in inv.get(pair, ()):
-                    # (lam, gam) as both keys was checked as a first entry
-                    if (lam_x, g) in f and (g != gam or lam_x != lam):
-                        t, b = route(g_lam, g_om, flips, i, color, lam_i, lam_x, g)
-                        if t != b:
-                            break
-                else:
-                    continue
-                break
-            if (lam_x, f_i[pair][0]) in f:
-                t, b = route(g_lam, g_om, flips, i, color, lam_i, lam, gam)
+                    if g != gam or lam_x != lam:
+                        resolved.append(((lam_x, g), i, lam_i, lam_x, g))
+            triples[s] = resolved
+        # a triple is decidable once its other key is set too, which it
+        # is exactly when that key's slot is at or before s: so each
+        # triple is evaluated at the later of its two slots
+        for other, i, lam_i, lam_j, g in triples[s]:
+            if other in f:
+                t, b = route(g_lam, g_om, flips, i, color, lam_i, lam_j, g)
                 if t != b:
                     break
         else:

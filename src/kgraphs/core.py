@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from functools import cached_property
 from itertools import chain, combinations, compress, repeat
-from operator import lt
+from operator import itemgetter, lt
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -200,8 +200,10 @@ class KGraph:
     item by item only to name its first bad item. It indexes incidence but
     does not check the k-graph axioms: validate_kgraph does, by counts.
     Instances are immutable: every attribute is set once here, except the
-    derived `in_edges`, `stable_index`, `stable_path_counts` and
-    `out_sources`, each computed on first use and then kept. The vertex
+    derived `in_edges`, `stable_index`, `stable_path_counts`,
+    `out_sources` and `upper_squares` (the squares each edge meets as a
+    higher-color edge, which bridging_search reads), each computed on
+    first use and then kept. The vertex
     tuple order fixes matrix indexing everywhere.
     """
 
@@ -344,6 +346,24 @@ class KGraph:
                     cols[u].append(v)
             out.append(tuple(map(tuple, cols)))
         return tuple(out)
+
+    @cached_property
+    def upper_squares(self) -> dict[str, tuple[tuple[int, bool, str, str, str], ...]]:
+        """upper_squares[e]: the squares lam_i lam_j = lam_j2 lam_i2 in
+        which edge e is a higher-color edge, as (i, second, lam_i, other,
+        lam_i2), i the color of lam_i: e as lam_j with other = lam_j2
+        (second False), or e as lam_j2 with other = lam_j (second True).
+        Sorted stably by (i, second), so in square order within one; an
+        edge in no square as a higher-color edge (every color-1 edge) has
+        no entry. Computed on first use by one pass over the squares;
+        bridging.bridging_search reads it, one check per entry."""
+        by_id, upper = self.by_id, {}
+        for (lam_i, lam_j), (lam_j2, lam_i2) in self.squares.items():
+            i = by_id[lam_i].color
+            upper.setdefault(lam_j, []).append((i, False, lam_i, lam_j2, lam_i2))
+            upper.setdefault(lam_j2, []).append((i, True, lam_i, lam_j, lam_i2))
+        color_and_kind = itemgetter(0, 1)
+        return {e: tuple(sorted(checks, key=color_and_kind)) for e, checks in upper.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KGraph):

@@ -178,6 +178,8 @@ def dge_shift(a: DimElement, m: Shift) -> DimElement:
 
 
 def dge_scale(c: int, a: DimElement) -> DimElement:
+    # a float would give float entries, which a later dge_eq compares false
+    _check_int("coefficient", c)
     return DimElement(tuple(c * s for s in a.x), a.n)
 
 

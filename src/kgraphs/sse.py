@@ -16,7 +16,7 @@ nothing from dimension.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple
 
 from .core import (
@@ -54,10 +54,15 @@ def intertwiner_check(g_left: KGraph, g_right: KGraph, r: Matrix) -> bool:
     the sources of v's color-i in-edges (in_sources), and row v of the
     right side is row v of r pushed one color-i step along g_right (the
     push kernel core._push), pushed once per distinct row. No matrix
-    product is formed."""
+    product is formed. An entry of r that is not an int (a bool, a float,
+    a string) raises KGraphError naming the first one."""
     if g_left.rank != g_right.rank:
         raise DimensionMismatch("graphs have different ranks")
     _check_shape(g_left, g_right, r)
+    # the entries checked whole, item by item only to name the first bad
+    # one: a bool or a float would compare equal to an int
+    for x in chain.from_iterable(r) if not set(map(type, chain.from_iterable(r))) <= {int} else ():
+        _check_int("R entry", x)
     d = len(g_right.vertices)
     # the (column, entry) pairs of each row's nonzero entries
     nonzero = [[(c, row[c]) for c in compress(range(d), row)] for row in r]

@@ -702,3 +702,23 @@ def reference_violations(skeleton, squares, strict):
                     violations.append(SourceVertex(v, i))
 
     return violations
+
+
+def reference_upper_squares(g):
+    """Independent: KGraph.upper_squares by a scan of the whole square
+    table for each edge e, each lower color i and each kind: the squares
+    lam_i lam_j = lam_j2 lam_i2 with lam_i of color i and e as lam_j
+    (other = lam_j2), then those with e as lam_j2 (other = lam_j), each in
+    table order, as (i, second, lam_i, other, lam_i2); an edge with none
+    is left out."""
+    upper = {}
+    for e in g.edges:
+        entries = []
+        for i in range(1, e.color):
+            for second in (False, True):
+                for (lam_i, lam_j), (lam_j2, lam_i2) in g.squares.items():
+                    if g.by_id[lam_i].color == i and (lam_j2 if second else lam_j) == e.id:
+                        entries.append((i, second, lam_i, lam_j if second else lam_j2, lam_i2))
+        if entries:
+            upper[e.id] = tuple(entries)
+    return upper

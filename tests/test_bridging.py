@@ -11,7 +11,7 @@ import pytest
 from oracles import (
     G_V, G_W, INSPLIT_PAIR_SIZES, all_16_families, coherent_57_family, complete_product,
     cycle_plus_permutation, displayed_56_family, insplit_pair, mat_mul,
-    product_graph, random_2graph, random_family,
+    product_graph, random_2graph, random_family, reference_upper_squares,
 )
 
 from kgraphs import bridging
@@ -38,9 +38,10 @@ from kgraphs.bridging import (
     polymorphism_from_matrix,
 )
 from kgraphs.constructions import FIXTURE_NAMES, fixture, monoid_hom, pullback, rose
-from kgraphs.core import InvalidKGraph, KGraphError, NotComposable
+from kgraphs.core import InvalidKGraph, KGraphError, NotComposable, validate_kgraph
 from kgraphs.paths import Path, compose, make_path, paths_of_degree, segment, vertex_path
-from kgraphs.dimension import DimensionMismatch
+from kgraphs.dimension import DimensionMismatch, dge_eq, dge_shift, unit_element
+from kgraphs.homology import h0
 from kgraphs.sse import intertwiner_check
 
 LAM56 = fixture("ex5.6-Lambda")
@@ -614,6 +615,49 @@ def test_flip_blocks_on_a_1024_vertex_product_fit_a_budget():
     assert elapsed < FLIP_BLOCKS_BUDGET_S, f"took {elapsed:.2f}s of CPU, budget {FLIP_BLOCKS_BUDGET_S}s"
 
 
+def rank_3_pullback_pairs():
+    # the pairs of test_search_matches_the_reference_on_rank_3_pullbacks,
+    # drawn from the same seed, each with its R = I
+    rng = random.Random(20261024)
+    f = monoid_hom([(1, 0), (0, 1), (1, 1)], 2)
+    for n, perms in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(10):
+            a1, a2 = commuting_matrices(rng, n, perms)
+            g_lam = pullback(random_2graph(rng, "p", a1, a2), f)
+            g_om = pullback(random_2graph(rng, "q", a1, a2), f)
+            yield g_lam, g_om, ident
+
+
+def test_upper_squares_match_the_reference():
+    # the catalog, a rose, random 2-graphs and rank-3 pullbacks, where an
+    # edge of color 3 meets the squares of two lower colors
+    graphs = [fixture(name) for name in FIXTURE_NAMES] + [rose(2)]
+    rng = random.Random(20261026)
+    for _ in range(20):
+        a1, a2 = commuting_matrices(rng, 3, 2)
+        graphs.append(random_2graph(rng, "p", a1, a2))
+    graphs += [g for pair in rank_3_pullback_pairs() for g in pair[:2]]
+    assert {g.rank for g in graphs} == {1, 2, 3}
+    for g in graphs:
+        assert g.upper_squares == reference_upper_squares(g)
+        # one entry for each square as lam_j and one as lam_j2
+        assert sum(map(len, g.upper_squares.values())) == 2 * len(g.squares)
+
+
+def test_only_the_search_builds_the_upper_square_index():
+    # validation, h0 and dge_eq read the squares or the incidence index,
+    # never the per-edge square index the search reads
+    for g in [fixture(name) for name in FIXTURE_NAMES] + list(next(rank_3_pullback_pairs())[:2]):
+        g = validate_kgraph(g.skeleton, g.squares, g.strict)
+        u = unit_element(g, g.vertices[0])
+        h0(g)
+        dge_eq(g, u, dge_shift(u, (1,) * g.rank))
+        assert "upper_squares" not in g.__dict__.keys()
+        bridging_search(g, g, [[int(i == j) for j in range(len(g.vertices))] for i in range(len(g.vertices))])
+        assert "upper_squares" in g.__dict__.keys()
+
+
 def reference_route_triple(g_lam, g_om, flips, i, j, lam_i, lam_j, g):
     """Both routes of one triple as (g, omega_j, omega_i) words, or None
     while a flip they read is unset: push the word lambda_i lambda_j
@@ -818,6 +862,53 @@ def test_search_checks_an_assignment_by_lower_color_then_kind(monkeypatch):
                     assert order <= next_order, (order, next_order)
                     steps.add((order[0] != next_order[0], order[1] != next_order[1]))
     assert any(up for up, _ in steps) and (False, True) in steps
+
+
+def middle_color_pairs():
+    # pullbacks along e1, e2 -> (1,0) and e3 -> (0,1) of generated 2-graph
+    # pairs over R = 2I: colors 1 and 2 share their blocks' shapes, so the
+    # search often backs up from color 3 into color 2 alone
+    rng = random.Random(20261027)
+    f = monoid_hom([(1, 0), (1, 0), (0, 1)], 2)
+    for n, perms in ((1, 1), (1, 2), (2, 1)):
+        twice = [[2 * (i == j) for j in range(n)] for i in range(n)]
+        for _ in range(4):
+            a1, a2 = commuting_matrices(rng, n, perms)
+            g_lam = pullback(random_2graph(rng, "p", a1, a2), f)
+            g_om = pullback(random_2graph(rng, "q", a1, a2), f)
+            yield g_lam, g_om, twice
+
+
+def test_search_on_rank_3_pullbacks_evaluates_each_triple_once_and_only_when_decidable(monkeypatch):
+    # color 2 lies between the colors below and above it: a color-3 slot
+    # whose triples were not resolved again after a color-2 key changed
+    # would evaluate a triple whose other key is unset, skip a decidable
+    # one, or evaluate one twice. The pairs of
+    # test_search_matches_the_reference_on_rank_3_pullbacks seldom return
+    # to color 3 after changing color 2 alone; the middle-color pairs do
+    # (a copy of the search that ignored color-2 changes at color 3
+    # raised KeyError on 7 of these 12, and passed the first 40)
+    route = bridging._route_triple
+    calls = []
+
+    def decided_route(g_lam, g_om, flips, *triple):
+        assert reference_route_triple(g_lam, g_om, flips, *triple) is not None
+        calls.append((tuple((i, tuple(f.items())) for i, f in flips.items()), triple))
+        return route(g_lam, g_om, flips, *triple)
+
+    monkeypatch.setattr(bridging, "_route_triple", decided_route)
+    colors = set()
+    for g_lam, g_om, r in [*rank_3_pullback_pairs(), *middle_color_pairs()]:
+        calls.clear()
+        got = bridging_search(g_lam, g_om, r)
+        # a search never returns to a partial family it has left, so a
+        # repeated call is one triple evaluated twice by one assignment
+        assert len(set(calls)) == len(calls)
+        colors |= {triple[:2] for _, triple in calls}
+        monkeypatch.setattr(bridging, "_route_triple", route)
+        assert_same_search(got, reference_search(g_lam, g_om, r))
+        monkeypatch.setattr(bridging, "_route_triple", decided_route)
+    assert colors == {(1, 2), (1, 3), (2, 3)}
 
 
 @pytest.mark.parametrize("n", INSPLIT_PAIR_SIZES)

@@ -2,6 +2,7 @@
 generator maps for the moves, intertwiners and SSE search."""
 
 import random
+import re
 import time
 from itertools import product
 
@@ -293,6 +294,17 @@ def test_elements_take_only_int_entries(make, bad):
         make(fixture("ex3.5-Lambda"))
 
 
+@pytest.mark.parametrize("c", [1.5, "2", True])
+def test_dge_scale_takes_only_an_int_coefficient(c):
+    # a float gave float entries, which a later dge_eq compared false, a
+    # string repeated each entry's digits and a bool passed as 0 or 1
+    g = fixture("ex3.5-Lambda")
+    with pytest.raises(KGraphError, match=f"^coefficient {re.escape(repr(c))} is not an int$"):
+        dge_scale(c, unit_element(g, "u"))
+    u = unit_element(g, "u")
+    assert dge_eq(g, dge_scale(2, u), dge_add(g, u, u))
+
+
 # ------------------------------------------------------------ generator maps
 
 def test_identity_is_a_hom():
@@ -355,6 +367,18 @@ def test_intertwiner_examples():
         intertwiner_check(lam, rose(2), [[1]])
     # same shape but wrong entries is a plain False, not an error
     assert not intertwiner_check(lam, fixture("ex3.5-LambdaS"), [[1]])
+
+
+@pytest.mark.parametrize(
+    "r, bad", [([["1", "1"]], "'1'"), ([[1.0, 1.0]], r"1\.0"), ([[True, True]], "True"), ([[1, 2.5]], r"2\.5")]
+)
+def test_intertwiner_check_takes_only_int_entries(r, bad):
+    # a string reached the row sums as TypeError, and a float or a bool,
+    # equal to 1 as a number, answered True on the ex5.6 pair; the first
+    # bad entry is named
+    lam, om = fixture("ex5.6-Lambda"), fixture("ex5.6-Omega")
+    with pytest.raises(KGraphError, match=f"^R entry {bad} is not an int$"):
+        intertwiner_check(lam, om, r)
 
 
 def dense_intertwines(g_left, g_right, r):
