@@ -58,10 +58,9 @@ from .core import (
     matrix_str,
     validate_kgraph,
 )
-from .paths import Path, make_path, path_source, vertex_path
-
 if TYPE_CHECKING:
     from .intmat import Matrix
+    from .paths import Path
 
 
 class ShapeMismatch(KGraphError):
@@ -498,6 +497,8 @@ def extend_flip(
 ) -> tuple[str, Path]:
     """Flip a whole path through g, source-end edge first; coherence makes
     the result independent of the factorization of d(lam)."""
+    from .paths import make_path, path_source, vertex_path
+
     poly = _coherent_or_raise(g_lam, g_om, pair)
     by_id = {e.id: e for e in poly.edges}
     if g_id not in by_id:
@@ -520,6 +521,8 @@ def morph_apply(
 ) -> tuple[Path, str]:
     """The morph map: pull omega backwards through g by inverse flips,
     range-end edge first; a vertex path returns (r(g), g)."""
+    from .paths import make_path, vertex_path
+
     poly = _coherent_or_raise(g_lam, g_om, pair)
     by_id = {e.id: e for e in poly.edges}
     if g_id not in by_id:

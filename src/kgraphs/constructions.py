@@ -7,7 +7,7 @@ import math
 import re
 from importlib import resources
 from itertools import product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
     Degree,
@@ -23,7 +23,8 @@ from .core import (
     unit_degree,
     validate_kgraph,
 )
-from .paths import Path, factor_word, path_source, paths_of_degree
+if TYPE_CHECKING:
+    from .paths import Path
 
 
 class UnknownFixture(KGraphError, KeyError):
@@ -164,6 +165,8 @@ def pullback(g: KGraph, f: MonoidHom) -> KGraph:
         raise KGraphError(
             f"pullback would have {size} edges and squares, over the cap of {PULLBACK_MAX_PATHS}"
         )
+    from .paths import factor_word, path_source, paths_of_degree
+
     l = f.source_rank
 
     def eid(color: int, v: str, word: tuple[str, ...]) -> str:

@@ -1,10 +1,13 @@
 """In-splitting and sink deletion, with the induced maps on dimension groups.
 
 In-splitting at v partitions the edges with range v into two sides; the
-split graph doubles v and every edge with source v, and each other edge
-with range v is redirected to the copy named by its side. The partition
-must not separate edges admitting a common extension, so sides are unions
-of pairing classes.
+split graph doubles v and every edge with source v, and each edge with
+range v is redirected to the copy named by its side. The partition must
+not separate edges admitting a common extension, so sides are unions of
+pairing classes. The split graph's squares are g's squares lifted by
+rule: a square (g, h) -> (h2, g2) lifts once per copy of s(h), h and g2
+taken from that copy and g and h2 from the new ranges of h and g2, so
+no square is searched for (see insplit).
 """
 
 from __future__ import annotations
@@ -153,68 +156,50 @@ def check_partition(g: KGraph, p: Partition) -> None:
 def insplit(g: KGraph, p: Partition) -> tuple[KGraph, ParentMap]:
     """The in-split graph and its projection back onto g.
 
-    Offspring ids are '<v>^1', '<v>^2' for the vertex and '<e>^1', '<e>^2'
-    for each edge with source v; squares lift uniquely, pinned by sources.
+    The copies of v are '<v>^1' and '<v>^2'; each edge e with source v has
+    offspring '<e>^1' from v^1 and '<e>^2' from v^2, and every other vertex
+    and edge keeps its id. An edge with range v lands on the copy its side
+    names. A square (g, h) -> (h2, g2) lifts once per copy u of s(h), or
+    once, unchanged, when s(h) != v, as
+    (g from r(h), h from u) -> (h2 from r(g2), g2 from u), ranges taken in
+    the split graph, where "x from w" is the offspring of x with source w,
+    or x itself when s(x) != v.
     """
     check_partition(g, p)
     v = p.vertex
-    side = {eid: 1 for eid in p.side1} | {eid: 2 for eid in p.side2}
-    v1, v2 = f"{v}^1", f"{v}^2"
-    taken = set(g.vertices) | {e.id for e in g.edges}
-    for fresh in (v1, v2):
-        if fresh in taken:
+    copies = (f"{v}^1", f"{v}^2")
+    for fresh in (*copies, *(f"{e.id}^{t}" for e in g.edges if e.src == v for t in (1, 2))):
+        if fresh in g.vertex_index or fresh in g.by_id:
             raise KGraphError(f"offspring id {fresh!r} collides with an existing id")
+    copy_of = {eid: copies[0] for eid in p.side1} | {eid: copies[1] for eid in p.side2}
+    tag = {copies[0]: "^1", copies[1]: "^2"}
 
-    vertices: list[str] = []
-    vertex_parent: dict[str, str] = {}
-    for w in g.vertices:
-        if w == v:
-            vertices.extend([v1, v2])
-            vertex_parent[v1] = v
-            vertex_parent[v2] = v
-        else:
-            vertices.append(w)
-            vertex_parent[w] = w
+    def over(w: str) -> tuple[str, ...]:
+        # the vertices of the split graph that project to w
+        return copies if w == v else (w,)
 
     def new_range(e: Edge) -> str:
-        # an edge with range v lands on the copy named by its side
-        return f"{v}^{side[e.id]}" if e.rng == v else e.rng
+        return copy_of[e.id] if e.rng == v else e.rng
 
+    def lift(e: Edge, w: str) -> str:
+        # e from w: the id of the offspring of e with source w
+        return e.id + tag[w] if e.src == v else e.id
+
+    vertex_parent = {u: w for w in g.vertices for u in over(w)}
     edges: list[Edge] = []
     edge_parent: dict[str, str] = {}
-    offspring: dict[str, list[Edge]] = {}
     for e in g.edges:
-        if e.src == v:
-            for t in (1, 2):
-                fresh = f"{e.id}^{t}"
-                if fresh in taken:
-                    raise KGraphError(f"offspring id {fresh!r} collides with an existing id")
-                child = Edge(fresh, e.color, f"{v}^{t}", new_range(e))
-                edges.append(child)
-                edge_parent[fresh] = e.id
-                offspring.setdefault(e.id, []).append(child)
-        else:
-            child = Edge(e.id, e.color, e.src, new_range(e))
-            edges.append(child)
-            edge_parent[e.id] = e.id
-            offspring.setdefault(e.id, []).append(child)
-
-    # lift each square: the new inner edge is the offspring whose source
-    # matches, first g2 pinned by s(g2) = s(h), then h2 by s(h2) = r(g2)
-    in_new: dict[tuple[str, int], list[Edge]] = {}
-    for e in edges:
-        in_new.setdefault((e.rng, e.color), []).append(e)
+        for u in over(e.src):
+            edges.append(Edge(lift(e, u), e.color, u, new_range(e)))
+            edge_parent[edges[-1].id] = e.id
     squares: dict[tuple[str, str], tuple[str, str]] = {}
-    for a in edges:
-        for jc in range(a.color + 1, g.rank + 1):
-            for b in in_new.get((a.src, jc), []):
-                h2p, g2p = g.squares[(edge_parent[a.id], edge_parent[b.id])]
-                (g2n,) = [e for e in offspring[g2p] if e.src == b.src]
-                (h2n,) = [e for e in offspring[h2p] if e.src == g2n.rng]
-                squares[(a.id, b.id)] = (h2n.id, g2n.id)
+    for key, val in g.squares.items():
+        (a, b), (b2, a2) = map(g.by_id.__getitem__, key), map(g.by_id.__getitem__, val)
+        for u in over(b.src):
+            squares[(lift(a, new_range(b)), lift(b, u))] = (lift(b2, new_range(a2)), lift(a2, u))
 
     split = validate_kgraph(
-        Skeleton(g.rank, tuple(vertices), tuple(edges)), squares, strict=g.strict
+        Skeleton(g.rank, tuple(vertex_parent), tuple(edges)), squares, strict=g.strict
     )
     return split, ParentMap(vertex_parent, edge_parent)
 

@@ -169,6 +169,11 @@ def _lattice_walk(basis: dict, n: int, entry_max: int, cut: dict | None = None):
             its[i] = iter(values)
 
 
+def _largest(m: Matrix) -> int:
+    # the largest entry of m, 0 if it has none
+    return max(map(max, m), default=0)
+
+
 def _degrees(graphs: tuple, caps: tuple, p_max: int, walked: list[bool]):
     """(p, A_p, B_p) for p != 0 in (0..p_max)^k in lexicographic order,
     with coordinate j held at 0 unless walked[j], each matrix pushed one
@@ -197,7 +202,7 @@ def _degrees(graphs: tuple, caps: tuple, p_max: int, walked: list[bool]):
                     return
                 if q == mark:
                     saved, mark = mats, 2 * mark
-            over = [max(map(max, m), default=0) > cap for m, cap in zip(mats, caps)]
+            over = [_largest(m) > cap for m, cap in zip(mats, caps)]
             if any(o and n for o, n in zip(over, no_sources)):
                 return
             if j + 1 < k:
@@ -318,9 +323,14 @@ def sse_search(
     g_right emits one no B_p has a zero column, so neither has R. An entry
     of R S is at most d' * entry_max^2 and one of S R at most
     d * entry_max^2, so _degrees skips the p whose A_p or B_p has a larger
-    one, and stops a coordinate's walk once (A_p, B_p) repeats. The walk
-    is exponential in the free entries, each through all of 0..entry_max,
-    so a large entry_max with no witness near 0 does not finish. Over
+    one, and stops a coordinate's walk once (A_p, B_p) repeats. When every
+    vertex of both graphs receives an edge of every color, neither R nor
+    S has a zero row, so R S = A_p bounds each entry of R by the largest
+    entry of A_p, and S R = B_p each entry of S by the largest of B_p:
+    the degrees are then listed first, R is walked only up to the largest
+    entry of any of their A_p, and S at p only up to that of B_p. The walk
+    is exponential in the free entries, each through all of its range, so
+    a large bound with no witness near 0 does not finish. Over
     SSE_MAX_UNKNOWNS unknowns (d * d') the first degree raises KGraphError
     instead."""
     if g_left.rank != g_right.rank:
@@ -348,6 +358,14 @@ def sse_search(
     # whether R may have a zero row, a zero column (see above)
     zero_rows = not all(map(all, g_left.in_sources))
     zero_cols = not all(map(all, g_right.out_sources))
+    # whether R S = A_p and S R = B_p bound the entries of R and S (see above)
+    bounded = not zero_rows and all(map(all, g_right.in_sources))
+    caps = (dr * entry_max**2, dl * entry_max**2)
+    degrees = _degrees((g_left, g_right), caps, p_max, walked)
+    r_max = entry_max
+    if bounded:
+        degrees = list(degrees)
+        r_max = min(entry_max, max((_largest(a_p) for _, a_p, _ in degrees), default=0))
     n = dl * dr
     s_basis: dict = {}
 
@@ -361,7 +379,7 @@ def sse_search(
         # a zero row of R is cut as soon as it is set (at once if d' = 0)
         ends = [] if zero_rows else range(dl)
         cut = {(v + 1) * dr - 1: lambda x, v=v: any(x[v * dr : (v + 1) * dr]) for v in ends}
-        for x in _lattice_walk(echelon_extend({}, _intertwining_eqs(g_left, g_right)), n, entry_max, cut):
+        for x in _lattice_walk(echelon_extend({}, _intertwining_eqs(g_left, g_right)), n, r_max, cut):
             r = [x[v * dr : (v + 1) * dr] for v in range(dl)]
             cols = list(zip(*r))
             if not (zero_cols or all(map(any, cols))):
@@ -379,12 +397,12 @@ def sse_search(
             seen.append(item)
             yield item
 
-    caps = (dr * entry_max**2, dl * entry_max**2)
-    for p, a_p, b_p in _degrees((g_left, g_right), caps, p_max, walked):
+    for p, a_p, b_p in degrees:
         rhs = [x for row in a_p + b_p for x in row]
+        s_max = min(entry_max, _largest(b_p)) if bounded else entry_max
         for r, eqs in intertwiners():
             rows = [eq | {n: b} if b else eq for eq, b in zip(eqs, rhs)]
-            s = next(_lattice_walk(echelon_extend(s_basis, rows), n, entry_max), None)
+            s = next(_lattice_walk(echelon_extend(s_basis, rows), n, s_max), None)
             if s is not None:
                 return SSEWitness(p, r, [s[t * dl : (t + 1) * dl] for t in range(dr)])
     return ExhaustedBounds(p_max, entry_max)

@@ -489,6 +489,28 @@ def test_sse_search_at_a_large_entry_max_answers(capsys, entry_max):
     assert out.splitlines()[:2] == ["p: 0,1", "R: 1 0 0 0; 0 1 1 0; 0 0 0 1"]
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("ex3.5-Lambda", "ex5.7-Omega"),
+        ("ex3.5-LambdaI", "ex3.5-Lambda"),
+        ("ex3.5-LambdaI", "ex5.7-Omega"),
+        ("ex3.5-LambdaS", "ex5.7-Omega"),
+    ],
+)
+def test_sse_search_bounds_entries_by_the_graphs(capsys, left, right):
+    # neither graph has a source, so R S = A_p and S R = B_p bound R's and
+    # S's entries by those of A_p and B_p, whatever --entry-max says: the
+    # search gives the answer it gives at --entry-max 2
+    t0 = time.process_time()
+    code, out, err = run(capsys, "sse-search", left, right, "--entry-max", "99999999999999")
+    elapsed = time.process_time() - t0
+    assert (code, err) == (0, "")
+    assert elapsed < 1.0, f"took {elapsed:.2f}s of CPU, budget 1.0s"
+    _, small, _ = run(capsys, "sse-search", left, right, "--entry-max", "2")
+    assert out == small.replace("entry_max=2)", "entry_max=99999999999999)")
+
+
 def test_sse_search_over_the_unknowns_cap_exits_1(capsys, tmp_path):
     # 70 against 72 vertices: 5040 unknowns, just over the cap, checked
     # after lag 0 (unequal sizes have none) and before any elimination
@@ -1416,12 +1438,12 @@ _CLI_BASE = {"kgraphs", "kgraphs.core", "kgraphs.textform"}
         (["tm-eq", "{g}", "u:0,0", "u:0,0:2"], {"dimension", "intmat"}),
         (["info", "{g}"], set()),
         (["pullback", "{g}", "--images", "1,0;0,1"], {"constructions", "paths"}),
-        (["skew-window", "{g}", "--lo", "0,0", "--hi", "0,1"], {"constructions", "paths"}),
-        (["validate", "ex3.5-LambdaS"], {"constructions", "paths"}),
+        (["skew-window", "{g}", "--lo", "0,0", "--hi", "0,1"], {"constructions"}),
+        (["validate", "ex3.5-LambdaS"], {"constructions"}),
         (["insplit", "{lam}", "v", "--sidecar", "{sidecar}"], {"moves", "dimension"}),
         (["sinkdelete", "{lam}", "v", "--sidecar", "{sidecar}"], {"moves", "dimension"}),
         (["tm-iso-check", "{lam}", "{split}", "--fwd", "{phi}", "--bwd", "{psi}"], {"dimension"}),
-        (["bridge-search", "{g}", "{g}", "--matrix", "1"], {"bridging", "paths"}),
+        (["bridge-search", "{g}", "{g}", "--matrix", "1"], {"bridging"}),
         (["sse-search", "{lam}", "{split}"], {"sse", "intmat"}),
         (["tm-hom-check", "{g}", "{g}", "--identity"], {"dimension"}),
     ],

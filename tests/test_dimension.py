@@ -622,6 +622,47 @@ def test_sse_search_matches_the_reference_on_random_pairs():
     assert outcomes == {SSEWitness, ExhaustedBounds}
 
 
+def _no_zero_row(rng, rows, cols, top):
+    # entries 0..top, no row all zero
+    while True:
+        m = [[rng.randint(0, top) for _ in range(cols)] for _ in range(rows)]
+        if all(map(any, m)):
+            return m
+
+
+def test_sse_search_matches_the_reference_on_pairs_without_sources():
+    # every vertex receives every color, so R is walked only up to the
+    # largest entry of the A_p and S up to that of B_p. Half the pairs are
+    # elementary: A_1 = R S and B_1 = S R for R, S with no zero row, and
+    # A_2, B_2 the same polynomial in them, so (R, S) is a witness at e_1
+    rng = random.Random(20261022)
+    outcomes = set()
+    for entry_max in (1, 2, 3):
+        for _ in range(20):
+            dl, dr = rng.randint(1, 2), rng.randint(1, 2)
+            if rng.random() < 0.5:
+                r, s = _no_zero_row(rng, dl, dr, entry_max), _no_zero_row(rng, dr, dl, entry_max)
+                c0, c1 = rng.randint(0, 1), rng.randint(0, 1)
+
+                def poly(a):
+                    return [[c0 * (i == j) + c1 * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+                mats = [(a1, poly(a1)) for a1 in (mat_mul(r, s), mat_mul(s, r))]
+            else:
+                mats = []
+                for d in (dl, dr):
+                    a1, a2 = _commuting(rng, d)
+                    while not all(map(any, a1)):
+                        a1, a2 = _commuting(rng, d)
+                    mats.append((a1, a2))
+            pair = [random_2graph(rng, tag, *m) for tag, m in zip("pq", mats)]
+            assert all(map(no_sources, pair))
+            want = reference_sse_search(*pair, 1, entry_max)
+            assert sse_search(*pair, 1, entry_max) == want
+            outcomes.add("exhausted" if isinstance(want, ExhaustedBounds) else "lag 0" if not any(want.p) else "past")
+    assert outcomes == {"exhausted", "lag 0", "past"}
+
+
 def _emits_everywhere(g):
     # every vertex emits an edge of every color
     return all(set().union(*by_range) == set(range(len(g.vertices))) for by_range in g.in_sources)

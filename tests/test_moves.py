@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     graphs,
+    insplit_pair,
     mat_mul,
     product_graph,
     random_2graph,
@@ -27,7 +28,7 @@ from kgraphs.constructions import (
     rose,
     skew_product_window,
 )
-from kgraphs.core import CLIUsage, KGraphError, validate_kgraph, vertex_matrix
+from kgraphs.core import CLIUsage, Edge, KGraphError, Skeleton, validate_kgraph, vertex_matrix
 from kgraphs.paths import Path, mce, paths_of_degree
 from kgraphs.dimension import generator_map, generator_map_from_matrix, iso_check, unit_element
 from kgraphs.homology import h0, rank_invariant
@@ -35,6 +36,7 @@ from kgraphs.moves import (
     IndivisibleVertex,
     InvalidPartition,
     NotASink,
+    ParentMap,
     Partition,
     check_partition,
     choose_partition,
@@ -193,6 +195,151 @@ def test_insplit_on_nonstrict_graph():
     assert split.skeleton == fixture("ex3.5-LambdaI").skeleton
 
 
+def reference_insplit(g, p):
+    """Previous version of insplit: each new edge indexed by range and
+    color, and each lifted square recovered by searching the offspring of
+    its parent edges for the one with the right source.
+
+    Offspring ids are '<v>^1', '<v>^2' for the vertex and '<e>^1', '<e>^2'
+    for each edge with source v; squares lift uniquely, pinned by sources.
+    """
+    check_partition(g, p)
+    v = p.vertex
+    side = {eid: 1 for eid in p.side1} | {eid: 2 for eid in p.side2}
+    v1, v2 = f"{v}^1", f"{v}^2"
+    taken = set(g.vertices) | {e.id for e in g.edges}
+    for fresh in (v1, v2):
+        if fresh in taken:
+            raise KGraphError(f"offspring id {fresh!r} collides with an existing id")
+
+    vertices = []
+    vertex_parent = {}
+    for w in g.vertices:
+        if w == v:
+            vertices.extend([v1, v2])
+            vertex_parent[v1] = v
+            vertex_parent[v2] = v
+        else:
+            vertices.append(w)
+            vertex_parent[w] = w
+
+    def new_range(e):
+        # an edge with range v lands on the copy named by its side
+        return f"{v}^{side[e.id]}" if e.rng == v else e.rng
+
+    edges = []
+    edge_parent = {}
+    offspring = {}
+    for e in g.edges:
+        if e.src == v:
+            for t in (1, 2):
+                fresh = f"{e.id}^{t}"
+                if fresh in taken:
+                    raise KGraphError(f"offspring id {fresh!r} collides with an existing id")
+                child = Edge(fresh, e.color, f"{v}^{t}", new_range(e))
+                edges.append(child)
+                edge_parent[fresh] = e.id
+                offspring.setdefault(e.id, []).append(child)
+        else:
+            child = Edge(e.id, e.color, e.src, new_range(e))
+            edges.append(child)
+            edge_parent[e.id] = e.id
+            offspring.setdefault(e.id, []).append(child)
+
+    # lift each square: the new inner edge is the offspring whose source
+    # matches, first g2 pinned by s(g2) = s(h), then h2 by s(h2) = r(g2)
+    in_new = {}
+    for e in edges:
+        in_new.setdefault((e.rng, e.color), []).append(e)
+    squares = {}
+    for a in edges:
+        for jc in range(a.color + 1, g.rank + 1):
+            for b in in_new.get((a.src, jc), []):
+                h2p, g2p = g.squares[(edge_parent[a.id], edge_parent[b.id])]
+                (g2n,) = [e for e in offspring[g2p] if e.src == b.src]
+                (h2n,) = [e for e in offspring[h2p] if e.src == g2n.rng]
+                squares[(a.id, b.id)] = (h2n.id, g2n.id)
+
+    split = validate_kgraph(
+        Skeleton(g.rank, tuple(vertices), tuple(edges)), squares, strict=g.strict
+    )
+    return split, ParentMap(vertex_parent, edge_parent)
+
+
+def _insplit_cases(g):
+    # every valid partition at every vertex with at most 6 pairing classes
+    for v in g.vertices:
+        if 2 <= len(pairing_closure(g, v)) <= 6:
+            yield from enumerate_valid_partitions(g, v)
+
+
+def _assert_insplit_matches_the_reference(g):
+    count = 0
+    for p in _insplit_cases(g):
+        split, parents = insplit(g, p)
+        want, want_parents = reference_insplit(g, p)
+        assert split == want and parents == want_parents, p
+        assert (split.vertices, split.edges) == (want.vertices, want.edges), p
+        count += 1
+    return count
+
+
+def test_insplit_matches_the_reference_on_fixtures_and_pairs():
+    graphs = [fixture(name) for name in FIXTURE_NAMES]
+    graphs += [insplit_pair(n)[0] for n in (0, 2, 3, 5)]
+    assert sum(map(_assert_insplit_matches_the_reference, graphs)) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(), ranked_graphs()))
+def test_insplit_matches_the_reference_on_generated_graphs(g):
+    _assert_insplit_matches_the_reference(g)
+
+
+def _raised(f, *args):
+    with pytest.raises(KGraphError) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+def _renamed(g, names):
+    # g with the vertex and edge ids in names replaced
+    def n(x):
+        return names.get(x, x)
+
+    edges = tuple(Edge(n(e.id), e.color, n(e.src), n(e.rng)) for e in g.edges)
+    squares = {tuple(map(n, key)): tuple(map(n, val)) for key, val in g.squares.items()}
+    return validate_kgraph(Skeleton(g.rank, tuple(map(n, g.vertices)), edges), squares)
+
+
+def test_insplit_raises_what_the_reference_raises():
+    g = fixture("ex3.5-Lambda")
+    (part,) = enumerate_valid_partitions(g, "v")
+    cases = [
+        (g, Partition("v", ("h1", "f1"), ("h2", "f2"))),
+        (g, Partition("v", ("h1", "f2", "h2", "f1"), ())),
+        (g, Partition("v", ("h1", "f2", "e"), ("h2", "f1"))),
+        (g, Partition("v", ("h1", "f2"), ("h2",))),
+        (g, Partition("nope", ("h1",), ("h2",))),
+    ]
+    # an offspring id that g already has: a copy of v, or an offspring of
+    # h1, h2 or h, the edges with source v; of two, the first one made
+    collisions = (
+        {"w": "v^1"}, {"u": "v^2"}, {"g": "h1^1"}, {"e": "h^2"},
+        {"g": "h2^1", "e": "h^1"}, {"g": "h^2", "e": "h^1"}, {"w": "v^2", "g": "h1^1"},
+    )
+    for names in collisions:
+        cases.append((_renamed(g, names), part))
+    for h, p in cases:
+        want = _raised(reference_insplit, h, p)
+        assert _raised(insplit, h, p) == want, p
+    messages = [_raised(insplit, h, p)[1] for h, p in cases[5:]]
+    assert messages == [
+        f"offspring id {fresh!r} collides with an existing id"
+        for fresh in ("v^1", "v^2", "h1^1", "h^2", "h2^1", "h^1", "v^2")
+    ]
+
+
 # ---------------------------------------------------------------- sinks
 
 def test_ei_sinks():
@@ -297,8 +444,6 @@ def test_sinks_match_the_reference_on_generated_graphs(g):
 
 
 def test_sink_delete_empty_result_is_an_error():
-    from kgraphs.core import Edge, Skeleton
-
     g = validate_kgraph(
         Skeleton(2, ("u",), (Edge("b", 1, "u", "u"),)), {}, strict=False
     )
